@@ -626,7 +626,8 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
 /// Transposed like [`refine_candidates_delta`]: one work-item per
 /// constrained query row (`pair_rows`, precomputed by the plan — rows
 /// whose pair signature is non-empty), enumerating its live bits
-/// word-parallel and testing bucket domination at each. Data-side pair
+/// word-parallel and testing bucket domination at each. The test compares
+/// only the row's live buckets ([`PairRow::live`]). Data-side pair
 /// signatures are built host-side per launch (one pass over the data
 /// adjacency, like `SignatureSet::advance`).
 ///
@@ -635,7 +636,7 @@ pub fn label_pair_filter(
     queue: &Queue,
     data: &CsrGo,
     schema: &LabelSchema,
-    pair_rows: &[(u32, Signature)],
+    pair_rows: &[PairRow],
     bitmap: &CandidateBitmap,
     governor: &Governor,
 ) -> u64 {
@@ -663,11 +664,11 @@ pub fn label_pair_filter(
             let mut trip_sq = 0u64;
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
-                let (q, qsig) = pair_rows[r];
+                let PairRow { row: q, sig, live } = pair_rows[r];
                 let mut row_tests = 0u64;
                 for d in bitmap.iter_set_in_range(q as usize, 0, n) {
                     row_tests += 1;
-                    if !dsigs[d].dominates(schema, &qsig) {
+                    if !dsigs[d].dominates_groups(schema, &sig, live) {
                         bitmap.clear(q as usize, d);
                         cleared += 1;
                     }
@@ -698,14 +699,31 @@ pub fn label_pair_filter(
     snap.atomic_ops
 }
 
+/// One constrained query row of the label-pair pre-check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRow {
+    /// The query row (flat query node id).
+    pub row: u32,
+    /// The row's label-pair signature (never empty).
+    pub sig: Signature,
+    /// Its live buckets: bit `i` set iff bucket `i` of `sig` is non-zero.
+    /// Testing only these buckets is exact — a bucket where the query
+    /// count is zero is dominated by every data count.
+    pub live: u64,
+}
+
 /// The constrained-row list [`label_pair_filter`] consumes: every query
 /// row with a non-empty pair signature, ascending. Plans build this once
 /// per batch.
-pub fn pair_rows(queries: &CsrGo, schema: &LabelSchema) -> Vec<(u32, Signature)> {
+pub fn pair_rows(queries: &CsrGo, schema: &LabelSchema) -> Vec<PairRow> {
     (0..queries.num_nodes() as u32)
-        .filter_map(|q| {
-            let sig = pair_signature(queries, schema, q);
-            (sig != Signature::EMPTY).then_some((q, sig))
+        .filter_map(|row| {
+            let sig = pair_signature(queries, schema, row);
+            (sig != Signature::EMPTY).then(|| PairRow {
+                row,
+                sig,
+                live: sig.diff_groups(schema, &Signature::EMPTY),
+            })
         })
         .collect()
 }
@@ -1019,6 +1037,62 @@ mod tests {
             for qn in 0..queries.num_nodes() {
                 for d in 0..data.num_nodes() {
                     assert_eq!(fast.get(qn, d), slow.get(qn, d), "bit ({qn}, {d})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_rows_mark_exactly_the_non_zero_buckets() {
+        let schema = pair_schema();
+        let queries: Vec<LabeledGraph> = (0..20)
+            .map(|i| sigmo_graph::random_sparse_graph(8, 4, 12, 500 + i))
+            .collect();
+        let batch = CsrGo::from_graphs(&queries);
+        let rows = pair_rows(&batch, &schema);
+        assert!(!rows.is_empty());
+        for r in &rows {
+            let nonzero = (0..PAIR_BUCKETS as u8)
+                .filter(|&b| r.sig.count(&schema, b) != 0)
+                .fold(0u64, |m, b| m | 1 << b);
+            assert_eq!(r.live, nonzero, "row {}", r.row);
+            assert_eq!(r.sig, pair_signature(&batch, &schema, r.row));
+        }
+    }
+
+    #[test]
+    fn label_pair_filter_matches_naive_on_random_batches() {
+        // Twelve node labels and three edge labels spread the pairs over
+        // every bucket, so a test that skipped any live bucket would keep
+        // a bit the per-bit oracle clears.
+        let schema = pair_schema();
+        for seed in 0..8u64 {
+            let queries: Vec<LabeledGraph> = (0..6)
+                .map(|i| sigmo_graph::random_sparse_graph(5, 2, 12, seed * 100 + i))
+                .collect();
+            let data: Vec<LabeledGraph> = (0..30)
+                .map(|i| sigmo_graph::random_sparse_graph(20, 6, 12, seed * 1000 + 50 + i))
+                .collect();
+            let (queries, data) = (CsrGo::from_graphs(&queries), CsrGo::from_graphs(&data));
+            let fast = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            initialize_candidates(&queue(), &queries, &data, &fast, 64);
+            crate::naive::initialize_candidates(&queries, &data, &slow);
+            let rows = pair_rows(&queries, &schema);
+            let cleared = label_pair_filter(
+                &queue(),
+                &data,
+                &schema,
+                &rows,
+                &fast,
+                &Governor::unlimited(),
+            );
+            let expected = crate::naive::label_pair_filter(&queries, &data, &schema, &slow);
+            assert_eq!(cleared, expected, "seed {seed}");
+            assert!(cleared > 0, "seed {seed} must exercise the pre-check");
+            for q in 0..queries.num_nodes() {
+                for d in 0..data.num_nodes() {
+                    assert_eq!(fast.get(q, d), slow.get(q, d), "seed {seed} bit ({q}, {d})");
                 }
             }
         }

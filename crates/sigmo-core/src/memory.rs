@@ -60,21 +60,40 @@ impl MemoryEstimate {
 /// synthetic input whose true footprint exceeds `u64::MAX` bytes yields a
 /// saturated (still ordered-correct) estimate instead of a wrapped one.
 pub fn estimate_batched(queries: &CsrGo, data: &CsrGo) -> MemoryEstimate {
+    estimate_counts(
+        queries,
+        data.num_nodes() as u64,
+        data.num_edges() as u64,
+        data.num_graphs() as u64,
+    )
+}
+
+/// Predicts memory for `queries` against a data batch of `n` nodes, `m`
+/// undirected edges and `g` graphs, without building that batch — the one
+/// formula every estimate shares. Its graph bytes equal what a built
+/// CSR-GO of those counts measures (`CsrGo::memory_bytes`); all
+/// arithmetic saturates.
+pub fn estimate_counts(queries: &CsrGo, n: u64, m: u64, g: u64) -> MemoryEstimate {
     let rows = queries.num_nodes() as u64;
-    let cols = data.num_nodes() as u64;
-    let bitmap_bytes = rows.saturating_mul(cols).div_ceil(8);
-    let bitmap_padded_bytes = rows.saturating_mul(cols.div_ceil(64)).saturating_mul(8);
-    let graph_bytes = (queries.memory_bytes() as u64).saturating_add(data.memory_bytes() as u64);
-    // 8 bytes per signature + ~24 bytes of frontier state per node.
-    let signature_bytes = rows.saturating_add(cols).saturating_mul(8 + 24);
-    let gmcr_bytes = (data.num_graphs() as u64)
+    let bitmap_bytes = rows.saturating_mul(n).div_ceil(8);
+    let bitmap_padded_bytes = rows.saturating_mul(n.div_ceil(64)).saturating_mul(8);
+    // CSR: row offsets (n+1)×4 + column indices 2m×4 + edge labels 2m +
+    // node labels n; CSR-GO adds graph offsets (g+1)×4 — the layout
+    // `CsrGo::memory_bytes` measures.
+    let data_csr = n
         .saturating_add(1)
         .saturating_mul(4)
-        .saturating_add(
-            (data.num_graphs() as u64)
-                .saturating_mul(queries.num_graphs() as u64)
-                .saturating_mul(5),
-        );
+        .saturating_add(m.saturating_mul(8))
+        .saturating_add(m.saturating_mul(2))
+        .saturating_add(n)
+        .saturating_add(g.saturating_add(1).saturating_mul(4));
+    let graph_bytes = (queries.memory_bytes() as u64).saturating_add(data_csr);
+    // 8 bytes per signature + ~24 bytes of frontier state per node.
+    let signature_bytes = rows.saturating_add(n).saturating_mul(8 + 24);
+    let gmcr_bytes = g.saturating_add(1).saturating_mul(4).saturating_add(
+        g.saturating_mul(queries.num_graphs() as u64)
+            .saturating_mul(5),
+    );
     MemoryEstimate {
         bitmap_bytes,
         bitmap_padded_bytes,
@@ -94,34 +113,12 @@ pub fn estimate(queries: &[LabeledGraph], data: &[LabeledGraph]) -> MemoryEstima
 /// byte with [`estimate_batched`] on the materialized replication.
 pub fn estimate_scaled(queries: &CsrGo, base: &CsrGo, factor: usize) -> MemoryEstimate {
     let f = factor as u64;
-    let rows = queries.num_nodes() as u64;
-    let n = (base.num_nodes() as u64).saturating_mul(f);
-    let m = (base.num_edges() as u64).saturating_mul(f);
-    let g = (base.num_graphs() as u64).saturating_mul(f);
-    let bitmap_bytes = rows.saturating_mul(n).div_ceil(8);
-    let bitmap_padded_bytes = rows.saturating_mul(n.div_ceil(64)).saturating_mul(8);
-    // CSR: row offsets (n+1)×4 + column indices 2m×4 + edge labels 2m +
-    // node labels n; CSR-GO adds graph offsets (g+1)×4.
-    let data_csr = n
-        .saturating_add(1)
-        .saturating_mul(4)
-        .saturating_add(m.saturating_mul(8))
-        .saturating_add(m.saturating_mul(2))
-        .saturating_add(n)
-        .saturating_add(g.saturating_add(1).saturating_mul(4));
-    let graph_bytes = (queries.memory_bytes() as u64).saturating_add(data_csr);
-    let signature_bytes = rows.saturating_add(n).saturating_mul(32);
-    let gmcr_bytes = g.saturating_add(1).saturating_mul(4).saturating_add(
-        g.saturating_mul(queries.num_graphs() as u64)
-            .saturating_mul(5),
-    );
-    MemoryEstimate {
-        bitmap_bytes,
-        bitmap_padded_bytes,
-        graph_bytes,
-        signature_bytes,
-        gmcr_bytes,
-    }
+    estimate_counts(
+        queries,
+        (base.num_nodes() as u64).saturating_mul(f),
+        (base.num_edges() as u64).saturating_mul(f),
+        (base.num_graphs() as u64).saturating_mul(f),
+    )
 }
 
 /// Largest dataset scale factor (replication count) that fits a device —
@@ -199,6 +196,28 @@ mod tests {
             let materialized = estimate(&queries, &scaled);
             let arithmetic = estimate_scaled(&q, &base, f);
             assert_eq!(arithmetic, materialized, "factor {f}");
+        }
+    }
+
+    #[test]
+    fn counts_formula_matches_measured_csr_bytes() {
+        // The counts-only formula must reproduce what a built CSR-GO
+        // actually holds, down to the empty batch and empty graphs.
+        let (queries, data) = world(6);
+        let q = CsrGo::from_graphs(&queries);
+        let mut batches: Vec<Vec<LabeledGraph>> = vec![Vec::new(), vec![LabeledGraph::new()]];
+        batches.extend((1..=data.len()).map(|k| data[..k].to_vec()));
+        for batch in batches {
+            let d = CsrGo::from_graphs(&batch);
+            let n: usize = batch.iter().map(LabeledGraph::num_nodes).sum();
+            let m: usize = batch.iter().map(LabeledGraph::num_edges).sum();
+            let est = estimate_counts(&q, n as u64, m as u64, batch.len() as u64);
+            assert_eq!(
+                est.graph_bytes,
+                (q.memory_bytes() + d.memory_bytes()) as u64,
+                "{} graphs",
+                batch.len()
+            );
         }
     }
 

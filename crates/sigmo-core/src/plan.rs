@@ -25,7 +25,7 @@
 //! run and every rank borrows it.
 
 use crate::engine::EngineConfig;
-use crate::filter::{self, DeltaClasses, LabelBuckets, SignatureClasses};
+use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, SignatureClasses};
 use crate::join;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
@@ -81,9 +81,10 @@ pub struct QueryPlan {
     join_plans: Vec<join::QueryPlan>,
     /// Schema of the label-pair signatures (fixed 16 uniform buckets).
     pair_schema: LabelSchema,
-    /// Query rows with a non-empty label-pair signature — the work list of
-    /// the label-pair pre-check kernel (a pure function of the batch).
-    pair_rows: Vec<(u32, Signature)>,
+    /// Query rows with a non-empty label-pair signature, each with its
+    /// live-bucket mask — the work list of the label-pair pre-check kernel
+    /// (a pure function of the batch).
+    pair_rows: Vec<PairRow>,
     /// Query rows with a non-trivial compiled [`NodePredicate`] (SMARTS
     /// atom lists, degree, ring, H-count, charge) — the work list of the
     /// predicate filter kernel. Empty for predicate-free batches, in which
@@ -236,10 +237,11 @@ impl QueryPlan {
         &self.pair_schema
     }
 
-    /// Query rows with a non-empty label-pair signature, ascending — the
-    /// pre-check kernel's work list (empty when every query edge or
-    /// neighbor is a wildcard, in which case the pre-check is skipped).
-    pub fn pair_rows(&self) -> &[(u32, Signature)] {
+    /// Query rows with a non-empty label-pair signature, ascending, each
+    /// with its live-bucket mask — the pre-check kernel's work list (empty
+    /// when every query edge or neighbor is a wildcard, in which case the
+    /// pre-check is skipped).
+    pub fn pair_rows(&self) -> &[PairRow] {
         &self.pair_rows
     }
 
@@ -309,7 +311,7 @@ mod tests {
         let plan = QueryPlan::build(&queries(), &EngineConfig::default());
         // Both C-O endpoints carry one concrete (edge, neighbor) pair; the
         // isolated C node has none and must not enter the work list.
-        let rows: Vec<u32> = plan.pair_rows().iter().map(|&(q, _)| q).collect();
+        let rows: Vec<u32> = plan.pair_rows().iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![0, 1]);
     }
 

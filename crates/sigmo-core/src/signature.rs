@@ -73,11 +73,13 @@ impl Signature {
     /// Field-restricted domination: compares only the schema groups whose
     /// index bit is set in `group_mask`. NOT equivalent to [`dominates`]
     /// in general — it is exact only when the caller can prove the skipped
-    /// fields already dominate, which is what the delta refine kernel's
-    /// monotonicity invariant provides (a bit that survived the previous
-    /// radius keeps dominating every field whose query count did not move;
-    /// see `DeltaClasses`). Cost is ~2 instructions per set bit instead of
-    /// one compare per schema group.
+    /// fields already dominate. Two callers can: the delta refine kernel's
+    /// monotonicity invariant (a bit that survived the previous radius
+    /// keeps dominating every field whose query count did not move; see
+    /// `DeltaClasses`), and the label-pair pre-check, which skips exactly
+    /// the groups where the query count is zero (see `filter::PairRow`).
+    /// Cost is ~2 instructions per set bit instead of one compare per
+    /// schema group.
     ///
     /// [`dominates`]: Signature::dominates
     #[inline]

@@ -11,7 +11,7 @@
 
 use crate::engine::{Engine, EngineConfig};
 use crate::governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
-use crate::memory::estimate_batched;
+use crate::memory::{estimate_counts, MemoryEstimate};
 use crate::plan::QueryPlan;
 use crate::stats::StrategyCounts;
 use sigmo_device::Queue;
@@ -139,6 +139,36 @@ impl StreamReport {
     }
 }
 
+/// Running node / edge / graph totals of a pending chunk, so the budget
+/// check after every molecule is O(1) closed-form arithmetic
+/// ([`estimate_counts`]) instead of a CSR-GO build of the whole chunk.
+#[derive(Debug, Default, Clone, Copy)]
+struct ChunkSize {
+    nodes: u64,
+    edges: u64,
+    graphs: u64,
+}
+
+impl ChunkSize {
+    fn add(&mut self, mol: &LabeledGraph) {
+        self.nodes += mol.num_nodes() as u64;
+        self.edges += mol.num_edges() as u64;
+        self.graphs += 1;
+    }
+
+    fn remove(&mut self, mol: &LabeledGraph) {
+        self.nodes -= mol.num_nodes() as u64;
+        self.edges -= mol.num_edges() as u64;
+        self.graphs -= 1;
+    }
+
+    /// The memory estimate of running `plan` over the chunk — equal to
+    /// `estimate_batched` on the chunk's CSR-GO.
+    fn estimate(&self, plan: &QueryPlan) -> MemoryEstimate {
+        estimate_counts(plan.batch(), self.nodes, self.edges, self.graphs)
+    }
+}
+
 /// Streaming wrapper around [`Engine`].
 ///
 /// With a [`RunBudget`] set, every chunk runs under its own governor
@@ -250,6 +280,7 @@ impl StreamRunner {
     {
         let mut report = StreamReport::default();
         let mut chunk: Vec<LabeledGraph> = Vec::new();
+        let mut size = ChunkSize::default();
         let mut base_index = 0usize;
         for mol in stream {
             if self.cancel.is_cancelled() {
@@ -258,11 +289,10 @@ impl StreamRunner {
                     .merge(Completion::Truncated(TruncationReason::Cancelled));
                 return report;
             }
+            size.add(&mol);
             chunk.push(mol);
-            let over_budget = chunk.len() >= self.max_chunk_molecules || {
-                let est = estimate_batched(plan.batch(), &CsrGo::from_graphs(&chunk)).total();
-                est > self.memory_budget && chunk.len() > 1
-            };
+            let over_budget = chunk.len() >= self.max_chunk_molecules
+                || (size.estimate(plan).total() > self.memory_budget && chunk.len() > 1);
             if over_budget {
                 // The last molecule tipped the budget: hold it for the next
                 // chunk unless the cap (not memory) triggered.
@@ -271,14 +301,32 @@ impl StreamRunner {
                 } else {
                     chunk.pop()
                 };
-                self.flush(plan, &mut chunk, &mut base_index, queue, &mut report);
+                if let Some(m) = &spill {
+                    size.remove(m);
+                }
+                self.flush(
+                    plan,
+                    &mut chunk,
+                    &mut size,
+                    &mut base_index,
+                    queue,
+                    &mut report,
+                );
                 if let Some(m) = spill {
+                    size.add(&m);
                     chunk.push(m);
                 }
             }
         }
         if !chunk.is_empty() && !self.cancel.is_cancelled() {
-            self.flush(plan, &mut chunk, &mut base_index, queue, &mut report);
+            self.flush(
+                plan,
+                &mut chunk,
+                &mut size,
+                &mut base_index,
+                queue,
+                &mut report,
+            );
         }
         if self.cancel.is_cancelled() {
             report.completion = report
@@ -292,16 +340,17 @@ impl StreamRunner {
         &self,
         plan: &QueryPlan,
         chunk: &mut Vec<LabeledGraph>,
+        size: &mut ChunkSize,
         base_index: &mut usize,
         queue: &Queue,
         report: &mut StreamReport,
     ) {
-        let est = estimate_batched(plan.batch(), &CsrGo::from_graphs(chunk)).total();
-        report.peak_chunk_bytes = report.peak_chunk_bytes.max(est);
+        report.peak_chunk_bytes = report.peak_chunk_bytes.max(size.estimate(plan).total());
         self.run_span(plan, chunk, *base_index, queue, report);
         report.molecules += chunk.len();
         *base_index += chunk.len();
         chunk.clear();
+        *size = ChunkSize::default();
     }
 
     /// Runs one span of molecules under a fresh per-attempt governor,
@@ -402,7 +451,7 @@ impl StreamRunner {
 mod tests {
     use super::*;
     use crate::engine::MatchMode;
-    use crate::memory::estimate;
+    use crate::memory::{estimate, estimate_batched};
     use sigmo_device::DeviceProfile;
     use sigmo_mol::{functional_groups, MoleculeGenerator};
 
@@ -560,6 +609,68 @@ mod tests {
             assert_eq!(m.molecules, full.molecules);
             assert_eq!(m.completion, full.completion);
             assert_eq!(m.quarantined, full.quarantined);
+        }
+    }
+
+    #[test]
+    fn running_totals_estimate_equals_batched_on_every_prefix() {
+        let (queries, data) = world();
+        let plan = QueryPlan::build(&queries, &EngineConfig::default());
+        let mut size = ChunkSize::default();
+        for k in 1..=data.len() {
+            size.add(&data[k - 1]);
+            let batched = estimate_batched(plan.batch(), &CsrGo::from_graphs(&data[..k]));
+            assert_eq!(size.estimate(&plan), batched, "prefix of {k}");
+        }
+        for k in (0..data.len()).rev() {
+            size.remove(&data[k]);
+            let batched = estimate_batched(plan.batch(), &CsrGo::from_graphs(&data[..k]));
+            assert_eq!(size.estimate(&plan), batched, "prefix of {k} after removal");
+        }
+    }
+
+    /// The chunking rule with a CSR-GO built per added molecule — the
+    /// reference the running totals must reproduce. Returns the chunk
+    /// sizes and the peak per-chunk estimate.
+    fn reference_chunking(
+        plan: &QueryPlan,
+        data: &[LabeledGraph],
+        budget: u64,
+    ) -> (Vec<usize>, u64) {
+        let est =
+            |c: &[LabeledGraph]| estimate_batched(plan.batch(), &CsrGo::from_graphs(c)).total();
+        let (mut sizes, mut peak, mut start) = (Vec::new(), 0u64, 0usize);
+        for end in 1..=data.len() {
+            if end - start > 1 && est(&data[start..end]) > budget {
+                peak = peak.max(est(&data[start..end - 1]));
+                sizes.push(end - 1 - start);
+                start = end - 1;
+            }
+        }
+        if start < data.len() {
+            peak = peak.max(est(&data[start..]));
+            sizes.push(data.len() - start);
+        }
+        (sizes, peak)
+    }
+
+    #[test]
+    fn tight_budget_chunking_equals_per_molecule_csr_reference() {
+        let (queries, data) = world();
+        let queue = Queue::new(DeviceProfile::host());
+        let plan = QueryPlan::build(&queries, &EngineConfig::default());
+        let whole = estimate(&queries, &data).total();
+        for budget in [whole / 9, whole / 4, 150_000, 0] {
+            let (sizes, peak) = reference_chunking(&plan, &data, budget);
+            let report = StreamRunner::new(EngineConfig::default(), budget).run_with_plan(
+                &plan,
+                data.iter().cloned(),
+                &queue,
+            );
+            assert!(sizes.len() > 1, "budget {budget} must spill");
+            assert_eq!(report.chunks, sizes.len(), "budget {budget}");
+            assert_eq!(report.peak_chunk_bytes, peak, "budget {budget}");
+            assert_eq!(report.molecules, data.len());
         }
     }
 

@@ -196,10 +196,12 @@ impl CsrGo {
             }
             dense
         };
-        let adj: Vec<Vec<NodeId>> = (0..n as NodeId)
-            .map(|v| self.neighbors(v).to_vec())
-            .collect();
-        NodeAttrs::build(self.labels(), &charges, &adj)
+        NodeAttrs::build(
+            self.labels(),
+            &charges,
+            self.csr.row_offsets(),
+            self.csr.column_indices(),
+        )
     }
 
     /// The graph-offsets array (length `num_graphs + 1`).

@@ -180,12 +180,14 @@ impl LabeledGraph {
         let charges: Vec<i8> = (0..self.labels.len() as NodeId)
             .map(|v| self.charge(v))
             .collect();
-        let adj: Vec<Vec<NodeId>> = self
-            .adj
-            .iter()
-            .map(|nbrs| nbrs.iter().map(|&(u, _)| u).collect())
-            .collect();
-        NodeAttrs::build(&self.labels, &charges, &adj)
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut targets = Vec::with_capacity(2 * self.num_edges);
+        offsets.push(0u32);
+        for nbrs in &self.adj {
+            targets.extend(nbrs.iter().map(|&(u, _)| u));
+            offsets.push(targets.len() as u32);
+        }
+        NodeAttrs::build(&self.labels, &charges, &offsets, &targets)
     }
 
     /// Adds an undirected labeled edge. Fails on self-loops, duplicate

@@ -34,4 +34,4 @@ pub use graph::{
     EdgeLabel, GraphError, Label, LabeledGraph, NodeId, WILDCARD_EDGE, WILDCARD_LABEL,
 };
 pub use metrics::{connected_components, diameter, eccentricity, is_connected};
-pub use predicate::{NodeAttrs, NodePredicate, H_LABEL};
+pub use predicate::{reference_min_ring_sizes, NodeAttrs, NodePredicate, H_LABEL};

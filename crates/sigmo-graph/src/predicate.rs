@@ -97,9 +97,9 @@ impl NodePredicate {
 /// Per-node attributes of a data graph (or batch), precomputed once per
 /// graph so predicate evaluation is a table lookup. `min_ring[v]` is the
 /// length of the shortest cycle through `v` (0 when `v` is acyclic),
-/// computed exactly: for each incident edge, the edge is removed and the
-/// shortest alternative path between its endpoints closes the smallest
-/// cycle containing that edge.
+/// computed exactly: the smallest cycle through `v` closes one of its
+/// incident edges, and for that edge it is the edge plus the shortest
+/// alternative path between its endpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAttrs {
     /// Node labels, id order.
@@ -115,22 +115,25 @@ pub struct NodeAttrs {
 }
 
 impl NodeAttrs {
-    /// Builds the table from label/charge slices and an adjacency list
-    /// (`adj[v]` = neighbor ids of `v`). The adjacency must be symmetric.
-    pub fn build(labels: &[Label], charges: &[i8], adj: &[Vec<NodeId>]) -> Self {
+    /// Builds the table from label/charge slices and a CSR adjacency: the
+    /// neighbors of `v` are `targets[offsets[v]..offsets[v + 1]]`. The
+    /// adjacency must be symmetric and simple (no self-loops, no repeated
+    /// neighbor).
+    pub fn build(labels: &[Label], charges: &[i8], offsets: &[u32], targets: &[NodeId]) -> Self {
+        let adj = Adjacency { offsets, targets };
         let n = labels.len();
         debug_assert_eq!(charges.len(), n);
         debug_assert_eq!(adj.len(), n);
-        let degree: Vec<u32> = adj.iter().map(|nb| nb.len() as u32).collect();
-        let h_count: Vec<u32> = adj
-            .iter()
-            .map(|nb| {
-                nb.iter()
+        let degree: Vec<u32> = (0..n).map(|v| adj.nbrs(v).len() as u32).collect();
+        let h_count: Vec<u32> = (0..n)
+            .map(|v| {
+                adj.nbrs(v)
+                    .iter()
                     .filter(|&&u| labels[u as usize] == H_LABEL)
                     .count() as u32
             })
             .collect();
-        let min_ring = min_ring_sizes(n, adj);
+        let min_ring = min_ring_sizes(&adj);
         Self {
             labels: labels.to_vec(),
             degree,
@@ -141,29 +144,176 @@ impl NodeAttrs {
     }
 }
 
+/// A borrowed CSR adjacency (see [`NodeAttrs::build`]).
+struct Adjacency<'a> {
+    offsets: &'a [u32],
+    targets: &'a [NodeId],
+}
+
+impl Adjacency<'_> {
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    #[inline]
+    fn nbrs(&self, v: usize) -> &[NodeId] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// The bridges of a graph, from one iterative low-link DFS. Edge
+/// `(x, y)` is a bridge iff it is a DFS tree edge whose child side has no
+/// back edge reaching above it. A bridge lies on no cycle.
+struct Bridges {
+    /// DFS parent of each node (`NodeId::MAX` for roots).
+    parent: Vec<NodeId>,
+    /// `true` when the tree edge from `v` up to `parent[v]` is a bridge.
+    bridge_up: Vec<bool>,
+}
+
+impl Bridges {
+    fn of(adj: &Adjacency) -> Self {
+        let n = adj.len();
+        let mut disc = vec![0u32; n]; // 0 = unvisited; times start at 1
+        let mut low = vec![0u32; n];
+        let mut parent = vec![NodeId::MAX; n];
+        let mut bridge_up = vec![false; n];
+        // Frames of (node, index of its next neighbor to scan).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        let mut time = 0u32;
+        for root in 0..n {
+            if disc[root] != 0 {
+                continue;
+            }
+            time += 1;
+            disc[root] = time;
+            low[root] = time;
+            stack.push((root, 0));
+            while let Some(frame) = stack.last_mut() {
+                let (v, next) = *frame;
+                if let Some(&w) = adj.nbrs(v).get(next) {
+                    frame.1 += 1;
+                    let w = w as usize;
+                    if disc[w] == 0 {
+                        time += 1;
+                        disc[w] = time;
+                        low[w] = time;
+                        parent[w] = v as NodeId;
+                        stack.push((w, 0));
+                    } else if w as NodeId != parent[v] {
+                        // Simple graph: the one edge back to the parent
+                        // is the tree edge itself, not a back edge.
+                        low[v] = low[v].min(disc[w]);
+                    }
+                } else {
+                    stack.pop();
+                    if let Some(&(p, _)) = stack.last() {
+                        low[p] = low[p].min(low[v]);
+                        bridge_up[v] = low[v] > disc[p];
+                    }
+                }
+            }
+        }
+        Self { parent, bridge_up }
+    }
+
+    #[inline]
+    fn is_bridge(&self, x: usize, y: usize) -> bool {
+        (self.parent[y] == x as NodeId && self.bridge_up[y])
+            || (self.parent[x] == y as NodeId && self.bridge_up[x])
+    }
+}
+
 /// Shortest cycle through each node: min over incident edges `(v, u)` of
-/// `1 +` the shortest `v → u` path avoiding that edge (BFS). Exact on the
-/// simple graphs this crate builds; `O(Σ deg · (n + m))`, which is small
-/// for molecular graphs.
-fn min_ring_sizes(n: usize, adj: &[Vec<NodeId>]) -> Vec<u32> {
+/// `1 +` the shortest `v → u` path avoiding that edge (BFS) — the
+/// definition [`reference_min_ring_sizes`] evaluates literally, made
+/// linear in practice by three exact prunings:
+///
+/// * a bridge lies on no cycle, so BFS starts only across non-bridge
+///   edges (a node with none is on no ring) and never walks a bridge —
+///   the path closing a cycle uses no bridge either;
+/// * a BFS stops once its frontier can no longer close a ring shorter
+///   than the best one already found through `v`;
+/// * each BFS resets only the nodes it touched, so its cost is the
+///   size of the local ball it explored, not of the whole batch.
+fn min_ring_sizes(adj: &Adjacency) -> Vec<u32> {
+    let n = adj.len();
+    let bridges = Bridges::of(adj);
+    let mut out = vec![0u32; n];
+    let mut dist = vec![u32::MAX; n];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
+    for v in 0..n {
+        let mut best = u32::MAX;
+        for &u in adj.nbrs(v) {
+            let u = u as usize;
+            if bridges.is_bridge(v, u) {
+                continue;
+            }
+            dist[v] = 0;
+            touched.push(v);
+            queue.push_back(v);
+            'bfs: while let Some(x) = queue.pop_front() {
+                // Every ring closed from here has length ≥ dist[x] + 2.
+                if dist[x].saturating_add(2) >= best {
+                    break;
+                }
+                for &y in adj.nbrs(x) {
+                    let y = y as usize;
+                    if (x == v && y == u) || bridges.is_bridge(x, y) {
+                        continue; // the removed edge, or no cycle there
+                    }
+                    if dist[y] == u32::MAX {
+                        dist[y] = dist[x] + 1;
+                        touched.push(y);
+                        if y == u {
+                            best = dist[y] + 1;
+                            break 'bfs;
+                        }
+                        queue.push_back(y);
+                    }
+                }
+            }
+            queue.clear();
+            for t in touched.drain(..) {
+                dist[t] = u32::MAX;
+            }
+        }
+        if best != u32::MAX {
+            out[v] = best;
+        }
+    }
+    out
+}
+
+/// The per-edge-BFS definition of [`NodeAttrs::min_ring`], evaluated
+/// literally: for every node and every incident edge, a full BFS over the
+/// whole graph with that edge removed. Quadratic in the graph size; kept
+/// as the reference the pruned production routine is tested against.
+/// Takes the same CSR adjacency as [`NodeAttrs::build`].
+pub fn reference_min_ring_sizes(offsets: &[u32], targets: &[NodeId]) -> Vec<u32> {
+    let adj = Adjacency { offsets, targets };
+    let n = adj.len();
     let mut out = vec![0u32; n];
     let mut dist = vec![u32::MAX; n];
     let mut queue = std::collections::VecDeque::new();
-    for v in 0..n as NodeId {
+    for v in 0..n {
         let mut best = u32::MAX;
-        for &u in &adj[v as usize] {
+        for &u in adj.nbrs(v) {
+            let u = u as usize;
             // BFS v → u without the direct edge.
             dist.fill(u32::MAX);
-            dist[v as usize] = 0;
+            dist[v] = 0;
             queue.clear();
             queue.push_back(v);
             'bfs: while let Some(x) = queue.pop_front() {
-                for &y in &adj[x as usize] {
+                for &y in adj.nbrs(x) {
+                    let y = y as usize;
                     if x == v && y == u {
                         continue; // the removed edge
                     }
-                    if dist[y as usize] == u32::MAX {
-                        dist[y as usize] = dist[x as usize] + 1;
+                    if dist[y] == u32::MAX {
+                        dist[y] = dist[x] + 1;
                         if y == u {
                             break 'bfs;
                         }
@@ -171,12 +321,12 @@ fn min_ring_sizes(n: usize, adj: &[Vec<NodeId>]) -> Vec<u32> {
                     }
                 }
             }
-            if dist[u as usize] != u32::MAX {
-                best = best.min(dist[u as usize] + 1);
+            if dist[u] != u32::MAX {
+                best = best.min(dist[u] + 1);
             }
         }
         if best != u32::MAX {
-            out[v as usize] = best;
+            out[v] = best;
         }
     }
     out
@@ -267,6 +417,141 @@ mod tests {
         assert_eq!(attrs.min_ring[1], 3);
         assert_eq!(attrs.min_ring[2], 4);
         assert_eq!(attrs.min_ring[4], 3);
+    }
+
+    /// Pruned ring sizes vs the literal per-edge BFS, on a batch.
+    fn assert_rings_match_reference(graphs: &[LabeledGraph], what: &str) {
+        let batch = crate::CsrGo::from_graphs(graphs);
+        let csr = batch.csr();
+        assert_eq!(
+            batch.node_attrs().min_ring,
+            reference_min_ring_sizes(csr.row_offsets(), csr.column_indices()),
+            "{what}"
+        );
+        for g in graphs {
+            let (offsets, targets) = flat_adjacency(g);
+            assert_eq!(
+                g.node_attrs().min_ring,
+                reference_min_ring_sizes(&offsets, &targets),
+                "{what} (unbatched)"
+            );
+        }
+    }
+
+    fn flat_adjacency(g: &LabeledGraph) -> (Vec<u32>, Vec<NodeId>) {
+        let mut offsets = vec![0u32];
+        let mut targets = Vec::new();
+        for v in 0..g.num_nodes() as NodeId {
+            targets.extend(g.neighbors(v).iter().map(|&(u, _)| u));
+            offsets.push(targets.len() as u32);
+        }
+        (offsets, targets)
+    }
+
+    /// A cycle of `len` nodes on `g`, starting at a fresh node; returns
+    /// its first node.
+    fn add_cycle(g: &mut LabeledGraph, len: usize) -> NodeId {
+        let first = g.num_nodes() as NodeId;
+        for _ in 0..len {
+            g.add_node(1);
+        }
+        for i in 0..len as NodeId {
+            g.add_edge(first + i, first + (i + 1) % len as NodeId, 0)
+                .unwrap();
+        }
+        first
+    }
+
+    #[test]
+    fn rings_joined_by_bridges_match_reference() {
+        // Rings of 3..=8 in a chain, consecutive rings joined by a bridge
+        // path of 1..=3 edges, plus pendant leaves (explicit hydrogens).
+        let mut rng = crate::XorShift::new(11);
+        let mut g = LabeledGraph::new();
+        let mut prev: Option<NodeId> = None;
+        for len in 3..=8usize {
+            let first = add_cycle(&mut g, len);
+            if let Some(p) = prev {
+                let mut at = p;
+                for _ in 0..rng.below(3) {
+                    let mid = g.add_node(2);
+                    g.add_edge(at, mid, 0).unwrap();
+                    at = mid;
+                }
+                g.add_edge(at, first, 0).unwrap();
+            }
+            let leaf = g.add_node(H_LABEL);
+            g.add_edge(first + 1, leaf, 0).unwrap();
+            prev = Some(first + (len as NodeId) / 2);
+        }
+        let attrs = g.node_attrs();
+        assert!(attrs.min_ring.iter().any(|&r| r == 8));
+        assert!(attrs.min_ring.iter().any(|&r| r == 0));
+        assert_rings_match_reference(&[g], "bridged ring chain");
+    }
+
+    #[test]
+    fn fused_and_spiro_rings_match_reference() {
+        // Naphthalene-like fused 6+6, a 5-ring fused onto it, and a spiro
+        // 4-ring sharing one atom; then a cage (cube) whose every ring is 4.
+        let mut g = LabeledGraph::new();
+        let a = add_cycle(&mut g, 6);
+        let b = add_cycle(&mut g, 4);
+        // Fuse: a second 6-ring over the edge (a, a+1).
+        let mut at = a;
+        for _ in 0..4 {
+            let x = g.add_node(1);
+            g.add_edge(at, x, 0).unwrap();
+            at = x;
+        }
+        g.add_edge(at, a + 1, 0).unwrap();
+        // 5-ring fused over (a+3, a+4).
+        let x = g.add_node(1);
+        let y = g.add_node(1);
+        let z = g.add_node(1);
+        for (p, q) in [(a + 3, x), (x, y), (y, z), (z, a + 4)] {
+            g.add_edge(p, q, 0).unwrap();
+        }
+        // Spiro: the 4-ring shares its first atom with the 5-ring.
+        g.add_edge(b, y, 0).unwrap();
+        g.add_edge(b + 1, y, 0).unwrap();
+        let mut cube = LabeledGraph::with_uniform_labels(8, 1);
+        for (p, q) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 4),
+            (0, 4),
+            (1, 5),
+            (2, 6),
+            (3, 7),
+        ] {
+            cube.add_edge(p, q, 0).unwrap();
+        }
+        assert_eq!(cube.node_attrs().min_ring, vec![4; 8]);
+        assert_rings_match_reference(&[g, cube], "fused / spiro / cage");
+    }
+
+    #[test]
+    fn random_graph_batches_match_reference() {
+        // Sparse random graphs (trees plus a few chords: fused rings,
+        // long cycles, bridges and single-node graphs), batched several at a
+        // time so ring perception must stay inside each graph.
+        let mut rng = crate::XorShift::new(2024);
+        for round in 0..300u64 {
+            let graphs: Vec<LabeledGraph> = (0..1 + rng.below(4))
+                .map(|i| {
+                    let n = 1 + rng.below(30);
+                    let extra = rng.below(n / 2 + 2);
+                    crate::random_sparse_graph(n, extra, 3, round * 8 + i as u64)
+                })
+                .collect();
+            assert_rings_match_reference(&graphs, &format!("round {round}"));
+        }
     }
 
     #[test]

@@ -92,13 +92,9 @@ impl ScreenQuery {
             let mut req = GraphReq::default();
             for v in batch.node_range(g) {
                 let label = batch.label(v);
-                let pair = match pair_rows.peek() {
-                    Some(&&(row, sig)) if row == v => {
-                        pair_rows.next();
-                        sig
-                    }
-                    _ => Signature::EMPTY,
-                };
+                let (pair, live) = pair_rows
+                    .next_if(|r| r.row == v)
+                    .map_or((Signature::EMPTY, 0), |r| (r.sig, r.live));
                 let any_labels = match pred_rows.peek() {
                     Some(&&(row, ref pred)) if row == v => {
                         pred_rows.next();
@@ -126,11 +122,7 @@ impl ScreenQuery {
                         req.labels.insert(i, l);
                     }
                 }
-                for (b, group) in plan.pair_schema().groups().iter().enumerate() {
-                    if pair.0 & group.mask() != 0 {
-                        req.buckets |= 1 << b;
-                    }
-                }
+                req.buckets |= u16::try_from(live).expect("the pair schema has 16 buckets");
             }
             graphs.push(req);
         }

@@ -11,7 +11,8 @@
 //!   `Queue::parallel_for*` — the code that executes inside a kernel);
 //! * the `#[cfg(test)]` ranges (test code is outside the audit surface);
 //! * whether the file is *context-exempt*: measurement and verification
-//!   harnesses (`tests/`, `benches/`, `examples/`, `crates/sigmo-bench/`)
+//!   harnesses (`tests/`, `benches/`, `examples/`, `crates/sigmo-bench/`,
+//!   the end-to-end benchmark `perfbench/`)
 //!   time things with wall clocks and sum floats *by design*, so the
 //!   reachability-gated rules do not treat their code as kernel or report
 //!   context. File-wide rules (atomic orderings, unsafe hygiene) still
@@ -61,7 +62,8 @@ pub fn crate_of(path: &str) -> &str {
 }
 
 /// True for files whose code must not seed or carry kernel/report
-/// context: test suites, benches, examples, and the measurement crate.
+/// context: test suites, benches, examples, the measurement crate, and
+/// the end-to-end benchmark package.
 pub fn context_exempt(path: &str) -> bool {
     let exempt_dir =
         |d: &str| path.starts_with(&format!("{d}/")) || path.contains(&format!("/{d}/"));
@@ -69,6 +71,7 @@ pub fn context_exempt(path: &str) -> bool {
         || exempt_dir("benches")
         || exempt_dir("examples")
         || path.starts_with("crates/sigmo-bench/")
+        || path.starts_with("perfbench/")
 }
 
 impl Workspace {
@@ -303,6 +306,7 @@ mod tests {
         assert!(context_exempt("crates/sigmo-core/benches/filter.rs"));
         assert!(context_exempt("examples/quickstart.rs"));
         assert!(context_exempt("crates/sigmo-bench/src/figures.rs"));
+        assert!(context_exempt("perfbench/src/serve.rs"));
         assert!(!context_exempt("crates/sigmo-core/src/filter.rs"));
         assert!(!context_exempt("crates/sigmo-serve/src/server.rs"));
     }

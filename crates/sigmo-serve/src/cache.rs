@@ -231,6 +231,33 @@ impl MolStore {
     }
 }
 
+/// Length-prefix bit marking a [`PlanCache::key`] predicate block.
+const PREDICATE_BLOCK: u64 = 1 << 63;
+
+/// A predicated query's plan-key block: the predicate count, each
+/// `(node, predicate)` in input order at a fixed width, then the query's
+/// [`exact_key`] (which runs to the end of the length-prefixed block).
+fn predicate_block(q: &LabeledGraph) -> Vec<u8> {
+    fn opt(out: &mut Vec<u8>, v: Option<u8>) {
+        out.extend_from_slice(&[u8::from(v.is_some()), v.unwrap_or(0)]);
+    }
+    let preds = q.predicates();
+    let mut block = Vec::new();
+    block.extend_from_slice(&(preds.len() as u32).to_le_bytes());
+    for (v, p) in preds {
+        block.extend_from_slice(&v.to_le_bytes());
+        block.push(u8::from(p.label_any.is_some()));
+        block.extend_from_slice(&p.label_any.unwrap_or(0).to_le_bytes());
+        opt(&mut block, p.degree);
+        opt(&mut block, p.ring.map(u8::from));
+        opt(&mut block, p.ring_size);
+        opt(&mut block, p.h_count);
+        opt(&mut block, p.charge.map(|c| c as u8));
+    }
+    block.extend_from_slice(&exact_key(q));
+    block
+}
+
 struct PlanEntry {
     queries: Vec<LabeledGraph>,
     plan: Arc<QueryPlan>,
@@ -253,12 +280,27 @@ impl PlanCache {
 
     /// The order-sensitive cache key for a query batch: each query's
     /// canonical code, length-prefixed so adjacent codes cannot alias.
+    ///
+    /// Canonical codes ignore [`NodePredicate`](sigmo_graph::NodePredicate)s,
+    /// so `[C;R]N` and `[C;R0]N` share a code. A query carrying predicates
+    /// therefore appends a second block, marked by the top bit of its
+    /// length prefix (a code's length never has it): its `(node,
+    /// predicate)` list and its exact input bytes, both in input order.
+    /// The exact bytes tie each predicate to its place in the graph, so
+    /// two keys are equal only for identical predicated queries — the
+    /// same query with atoms listed in another order misses the cache,
+    /// but never aliases. Keys of predicate-free batches are unchanged.
     pub fn key(queries: &[LabeledGraph]) -> Vec<u8> {
         let mut key = Vec::new();
         for q in queries {
             let code = canonical_code(q);
             key.extend_from_slice(&(code.len() as u64).to_le_bytes());
             key.extend_from_slice(&code);
+            if q.has_predicates() {
+                let block = predicate_block(q);
+                key.extend_from_slice(&(block.len() as u64 | PREDICATE_BLOCK).to_le_bytes());
+                key.extend_from_slice(&block);
+            }
         }
         key
     }
@@ -457,6 +499,40 @@ mod tests {
         assert_ne!(ab, ba, "query order is part of the key");
         assert_eq!(ab, ab2);
         assert_eq!(cache.counters(), (1, 2));
+    }
+
+    #[test]
+    fn predicate_free_keys_are_the_length_prefixed_codes() {
+        let qs = [chain(&[1, 3]), chain(&[1, 2, 2])];
+        let mut expected = Vec::new();
+        for q in &qs {
+            let code = canonical_code(q);
+            expected.extend_from_slice(&(code.len() as u64).to_le_bytes());
+            expected.extend_from_slice(&code);
+        }
+        assert_eq!(PlanCache::key(&qs), expected);
+    }
+
+    #[test]
+    fn predicated_twins_get_distinct_plans() {
+        use sigmo_mol::parse_smarts;
+        let cfg = EngineConfig::default();
+        let ring = [parse_smarts("[C;R]N").unwrap()];
+        let chain_only = [parse_smarts("[C;R0]N").unwrap()];
+        let bare = [parse_smarts("CN").unwrap()];
+        let mut cache = PlanCache::new();
+        let a = cache.intern(&ring, &cfg);
+        let b = cache.intern(&chain_only, &cfg);
+        let c = cache.intern(&bare, &cfg);
+        assert_ne!(a, b, "predicates are part of the key");
+        assert_ne!(a, c);
+        assert_ne!(b, c);
+        assert_eq!(cache.intern(&ring, &cfg), a);
+        assert_eq!(cache.counters(), (1, 3));
+        // The same query with its atoms listed in the other order misses
+        // the cache (conservative) rather than risk an alias.
+        let moved = [parse_smarts("N[C;R]").unwrap()];
+        assert_ne!(PlanCache::key(&moved), PlanCache::key(&ring));
     }
 
     #[test]

@@ -318,6 +318,45 @@ mod tests {
     }
 
     #[test]
+    fn predicated_twin_query_sets_each_match_the_oracle() {
+        // `[C;R]N` and `[C;R0]N` share a canonical code; served through
+        // one plan, the second set would get the first set's answers.
+        use sigmo_mol::{parse_smarts, parse_smiles};
+        let molecules: Vec<LabeledGraph> = ["C1CCNCC1", "CCN", "CCNC1CCCCC1"]
+            .iter()
+            .map(|s| parse_smiles(s).unwrap().to_labeled_graph())
+            .collect();
+        let request = |smarts: &str| MatchRequest {
+            queries: vec![parse_smarts(smarts).unwrap()],
+            molecules: molecules.clone(),
+            mode: MatchMode::FindAll,
+        };
+        let twins = [request("[C;R]N"), request("[C;R0]N")];
+        let config = ServeConfig::default();
+        let queue = Queue::new(DeviceProfile::host());
+        let oracles: Vec<OracleOutcome> = twins
+            .iter()
+            .map(|r| oracle_replay(&config, r, &queue))
+            .collect();
+        assert_ne!(oracles[0], oracles[1], "the twins must differ");
+        let mut server = Server::new(config, Queue::new(DeviceProfile::host()));
+        // One step per request, then both in one step.
+        let mut served = Vec::new();
+        for r in &twins {
+            server.submit(r).unwrap();
+            served.extend(server.step().reports);
+        }
+        for r in &twins {
+            server.submit(r).unwrap();
+        }
+        served.extend(server.step().reports);
+        for (i, report) in served.iter().enumerate() {
+            assert_eq!(served_outcome(report), oracles[i % 2], "report {i}");
+        }
+        assert_eq!(server.stats().plan_hits, 2);
+    }
+
+    #[test]
     fn soak_is_reproducible_and_rejects_under_overload() {
         let trace = generate_workload(&WorkloadConfig {
             requests: 80,

@@ -48,8 +48,18 @@
 #                                 cases per property (raw bytes, grammar
 #                                 token soup, and round-trip layers for
 #                                 both the SMILES and SMARTS parsers)
+#  13. perfbench-screen           traced end-to-end benchmark smoke runs
+#  14. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
+#                                 workloads at the shortest --seconds that
+#                                 still yields the 1000 operations the
+#                                 harness requires (screen 4, serve-cold
+#                                 3); each fails unless the run reports
+#                                 "correct": true. Built into
+#                                 target/perfbench with --locked, report
+#                                 written to target/, so nothing under
+#                                 perfbench/ changes
 #
-# `--fast` skips the bench and fuzz stages (5-12) for quick pre-push runs. The lint
+# `--fast` skips the bench, fuzz and perfbench stages (5-14) for quick pre-push runs. The lint
 # stage is NOT skipped: the determinism audit is cheap (sub-second scan,
 # <5 s budget enforced in its own tests) and is exactly the check that
 # must not be skippable in a hurry.
@@ -87,6 +97,19 @@ stage() {
     echo "==> $name ok ($((SECONDS - start))s)"
 }
 
+# Runs one perfbench workload traced; fails unless it reports correct.
+# perfbench_smoke <workload> <seconds>
+perfbench_smoke() {
+    local out="target/perfbench-$1.out"
+    CARGO_TARGET_DIR=target/perfbench cargo run -q --release --offline --locked \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 7 --seconds "$2" --trace 1 >"$out" 2>"target/perfbench-$1.err"
+    if ! tail -n 1 "$out" | grep -q '"correct": true'; then
+        echo "perfbench $1 did not report correct: see $out" >&2
+        return 1
+    fi
+}
+
 if [ "$LINT_ONLY" -eq 0 ]; then
     stage fmt cargo fmt --check
     stage clippy cargo clippy -q --all-targets -- -D warnings
@@ -107,6 +130,8 @@ if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-diff scripts/bench_diff.sh
     stage fuzz-smoke env SIGMO_FUZZ_CASES=10000 \
         cargo test -q --release --test parser_fuzz
+    stage perfbench-screen perfbench_smoke screen 4
+    stage perfbench-serve-cold perfbench_smoke serve-cold 3
 fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$PATHOLOGICAL" -eq 1 ]; then
     stage pathological cargo run -q --release -p sigmo-bench --bin ext_pathological

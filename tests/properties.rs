@@ -5,10 +5,10 @@ use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::{
     filter, naive, CandidateBitmap, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
-    LabelSchema, MatchMode, QueryPlan, RunBudget, SignatureSet, WordWidth,
+    LabelSchema, MatchMode, QueryPlan, RunBudget, Signature, SignatureSet, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
-use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_LABEL};
+use sigmo::graph::{reference_min_ring_sizes, CsrGo, LabeledGraph, WILDCARD_LABEL};
 use sigmo::mol::{parse_smiles, write_smiles, MoleculeGenerator, QueryExtractor};
 
 fn queue() -> Queue {
@@ -627,4 +627,83 @@ proptest! {
             prop_assert!(report.total_matches > 0, "extracted query lost its source");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The label-pair pre-check's live-bucket test equals the full
+    /// `Signature::dominates` on random pair signatures: sparse query
+    /// signatures (masked buckets are zero), counts past the 4-bit
+    /// saturation point on both sides, and data counts within a few of
+    /// the query's so both verdicts occur.
+    #[test]
+    fn live_bucket_domination_equals_full_test(
+        q in prop::collection::vec(0u64..20, 16..17),
+        delta in prop::collection::vec(0u64..8, 16..17),
+        zero in any::<u16>(),
+    ) {
+        let schema = filter::pair_schema();
+        let (mut qsig, mut dsig) = (Signature::EMPTY, Signature::EMPTY);
+        for b in 0..filter::PAIR_BUCKETS {
+            let qc = if zero & (1 << b) != 0 { 0 } else { q[b] };
+            qsig.add(&schema, b as u8, qc);
+            dsig.add(&schema, b as u8, (qc + delta[b]).saturating_sub(1));
+        }
+        let live = qsig.diff_groups(&schema, &Signature::EMPTY);
+        prop_assert_eq!(
+            dsig.dominates_groups(&schema, &qsig, live),
+            dsig.dominates(&schema, &qsig)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Smallest-ring sizes of generated molecules batched through CSR-GO
+    /// equal the literal per-edge-BFS reference.
+    #[test]
+    fn molecule_ring_sizes_match_per_edge_bfs_reference(seed in any::<u64>(), count in 1usize..12) {
+        let graphs: Vec<LabeledGraph> = MoleculeGenerator::with_seed(seed)
+            .generate_batch(count)
+            .iter()
+            .map(|m| m.to_labeled_graph())
+            .collect();
+        let batch = CsrGo::from_graphs(&graphs);
+        let csr = batch.csr();
+        prop_assert_eq!(
+            batch.node_attrs().min_ring,
+            reference_min_ring_sizes(csr.row_offsets(), csr.column_indices())
+        );
+    }
+}
+
+/// Smallest-ring sizes on real-grammar ring systems — fused, bridged,
+/// spiro, cage and macrocycle — batched together, equal the literal
+/// per-edge-BFS reference.
+#[test]
+fn ring_system_smiles_ring_sizes_match_per_edge_bfs_reference() {
+    let smiles = [
+        "c1ccc2ccccc2c1",                    // naphthalene (fused 6+6)
+        "C1CC2CCC1C2",                       // norbornane (bridged)
+        "C1CCC2(CC1)CCCC2",                  // spiro[4.5]decane
+        "C12C3C4C1C5C2C3C45",                // cubane (cage)
+        "C1CC2CC3CC1CC(C2)C3",               // adamantane
+        "C1CCCCCCCCCCC1",                    // 12-membered macrocycle
+        "CC(C)c1ccc(cc1)C1CCC(CC1)c1ccncc1", // rings joined by bridges
+        "C1CCC2C(C1)CCC1C2CCC2CCCC12",       // steroid-like tetracycle
+    ];
+    let graphs: Vec<LabeledGraph> = smiles
+        .iter()
+        .map(|s| parse_smiles(s).unwrap().to_labeled_graph())
+        .collect();
+    let batch = CsrGo::from_graphs(&graphs);
+    let csr = batch.csr();
+    let got = batch.node_attrs().min_ring;
+    assert_eq!(
+        got,
+        reference_min_ring_sizes(csr.row_offsets(), csr.column_indices())
+    );
+    assert!(got.contains(&12) && got.contains(&4) && got.contains(&0));
 }
