@@ -84,7 +84,7 @@ fn plant_chain(g: &mut LabeledGraph) {
 
 /// Builds one corpus tier: `size` generated molecules, [`PLANTED`] of
 /// them (evenly spread) carrying the chain.
-fn build_corpus(size: usize) -> Vec<LabeledGraph> {
+pub fn build_corpus(size: usize) -> Vec<LabeledGraph> {
     let mut gen = MoleculeGenerator::with_seed(0x51d7);
     let mut mols: Vec<LabeledGraph> = gen
         .generate_batch(size)

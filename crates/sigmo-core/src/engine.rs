@@ -5,8 +5,12 @@
 //!   ─▶ [ ❸ signature generation ─▶ ❹ refine ] × refinement iterations
 //!   ─▶ ❺ GMCR mapping ─▶ ❻ stack-based DFS join ─▶ matches
 //! ```
+//!
+//! Step ❸ reads data signatures from [`BatchFacts`], built before the run
+//! (or stored per molecule by the caller), never inside it.
 
 use crate::candidates::{CandidateBitmap, WordWidth};
+use crate::facts::BatchFacts;
 use crate::filter::{
     initialize_candidates_bucketed, label_pair_filter, node_predicate_filter,
     refine_candidates_classes, refine_candidates_delta,
@@ -20,10 +24,8 @@ use crate::join::{
 use crate::mapping::Gmcr;
 use crate::plan::QueryPlan;
 use crate::schema::LabelSchema;
-use crate::signature::SignatureSet;
 use crate::stats::{CandidateStats, IterationStats, StrategyCounts};
 use sigmo_device::Queue;
-use sigmo_graph::NodeId;
 use sigmo_graph::{CsrGo, LabeledGraph};
 use std::time::{Duration, Instant};
 
@@ -337,14 +339,15 @@ impl Engine {
     }
 
     /// Runs the pipeline against a prebuilt [`QueryPlan`] with no budgets.
-    /// This is the reuse entry point: [`crate::StreamRunner`] builds one
-    /// plan per stream and calls this per chunk; `sigmo-cluster` shares
-    /// one plan across all ranks.
+    /// This is the reuse entry point: `sigmo-cluster` shares one plan
+    /// across all ranks ([`crate::StreamRunner`] shares one per stream and
+    /// runs each chunk through [`Engine::run_with_facts`]).
     pub fn run_planned(&self, plan: &QueryPlan, data: &CsrGo, queue: &Queue) -> RunReport {
         self.run_planned_with_governor(plan, data, queue, &Governor::unlimited())
     }
 
-    /// [`Engine::run_planned`] under a [`Governor`].
+    /// [`Engine::run_planned`] under a [`Governor`]: builds the batch's
+    /// facts (counted as setup time) and runs on them.
     // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
     // display-only, excluded from determinism keys (see
     // `run_batched_with_governor`).
@@ -355,26 +358,38 @@ impl Engine {
         queue: &Queue,
         governor: &Governor,
     ) -> RunReport {
+        let t0 = Instant::now();
+        let facts = BatchFacts::for_run(&self.config, plan, data, &[]);
+        let build = t0.elapsed();
+        let mut report = self.run_with_facts(plan, data, &facts, queue, governor);
+        report.timings.setup += build;
+        report
+    }
+
+    /// [`Engine::run_planned_with_governor`] on prebuilt data facts. They
+    /// must use the configured schema, cover every data node, hold
+    /// [`BatchFacts::run_depth`] radii and carry attributes when the plan
+    /// has predicate rows; the run asserts this and never rebuilds them.
+    // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
+    // display-only, excluded from determinism keys (see
+    // `run_batched_with_governor`).
+    pub fn run_with_facts(
+        &self,
+        plan: &QueryPlan,
+        data: &CsrGo,
+        facts: &BatchFacts,
+        queue: &Queue,
+        governor: &Governor,
+    ) -> RunReport {
         let cfg = &self.config;
-        assert!(cfg.refinement_iterations >= 1, "need ≥ 1 iteration");
-        assert!(
-            plan.max_radius() + 1 >= cfg.refinement_iterations,
-            "plan holds {} iterations of query state, config wants {}",
-            plan.max_radius() + 1,
-            cfg.refinement_iterations
-        );
-        assert_eq!(
-            plan.induced(),
-            cfg.induced,
-            "plan and config disagree on induced semantics"
-        );
+        plan.assert_fits(cfg);
+        facts.assert_serves(cfg, plan, data);
         let queries = plan.batch();
 
-        // ❷ allocate candidates + signature state (query-side state comes
-        // precomputed from the plan).
+        // ❷ allocate candidates (query-side state comes precomputed from
+        // the plan, data-side state from the facts).
         let t0 = Instant::now();
         let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), cfg.bitmap_word);
-        let mut data_sigs = SignatureSet::new(data, cfg.schema.clone());
         // Figure 2's input arrows: queries + molecules move host → device.
         queue.record_transfer(
             "h2d_graphs",
@@ -403,7 +418,7 @@ impl Engine {
         // stats (it runs at radius 0, before any refinement).
         let pair_cleared = label_pair_filter(
             queue,
-            data,
+            facts.pairs(),
             plan.pair_schema(),
             plan.pair_rows(),
             &bitmap,
@@ -415,7 +430,9 @@ impl Engine {
         // once at radius 0 and folds into iteration 1's stats. Predicate-free
         // batches have an empty work list and skip the launch entirely,
         // leaving their stats bit-identical to the pre-predicate engine.
-        let pred_cleared = node_predicate_filter(queue, data, plan.pred_rows(), &bitmap, governor);
+        let pred_cleared = facts.attrs().map_or(0, |attrs| {
+            node_predicate_filter(queue, attrs, plan.pred_rows(), &bitmap, governor)
+        });
         let mut iterations = Vec::with_capacity(cfg.refinement_iterations);
         iterations.push(IterationStats {
             iteration: 1,
@@ -436,7 +453,6 @@ impl Engine {
                 // (DESIGN.md §4b). Skipped work is never charged or ticked.
                 break;
             }
-            let d_active = data_sigs.advance(data);
             let (cleared, dirty) = match cfg.filter_mode {
                 FilterMode::Exhaustive | FilterMode::EarlyExit => {
                     let cleared = refine_candidates_classes(
@@ -444,7 +460,7 @@ impl Engine {
                         data,
                         &cfg.schema,
                         plan.classes_at(radius),
-                        &data_sigs,
+                        facts.signatures_at(radius),
                         &bitmap,
                         cfg.filter_work_group_size,
                         governor,
@@ -467,7 +483,7 @@ impl Engine {
                             data,
                             &cfg.schema,
                             delta,
-                            &data_sigs,
+                            facts.signatures_at(radius),
                             &bitmap,
                             governor,
                         );
@@ -483,7 +499,7 @@ impl Engine {
             });
             if cfg.filter_mode == FilterMode::EarlyExit
                 && cleared == 0
-                && d_active == 0
+                && facts.active_at(radius) == 0
                 && plan.active_at(radius) == 0
             {
                 // Fixpoint: both frontiers drained and nothing cleared —
@@ -510,26 +526,7 @@ impl Engine {
         let min_cand_plans: Vec<JoinPlan>;
         let min_cand_slice: &[JoinPlan] = if adaptive || cfg.join_order == JoinOrder::MinCandidates
         {
-            min_cand_plans = (0..queries.num_graphs())
-                .map(|qg| {
-                    // A zero-node query has no min-candidates node and no
-                    // plan: it matches nothing, the join skips it. Count
-                    // ties break toward the smallest node id (min_by_key
-                    // already keeps the first minimum; the explicit key
-                    // makes the ordering a stated contract, not an
-                    // implementation accident — adaptive runs must be
-                    // bit-identical across thread counts).
-                    match queries
-                        .node_range(qg)
-                        .min_by_key(|&v| (bitmap.row_count(v as usize), v))
-                    {
-                        Some(start) => {
-                            JoinPlan::build_from(queries, qg, cfg.induced, start as NodeId)
-                        }
-                        None => JoinPlan::empty(),
-                    }
-                })
-                .collect();
+            min_cand_plans = plan.min_candidates_plans(&bitmap);
             &min_cand_plans
         } else {
             plan.join_plans()

@@ -7,7 +7,7 @@
 //!   O(matching rows) instead of O(|V_Q|);
 //! * [`refine_candidates`] — one work-item per data node; query nodes are
 //!   grouped into signature-equivalence classes ([`SignatureClasses`],
-//!   rebuilt each iteration) and one domination test is run per class
+//!   one per radius) and one domination test is run per class
 //!   with at least one surviving bit, its verdict applied to every member
 //!   row. Refinement at iteration `i` only consults candidates surviving
 //!   iteration `i−1`, so the candidate sets shrink monotonically.
@@ -27,7 +27,9 @@ use crate::governor::Governor;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
 use sigmo_device::Queue;
-use sigmo_graph::{CsrGo, EdgeLabel, Label, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL};
+use sigmo_graph::{
+    CsrGo, EdgeLabel, Label, NodeAttrs, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL,
+};
 
 /// Modeled instruction cost of one label comparison in the init kernel.
 const INIT_INSTR_PER_QNODE: u64 = 4;
@@ -184,21 +186,22 @@ pub fn initialize_candidates_bucketed(
 /// a (query row, data node) pair depends only on the two signatures, so
 /// rows sharing a signature share their verdict against every data node:
 /// the refine kernel runs one test per *class* instead of one per row.
-/// Classes are rebuilt each iteration (signatures advance between
-/// iterations) in one O(|V_Q|) pass, and are ordered by their smallest
-/// member row so the grouping is deterministic.
+/// Plans build one set per radius (signatures advance between radii) in
+/// one O(|V_Q|) pass, ordered by smallest member row so the grouping is
+/// deterministic.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureClasses {
     classes: Vec<(Signature, Vec<u32>)>,
 }
 
 impl SignatureClasses {
-    /// Groups all query rows by their current signature.
-    pub fn build(queries: &CsrGo, query_sigs: &SignatureSet) -> Self {
+    /// Groups all query rows by their signature (`query_sigs[q]` is row
+    /// `q`'s signature at one radius).
+    pub fn build(query_sigs: &[Signature]) -> Self {
         let mut index: std::collections::HashMap<Signature, usize> =
             std::collections::HashMap::new();
         let mut classes: Vec<(Signature, Vec<u32>)> = Vec::new();
-        for q in 0..queries.num_nodes() {
-            let sig = query_sigs.signature(q as NodeId);
+        for (q, &sig) in query_sigs.iter().enumerate() {
             match index.entry(sig) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     classes[*e.get()].1.push(q as u32);
@@ -281,13 +284,14 @@ pub fn refine_candidates_governed(
     work_group_size: usize,
     governor: &Governor,
 ) -> u64 {
-    let classes = SignatureClasses::build(queries, query_sigs);
+    assert_eq!(queries.num_nodes(), query_sigs.signatures().len());
+    let classes = SignatureClasses::build(query_sigs.signatures());
     refine_candidates_classes(
         queue,
         data,
         query_sigs.schema(),
         &classes,
-        data_sigs,
+        data_sigs.signatures(),
         bitmap,
         work_group_size,
         governor,
@@ -295,16 +299,17 @@ pub fn refine_candidates_governed(
 }
 
 /// [`refine_candidates_governed`] with caller-provided
-/// [`SignatureClasses`]: the form [`crate::plan::QueryPlan`] uses so the
-/// classes are built (and memoized across converged radii) once per plan
-/// instead of once per kernel launch.
+/// [`SignatureClasses`] and data signatures (`data_sigs[d]` is node `d`'s
+/// signature at this radius, from [`crate::BatchFacts`]): the form the
+/// engine uses, so the classes are built (and memoized across converged
+/// radii) once per plan instead of once per kernel launch.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_candidates_classes(
     queue: &Queue,
     data: &CsrGo,
     schema: &LabelSchema,
     classes: &SignatureClasses,
-    data_sigs: &SignatureSet,
+    data_sigs: &[Signature],
     bitmap: &CandidateBitmap,
     work_group_size: usize,
     governor: &Governor,
@@ -326,7 +331,7 @@ pub fn refine_candidates_classes(
             let mut trip_sq = 0u64;
             let mut items_run = 0u64;
             let mut visit = |d: usize| {
-                let dsig = data_sigs.signature(d as NodeId);
+                let dsig = data_sigs[d];
                 let mut node_tests = 0u64;
                 // The paper prefetches the relevant bitmap words into local
                 // memory per work-group; on the host executor the row words
@@ -388,7 +393,7 @@ pub fn refine_candidates_classes(
 
 /// The dirty query rows of one refinement radius, flattened for the
 /// transposed (row-major) delta kernel: rows whose signature *changed*
-/// when the query [`SignatureSet`] advanced to this radius, each carrying
+/// when the query signatures advanced to this radius, each carrying
 /// its new signature and its signature class's moved-field mask.
 ///
 /// Restricting refinement to these rows is *exact*, not heuristic, by two
@@ -398,11 +403,13 @@ pub fn refine_candidates_classes(
 /// radius `r−1` against a query signature that did not move at radius `r`
 /// therefore still satisfies `dsig_r ⊒ dsig_{r−1} ⊒ qsig_{r−1} = qsig_r`
 /// — only rows whose signature moved can lose bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaClasses {
     rows: Vec<DeltaRow>,
 }
 
 /// One dirty query row at one radius.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRow {
     /// The row's signature at this radius.
     pub sig: Signature,
@@ -501,7 +508,7 @@ pub fn refine_candidates_delta(
     data: &CsrGo,
     schema: &LabelSchema,
     delta: &DeltaClasses,
-    data_sigs: &SignatureSet,
+    data_sigs: &[Signature],
     bitmap: &CandidateBitmap,
     governor: &Governor,
 ) -> u64 {
@@ -534,11 +541,7 @@ pub fn refine_candidates_delta(
                 let mut row_tests = 0u64;
                 for d in bitmap.iter_set_in_range(q, 0, n) {
                     row_tests += 1;
-                    if !data_sigs.signature(d as NodeId).dominates_groups(
-                        schema,
-                        &dirty.sig,
-                        dirty.changed,
-                    ) {
+                    if !data_sigs[d].dominates_groups(schema, &dirty.sig, dirty.changed) {
                         bitmap.clear(q, d);
                         cleared += 1;
                     }
@@ -627,14 +630,14 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
 /// constrained query row (`pair_rows`, precomputed by the plan — rows
 /// whose pair signature is non-empty), enumerating its live bits
 /// word-parallel and testing bucket domination at each. The test compares
-/// only the row's live buckets ([`PairRow::live`]). Data-side pair
-/// signatures are built host-side per launch (one pass over the data
-/// adjacency, like `SignatureSet::advance`).
+/// only the row's live buckets ([`PairRow::live`]). The data nodes' pair
+/// signatures (`data_pairs[d]`) come precomputed from
+/// [`crate::BatchFacts`].
 ///
 /// Returns the number of bits cleared.
 pub fn label_pair_filter(
     queue: &Queue,
-    data: &CsrGo,
+    data_pairs: &[Signature],
     schema: &LabelSchema,
     pair_rows: &[PairRow],
     bitmap: &CandidateBitmap,
@@ -643,11 +646,8 @@ pub fn label_pair_filter(
     if pair_rows.is_empty() {
         return 0;
     }
-    let dsigs: Vec<Signature> = (0..data.num_nodes())
-        .map(|d| pair_signature(data, schema, d as NodeId))
-        .collect();
     let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
+    let n = data_pairs.len();
     let row_words = n.div_ceil(64) as u64;
     let snap = queue.parallel_for_chunks_until(
         "label_pair_filter",
@@ -668,7 +668,7 @@ pub fn label_pair_filter(
                 let mut row_tests = 0u64;
                 for d in bitmap.iter_set_in_range(q as usize, 0, n) {
                     row_tests += 1;
-                    if !dsigs[d].dominates_groups(schema, &sig, live) {
+                    if !data_pairs[d].dominates_groups(schema, &sig, live) {
                         bitmap.clear(q as usize, d);
                         cleared += 1;
                     }
@@ -713,17 +713,17 @@ pub struct PairRow {
 }
 
 /// The constrained-row list [`label_pair_filter`] consumes: every query
-/// row with a non-empty pair signature, ascending. Plans build this once
-/// per batch.
-pub fn pair_rows(queries: &CsrGo, schema: &LabelSchema) -> Vec<PairRow> {
-    (0..queries.num_nodes() as u32)
-        .filter_map(|row| {
-            let sig = pair_signature(queries, schema, row);
-            (sig != Signature::EMPTY).then(|| PairRow {
-                row,
-                sig,
-                live: sig.diff_groups(schema, &Signature::EMPTY),
-            })
+/// row with a non-empty pair signature (`query_pairs[q]` is row `q`'s),
+/// ascending. Plans build this once per batch.
+pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow> {
+    query_pairs
+        .iter()
+        .enumerate()
+        .filter(|&(_, &sig)| sig != Signature::EMPTY)
+        .map(|(row, &sig)| PairRow {
+            row: row as u32,
+            sig,
+            live: sig.diff_groups(schema, &Signature::EMPTY),
         })
         .collect()
 }
@@ -738,14 +738,14 @@ pub fn pair_rows(queries: &CsrGo, schema: &LabelSchema) -> Vec<PairRow> {
 ///
 /// Transposed like [`label_pair_filter`]: one work-item per predicated
 /// query row, enumerating its live bits word-parallel and evaluating the
-/// predicate against host-precomputed per-data-node attributes
+/// predicate against the data nodes' precomputed attributes
 /// ([`NodeAttrs`]: degree, H-neighbor count, charge, smallest-ring size —
-/// one pass over the data adjacency per launch).
+/// from [`crate::BatchFacts`]).
 ///
 /// Returns the number of bits cleared.
 pub fn node_predicate_filter(
     queue: &Queue,
-    data: &CsrGo,
+    attrs: &NodeAttrs,
     pred_rows: &[(u32, NodePredicate)],
     bitmap: &CandidateBitmap,
     governor: &Governor,
@@ -753,9 +753,8 @@ pub fn node_predicate_filter(
     if pred_rows.is_empty() {
         return 0;
     }
-    let attrs = data.node_attrs();
     let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
+    let n = attrs.labels.len();
     let row_words = n.div_ceil(64) as u64;
     let snap = queue.parallel_for_chunks_until(
         "node_predicate_filter",
@@ -774,7 +773,7 @@ pub fn node_predicate_filter(
                 let mut row_tests = 0u64;
                 for d in bitmap.iter_set_in_range(q as usize, 0, n) {
                     row_tests += 1;
-                    if !pred.matches(&attrs, d as NodeId) {
+                    if !pred.matches(attrs, d as NodeId) {
                         bitmap.clear(q as usize, d);
                         cleared += 1;
                     }
@@ -856,6 +855,12 @@ mod tests {
 
     fn queue() -> Queue {
         Queue::new(DeviceProfile::host())
+    }
+
+    fn pairs_of(batch: &CsrGo) -> Vec<Signature> {
+        (0..batch.num_nodes() as NodeId)
+            .map(|v| pair_signature(batch, &pair_schema(), v))
+            .collect()
     }
 
     /// Query: C-O (labels 1, 3). Data: two molecules — C(-O)(-H) and C-H.
@@ -1009,7 +1014,7 @@ mod tests {
         let schema = LabelSchema::organic();
         let mut qs = SignatureSet::new(&queries, schema);
         qs.advance(&queries);
-        let classes = SignatureClasses::build(&queries, &qs);
+        let classes = SignatureClasses::build(qs.signatures());
         assert_eq!(classes.len(), 2);
         assert!(!classes.is_empty());
         let members: Vec<&Vec<u32>> = classes.classes().iter().map(|(_, m)| m).collect();
@@ -1049,7 +1054,7 @@ mod tests {
             .map(|i| sigmo_graph::random_sparse_graph(8, 4, 12, 500 + i))
             .collect();
         let batch = CsrGo::from_graphs(&queries);
-        let rows = pair_rows(&batch, &schema);
+        let rows = pair_rows(&pairs_of(&batch), &schema);
         assert!(!rows.is_empty());
         for r in &rows {
             let nonzero = (0..PAIR_BUCKETS as u8)
@@ -1078,10 +1083,10 @@ mod tests {
             let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
             initialize_candidates(&queue(), &queries, &data, &fast, 64);
             crate::naive::initialize_candidates(&queries, &data, &slow);
-            let rows = pair_rows(&queries, &schema);
+            let rows = pair_rows(&pairs_of(&queries), &schema);
             let cleared = label_pair_filter(
                 &queue(),
-                &data,
+                &pairs_of(&data),
                 &schema,
                 &rows,
                 &fast,

@@ -33,6 +33,7 @@
 
 pub mod candidates;
 pub mod engine;
+pub mod facts;
 pub mod filter;
 pub mod governor;
 pub mod join;
@@ -50,6 +51,7 @@ pub use candidates::{CandidateBitmap, WordWidth};
 pub use engine::{
     Engine, EngineConfig, FilterMode, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };
+pub use facts::{BatchFacts, MolFacts};
 pub use filter::{DeltaClasses, LabelBuckets, SignatureClasses};
 pub use governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 pub use join::cost::{JoinVariant, OrderChoice};

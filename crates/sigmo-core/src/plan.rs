@@ -8,9 +8,10 @@
 //! pure function of the query batch and the engine configuration, so
 //! [`QueryPlan`] computes it exactly once:
 //!
-//! * query signatures advanced through every radius the configured
-//!   iteration count can reach, with the per-radius *active* counts the
-//!   engine's fixpoint early-exit consumes;
+//! * query signatures at every radius the configured iteration count can
+//!   reach, with the per-radius *active* counts the engine's fixpoint
+//!   early-exit consumes — built by the same [`BatchFacts`] routine as
+//!   the data side;
 //! * [`SignatureClasses`] per radius, memoized — a radius where no query
 //!   signature moved shares the previous radius' classes by `Arc` instead
 //!   of rebuilding them;
@@ -24,12 +25,14 @@
 //! per stream and every chunk borrows it; `sigmo-cluster` builds one per
 //! run and every rank borrows it.
 
+use crate::candidates::CandidateBitmap;
 use crate::engine::EngineConfig;
+use crate::facts::BatchFacts;
 use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, SignatureClasses};
 use crate::join;
 use crate::schema::LabelSchema;
-use crate::signature::{Signature, SignatureSet};
-use sigmo_graph::{CsrGo, LabeledGraph, NodePredicate};
+use crate::signature::Signature;
+use sigmo_graph::{CsrGo, LabeledGraph, NodeId, NodePredicate};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,17 +49,12 @@ pub fn plan_build_count() -> u64 {
 
 /// Query-side filter state at one refinement radius.
 struct RadiusState {
-    /// Every query node's signature at this radius.
-    sigs: Vec<Signature>,
     /// Signature-equivalence classes at this radius; shares the previous
     /// radius' `Arc` when no signature moved.
     classes: Arc<SignatureClasses>,
     /// Dirty rows (signature moved reaching this radius), grouped for the
     /// delta kernel.
     delta: DeltaClasses,
-    /// Nodes whose BFS ring was non-empty during the advance to this
-    /// radius ([`SignatureSet::advance`]'s return).
-    active: usize,
 }
 
 /// Precomputed, immutable query-side state for [`crate::Engine`] runs.
@@ -65,6 +63,9 @@ pub struct QueryPlan {
     schema: LabelSchema,
     induced: bool,
     buckets: LabelBuckets,
+    /// Query signatures at radii `1..=max_radius`, active counts and
+    /// label-pair signatures.
+    facts: BatchFacts,
     /// `radii[r - 1]` is the state at radius `r` (used by iteration
     /// `r + 1`); radius 0 is the all-empty signature set and needs no
     /// entry.
@@ -104,15 +105,15 @@ impl QueryPlan {
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         let buckets = LabelBuckets::build(&csr);
         let max_radius = config.refinement_iterations - 1;
-        let mut set = SignatureSet::new(&csr, config.schema.clone());
+        let facts = BatchFacts::compute(&csr, &config.schema, max_radius, false);
         let mut radii: Vec<RadiusState> = Vec::with_capacity(max_radius);
         let mut last_dirty_radius = 0usize;
         let mut classes_builds = 0usize;
-        let mut prev_sigs: Vec<Signature> = set.signatures().to_vec();
+        let radius0 = vec![Signature::EMPTY; csr.num_nodes()];
+        let mut prev_sigs: &[Signature] = &radius0;
         for r in 1..=max_radius {
-            let active = set.advance(&csr);
-            let sigs = set.signatures().to_vec();
-            let delta = DeltaClasses::build(&config.schema, &prev_sigs, &sigs);
+            let sigs = facts.signatures_at(r);
+            let delta = DeltaClasses::build(&config.schema, prev_sigs, sigs);
             if !delta.is_empty() {
                 last_dirty_radius = r;
             }
@@ -122,22 +123,17 @@ impl QueryPlan {
                 Some(prev) if delta.is_empty() => Arc::clone(&prev.classes),
                 _ => {
                     classes_builds += 1;
-                    Arc::new(SignatureClasses::build(&csr, &set))
+                    Arc::new(SignatureClasses::build(sigs))
                 }
             };
-            prev_sigs = sigs.clone();
-            radii.push(RadiusState {
-                sigs,
-                classes,
-                delta,
-                active,
-            });
+            prev_sigs = sigs;
+            radii.push(RadiusState { classes, delta });
         }
         let join_plans = (0..csr.num_graphs())
             .map(|qg| join::QueryPlan::build(&csr, qg, config.induced))
             .collect();
         let pair_schema = filter::pair_schema();
-        let pair_rows = filter::pair_rows(&csr, &pair_schema);
+        let pair_rows = filter::pair_rows(facts.pairs(), &pair_schema);
         let pred_rows = csr
             .predicates()
             .iter()
@@ -149,6 +145,7 @@ impl QueryPlan {
             schema: config.schema.clone(),
             induced: config.induced,
             buckets,
+            facts,
             radii,
             last_dirty_radius,
             classes_builds,
@@ -157,6 +154,46 @@ impl QueryPlan {
             pair_rows,
             pred_rows,
         }
+    }
+
+    /// Panics unless the plan can serve runs under `config`: enough
+    /// radii of query state and the same induced semantics.
+    pub(crate) fn assert_fits(&self, config: &EngineConfig) {
+        assert!(config.refinement_iterations >= 1, "need ≥ 1 iteration");
+        assert!(
+            self.max_radius() + 1 >= config.refinement_iterations,
+            "plan holds {} iterations of query state, config wants {}",
+            self.max_radius() + 1,
+            config.refinement_iterations
+        );
+        assert_eq!(
+            self.induced, config.induced,
+            "plan and config disagree on induced semantics"
+        );
+    }
+
+    /// Join plans starting at each query graph's node with the fewest
+    /// surviving candidates in `bitmap` — the data-aware ordering, built
+    /// per run. A zero-node query has no start node and gets the empty
+    /// plan (it matches nothing, the join skips it). Count ties break
+    /// toward the smallest node id: an explicit key, so the ordering is a
+    /// stated contract — adaptive runs must be bit-identical across
+    /// thread counts.
+    pub(crate) fn min_candidates_plans(&self, bitmap: &CandidateBitmap) -> Vec<join::QueryPlan> {
+        (0..self.csr.num_graphs())
+            .map(|qg| {
+                match self
+                    .csr
+                    .node_range(qg)
+                    .min_by_key(|&v| (bitmap.row_count(v as usize), v))
+                {
+                    Some(start) => {
+                        join::QueryPlan::build_from(&self.csr, qg, self.induced, start as NodeId)
+                    }
+                    None => join::QueryPlan::empty(),
+                }
+            })
+            .collect()
     }
 
     /// The batched query graphs.
@@ -208,7 +245,7 @@ impl QueryPlan {
 
     /// Every query signature at `radius` (1-based).
     pub fn signatures_at(&self, radius: usize) -> &[Signature] {
-        &self.state(radius).sigs
+        self.facts.signatures_at(radius)
     }
 
     /// The signature classes at `radius` (1-based).
@@ -224,7 +261,7 @@ impl QueryPlan {
     /// Query nodes whose BFS frontier was still active when advancing to
     /// `radius` (1-based).
     pub fn active_at(&self, radius: usize) -> usize {
-        self.state(radius).active
+        self.facts.active_at(radius)
     }
 
     /// The precomputed max-degree join plans, one per query graph.
@@ -255,6 +292,7 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::SignatureSet;
     use sigmo_graph::LabeledGraph;
 
     fn queries() -> Vec<LabeledGraph> {

@@ -8,7 +8,9 @@
 //! [`SignatureSet`] maintains signatures for every node of a batch and
 //! refines them incrementally: the BFS frontier of every node is cached
 //! between iterations (paper §4.4), so iteration `k` only visits the ring
-//! `N^k \ N^{k-1}` and adds exactly those labels.
+//! `N^k \ N^{k-1}` and adds exactly those labels. The engine, the plans
+//! and the index read signatures from [`crate::BatchFacts`] instead;
+//! `SignatureSet` is the per-batch oracle the tests hold them to.
 
 use crate::schema::LabelSchema;
 use rayon::prelude::*;
@@ -145,7 +147,8 @@ struct NodeFrontier {
     visited: Vec<u64>,
 }
 
-/// Signatures for every node of a batch, refined one radius step at a time.
+/// Signatures for every node of a batch, refined one radius step at a time
+/// — the test oracle for [`crate::BatchFacts`].
 pub struct SignatureSet {
     schema: LabelSchema,
     sigs: Vec<Signature>,

@@ -10,12 +10,14 @@
 //! aggregate with globally consistent data-graph indices.
 
 use crate::engine::{Engine, EngineConfig};
+use crate::facts::{BatchFacts, MolFacts};
 use crate::governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 use crate::memory::{estimate_counts, MemoryEstimate};
 use crate::plan::QueryPlan;
 use crate::stats::StrategyCounts;
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, LabeledGraph};
+use std::borrow::Borrow;
 use std::time::Duration;
 
 /// One molecule isolated by the poisoned-chunk protocol: it tripped the
@@ -272,25 +274,50 @@ impl StreamRunner {
     /// serving layer's entry point, where one plan is cached across many
     /// requests and streams. The plan must have been built from a
     /// configuration compatible with this runner's (same iteration count,
-    /// schema, and induced flag); `Engine::run_planned_with_governor`
-    /// asserts this per chunk.
+    /// schema, and induced flag); `Engine::run_with_facts` asserts
+    /// this per chunk.
     pub fn run_with_plan<I>(&self, plan: &QueryPlan, stream: I, queue: &Queue) -> StreamReport
     where
         I: IntoIterator<Item = LabeledGraph>,
     {
+        self.run_items(
+            plan,
+            stream.into_iter().map(|mol| (mol, None::<&MolFacts>)),
+            queue,
+        )
+    }
+
+    /// [`StreamRunner::run_with_plan`] over borrowed molecules, each with
+    /// its stored [`MolFacts`] when the caller keeps them: a chunk copies
+    /// stored facts instead of rebuilding them, and builds the rest. The
+    /// serving layer's entry point. Stored facts must be built under the
+    /// runner's schema with at least [`BatchFacts::run_depth`] radii.
+    pub fn run_with_facts<'a, I>(&self, plan: &QueryPlan, stream: I, queue: &Queue) -> StreamReport
+    where
+        I: IntoIterator<Item = (&'a LabeledGraph, Option<&'a MolFacts>)>,
+    {
+        self.run_items(plan, stream, queue)
+    }
+
+    fn run_items<G, F, I>(&self, plan: &QueryPlan, stream: I, queue: &Queue) -> StreamReport
+    where
+        G: Borrow<LabeledGraph>,
+        F: Borrow<MolFacts>,
+        I: IntoIterator<Item = (G, Option<F>)>,
+    {
         let mut report = StreamReport::default();
-        let mut chunk: Vec<LabeledGraph> = Vec::new();
+        let mut chunk: Vec<(G, Option<F>)> = Vec::new();
         let mut size = ChunkSize::default();
         let mut base_index = 0usize;
-        for mol in stream {
+        for item in stream {
             if self.cancel.is_cancelled() {
                 report.completion = report
                     .completion
                     .merge(Completion::Truncated(TruncationReason::Cancelled));
                 return report;
             }
-            size.add(&mol);
-            chunk.push(mol);
+            size.add(item.0.borrow());
+            chunk.push(item);
             let over_budget = chunk.len() >= self.max_chunk_molecules
                 || (size.estimate(plan).total() > self.memory_budget && chunk.len() > 1);
             if over_budget {
@@ -301,8 +328,8 @@ impl StreamRunner {
                 } else {
                     chunk.pop()
                 };
-                if let Some(m) = &spill {
-                    size.remove(m);
+                if let Some((m, _)) = &spill {
+                    size.remove(m.borrow());
                 }
                 self.flush(
                     plan,
@@ -312,9 +339,9 @@ impl StreamRunner {
                     queue,
                     &mut report,
                 );
-                if let Some(m) = spill {
-                    size.add(&m);
-                    chunk.push(m);
+                if let Some(item) = spill {
+                    size.add(item.0.borrow());
+                    chunk.push(item);
                 }
             }
         }
@@ -336,10 +363,10 @@ impl StreamRunner {
         report
     }
 
-    fn flush(
+    fn flush<G: Borrow<LabeledGraph>, F: Borrow<MolFacts>>(
         &self,
         plan: &QueryPlan,
-        chunk: &mut Vec<LabeledGraph>,
+        chunk: &mut Vec<(G, Option<F>)>,
         size: &mut ChunkSize,
         base_index: &mut usize,
         queue: &Queue,
@@ -358,19 +385,25 @@ impl StreamRunner {
     /// complete runs, quarantined single-molecule partials, and — on
     /// cancellation — the in-flight partials (the caller asked to stop;
     /// nothing will be retried).
-    fn run_span(
+    fn run_span<G: Borrow<LabeledGraph>, F: Borrow<MolFacts>>(
         &self,
         plan: &QueryPlan,
-        span: &[LabeledGraph],
+        span: &[(G, Option<F>)],
         base_index: usize,
         queue: &Queue,
         report: &mut StreamReport,
     ) {
         let governor = Governor::with_cancel(&self.budget, self.cancel.clone());
-        let data = CsrGo::from_graphs(span);
+        let graphs: Vec<&LabeledGraph> = span.iter().map(|(g, _)| g.borrow()).collect();
+        let data = CsrGo::from_graph_refs(&graphs);
+        let stored: Vec<Option<&MolFacts>> = span
+            .iter()
+            .map(|(_, f)| f.as_ref().map(Borrow::borrow))
+            .collect();
+        let facts = BatchFacts::for_run(self.engine.config(), plan, &data, &stored);
         let run = self
             .engine
-            .run_planned_with_governor(plan, &data, queue, &governor);
+            .run_with_facts(plan, &data, &facts, queue, &governor);
         report.total_time += run.timings.total();
         match run.completion {
             Completion::Complete => {
@@ -394,7 +427,7 @@ impl StreamRunner {
                     cfg.join_strategy = cfg.join_strategy.flipped();
                     let retry_gov = Governor::with_cancel(&self.budget, self.cancel.clone());
                     let retry =
-                        Engine::new(cfg).run_planned_with_governor(plan, &data, queue, &retry_gov);
+                        Engine::new(cfg).run_with_facts(plan, &data, &facts, queue, &retry_gov);
                     report.total_time += retry.timings.total();
                     if retry.completion.is_complete() {
                         // The flipped strategy finished: its results are

@@ -21,25 +21,41 @@ pub struct Csr {
 impl Csr {
     /// Freezes a [`LabeledGraph`] into CSR form.
     pub fn from_graph(g: &LabeledGraph) -> Self {
-        let n = g.num_nodes();
+        Self::from_disjoint(&[g])
+    }
+
+    /// Freezes the disjoint union of `graphs` into one CSR, graph `i`'s
+    /// node ids shifted by the node count of the graphs before it. Equal
+    /// to [`Csr::from_graph`] on the union graph, without building it.
+    pub fn from_disjoint(graphs: &[&LabeledGraph]) -> Self {
+        let n: usize = graphs.iter().map(|g| g.num_nodes()).sum();
+        let arcs: usize = graphs.iter().map(|g| 2 * g.num_edges()).sum();
         let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut column_indices = Vec::with_capacity(2 * g.num_edges());
-        let mut edge_labels = Vec::with_capacity(2 * g.num_edges());
+        let mut column_indices = Vec::with_capacity(arcs);
+        let mut edge_labels = Vec::with_capacity(arcs);
+        let mut labels = Vec::with_capacity(n);
+        let mut nbrs: Vec<(NodeId, EdgeLabel)> = Vec::new();
         row_offsets.push(0);
-        for v in 0..n as NodeId {
-            let mut nbrs: Vec<(NodeId, EdgeLabel)> = g.neighbors(v).to_vec();
-            nbrs.sort_unstable_by_key(|&(u, _)| u);
-            for (u, l) in nbrs {
-                column_indices.push(u);
-                edge_labels.push(l);
+        let mut base: NodeId = 0;
+        for g in graphs {
+            labels.extend_from_slice(g.labels());
+            for v in 0..g.num_nodes() as NodeId {
+                nbrs.clear();
+                nbrs.extend_from_slice(g.neighbors(v));
+                nbrs.sort_unstable_by_key(|&(u, _)| u);
+                for &(u, l) in &nbrs {
+                    column_indices.push(base + u);
+                    edge_labels.push(l);
+                }
+                row_offsets.push(column_indices.len() as u32);
             }
-            row_offsets.push(column_indices.len() as u32);
+            base += g.num_nodes() as NodeId;
         }
         Self {
             row_offsets,
             column_indices,
             edge_labels,
-            labels: g.labels().to_vec(),
+            labels,
         }
     }
 
@@ -164,6 +180,27 @@ mod tests {
         assert_eq!(c.edge_label(0, 3), None);
         assert!(c.has_edge(0, 1));
         assert!(!c.has_edge(1, 3));
+    }
+
+    #[test]
+    fn disjoint_union_equals_csr_of_the_union_graph() {
+        let a = sample();
+        let b = LabeledGraph::from_edges(&[1, 2, 3], &[(2, 0), (0, 1)]).unwrap();
+        let mut union = LabeledGraph::new();
+        for g in [&a, &LabeledGraph::new(), &b] {
+            let base = union.num_nodes() as NodeId;
+            for &l in g.labels() {
+                union.add_node(l);
+            }
+            for (x, y, l) in g.edges() {
+                union.add_edge(base + x, base + y, l).unwrap();
+            }
+        }
+        let empty = LabeledGraph::new();
+        assert_eq!(
+            Csr::from_disjoint(&[&a, &empty, &b]),
+            Csr::from_graph(&union)
+        );
     }
 
     #[test]

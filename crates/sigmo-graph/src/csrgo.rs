@@ -42,21 +42,19 @@ impl CsrGo {
     /// Builds the batched representation by concatenating `graphs`,
     /// offsetting node ids so each graph occupies a contiguous id range.
     pub fn from_graphs(graphs: &[LabeledGraph]) -> Self {
-        let mut union = LabeledGraph::new();
+        let refs: Vec<&LabeledGraph> = graphs.iter().collect();
+        Self::from_graph_refs(&refs)
+    }
+
+    /// [`CsrGo::from_graphs`] over borrowed graphs, so callers that keep
+    /// their molecules elsewhere batch them without cloning.
+    pub fn from_graph_refs(graphs: &[&LabeledGraph]) -> Self {
         let mut graph_offsets = Vec::with_capacity(graphs.len() + 1);
         let mut charges = Vec::new();
         let mut preds = Vec::new();
         graph_offsets.push(0u32);
         let mut base: u32 = 0;
         for g in graphs {
-            for v in 0..g.num_nodes() as NodeId {
-                union.add_node(g.label(v));
-            }
-            for (a, b, l) in g.edges() {
-                union
-                    .add_edge(base + a, base + b, l)
-                    .expect("offset edges cannot collide across graphs");
-            }
             for &(v, c) in g.charges() {
                 charges.push((base + v, c));
             }
@@ -67,7 +65,7 @@ impl CsrGo {
             graph_offsets.push(base);
         }
         Self {
-            csr: Csr::from_graph(&union),
+            csr: Csr::from_disjoint(graphs),
             graph_offsets,
             charges,
             preds,
@@ -185,8 +183,10 @@ impl CsrGo {
     }
 
     /// Per-node attributes over the whole batch (graphs are disconnected,
-    /// so per-graph ring perception composes trivially). Computed on
-    /// demand — only predicate-bearing runs pay for it.
+    /// so per-graph ring perception composes trivially, and the result
+    /// equals the concatenation of each graph's own table). The engine
+    /// reads these from `sigmo_core::BatchFacts`, which calls this only
+    /// for batches holding a molecule without stored facts.
     pub fn node_attrs(&self) -> NodeAttrs {
         let n = self.num_nodes();
         let charges: Vec<i8> = {

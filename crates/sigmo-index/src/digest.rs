@@ -9,16 +9,16 @@
 //! signature" proves that *no individual node* dominates it: some
 //! schema group's query count exceeds the max over every node.
 //!
-//! Digests are computed by the exact filter's own machinery —
-//! [`SignatureSet`] over a single-molecule batch for neighborhood
-//! signatures (which skips wildcard-labeled neighbors, exactly as the
-//! refinement kernel's inputs do) and
-//! [`sigmo_core::filter::pair_signature`] for the label-pair side — so
-//! digest semantics can never drift from engine semantics.
+//! Digests fold [`BatchFacts`] — the facts the engine's filter reads,
+//! built by the one routine that builds every data-side signature (which
+//! skips wildcard-labeled neighbors, exactly as the refinement kernel's
+//! inputs do) — so digest semantics can never drift from engine
+//! semantics. [`reference_digest`] folds the per-batch
+//! [`sigmo_core::SignatureSet`] oracle instead; tests pin the two equal.
 
 use sigmo_core::filter::pair_signature;
-use sigmo_core::{LabelSchema, Signature, SignatureSet};
-use sigmo_graph::{CsrGo, Label, LabeledGraph};
+use sigmo_core::{BatchFacts, LabelSchema, Signature, SignatureSet};
+use sigmo_graph::{CsrGo, Label, LabeledGraph, NodeId};
 
 /// One present raw label's summary: the per-group max, over the
 /// molecule's nodes carrying exactly that label, of the radius-`k`
@@ -62,35 +62,20 @@ impl MolDigest {
         pair_schema: &LabelSchema,
         radius: usize,
     ) -> MolDigest {
-        let csr = CsrGo::from_graphs(std::slice::from_ref(graph));
-        let mut sigs = SignatureSet::new(&csr, schema.clone());
-        for _ in 0..radius {
-            sigs.advance(&csr);
-        }
-        let mut digest = MolDigest {
-            presence: [0u64; 4],
-            node_count: csr.num_nodes() as u32,
-            labels: Vec::new(),
-            all_sig: Signature::EMPTY,
-            all_pair: Signature::EMPTY,
-        };
-        for v in 0..csr.num_nodes() as u32 {
-            let label = csr.label(v);
-            let sig = sigs.signature(v);
-            let pair = pair_signature(&csr, pair_schema, v);
-            digest.presence[(label >> 6) as usize] |= 1u64 << (label & 63);
-            digest.all_sig = digest.all_sig.max_groups(schema, &sig);
-            digest.all_pair = digest.all_pair.max_groups(pair_schema, &pair);
-            match digest.labels.binary_search_by_key(&label, |e| e.label) {
-                Ok(i) => {
-                    let e = &mut digest.labels[i];
-                    e.sig = e.sig.max_groups(schema, &sig);
-                    e.pair = e.pair.max_groups(pair_schema, &pair);
-                }
-                Err(i) => digest.labels.insert(i, LabelEntry { label, sig, pair }),
-            }
-        }
-        digest
+        let facts = BatchFacts::of_graph(graph, schema, radius, false);
+        Self::from_facts(graph.labels(), &facts, pair_schema, radius)
+    }
+
+    /// Folds a molecule's facts (built with at least `radius` radii) into
+    /// its digest; `labels` are the molecule's node labels.
+    pub fn from_facts(
+        labels: &[Label],
+        facts: &BatchFacts,
+        pair_schema: &LabelSchema,
+        radius: usize,
+    ) -> MolDigest {
+        let sigs = (radius > 0).then(|| facts.signatures_at(radius));
+        fold(labels, sigs, facts.pairs(), facts.schema(), pair_schema)
     }
 
     /// Whether the molecule contains ≥ 1 node with raw label `label`.
@@ -109,52 +94,61 @@ impl MolDigest {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sigmo_core::filter::pair_schema;
-
-    fn chain(labels: &[u8]) -> LabeledGraph {
-        let edges: Vec<(u32, u32)> = (1..labels.len() as u32).map(|i| (i - 1, i)).collect();
-        LabeledGraph::from_edges(labels, &edges).unwrap()
+/// The digest folded from the per-batch [`SignatureSet`] oracle and
+/// [`pair_signature`] over a one-molecule batch — the pre-[`BatchFacts`]
+/// definition, kept for the oracle tests.
+pub fn reference_digest(
+    graph: &LabeledGraph,
+    schema: &LabelSchema,
+    pair_schema: &LabelSchema,
+    radius: usize,
+) -> MolDigest {
+    let csr = CsrGo::from_graphs(std::slice::from_ref(graph));
+    let mut sigs = SignatureSet::new(&csr, schema.clone());
+    for _ in 0..radius {
+        sigs.advance(&csr);
     }
+    let pairs: Vec<Signature> = (0..csr.num_nodes() as NodeId)
+        .map(|v| pair_signature(&csr, pair_schema, v))
+        .collect();
+    fold(
+        csr.labels(),
+        Some(sigs.signatures()),
+        &pairs,
+        schema,
+        pair_schema,
+    )
+}
 
-    #[test]
-    fn digest_presence_and_entries() {
-        let schema = LabelSchema::organic();
-        let pairs = pair_schema();
-        let g = chain(&[1, 3, 1, 2]);
-        let d = MolDigest::compute(&g, &schema, &pairs, 2);
-        assert_eq!(d.node_count, 4);
-        assert!(d.has_label(1) && d.has_label(2) && d.has_label(3));
-        assert!(!d.has_label(0) && !d.has_label(9));
-        assert_eq!(d.labels.len(), 3);
-        assert!(d.entry(1).is_some() && d.entry(7).is_none());
-        // Labels are sorted.
-        let labels: Vec<u8> = d.labels.iter().map(|e| e.label).collect();
-        assert_eq!(labels, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn digest_dominates_every_node_signature() {
-        let schema = LabelSchema::organic();
-        let pairs = pair_schema();
-        let g = chain(&[1, 2, 1, 3, 1, 1, 2]);
-        let radius = 3;
-        let d = MolDigest::compute(&g, &schema, &pairs, radius);
-        let csr = CsrGo::from_graphs(std::slice::from_ref(&g));
-        let mut sigs = SignatureSet::new(&csr, schema.clone());
-        for _ in 0..radius {
-            sigs.advance(&csr);
+/// The per-group max-join of node signatures (`None`: radius 0, all
+/// empty) and pair signatures, overall and per raw label.
+fn fold(
+    labels: &[Label],
+    sigs: Option<&[Signature]>,
+    pairs: &[Signature],
+    schema: &LabelSchema,
+    pair_schema: &LabelSchema,
+) -> MolDigest {
+    let mut digest = MolDigest {
+        presence: [0u64; 4],
+        node_count: labels.len() as u32,
+        labels: Vec::new(),
+        all_sig: Signature::EMPTY,
+        all_pair: Signature::EMPTY,
+    };
+    for (v, (&label, &pair)) in labels.iter().zip(pairs).enumerate() {
+        let sig = sigs.map_or(Signature::EMPTY, |s| s[v]);
+        digest.presence[(label >> 6) as usize] |= 1u64 << (label & 63);
+        digest.all_sig = digest.all_sig.max_groups(schema, &sig);
+        digest.all_pair = digest.all_pair.max_groups(pair_schema, &pair);
+        match digest.labels.binary_search_by_key(&label, |e| e.label) {
+            Ok(i) => {
+                let e = &mut digest.labels[i];
+                e.sig = e.sig.max_groups(schema, &sig);
+                e.pair = e.pair.max_groups(pair_schema, &pair);
+            }
+            Err(i) => digest.labels.insert(i, LabelEntry { label, sig, pair }),
         }
-        for v in 0..csr.num_nodes() as u32 {
-            let label = csr.label(v);
-            let e = d.entry(label).expect("present label has an entry");
-            assert!(e.sig.dominates(&schema, &sigs.signature(v)));
-            assert!(d.all_sig.dominates(&schema, &sigs.signature(v)));
-            let p = pair_signature(&csr, &pairs, v);
-            assert!(e.pair.dominates(&pairs, &p));
-            assert!(d.all_pair.dominates(&pairs, &p));
-        }
     }
+    digest
 }

@@ -7,9 +7,8 @@
 //! cost to ingest time. Each molecule is summarized **once** — into the
 //! label set it contains, inverted label / label-pair posting lists,
 //! and a per-molecule *signature digest* (the per-group maximum of its
-//! node signatures at radius `k`, computed by the very same
-//! [`sigmo_core::SignatureSet`] / label-pair machinery the engine's
-//! filter uses) — so a query can reject whole molecules with a handful
+//! node signatures at radius `k`, folded from the very same
+//! [`sigmo_core::BatchFacts`] the engine's filter reads) — so a query can reject whole molecules with a handful
 //! of `u64` compares before any [`sigmo_core::QueryPlan`] bitmap is
 //! allocated. Screening cost then scales with the *surviving* set, not
 //! the corpus.

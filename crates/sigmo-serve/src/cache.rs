@@ -3,7 +3,9 @@
 //! * [`MolStore`] — canonical-molecule interning: every submitted molecule
 //!   is keyed by [`sigmo_mol::canonical_code`], so isomorphic duplicates
 //!   across requests collapse onto one stored representative (the
-//!   first-seen variant) and one [`MolId`].
+//!   first-seen variant) and one [`MolId`]. From a molecule's second
+//!   execution on, the store also keeps its [`MolFacts`], so repeat
+//!   executions skip the data-side signature, pair and ring work.
 //! * [`PlanCache`] — [`QueryPlan`] interning keyed by the *ordered*
 //!   sequence of query canonical codes. Order matters: per-request results
 //!   attribute matches to query indices, so `[A, B]` and `[B, A]` are
@@ -18,7 +20,7 @@
 //!   partition can never be served against the new one (DESIGN.md §12).
 
 use sigmo_core::engine::EngineConfig;
-use sigmo_core::{LabelSchema, MatchMode, QueryPlan};
+use sigmo_core::{LabelSchema, MatchMode, MolFacts, QueryPlan};
 use sigmo_graph::LabeledGraph;
 use sigmo_index::{FrozenIndex, IndexConfig, MoleculeIndex};
 use sigmo_mol::canonical_code;
@@ -70,8 +72,20 @@ pub struct MolStore {
     /// a new class digests it, retiring a class tombstones it. `None`
     /// when screening is disabled.
     screen: Option<MoleculeIndex>,
+    /// Per-id execution count and kept facts (indexed by [`MolId`], grown
+    /// on demand).
+    facts: Vec<FactsSlot>,
+    facts_builds: u64,
     hits: u64,
     misses: u64,
+}
+
+/// One molecule's execution count and, from its second execution on, its
+/// kept facts.
+#[derive(Default)]
+struct FactsSlot {
+    runs: u32,
+    kept: Option<Arc<MolFacts>>,
 }
 
 impl MolStore {
@@ -164,7 +178,9 @@ impl MolStore {
                 self.misses += 1;
                 let id = self.graphs.len() as MolId;
                 if let Some(screen) = &mut self.screen {
+                    // Digests fold facts built for this call only.
                     screen.add(id, graph);
+                    self.facts_builds += 1;
                 }
                 self.graphs.push(graph.clone());
                 self.index.insert(key, id);
@@ -178,6 +194,42 @@ impl MolStore {
     /// The stored representative for `id`.
     pub fn graph(&self, id: MolId) -> &LabeledGraph {
         &self.graphs[id as usize]
+    }
+
+    /// Registers one engine execution of `id` and returns the facts it
+    /// should run on: `None` on the molecule's first execution (the engine
+    /// builds that run's facts itself), and from the second on the facts
+    /// the store keeps — built under `schema` with `depth` radii on the
+    /// first call that needs them. Keeping from the second execution on
+    /// holds no memory for molecules that are executed once.
+    pub fn exec_facts(
+        &mut self,
+        id: MolId,
+        schema: &LabelSchema,
+        depth: usize,
+    ) -> Option<Arc<MolFacts>> {
+        let i = id as usize;
+        if self.facts.len() <= i {
+            self.facts.resize_with(i + 1, FactsSlot::default);
+        }
+        let slot = &mut self.facts[i];
+        slot.runs = slot.runs.saturating_add(1);
+        if slot.runs < 2 {
+            self.facts_builds += 1;
+            return None;
+        }
+        if slot.kept.is_none() {
+            self.facts_builds += 1;
+            slot.kept = Some(Arc::new(MolFacts::build(&self.graphs[i], schema, depth)));
+        }
+        slot.kept.clone()
+    }
+
+    /// How many times facts were built for this store's molecules: one
+    /// per digest at intern (when screening), one per execution that runs
+    /// without kept facts, and one per kept build.
+    pub fn facts_builds(&self) -> u64 {
+        self.facts_builds
     }
 
     /// Looks up a molecule's id without interning it and without touching
@@ -203,6 +255,9 @@ impl MolStore {
         // exactly as with the index off).
         if let Some(screen) = &mut self.screen {
             screen.remove(id);
+        }
+        if let Some(slot) = self.facts.get_mut(id as usize) {
+            *slot = FactsSlot::default();
         }
         let before = self.exact.len() + self.index.len();
         // sigmo-lint: allow(nondet-collection-iter) — set-membership

@@ -17,7 +17,9 @@
 use crate::cache::{MolId, MolOutcome, MolStore, PlanCache, PlanId, ResultCache};
 use crate::shard::{ShardConfig, ShardRouter, ShardStats};
 use sigmo_core::engine::EngineConfig;
-use sigmo_core::{Completion, MatchMode, RunBudget, StreamReport, StreamRunner, TruncationReason};
+use sigmo_core::{
+    Completion, MatchMode, MolFacts, RunBudget, StreamReport, StreamRunner, TruncationReason,
+};
 use sigmo_device::Queue;
 use sigmo_graph::LabeledGraph;
 use sigmo_index::{FrozenIndex, IndexConfig, ScreenQuery};
@@ -425,6 +427,9 @@ impl Server {
             outcome.reports.push(report);
             outcome.offsets.push(offset);
         }
+        // Nothing reads the kernel log of a serving queue; left alone it
+        // would grow by every launch of every step.
+        self.queue.clear_records();
         outcome
     }
 
@@ -616,21 +621,8 @@ impl Server {
             .collect();
         let mut cacheable = vec![true; exec.len()];
         if !survivors.is_empty() {
-            let mut cfg = self.config.engine.clone();
-            cfg.mode = mode;
-            let runner = StreamRunner::new(cfg, self.config.memory_budget)
-                .with_budget(self.config.budget.clone());
-            let mols: Vec<LabeledGraph> = survivors
-                .iter()
-                .map(|&pos| self.mols.graph(exec[pos]).clone())
-                .collect();
-            let report = if self.config.caching {
-                let plan = self.plans.plan(plan_id);
-                runner.run_with_plan(&plan, mols, &self.queue)
-            } else {
-                // Ablation: rebuild the plan for every group execution.
-                runner.run(self.plans.queries(plan_id), mols, &self.queue)
-            };
+            let mols: Vec<MolId> = survivors.iter().map(|&pos| exec[pos]).collect();
+            let report = self.run_mols(plan_id, mode, &mols);
             for &(d, q, n) in &report.pair_counts {
                 outcomes[survivors[d]].pairs.push((q, n));
             }
@@ -717,20 +709,8 @@ impl Server {
             if kept.is_empty() {
                 continue;
             }
-            let mut cfg = self.config.engine.clone();
-            cfg.mode = mode;
-            let runner = StreamRunner::new(cfg, self.config.memory_budget)
-                .with_budget(self.config.budget.clone());
-            let mols: Vec<LabeledGraph> = kept
-                .iter()
-                .map(|&pos| self.mols.graph(exec[pos]).clone())
-                .collect();
-            let part = if self.config.caching {
-                let plan = self.plans.plan(plan_id);
-                runner.run_with_plan(&plan, mols, &self.queue)
-            } else {
-                runner.run(self.plans.queries(plan_id), mols, &self.queue)
-            };
+            let mols: Vec<MolId> = kept.iter().map(|&pos| exec[pos]).collect();
+            let part = self.run_mols(plan_id, mode, &mols);
             merged.absorb_partial(&part, &kept);
         }
         merged.normalize();
@@ -767,6 +747,46 @@ impl Server {
         )
     }
 
+    /// Runs `mols` through one streamed engine pass under the shared plan,
+    /// on the molecules' kept facts where the store has them. With caching
+    /// off (the ablation) the plan and every molecule's facts are rebuilt
+    /// for each execution.
+    fn run_mols(&mut self, plan_id: PlanId, mode: MatchMode, mols: &[MolId]) -> StreamReport {
+        let mut cfg = self.config.engine.clone();
+        cfg.mode = mode;
+        let runner = StreamRunner::new(cfg, self.config.memory_budget)
+            .with_budget(self.config.budget.clone());
+        if !self.config.caching {
+            let graphs: Vec<LabeledGraph> =
+                mols.iter().map(|&m| self.mols.graph(m).clone()).collect();
+            return runner.run(self.plans.queries(plan_id), graphs, &self.queue);
+        }
+        // Kept facts hold every radius the engine refines to and the index
+        // digests at, so they can serve any reader of a molecule's facts.
+        let engine = &self.config.engine;
+        let depth = self
+            .config
+            .index
+            .map_or(0, |ix| ix.radius)
+            .max(engine.refinement_iterations.saturating_sub(1));
+        let kept: Vec<Option<Arc<MolFacts>>> = mols
+            .iter()
+            .map(|&m| self.mols.exec_facts(m, &engine.schema, depth))
+            .collect();
+        let plan = self.plans.plan(plan_id);
+        let items = mols
+            .iter()
+            .zip(&kept)
+            .map(|(&m, f)| (self.mols.graph(m), f.as_deref()));
+        runner.run_with_facts(&plan, items, &self.queue)
+    }
+
+    /// How many times facts were built for the store's molecules (see
+    /// [`MolStore::facts_builds`]).
+    pub fn facts_builds(&self) -> u64 {
+        self.mols.facts_builds()
+    }
+
     /// Aggregate cache and admission counters.
     pub fn stats(&self) -> ServeStats {
         let (mol_hits, mol_misses) = self.mols.counters();
@@ -786,5 +806,38 @@ impl Server {
             index_screened: self.screened,
             index_pruned: self.pruned,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigmo_device::DeviceProfile;
+
+    #[test]
+    fn step_leaves_the_kernel_log_empty() {
+        let mut server = Server::new(ServeConfig::default(), Queue::new(DeviceProfile::host()));
+        let co = LabeledGraph::from_edges(&[1, 3], &[(0, 1)]).unwrap();
+        let cco = LabeledGraph::from_edges(&[1, 1, 3], &[(0, 1), (1, 2)]).unwrap();
+        for _ in 0..3 {
+            server
+                .submit(&MatchRequest {
+                    queries: vec![co.clone()],
+                    molecules: vec![cco.clone(), co.clone()],
+                    mode: MatchMode::FindAll,
+                })
+                .unwrap();
+            let out = server.step();
+            assert_eq!(out.reports[0].total_matches, 2);
+            assert!(
+                server.queue.records().is_empty(),
+                "the step left kernel records"
+            );
+            server.repartition();
+        }
+        assert!(
+            server.stats().executed_molecules > 0,
+            "the engine must have run"
+        );
     }
 }

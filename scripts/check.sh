@@ -11,45 +11,50 @@
 #                                 allocs, nondeterministic iteration,
 #                                 float accumulation, wall clock in
 #                                 results, unordered parallel collection)
-#   5. cargo bench --no-run       compile check of every bench target
-#   6. ablate_filter_convergence  filter-mode ablation; asserts the
+#   5. perfbench-build            release build of the end-to-end
+#                                 benchmark (perfbench/, its own package)
+#                                 into target/perfbench with --locked, so
+#                                 a public-API change the benchmark uses
+#                                 fails the quick gate too
+#   6. cargo bench --no-run       compile check of every bench target
+#   7. ablate_filter_convergence  filter-mode ablation; asserts the
 #                                 incremental refine path stays ≥2× faster
 #                                 than exhaustive with identical totals
-#   7. ext_serve_soak             serving soak: no-cache/cold/warm configs
+#   8. ext_serve_soak             serving soak: no-cache/cold/warm configs
 #                                 must agree bit for bit and the warm cache
 #                                 must be ≥2× the ablation (output diverted
 #                                 to target/ so the committed BENCH_serve
 #                                 baseline is untouched)
-#   8. ext_adaptive               adaptive-join ablation: no fixed
+#   9. ext_adaptive               adaptive-join ablation: no fixed
 #                                 (variant, order) combo may win every
 #                                 scenario, adaptive must beat the worst
 #                                 fixed combo ≥1.3× and stay ≤1.05× the
 #                                 per-scenario oracle (output diverted to
 #                                 target/ like the serve soak)
-#   9. ext_shard_soak             sharded fault soak: static/stealing/
+#  10. ext_shard_soak             sharded fault soak: static/stealing/
 #                                 light-fault/heavy-fault configurations
 #                                 must match the unsharded oracle bit for
 #                                 bit with zero degraded slices, and
 #                                 stealing must cut the hot shard's peak
 #                                 backlog (output diverted to target/)
-#  10. ext_index                  corpus-screening bench: tiered corpora
+#  11. ext_index                  corpus-screening bench: tiered corpora
 #                                 with planted rare-pattern carriers; the
 #                                 indexed path must match the index-off
 #                                 engine's totals exactly, beat it ≥5× at
 #                                 the largest corpus, and keep the screen
 #                                 wall sublinear (output diverted to
 #                                 target/)
-#  11. scripts/bench_diff.sh      per-phase wall-time regression gate vs
+#  12. scripts/bench_diff.sh      per-phase wall-time regression gate vs
 #                                 the committed BENCH_pipeline.json,
 #                                 BENCH_serve.json, BENCH_adaptive.json,
 #                                 BENCH_shard.json, and BENCH_index.json
-#  12. fuzz-smoke                 deep parser fuzz sweep: reruns the
+#  13. fuzz-smoke                 deep parser fuzz sweep: reruns the
 #                                 tests/parser_fuzz.rs battery at 10 000
 #                                 cases per property (raw bytes, grammar
 #                                 token soup, and round-trip layers for
 #                                 both the SMILES and SMARTS parsers)
-#  13. perfbench-screen           traced end-to-end benchmark smoke runs
-#  14. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
+#  14. perfbench-screen           traced end-to-end benchmark smoke runs
+#  15. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
 #                                 workloads at the shortest --seconds that
 #                                 still yields the 1000 operations the
 #                                 harness requires (screen 4, serve-cold
@@ -59,10 +64,12 @@
 #                                 written to target/, so nothing under
 #                                 perfbench/ changes
 #
-# `--fast` skips the bench, fuzz and perfbench stages (5-14) for quick pre-push runs. The lint
-# stage is NOT skipped: the determinism audit is cheap (sub-second scan,
-# <5 s budget enforced in its own tests) and is exactly the check that
-# must not be skippable in a hurry.
+# `--fast` skips the bench, fuzz and perfbench run stages (6-15) for quick
+# pre-push runs. The lint and perfbench-build stages are NOT skipped: the
+# determinism audit is cheap (sub-second scan, <5 s budget enforced in
+# its own tests) and is exactly the check that must not be skippable in a
+# hurry, and the benchmark build is the only stage that notices a
+# public-API break the benchmark would hit.
 # `--lint-only` runs just the sigmo-lint stage — the inner loop while
 # triaging findings or writing pragma justifications.
 # `--pathological` adds a governor smoke stage: the ext_pathological
@@ -116,6 +123,10 @@ if [ "$LINT_ONLY" -eq 0 ]; then
     stage test cargo test -q
 fi
 stage lint cargo run -q --release -p sigmo-lint -- --root .
+if [ "$LINT_ONLY" -eq 0 ]; then
+    stage perfbench-build env CARGO_TARGET_DIR=target/perfbench \
+        cargo build -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-build cargo bench --no-run
     stage ablate-filter cargo bench -p sigmo-bench --bench ablate_filter_convergence

@@ -195,7 +195,13 @@ proptest! {
                 continue;
             }
             filter::refine_candidates_delta(
-                &queue, &data, &schema, delta, &data_sigs, &bitmap, &gov,
+                &queue,
+                &data,
+                &schema,
+                delta,
+                data_sigs.signatures(),
+                &bitmap,
+                &gov,
             );
         }
         for row in 0..nq {

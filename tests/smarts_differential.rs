@@ -12,7 +12,10 @@
 use std::sync::Mutex;
 
 use sigmo::baselines::{BruteForceMatcher, Matcher};
-use sigmo::core::{filter, naive, CandidateBitmap, Engine, EngineConfig, Governor, WordWidth};
+use sigmo::core::{
+    filter, naive, BatchFacts, CandidateBitmap, Engine, EngineConfig, Governor, LabelSchema,
+    WordWidth,
+};
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph, NodePredicate};
 use sigmo::mol::{parse_smarts, parse_smiles, MoleculeGenerator};
@@ -129,9 +132,20 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
             naive::initialize_candidates(&queries, &data, &slow);
             assert_bitmaps_identical(&fast, &slow, &format!("init (seed {seed})"));
 
-            let pair_rows = filter::pair_rows(&queries, &schema);
-            let fast_pair =
-                filter::label_pair_filter(&queue, &data, &schema, &pair_rows, &fast, &governor);
+            // The kernels read the production facts; the naive forms
+            // recompute everything per bit.
+            let organic = LabelSchema::organic();
+            let query_facts = BatchFacts::compute(&queries, &organic, 0, false);
+            let data_facts = BatchFacts::compute(&data, &organic, 0, true);
+            let pair_rows = filter::pair_rows(query_facts.pairs(), &schema);
+            let fast_pair = filter::label_pair_filter(
+                &queue,
+                data_facts.pairs(),
+                &schema,
+                &pair_rows,
+                &fast,
+                &governor,
+            );
             let slow_pair = naive::label_pair_filter(&queries, &data, &schema, &slow);
             assert_eq!(fast_pair, slow_pair, "pair-filter cleared (seed {seed})");
             assert_bitmaps_identical(&fast, &slow, &format!("pair filter (seed {seed})"));
@@ -146,8 +160,9 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
                 !pred_rows.is_empty(),
                 "the SMARTS panel must compile to real predicate rows"
             );
+            let attrs = data_facts.attrs().expect("built with attributes");
             let fast_pred =
-                filter::node_predicate_filter(&queue, &data, &pred_rows, &fast, &governor);
+                filter::node_predicate_filter(&queue, attrs, &pred_rows, &fast, &governor);
             let slow_pred = naive::node_predicate_filter(&queries, &data, &slow);
             assert_eq!(fast_pred, slow_pred, "predicate cleared (seed {seed})");
             assert!(
