@@ -32,7 +32,10 @@ pub mod queries;
 pub mod smarts;
 pub mod smiles;
 
-pub use canonical::{are_isomorphic, canonical_code, dedup_isomorphic};
+pub use canonical::{
+    are_isomorphic, canonical_code, dedup_isomorphic, reference_canonical_code,
+    reference_canonical_search,
+};
 pub use dataset::{Dataset, DatasetConfig};
 pub use descriptors::{cycle_basis, descriptors, ring_membership, Descriptors};
 pub use elements::{Element, NUM_ELEMENT_LABELS};

@@ -7,7 +7,8 @@
 //!   execution on, the store also keeps its [`MolFacts`], so repeat
 //!   executions skip the data-side signature, pair and ring work.
 //! * [`PlanCache`] — [`QueryPlan`] interning keyed by the *ordered*
-//!   sequence of query canonical codes. Order matters: per-request results
+//!   sequence of query canonical codes, with the same exact-bytes map in
+//!   front as the molecule store. Order matters: per-request results
 //!   attribute matches to query indices, so `[A, B]` and `[B, A]` are
 //!   different plans even though they are the same set.
 //! * [`ResultCache`] — per-molecule outcomes keyed by
@@ -233,8 +234,13 @@ impl MolStore {
     }
 
     /// Looks up a molecule's id without interning it and without touching
-    /// the hit/miss counters (an administrative probe, not traffic).
+    /// the hit/miss counters (an administrative probe, not traffic). A
+    /// graph over 255 nodes — past [`canonical_code`]'s limit, so never
+    /// interned — is simply not found.
     pub fn lookup(&self, graph: &LabeledGraph) -> Option<MolId> {
+        if graph.num_nodes() > 255 {
+            return None;
+        }
         if let Some(&id) = self.exact.get(&exact_key(graph)) {
             return Some(id);
         }
@@ -318,9 +324,31 @@ struct PlanEntry {
     plan: Arc<QueryPlan>,
 }
 
-/// Query-plan cache keyed by the ordered query canonical codes.
+/// The exact (labeling-sensitive) key of a query batch: each query's
+/// [`exact_key`] — or, for a query carrying predicates, its
+/// [`predicate_block`], marked by the top bit of its length prefix —
+/// length-prefixed and in batch order. Batches with equal exact keys are
+/// identical, so they have equal [`PlanCache::key`]s.
+fn exact_batch_key(queries: &[LabeledGraph]) -> Vec<u8> {
+    let mut key = Vec::new();
+    for q in queries {
+        let (block, mark) = if q.has_predicates() {
+            (predicate_block(q), PREDICATE_BLOCK)
+        } else {
+            (exact_key(q), 0)
+        };
+        key.extend_from_slice(&(block.len() as u64 | mark).to_le_bytes());
+        key.extend_from_slice(&block);
+    }
+    key
+}
+
+/// Query-plan cache keyed by the ordered query canonical codes, with an
+/// exact-bytes map in front (as in [`MolStore`]) so a batch resubmitted
+/// verbatim — the common case — skips canonicalizing its queries.
 #[derive(Default)]
 pub struct PlanCache {
+    exact: HashMap<Vec<u8>, PlanId>,
     index: HashMap<Vec<u8>, PlanId>,
     entries: Vec<PlanEntry>,
     hits: u64,
@@ -362,18 +390,29 @@ impl PlanCache {
 
     /// Interns a query batch, building its [`QueryPlan`] on first sight.
     pub fn intern(&mut self, queries: &[LabeledGraph], config: &EngineConfig) -> PlanId {
-        let key = Self::key(queries);
-        if let Some(&id) = self.index.get(&key) {
+        let exact = exact_batch_key(queries);
+        if let Some(&id) = self.exact.get(&exact) {
             self.hits += 1;
             return id;
         }
-        self.misses += 1;
-        let id = self.entries.len();
-        self.entries.push(PlanEntry {
-            queries: queries.to_vec(),
-            plan: Arc::new(QueryPlan::build(queries, config)),
-        });
-        self.index.insert(key, id);
+        let key = Self::key(queries);
+        let id = match self.index.get(&key) {
+            Some(&id) => {
+                self.hits += 1;
+                id
+            }
+            None => {
+                self.misses += 1;
+                let id = self.entries.len();
+                self.entries.push(PlanEntry {
+                    queries: queries.to_vec(),
+                    plan: Arc::new(QueryPlan::build(queries, config)),
+                });
+                self.index.insert(key, id);
+                id
+            }
+        };
+        self.exact.insert(exact, id);
         id
     }
 
@@ -588,6 +627,47 @@ mod tests {
         // the cache (conservative) rather than risk an alias.
         let moved = [parse_smarts("N[C;R]").unwrap()];
         assert_ne!(PlanCache::key(&moved), PlanCache::key(&ring));
+    }
+
+    #[test]
+    fn exact_front_returns_the_canonical_plan_ids_and_counts() {
+        use sigmo_mol::parse_smarts;
+        let cfg = EngineConfig::default();
+        let a = chain(&[1, 3, 1, 2]);
+        // The same chain with its nodes listed in reverse.
+        let a_rev = LabeledGraph::from_edges(&[2, 1, 3, 1], &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let b = chain(&[1, 2]);
+        let ring = parse_smarts("[C;R]N").unwrap();
+        let chain_only = parse_smarts("[C;R0]N").unwrap();
+        let batches: Vec<Vec<LabeledGraph>> = vec![
+            vec![a.clone(), b.clone()],
+            vec![a.clone(), b.clone()],
+            vec![a_rev.clone(), b.clone()],
+            vec![a_rev.clone(), b.clone()],
+            vec![b.clone(), a_rev],
+            vec![ring.clone()],
+            vec![chain_only.clone()],
+            vec![chain_only],
+            vec![ring.clone(), a.clone()],
+            vec![ring],
+        ];
+        // The canonical path alone, as a plain map over `PlanCache::key`.
+        let mut canonical: HashMap<Vec<u8>, PlanId> = HashMap::new();
+        let (mut hits, mut misses) = (0, 0);
+        let mut cache = PlanCache::new();
+        for batch in &batches {
+            let next = canonical.len();
+            let want = *canonical.entry(PlanCache::key(batch)).or_insert(next);
+            if want == next {
+                misses += 1;
+            } else {
+                hits += 1;
+            }
+            assert_eq!(cache.intern(batch, &cfg), want);
+        }
+        assert_eq!(cache.counters(), (hits, misses));
+        assert_eq!(cache.counters(), (5, 5));
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]

@@ -840,4 +840,25 @@ mod tests {
             "the engine must have run"
         );
     }
+
+    /// Removing a graph too large to canonicalize used to panic inside
+    /// the store's lookup; nothing that size is ever interned, so it is
+    /// simply unknown.
+    #[test]
+    fn removing_an_oversized_molecule_is_a_no_op() {
+        let mut server = Server::new(ServeConfig::default(), Queue::new(DeviceProfile::host()));
+        let mut big = LabeledGraph::with_uniform_labels(300, 1);
+        for v in 1..300 {
+            big.add_edge(v - 1, v, 1).unwrap();
+        }
+        let epoch = server.epoch();
+        assert!(!server.remove_molecule(&big));
+        assert_eq!(server.epoch(), epoch, "an unknown molecule changes nothing");
+        let request = MatchRequest {
+            queries: vec![LabeledGraph::from_edges(&[1, 1], &[(0, 1)]).unwrap()],
+            molecules: vec![big],
+            mode: MatchMode::FindAll,
+        };
+        assert_eq!(server.submit(&request), Err(RejectReason::Oversized));
+    }
 }

@@ -53,8 +53,18 @@
 #                                 cases per property (raw bytes, grammar
 #                                 token soup, and round-trip layers for
 #                                 both the SMILES and SMARTS parsers)
-#  14. perfbench-screen           traced end-to-end benchmark smoke runs
-#  15. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
+#  14. canon-oracle               release-mode canonical-labeling sweep
+#                                 (tests/canonical_oracle.rs with its
+#                                 #[ignore]d tests): the pruned search's
+#                                 codes equal the unpruned oracle's on the
+#                                 serve benchmark's whole molecule stream,
+#                                 random relabelings keep the codes of its
+#                                 most symmetric molecules, and
+#                                 C.C.C.C.C.C.C.C and five dot-joined C1CC1
+#                                 (hydrogens explicit) each canonicalize in
+#                                 under 10 ms
+#  15. perfbench-screen           traced end-to-end benchmark smoke runs
+#  16. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
 #                                 workloads at the shortest --seconds that
 #                                 still yields the 1000 operations the
 #                                 harness requires (screen 4, serve-cold
@@ -64,7 +74,8 @@
 #                                 written to target/, so nothing under
 #                                 perfbench/ changes
 #
-# `--fast` skips the bench, fuzz and perfbench run stages (6-15) for quick
+# `--fast` skips the bench, fuzz, canon-oracle and perfbench run stages
+# (6-16) for quick
 # pre-push runs. The lint and perfbench-build stages are NOT skipped: the
 # determinism audit is cheap (sub-second scan, <5 s budget enforced in
 # its own tests) and is exactly the check that must not be skippable in a
@@ -141,6 +152,7 @@ if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-diff scripts/bench_diff.sh
     stage fuzz-smoke env SIGMO_FUZZ_CASES=10000 \
         cargo test -q --release --test parser_fuzz
+    stage canon-oracle cargo test -q --release --test canonical_oracle -- --include-ignored
     stage perfbench-screen perfbench_smoke screen 4
     stage perfbench-serve-cold perfbench_smoke serve-cold 3
 fi
