@@ -1,9 +1,17 @@
 //! Candidate bitmaps (paper §4.3).
 //!
 //! One row per query node, one bit per data node, stored row-major and
-//! contiguous so the filter kernel's accesses coalesce. Bits are updated
-//! with atomics — multiple work-items (data nodes) share a word, and the
-//! paper notes contention is naturally confined to adjacent lanes.
+//! contiguous so the filter kernel's accesses coalesce. The paper updates
+//! bits with atomics and relies on a warp's neighbouring lanes to merge
+//! them into word transactions. The host executor has no warp, so the
+//! filter kernels update a word at a time themselves: init ORs each
+//! (row, word, label) mask with one [`CandidateBitmap::or_word`], and the
+//! clearing kernels walk a row with [`CandidateBitmap::retain_row`], one
+//! load and at most one `fetch_and` per word. Updates stay atomic RMWs
+//! because work-groups whose size is not a multiple of 64 share their
+//! boundary words. The per-bit [`CandidateBitmap::set`] and
+//! [`CandidateBitmap::clear`] remain for the oracles and the per-node
+//! refine kernel.
 //!
 //! Storage is always `AtomicU64`; the configurable *word width*
 //! ([`WordWidth`], Table 1's "candidates bitmap integer") controls the
@@ -117,6 +125,57 @@ impl CandidateBitmap {
     pub fn clear(&self, row: usize, col: usize) {
         let (w, bit) = self.index(row, col);
         self.words[w].fetch_and(!bit, Ordering::Relaxed);
+    }
+
+    /// Atomically ORs `mask` into word `word` of `row` (bit `i` of the
+    /// mask is column `64 × word + i`): the word-wide form of
+    /// [`set`](Self::set) that the init kernel issues once per (row, word,
+    /// label). Stays an RMW because work-groups whose size is not a
+    /// multiple of 64 share their boundary words.
+    // sigmo-lint: allow(uncharged-access) — primitive word write; the
+    // init kernel charges one set per mask bit (see `set`).
+    #[inline]
+    pub fn or_word(&self, row: usize, word: usize, mask: u64) {
+        debug_assert!(row < self.rows && word < self.words_per_row);
+        self.words[row * self.words_per_row + word].fetch_or(mask, Ordering::Relaxed);
+    }
+
+    /// Keeps the set bits of `row` for which `keep(col)` holds and clears
+    /// the rest, one word at a time: each word is loaded once, its failing
+    /// bits are gathered into a kill mask, and a word with any failure
+    /// costs one `fetch_and(!kill)` instead of one RMW per bit. Returns
+    /// `(tested, cleared)`: the set bits `keep` judged and how many of
+    /// them it cleared — the figures the row-transposed filter kernels
+    /// charge. The caller must own the row for the walk (no concurrent
+    /// writer); the filter kernels hand each row to one work-item.
+    // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
+    // row walk: callers charge the words, tests and clears it reports; the
+    // inner loop clears one bit of a loaded word per pass (≤ 64).
+    // sigmo-lint: allow(relaxed-read-in-report) — the walking work-item
+    // owns the row, so no writer races its loads and the counts it
+    // reports are exact.
+    pub fn retain_row(&self, row: usize, mut keep: impl FnMut(usize) -> bool) -> (u64, u64) {
+        debug_assert!(row < self.rows);
+        let base = row * self.words_per_row;
+        let (mut tested, mut cleared) = (0u64, 0u64);
+        for (w, word) in self.words[base..base + self.words_per_row]
+            .iter()
+            .enumerate()
+        {
+            let mut bits = word.load(Ordering::Relaxed);
+            tested += u64::from(bits.count_ones());
+            let mut kill = 0u64;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                kill |= u64::from(!keep(w * 64 + bit as usize)) << bit;
+                bits &= bits - 1;
+            }
+            if kill != 0 {
+                word.fetch_and(!kill, Ordering::Relaxed);
+                cleared += u64::from(kill.count_ones());
+            }
+        }
+        (tested, cleared)
     }
 
     /// Overwrites this bitmap with the contents of `other`, word by word.
@@ -407,6 +466,59 @@ mod tests {
                 assert_eq!(fast, slow, "range [{lo}, {hi})");
             }
         }
+    }
+
+    #[test]
+    fn retain_row_matches_per_bit_scan_at_word_seams() {
+        // Bits on both sides of every word seam, in a row whose last word
+        // is partial; the verdict kills every third column.
+        let cols = [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 199];
+        let fresh = || {
+            let b = CandidateBitmap::new(3, 200, WordWidth::U64);
+            for &c in &cols {
+                b.set(1, c);
+            }
+            b.set(0, 63);
+            b.set(2, 64);
+            b
+        };
+        let keep = |c: usize| c % 3 != 0;
+        let fast = fresh();
+        let got = fast.retain_row(1, keep);
+        let slow = fresh();
+        let (mut tested, mut cleared) = (0u64, 0u64);
+        for c in 0..200 {
+            if slow.get(1, c) {
+                tested += 1;
+                if !keep(c) {
+                    slow.clear(1, c);
+                    cleared += 1;
+                }
+            }
+        }
+        assert_eq!(got, (tested, cleared));
+        assert_eq!(got, (14, 5));
+        for r in 0..3 {
+            for c in 0..200 {
+                assert_eq!(fast.get(r, c), slow.get(r, c), "bit ({r}, {c})");
+            }
+        }
+        assert_eq!(fresh().retain_row(1, |_| true), (14, 0));
+        assert_eq!(
+            CandidateBitmap::new(1, 200, WordWidth::U64).retain_row(0, |_| false),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn or_word_sets_exactly_the_mask() {
+        let b = CandidateBitmap::new(2, 130, WordWidth::U64);
+        b.or_word(1, 1, 1 | 1 << 63);
+        b.or_word(1, 2, 0b10);
+        b.or_word(1, 1, 1 << 5);
+        let got: Vec<usize> = b.iter_set_in_range(1, 0, 130).collect();
+        assert_eq!(got, vec![64, 69, 127, 129]);
+        assert_eq!(b.row_count(0), 0);
     }
 
     #[test]

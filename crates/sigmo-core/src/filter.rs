@@ -4,7 +4,10 @@
 //!   candidate bit for every query node with a matching label. Query rows
 //!   are pre-bucketed by label ([`LabelBuckets`], built once per batch),
 //!   so each data node only walks the rows it will actually set —
-//!   O(matching rows) instead of O(|V_Q|);
+//!   O(matching rows) instead of O(|V_Q|). A work-group takes its nodes
+//!   one bitmap word at a time and ORs each label's column mask into
+//!   every row of the label's bucket: one atomic word update per (row,
+//!   word, label), where a device's lanes would coalesce one bit each;
 //! * [`refine_candidates`] — one work-item per data node; query nodes are
 //!   grouped into signature-equivalence classes ([`SignatureClasses`],
 //!   one per radius) and one domination test is run per class
@@ -12,11 +15,21 @@
 //!   row. Refinement at iteration `i` only consults candidates surviving
 //!   iteration `i−1`, so the candidate sets shrink monotonically.
 //!
-//! Both kernels charge their modeled work to the device counters at word
+//! The row-transposed kernels — [`label_pair_filter`],
+//! [`node_predicate_filter`] and [`refine_candidates_delta`] — share one
+//! word-granular row walk ([`CandidateBitmap::retain_row`]): each word is
+//! loaded once, its failing bits gather into a kill mask, and one
+//! `fetch_and` clears them. Their domination tests are branch-free SWAR
+//! compares over every selected group at once
+//! ([`Signature::dominates_tops`]).
+//!
+//! All kernels charge their modeled work to the device counters at word
 //! granularity: every distinct bitmap word actually loaded goes through
 //! `add_word_reads` (at the configured [`crate::WordWidth`]), one
 //! signature load per domination test, and a handful of modeled
 //! instructions per comparison — the accounting behind Figures 8 and 9.
+//! The charges model a device kernel, so they count one set, test or
+//! clear per candidate bit however the host batches the bits into words.
 //!
 //! The pre-optimization per-bit forms live in [`crate::naive`]; the
 //! differential test `word_parallel_differential` pins both kernels to
@@ -37,12 +50,12 @@ const INIT_INSTR_PER_QNODE: u64 = 4;
 const REFINE_INSTR_PER_TEST: u64 = 24;
 
 /// Per-label query-row lists, built once per batch (or once per *plan* —
-/// [`crate::plan::QueryPlan`] caches them across stream chunks).
-/// `rows_for(dl)` yields exactly the rows whose candidate bit the init
-/// kernel must set for a data node labeled `dl`: the concrete bucket for
-/// `dl` chained with the wildcard rows. Wildcard query rows live only in
-/// the wildcard list, so every row is yielded at most once for any data
-/// label (including the degenerate case of a wildcard-labeled data node).
+/// [`crate::plan::QueryPlan`] caches them across stream chunks). The rows
+/// whose candidate bit the init kernel must set for a data node labeled
+/// `dl` are exactly the concrete bucket for `dl` plus the wildcard rows.
+/// Wildcard query rows live only in the wildcard list, so every row is
+/// set at most once for any data label (including the degenerate case of
+/// a wildcard-labeled data node, whose concrete bucket is empty).
 ///
 /// Storage is sparse: only labels that actually occur in the batch get a
 /// bucket (molecular batches touch ~a dozen of the 256 possible labels),
@@ -78,21 +91,13 @@ impl LabelBuckets {
         self.by_label.len()
     }
 
+    /// The concrete query rows labeled `label`, ascending.
     fn bucket(&self, label: Label) -> &[u32] {
         self.by_label
             .iter()
             .find(|(l, _)| *l == label)
             .map(|(_, rows)| rows.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// The query rows matching data label `label`, ascending within each
-    /// of the two segments (concrete bucket, then wildcards).
-    pub fn rows_for(&self, label: Label) -> impl Iterator<Item = u32> + '_ {
-        self.bucket(label)
-            .iter()
-            .chain(self.wildcard.iter())
-            .copied()
     }
 }
 
@@ -158,22 +163,50 @@ pub fn initialize_candidates_bucketed(
             // one counter flush per work-group.
             let mut sets = 0u64;
             let mut labels = 0u64;
-            let mut visit = |d: usize| {
-                let dl = data.label(d as NodeId);
-                labels += 1;
-                for q in buckets.rows_for(dl) {
-                    bitmap.set(q as usize, d);
-                    sets += 1;
-                }
-            };
-            for d in items {
+            // The group's nodes one bitmap word (≤ 64 nodes) at a time:
+            // gather the word's (label, column mask) pairs in a fixed
+            // stack array, then OR each mask into every row of its label
+            // bucket — one RMW per (row, word, label) instead of one per
+            // bit. Wildcard rows take the whole span's mask.
+            let mut lo = items.start;
+            while lo < items.end {
                 if governor.stopped() {
-                    break; // one relaxed load per data node, word-granular
+                    break; // one relaxed load per bitmap word
                 }
-                visit(d);
+                let word = lo / 64;
+                let hi = items.end.min((word + 1) * 64);
+                let mut by_label: [(Label, u64); 64] = [(0, 0); 64];
+                let mut distinct = 0usize;
+                for d in lo..hi {
+                    let dl = data.label(d as NodeId);
+                    let bit = 1u64 << (d % 64);
+                    match by_label[..distinct].iter_mut().find(|(l, _)| *l == dl) {
+                        Some((_, mask)) => *mask |= bit,
+                        None => {
+                            by_label[distinct] = (dl, bit);
+                            distinct += 1;
+                        }
+                    }
+                }
+                let mut span = 0u64;
+                for &(dl, mask) in &by_label[..distinct] {
+                    let rows = buckets.bucket(dl);
+                    for &q in rows {
+                        bitmap.or_word(q as usize, word, mask);
+                    }
+                    sets += rows.len() as u64 * u64::from(mask.count_ones());
+                    span |= mask;
+                }
+                for &q in &buckets.wildcard {
+                    bitmap.or_word(q as usize, word, span);
+                }
+                sets += buckets.wildcard.len() as u64 * (hi - lo) as u64;
+                labels += (hi - lo) as u64;
+                lo = hi;
             }
-            // One bucket lookup plus one set per matching row; the dense
-            // per-row label compare of the naive kernel is gone.
+            // Per data node: one bucket lookup plus one set per matching
+            // row — the per-bit charge of a device kernel, whose lanes
+            // coalesce into the word RMWs the host issues directly.
             counters.add_instructions(INIT_INSTR_PER_QNODE * sets + 2 * labels);
             counters.add_bytes_read(labels); // the data nodes' labels
             counters.add_atomics(sets);
@@ -420,6 +453,10 @@ pub struct DeltaRow {
     /// every unmoved field (the monotonicity argument above), and the
     /// union can only add fields the full test would also check.
     pub changed: u64,
+    /// The top bit of every `changed` field ([`LabelSchema::top_bits`]):
+    /// the mask of the kernel's branch-free test
+    /// ([`Signature::dominates_tops`]).
+    pub tops: u64,
     /// The dirty query row index.
     pub row: u32,
 }
@@ -449,10 +486,14 @@ impl DeltaClasses {
         }
         let rows = dirty
             .into_iter()
-            .map(|(row, class)| DeltaRow {
-                sig: cur[row as usize],
-                changed: classes[class as usize],
-                row,
+            .map(|(row, class)| {
+                let changed = classes[class as usize];
+                DeltaRow {
+                    sig: cur[row as usize],
+                    changed,
+                    tops: schema.top_bits(changed),
+                    row,
+                }
             })
             .collect();
         DeltaClasses { rows }
@@ -485,9 +526,10 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 
 /// The RefineCandidates kernel restricted to one radius' dirty work,
 /// *transposed*: one work-item per dirty query row (not per data node),
-/// which enumerates its own live candidate bits word-parallel
-/// ([`CandidateBitmap::iter_set_in_range`]) and applies the
-/// field-restricted domination verdict at each live bit. Work is
+/// which walks its own candidate row a word at a time
+/// ([`CandidateBitmap::retain_row`]) and applies the field-restricted
+/// domination verdict, branch-free ([`Signature::dominates_tops`] over the
+/// row's [`DeltaRow::tops`]), at each live bit. Work is
 /// O(bitmap words + live bits) in the dirty rows — columns whose bits are
 /// long gone cost 1/64th of a word load, and data graphs with no live bit
 /// anywhere (the per-graph deadness the convergence machinery tracks) are
@@ -514,8 +556,10 @@ pub fn refine_candidates_delta(
 ) -> u64 {
     let word_bytes = bitmap.word_width().bytes();
     let n = data.num_nodes();
+    debug_assert_eq!(n, bitmap.cols());
     let row_words = n.div_ceil(64) as u64;
     let rows = delta.rows();
+    let all_tops = schema.top_bits(u64::MAX);
     let snap = queue.parallel_for_chunks_until(
         "refine_candidates",
         "filter",
@@ -533,19 +577,14 @@ pub fn refine_candidates_delta(
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
                 let dirty = &rows[r];
-                let q = dirty.row as usize;
                 // Field-restricted test: ~2 instructions per moved field
                 // instead of one compare per schema group (see
                 // [`DeltaRow::changed`]).
                 let mask_cost = 2 * u64::from(dirty.changed.count_ones()) + 2;
-                let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q, 0, n) {
-                    row_tests += 1;
-                    if !data_sigs[d].dominates_groups(schema, &dirty.sig, dirty.changed) {
-                        bitmap.clear(q, d);
-                        cleared += 1;
-                    }
-                }
+                let (row_tests, row_cleared) = bitmap.retain_row(dirty.row as usize, |d| {
+                    data_sigs[d].dominates_tops(&dirty.sig, all_tops, dirty.tops)
+                });
+                cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
                 test_instr += mask_cost * row_tests;
@@ -628,10 +667,10 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
 ///
 /// Transposed like [`refine_candidates_delta`]: one work-item per
 /// constrained query row (`pair_rows`, precomputed by the plan — rows
-/// whose pair signature is non-empty), enumerating its live bits
-/// word-parallel and testing bucket domination at each. The test compares
-/// only the row's live buckets ([`PairRow::live`]). The data nodes' pair
-/// signatures (`data_pairs[d]`) come precomputed from
+/// whose pair signature is non-empty), walking its row a word at a time
+/// and testing bucket domination at each live bit. The branch-free test
+/// compares only the row's live buckets ([`PairRow::tops`]). The data
+/// nodes' pair signatures (`data_pairs[d]`) come precomputed from
 /// [`crate::BatchFacts`].
 ///
 /// Returns the number of bits cleared.
@@ -648,7 +687,9 @@ pub fn label_pair_filter(
     }
     let word_bytes = bitmap.word_width().bytes();
     let n = data_pairs.len();
+    debug_assert_eq!(n, bitmap.cols());
     let row_words = n.div_ceil(64) as u64;
+    let all_tops = schema.top_bits(u64::MAX);
     let snap = queue.parallel_for_chunks_until(
         "label_pair_filter",
         "filter",
@@ -664,15 +705,11 @@ pub fn label_pair_filter(
             let mut trip_sq = 0u64;
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
-                let PairRow { row: q, sig, live } = pair_rows[r];
-                let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q as usize, 0, n) {
-                    row_tests += 1;
-                    if !data_pairs[d].dominates_groups(schema, &sig, live) {
-                        bitmap.clear(q as usize, d);
-                        cleared += 1;
-                    }
-                }
+                let PairRow { row, sig, tops, .. } = pair_rows[r];
+                let (row_tests, row_cleared) = bitmap.retain_row(row as usize, |d| {
+                    data_pairs[d].dominates_tops(&sig, all_tops, tops)
+                });
+                cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
                 trip_sq += row_tests * row_tests;
@@ -710,6 +747,10 @@ pub struct PairRow {
     /// Testing only these buckets is exact — a bucket where the query
     /// count is zero is dominated by every data count.
     pub live: u64,
+    /// The top bit of every live bucket ([`LabelSchema::top_bits`] of
+    /// `live`): the mask of the kernel's branch-free test
+    /// ([`Signature::dominates_tops`]).
+    pub tops: u64,
 }
 
 /// The constrained-row list [`label_pair_filter`] consumes: every query
@@ -720,10 +761,14 @@ pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow
         .iter()
         .enumerate()
         .filter(|&(_, &sig)| sig != Signature::EMPTY)
-        .map(|(row, &sig)| PairRow {
-            row: row as u32,
-            sig,
-            live: sig.diff_groups(schema, &Signature::EMPTY),
+        .map(|(row, &sig)| {
+            let live = sig.diff_groups(schema, &Signature::EMPTY);
+            PairRow {
+                row: row as u32,
+                sig,
+                live,
+                tops: schema.top_bits(live),
+            }
         })
         .collect()
 }
@@ -737,8 +782,8 @@ pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow
 /// propagate to the join for free through the bitmap probe.
 ///
 /// Transposed like [`label_pair_filter`]: one work-item per predicated
-/// query row, enumerating its live bits word-parallel and evaluating the
-/// predicate against the data nodes' precomputed attributes
+/// query row, walking its row a word at a time and evaluating the
+/// predicate at each live bit against the data nodes' precomputed attributes
 /// ([`NodeAttrs`]: degree, H-neighbor count, charge, smallest-ring size —
 /// from [`crate::BatchFacts`]).
 ///
@@ -755,6 +800,7 @@ pub fn node_predicate_filter(
     }
     let word_bytes = bitmap.word_width().bytes();
     let n = attrs.labels.len();
+    debug_assert_eq!(n, bitmap.cols());
     let row_words = n.div_ceil(64) as u64;
     let snap = queue.parallel_for_chunks_until(
         "node_predicate_filter",
@@ -770,14 +816,9 @@ pub fn node_predicate_filter(
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
                 let (q, ref pred) = pred_rows[r];
-                let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q as usize, 0, n) {
-                    row_tests += 1;
-                    if !pred.matches(attrs, d as NodeId) {
-                        bitmap.clear(q as usize, d);
-                        cleared += 1;
-                    }
-                }
+                let (row_tests, row_cleared) =
+                    bitmap.retain_row(q as usize, |d| pred.matches(attrs, d as NodeId));
+                cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
                 trip_sq += row_tests * row_tests;
@@ -979,16 +1020,13 @@ mod tests {
         let q = LabeledGraph::from_edges(&[1, 3, 1, WILDCARD_LABEL], &[(0, 1), (2, 3)]).unwrap();
         let queries = CsrGo::from_graphs(&[q]);
         let buckets = LabelBuckets::build(&queries);
-        // Label 1 rows plus the wildcard row, ascending per segment.
-        assert_eq!(buckets.rows_for(1).collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert_eq!(buckets.rows_for(3).collect::<Vec<_>>(), vec![1, 3]);
-        // Unmatched label still yields the wildcard row.
-        assert_eq!(buckets.rows_for(7).collect::<Vec<_>>(), vec![3]);
-        // A wildcard data label matches only wildcard rows, once.
-        assert_eq!(
-            buckets.rows_for(WILDCARD_LABEL).collect::<Vec<_>>(),
-            vec![3]
-        );
+        assert_eq!(buckets.bucket(1), [0, 2]);
+        assert_eq!(buckets.bucket(3), [1]);
+        assert_eq!(buckets.wildcard, [3]);
+        // An unmatched label, and a wildcard data label, match only the
+        // wildcard row.
+        assert!(buckets.bucket(7).is_empty());
+        assert!(buckets.bucket(WILDCARD_LABEL).is_empty());
     }
 
     #[test]

@@ -158,6 +158,18 @@ impl LabelSchema {
     pub fn bits_used(&self) -> u32 {
         self.groups.iter().map(|g| g.bits as u32).sum()
     }
+
+    /// The top (most significant) bit of every group whose index bit is
+    /// set in `group_mask`; `top_bits(u64::MAX)` covers every group. These
+    /// masks drive the branch-free domination test
+    /// [`Signature::dominates_tops`](crate::Signature::dominates_tops).
+    pub fn top_bits(&self, group_mask: u64) -> u64 {
+        self.groups
+            .iter()
+            .enumerate()
+            .filter(|&(i, g)| g.bits > 0 && group_mask >> i & 1 != 0)
+            .fold(0, |acc, (_, g)| acc | 1 << (g.shift + g.bits - 1))
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +221,22 @@ mod tests {
     #[should_panic(expected = "exceed 64 bits")]
     fn too_many_labels_panics() {
         LabelSchema::from_weights(&[1.0; 40], 2);
+    }
+
+    #[test]
+    fn top_bits_select_each_groups_msb() {
+        let s = LabelSchema::from_groups(vec![
+            BitGroup { shift: 0, bits: 1 },
+            BitGroup { shift: 3, bits: 4 },
+            BitGroup {
+                shift: 48,
+                bits: 16,
+            },
+        ])
+        .unwrap();
+        assert_eq!(s.top_bits(0b010), 1 << 6);
+        assert_eq!(s.top_bits(u64::MAX), 1 | 1 << 6 | 1 << 63);
+        assert_eq!(s.top_bits(0), 0);
     }
 
     #[test]

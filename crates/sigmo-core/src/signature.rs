@@ -61,9 +61,9 @@ impl Signature {
     /// per-group maximum, and `min(·, cap)` is monotone.
     #[inline]
     pub fn dominates(&self, schema: &LabelSchema, query: &Signature) -> bool {
-        // Per-group compare. A SWAR trick (borrow-free subtraction) would
-        // work for uniform groups; variable widths make the loop clearer
-        // and the group count is small (|L| ≤ 12).
+        // Per-group compare: the reference form, used by the oracles and
+        // the per-node refine kernel. The row kernels use the branch-free
+        // `dominates_tops`.
         for g in schema.groups() {
             if (query.0 & g.mask()) > (self.0 & g.mask()) {
                 return false;
@@ -75,13 +75,13 @@ impl Signature {
     /// Field-restricted domination: compares only the schema groups whose
     /// index bit is set in `group_mask`. NOT equivalent to [`dominates`]
     /// in general — it is exact only when the caller can prove the skipped
-    /// fields already dominate. Two callers can: the delta refine kernel's
+    /// fields already dominate. Two kernels can: the delta refine kernel's
     /// monotonicity invariant (a bit that survived the previous radius
     /// keeps dominating every field whose query count did not move; see
     /// `DeltaClasses`), and the label-pair pre-check, which skips exactly
     /// the groups where the query count is zero (see `filter::PairRow`).
-    /// Cost is ~2 instructions per set bit instead of one compare per
-    /// schema group.
+    /// Both run its branch-free form [`Signature::dominates_tops`]; this
+    /// per-group loop is the reference the tests hold that form to.
     ///
     /// [`dominates`]: Signature::dominates
     #[inline]
@@ -102,6 +102,32 @@ impl Signature {
             group_mask &= group_mask - 1;
         }
         true
+    }
+
+    /// Branch-free [`Signature::dominates_groups`]: `tops` holds the top
+    /// bit of each group to compare and `all_tops` the top bit of every
+    /// schema group ([`LabelSchema::top_bits`] builds both). One SWAR
+    /// compare decides every group at once:
+    ///
+    /// * `t = (d | H) − (q & !H)` subtracts each group's low bits with the
+    ///   minuend's top bit forced to 1 and the subtrahend's forced to 0,
+    ///   so no group borrows from its neighbour, and the top bit of each
+    ///   group of `t` is 1 iff `d`'s low bits ≥ `q`'s;
+    /// * `ge = (d & !q) | (!(d ^ q) & t)` then holds, at each top bit,
+    ///   "`d`'s top bit wins, or the top bits tie and the low bits
+    ///   decide" — exactly `count_d ≥ count_q` for that group.
+    ///
+    /// Exact for any non-overlapping layout (1-bit groups, 16-bit groups,
+    /// gaps between groups) when both signatures hold no bits outside
+    /// their schema's groups, which every signature built by
+    /// [`Signature::add`] satisfies. A property test pins it to
+    /// [`Signature::dominates_groups`] on random layouts.
+    #[inline]
+    pub fn dominates_tops(&self, query: &Signature, all_tops: u64, tops: u64) -> bool {
+        let (d, q) = (self.0, query.0);
+        let t = (d | all_tops).wrapping_sub(q & !all_tops);
+        let ge = (d & !q) | (!(d ^ q) & t);
+        ge & tops == tops
     }
 
     /// Per-group maximum of two signatures: for every schema group the

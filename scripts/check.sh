@@ -48,11 +48,15 @@
 #                                 the committed BENCH_pipeline.json,
 #                                 BENCH_serve.json, BENCH_adaptive.json,
 #                                 BENCH_shard.json, and BENCH_index.json
-#  13. fuzz-smoke                 deep parser fuzz sweep: reruns the
-#                                 tests/parser_fuzz.rs battery at 10 000
-#                                 cases per property (raw bytes, grammar
-#                                 token soup, and round-trip layers for
-#                                 both the SMILES and SMARTS parsers)
+#  13. fuzz-smoke                 deep fuzz sweep at 10 000 cases per
+#                                 property, in release: the
+#                                 tests/parser_fuzz.rs battery (raw bytes,
+#                                 grammar token soup, and round-trip
+#                                 layers for both the SMILES and SMARTS
+#                                 parsers) and the filter kernels'
+#                                 branch-free SWAR domination test against
+#                                 the per-group reference on random
+#                                 signature layouts (tests/properties.rs)
 #  14. canon-oracle               release-mode canonical-labeling sweep
 #                                 (tests/canonical_oracle.rs with its
 #                                 #[ignore]d tests): the pruned search's
@@ -115,6 +119,13 @@ stage() {
     echo "==> $name ok ($((SECONDS - start))s)"
 }
 
+# The deep fuzz sweep, in release: the parser fuzz battery and the SWAR
+# domination property at 10 000 cases each.
+fuzz_smoke() {
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test parser_fuzz
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties swar_domination
+}
+
 # Runs one perfbench workload traced; fails unless it reports correct.
 # perfbench_smoke <workload> <seconds>
 perfbench_smoke() {
@@ -150,8 +161,7 @@ if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage index-screen env SIGMO_BENCH_INDEX_OUT=target/BENCH_index.fresh.json \
         cargo run -q --release -p sigmo-bench --bin ext_index
     stage bench-diff scripts/bench_diff.sh
-    stage fuzz-smoke env SIGMO_FUZZ_CASES=10000 \
-        cargo test -q --release --test parser_fuzz
+    stage fuzz-smoke fuzz_smoke
     stage canon-oracle cargo test -q --release --test canonical_oracle -- --include-ignored
     stage perfbench-screen perfbench_smoke screen 4
     stage perfbench-serve-cold perfbench_smoke serve-cold 3

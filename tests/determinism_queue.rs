@@ -15,12 +15,13 @@
 //! race another test.
 
 use sigmo::cluster::FaultPlan;
+use sigmo::core::filter::initialize_candidates;
 use sigmo::core::{
-    Completion, Engine, EngineConfig, FilterMode, Governor, JoinStrategy, RunBudget,
-    StrategyCounts, TruncationReason,
+    naive, CandidateBitmap, Completion, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
+    RunBudget, StrategyCounts, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
-use sigmo::graph::LabeledGraph;
+use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_LABEL};
 use sigmo::mol::{functional_groups, parse_smarts, MoleculeGenerator};
 use sigmo::serve::{
     generate_workload, run_soak, served_outcome, IndexConfig, OracleOutcome, RejectReason,
@@ -116,6 +117,42 @@ fn run_pipeline_budgeted(threads: &str, steps: u64) -> (u64, Completion, Vec<Rec
 /// the work-group range at different boundaries and steals in different
 /// patterns, so order bugs that 1/4/8 happen to mask surface here.
 const THREADS: [&str; 5] = ["1", "2", "3", "4", "8"];
+
+/// The word-wide init kernel, whose work-groups share boundary words at
+/// sizes that are not multiples of 64, sets exactly the naive kernel's
+/// bits at every worker count and work-group size, wildcard rows included.
+#[test]
+fn word_wide_init_is_identical_across_thread_counts() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let (mut queries, data) = workload();
+    queries.push(LabeledGraph::from_edges(&[WILDCARD_LABEL, 1], &[(0, 1)]).unwrap());
+    let (queries, data) = (CsrGo::from_graphs(&queries), CsrGo::from_graphs(&data));
+    let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    naive::initialize_candidates(&queries, &data, &slow);
+    for threads in ["1", "2", "4"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        for wg in [1usize, 37, 64, 100, 1024] {
+            let fast = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            initialize_candidates(
+                &Queue::new(DeviceProfile::host()),
+                &queries,
+                &data,
+                &fast,
+                wg,
+            );
+            for r in 0..fast.rows() {
+                for c in 0..fast.cols() {
+                    assert_eq!(
+                        fast.get(r, c),
+                        slow.get(r, c),
+                        "bit ({r}, {c}) at {threads} threads, wg {wg}"
+                    );
+                }
+            }
+        }
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+}
 
 #[test]
 fn counter_totals_are_identical_across_thread_counts() {

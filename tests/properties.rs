@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
+use sigmo::core::schema::BitGroup;
 use sigmo::core::{
     filter, naive, CandidateBitmap, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
     LabelSchema, MatchMode, QueryPlan, RunBudget, Signature, SignatureSet, WordWidth,
@@ -661,6 +662,127 @@ proptest! {
             dsig.dominates_groups(&schema, &qsig, live),
             dsig.dominates(&schema, &qsig)
         );
+    }
+}
+
+/// Case count of the SWAR domination property: `SIGMO_FUZZ_CASES` when
+/// set (`scripts/check.sh` runs 10 000 in release), else a tier-1-fast
+/// default.
+fn swar_cases() -> u32 {
+    std::env::var("SIGMO_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+/// A random non-overlapping layout: `from_weights` at a random minimum
+/// width, or explicit groups of 1–16 bits with random gaps that need not
+/// fill the 64 bits.
+fn random_layout(rng: &mut rand::rngs::StdRng) -> LabelSchema {
+    use rand::Rng;
+    if rng.gen::<bool>() {
+        let min_bits = rng.gen_range(1..=4u8);
+        let n = rng.gen_range(1..=64 / min_bits as usize);
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 1e-3).collect();
+        return LabelSchema::from_weights(&weights, min_bits);
+    }
+    let mut groups = Vec::new();
+    let mut shift = rng.gen_range(0..4u32);
+    while shift < 64 {
+        let bits = match rng.gen_range(0..4u32) {
+            0 => 1,
+            1 => 16,
+            _ => rng.gen_range(1..=16u32),
+        };
+        if shift + bits > 64 {
+            break;
+        }
+        groups.push(BitGroup {
+            shift: shift as u8,
+            bits: bits as u8,
+        });
+        shift += bits + rng.gen_range(0..3u32);
+    }
+    if groups.is_empty() {
+        groups.push(BitGroup { shift: 0, bits: 1 });
+    }
+    LabelSchema::from_groups(groups).expect("non-overlapping layout")
+}
+
+/// A signature whose group counts are drawn to hit zero, saturation
+/// (including counts past it) and random values, plus the other side's
+/// count ±1 when `near` is given, so both verdicts occur on every group.
+fn random_signature(
+    rng: &mut rand::rngs::StdRng,
+    schema: &LabelSchema,
+    near: Option<&Signature>,
+) -> Signature {
+    use rand::Rng;
+    let mut sig = Signature::EMPTY;
+    for (i, g) in schema.groups().iter().enumerate() {
+        let max = g.max_count();
+        let count = match (rng.gen_range(0..5u32), near) {
+            (0, _) => 0,
+            (1, _) => max + rng.gen_range(0..3u64),
+            (2, Some(other)) => {
+                let c = other.count(schema, i as u8);
+                if rng.gen::<bool>() {
+                    c + 1
+                } else {
+                    c.saturating_sub(1)
+                }
+            }
+            (3, Some(other)) => other.count(schema, i as u8),
+            _ => rng.gen_range(0..=max),
+        };
+        sig.add(schema, i as u8, count);
+    }
+    sig
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(swar_cases()))]
+
+    /// The filter kernels' branch-free SWAR domination test equals the
+    /// per-group reference `dominates_groups` on the organic, label-pair
+    /// and uniform schemas and on a random layout, for random signatures
+    /// and random group masks (empty, full and partial).
+    #[test]
+    fn swar_domination_equals_dominates_groups(seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut layouts = vec![
+            LabelSchema::organic(),
+            filter::pair_schema(),
+            random_layout(&mut rng),
+        ];
+        for k in [1usize, 3, 4, 5, 7, 12, 16, 21, 32, 64] {
+            layouts.push(LabelSchema::uniform(k));
+        }
+        let mut verdicts = [false; 2];
+        for schema in &layouts {
+            let n = schema.num_labels();
+            let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+            let all_tops = schema.top_bits(u64::MAX);
+            for _ in 0..8 {
+                let q = random_signature(&mut rng, schema, None);
+                let d = random_signature(&mut rng, schema, Some(&q));
+                let mask = match rng.gen_range(0..4u32) {
+                    0 => all,
+                    1 => 0,
+                    _ => rng.gen::<u64>() & all,
+                };
+                let expected = d.dominates_groups(schema, &q, mask);
+                prop_assert_eq!(
+                    d.dominates_tops(&q, all_tops, schema.top_bits(mask)),
+                    expected,
+                    "schema {:?}, d {:#x}, q {:#x}, mask {:#x}",
+                    schema.groups(), d.0, q.0, mask
+                );
+                verdicts[usize::from(expected)] = true;
+            }
+        }
+        prop_assert!(verdicts == [true, true], "only one verdict occurred");
     }
 }
 

@@ -7,7 +7,7 @@
 
 use sigmo::core::{Engine, EngineConfig};
 use sigmo::device::{DeviceProfile, Queue};
-use sigmo::mol::{parse_smiles, Dataset, DatasetConfig};
+use sigmo::mol::{parse_smarts, parse_smiles, parse_smiles_heavy, Dataset, DatasetConfig};
 
 fn queue() -> Queue {
     Queue::new(DeviceProfile::host())
@@ -92,3 +92,229 @@ fn pinned_nlsm_node_sets() {
     );
     assert_eq!(report.distinct_match_sets().len(), 1);
 }
+
+/// One kernel launch's modeled charges, in launch order: name,
+/// instructions, bytes read, bytes written, atomics, word reads and the
+/// divergence's bit pattern (it derives from integer trip sums, so even
+/// the float is exact).
+type Charge = (&'static str, u64, u64, u64, u64, u64, u64);
+
+/// Checks every kernel record of `queue` against `pinned`. On a mismatch
+/// the panic message lists the actual charges in the pin's own syntax.
+fn assert_charges(queue: &Queue, pinned: &[Charge], workload: &str) {
+    let got: Vec<(String, [u64; 6])> = queue
+        .records()
+        .iter()
+        .map(|r| {
+            let c = &r.counters;
+            let values = [
+                c.instructions,
+                c.bytes_read,
+                c.bytes_written,
+                c.atomic_ops,
+                c.word_reads,
+                c.divergence.to_bits(),
+            ];
+            (r.name.clone(), values)
+        })
+        .collect();
+    let want: Vec<(String, [u64; 6])> = pinned
+        .iter()
+        .map(|&(n, i, br, bw, a, w, d)| (n.to_string(), [i, br, bw, a, w, d]))
+        .collect();
+    if got != want {
+        let listing: String = got
+            .iter()
+            .map(|(n, [i, br, bw, a, w, d])| {
+                format!("    (\"{n}\", {i}, {br}, {bw}, {a}, {w}, {d:#x}),\n")
+            })
+            .collect();
+        panic!("{workload}: kernel charges moved; actual charges:\n{listing}");
+    }
+}
+
+/// SMARTS and plain queries together, so the label-pair and the
+/// node-predicate filters both launch.
+const PREDICATE_QUERIES: &[&str] = &[
+    "[C,N]", "[CD4]", "[CR]", "[O-]", "[CH3]", "[C,O]=O", "C[!C]",
+];
+const PLAIN_QUERIES: &[&str] = &["C=O", "CO", "c1ccccc1", "CC(=O)O"];
+const PREDICATE_DATA: &[&str] = &[
+    "CC(=O)[O-]",
+    "[NH4+]",
+    "c1ccccc1O",
+    "C1CCCCC1N",
+    "CC(C)(C)O",
+    "[O-]S(=O)(=O)[O-]",
+    "CC(=O)Nc1ccc(O)cc1",
+    "OC(=O)c1ccccc1OC(C)=O",
+    "CN1C=NC2=C1C(=O)N(C(=O)N2C)C",
+    "CCN(CC)CCOC(=O)c1ccc(N)cc1",
+];
+
+/// Pins every kernel's modeled charges — not just their agreement across
+/// thread counts — on the fixed dataset of `pinned_dataset_counts`. The
+/// charges are the model behind every `sim_s` figure; an optimization of
+/// a kernel's host code must leave them exactly as they are.
+#[test]
+fn pinned_kernel_charges() {
+    let d = Dataset::build(&DatasetConfig {
+        num_molecules: 50,
+        num_extracted_queries: 10,
+        seed: 0xFEED,
+        ..Default::default()
+    });
+    let q = queue();
+    Engine::with_defaults().run(d.queries(), d.data_graphs(), &q);
+    assert_charges(&q, DATASET_CHARGES, "dataset");
+
+    let queries: Vec<_> = PREDICATE_QUERIES
+        .iter()
+        .map(|s| parse_smarts(s).unwrap())
+        .chain(
+            PLAIN_QUERIES
+                .iter()
+                .map(|s| parse_smiles_heavy(s).unwrap().to_labeled_graph()),
+        )
+        .collect();
+    let data: Vec<_> = PREDICATE_DATA
+        .iter()
+        .map(|s| parse_smiles(s).unwrap().to_labeled_graph())
+        .collect();
+    let q = queue();
+    Engine::with_defaults().run(&queries, &data, &q);
+    let names: Vec<String> = q.records().iter().map(|r| r.name.clone()).collect();
+    for kernel in [
+        "label_pair_filter",
+        "node_predicate_filter",
+        "refine_candidates",
+    ] {
+        assert!(names.iter().any(|n| n == kernel), "{kernel} did not launch");
+    }
+    assert_charges(&q, PREDICATE_CHARGES, "predicate batch");
+}
+
+const DATASET_CHARGES: &[Charge] = &[
+    ("h2d_graphs", 0, 56046, 0, 0, 0, 0x0),
+    (
+        "initialize_candidates",
+        971278,
+        3469,
+        964340,
+        241085,
+        0,
+        0x0,
+    ),
+    (
+        "label_pair_filter",
+        5799185,
+        1985084,
+        528232,
+        132058,
+        13145,
+        0x3fe346c6a3ee5fcc,
+    ),
+    (
+        "refine_candidates",
+        461645,
+        928620,
+        1248,
+        312,
+        13145,
+        0x3ff52deba417972f,
+    ),
+    (
+        "refine_candidates",
+        607680,
+        883224,
+        253712,
+        63428,
+        11220,
+        0x3ff38f7715bd1dad,
+    ),
+    (
+        "refine_candidates",
+        172592,
+        269408,
+        61768,
+        15442,
+        7810,
+        0x3ff8427bc3edb58e,
+    ),
+    (
+        "refine_candidates",
+        80690,
+        124504,
+        19400,
+        4850,
+        6380,
+        0x3ffbe1740af8b9dd,
+    ),
+    (
+        "refine_candidates",
+        36570,
+        63032,
+        3480,
+        870,
+        5280,
+        0x3ffc0baae08159de,
+    ),
+    ("gmcr_size", 23358, 23264, 200, 0, 5816, 0x3fd0d2f20bf0f0e7),
+    (
+        "gmcr_populate",
+        16000,
+        23264,
+        2292,
+        0,
+        5816,
+        0x3fd0d2f20bf0f0e7,
+    ),
+    ("join", 3579300, 7158600, 0, 0, 0, 0x400a447b21e38e4e),
+    ("d2h_matches", 0, 0, 573, 0, 0, 0x0),
+];
+
+const PREDICATE_CHARGES: &[Charge] = &[
+    ("h2d_graphs", 0, 2820, 0, 0, 0, 0x0),
+    ("initialize_candidates", 5906, 167, 5572, 1393, 0, 0x0),
+    (
+        "label_pair_filter",
+        23232,
+        8176,
+        2300,
+        575,
+        48,
+        0x3fe6fe474c1b0edb,
+    ),
+    (
+        "node_predicate_filter",
+        11925,
+        4164,
+        1072,
+        268,
+        21,
+        0x3fe898d3b5ab178e,
+    ),
+    (
+        "refine_candidates",
+        1416,
+        3168,
+        0,
+        0,
+        48,
+        0x3feeadf177d605ac,
+    ),
+    (
+        "refine_candidates",
+        911,
+        1964,
+        192,
+        48,
+        27,
+        0x3fdfd7790a74b828,
+    ),
+    ("refine_candidates", 618, 1368, 0, 0, 18, 0x0),
+    ("gmcr_size", 1008, 724, 40, 0, 181, 0x3fdd6d6dea1fbbd7),
+    ("gmcr_populate", 880, 724, 248, 0, 181, 0x3fdd6d6dea1fbbd7),
+    ("join", 76900, 153800, 0, 0, 0, 0x3feabf506de40c37),
+    ("d2h_matches", 0, 0, 62, 0, 0, 0x0),
+];

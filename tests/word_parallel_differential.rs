@@ -6,11 +6,17 @@
 //! every pipeline stage, and must produce identical match sets through
 //! the join, on seeded random batches.
 
-use sigmo::core::filter::{initialize_candidates, refine_candidates};
+use rand::{Rng, SeedableRng};
+use sigmo::core::filter::{
+    initialize_candidates, initialize_candidates_governed, refine_candidates,
+};
 use sigmo::core::join::{join, JoinParams, QueryPlan};
-use sigmo::core::{naive, CandidateBitmap, Gmcr, LabelSchema, MatchMode, SignatureSet, WordWidth};
+use sigmo::core::{
+    naive, CancelToken, CandidateBitmap, Gmcr, Governor, LabelSchema, MatchMode, RunBudget,
+    SignatureSet, TruncationReason, WordWidth,
+};
 use sigmo::device::{DeviceProfile, Queue};
-use sigmo::graph::{random_sparse_graph, CsrGo, LabeledGraph};
+use sigmo::graph::{random_sparse_graph, CsrGo, LabeledGraph, WILDCARD_LABEL};
 
 fn world(seed: u64) -> (CsrGo, CsrGo) {
     let queries: Vec<LabeledGraph> = (0..8)
@@ -194,5 +200,100 @@ fn match_sets_are_identical_to_naive() {
         );
         assert_eq!(fast_recs, slow_recs, "embeddings diverged (seed {seed})");
         assert!(fast_total > 0, "workload must actually produce matches");
+    }
+}
+
+/// A labels-only world for the init kernel (init reads no edges): six
+/// labels plus wildcard atoms on both sides, so wildcard query rows and
+/// wildcard-labeled data nodes both occur. Data graphs of 5–40 nodes put
+/// graph seams anywhere inside the bitmap words.
+fn label_world(seed: u64, data_graphs: usize) -> (CsrGo, CsrGo) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut graph = |n: usize| {
+        let labels: Vec<u8> = (0..n)
+            .map(|_| match rng.gen_range(0..12u32) {
+                0 => WILDCARD_LABEL,
+                _ => rng.gen_range(0..6u8),
+            })
+            .collect();
+        LabeledGraph::from_edges(&labels, &[]).unwrap()
+    };
+    let queries: Vec<LabeledGraph> = (0..8).map(|i| graph(3 + i % 5)).collect();
+    let data: Vec<LabeledGraph> = (0..data_graphs).map(|i| graph(5 + (i * 7) % 36)).collect();
+    (CsrGo::from_graphs(&queries), CsrGo::from_graphs(&data))
+}
+
+/// The word-wide init kernel sets exactly the naive kernel's bits at
+/// every work-group size — including sizes whose groups share their
+/// boundary words — and charges one set per bit, as the per-bit form
+/// did: `atomics` = set bits, `instructions` = 4 × sets + 2 × nodes.
+#[test]
+fn word_wide_init_is_bit_identical_to_naive_at_every_group_size() {
+    for seed in [1u64, 2, 3] {
+        let (queries, data) = label_world(seed, 40);
+        let has_wildcard =
+            |g: &CsrGo| (0..g.num_nodes()).any(|v| g.label(v as u32) == WILDCARD_LABEL);
+        assert!(has_wildcard(&queries) && has_wildcard(&data), "seed {seed}");
+        let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        naive::initialize_candidates(&queries, &data, &slow);
+        let bits = slow.total_count() as u64;
+        for wg in [1usize, 37, 64, 100, 1024] {
+            let queue = Queue::new(DeviceProfile::host());
+            let fast = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            initialize_candidates(&queue, &queries, &data, &fast, wg);
+            assert_bitmaps_identical(&fast, &slow, &format!("init (seed {seed}, wg {wg})"));
+            let charged = queue.records()[0].counters;
+            assert_eq!(charged.atomic_ops, bits, "seed {seed}, wg {wg}");
+            assert_eq!(
+                charged.instructions,
+                4 * bits + 2 * data.num_nodes() as u64,
+                "seed {seed}, wg {wg}"
+            );
+        }
+    }
+}
+
+/// A stopped governor only removes init work: whether it was stopped
+/// before the launch or trips while the launch runs, every bit set is
+/// also set by the full init.
+#[test]
+fn stopped_init_sets_a_subset_of_the_full_init() {
+    let (queries, data) = label_world(11, 400);
+    let queue = Queue::new(DeviceProfile::host());
+    let full = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    initialize_candidates(&queue, &queries, &data, &full, 64);
+    let assert_subset = |part: &CandidateBitmap, what: &str| {
+        for r in 0..part.rows() {
+            for c in part.iter_set_in_range(r, 0, part.cols()) {
+                assert!(
+                    full.get(r, c),
+                    "{what}: bit ({r}, {c}) is not in the full init"
+                );
+            }
+        }
+    };
+
+    let token = CancelToken::new();
+    token.cancel();
+    let stopped = Governor::with_cancel(&RunBudget::none(), token);
+    let part = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    initialize_candidates_governed(&queue, &queries, &data, &part, 64, &stopped);
+    assert_subset(&part, "pre-stopped");
+    assert_eq!(part.total_count(), 0, "a pre-stopped init sets nothing");
+
+    for wg in [1usize, 37, 64] {
+        let gov = Governor::new(&RunBudget::none());
+        let part = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                gov.trip(TruncationReason::Cancelled);
+            });
+            start.wait();
+            initialize_candidates_governed(&queue, &queries, &data, &part, wg, &gov);
+        });
+        assert!(gov.stopped());
+        assert_subset(&part, &format!("tripped mid-run (wg {wg})"));
     }
 }
