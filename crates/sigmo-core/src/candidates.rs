@@ -6,12 +6,15 @@
 //! them into word transactions. The host executor has no warp, so the
 //! filter kernels update a word at a time themselves: init ORs each
 //! (row, word, label) mask with one [`CandidateBitmap::or_word`], and the
-//! clearing kernels walk a row with [`CandidateBitmap::retain_row`], one
-//! load and at most one `fetch_and` per word. Updates stay atomic RMWs
-//! because work-groups whose size is not a multiple of 64 share their
-//! boundary words. The per-bit [`CandidateBitmap::set`] and
-//! [`CandidateBitmap::clear`] remain for the oracles and the per-node
-//! refine kernel.
+//! clearing kernels walk a row with [`CandidateBitmap::retain_row_classed`],
+//! one load and at most one `fetch_and` per word. Rows that share a
+//! verdict class share its [`ClassVerdicts`] tables, so each live bit's
+//! verdict is computed once per class instead of once per row (DESIGN.md
+//! §19). Updates stay atomic RMWs because work-groups whose size is not a
+//! multiple of 64 share their boundary words. The per-bit
+//! [`CandidateBitmap::set`] and [`CandidateBitmap::clear`] remain for the
+//! oracles and the per-node refine kernel, and the per-bit
+//! [`CandidateBitmap::retain_row`] is the walk's test oracle.
 //!
 //! Storage is always `AtomicU64`; the configurable *word width*
 //! ([`WordWidth`], Table 1's "candidates bitmap integer") controls the
@@ -145,9 +148,10 @@ impl CandidateBitmap {
     /// bits are gathered into a kill mask, and a word with any failure
     /// costs one `fetch_and(!kill)` instead of one RMW per bit. Returns
     /// `(tested, cleared)`: the set bits `keep` judged and how many of
-    /// them it cleared — the figures the row-transposed filter kernels
-    /// charge. The caller must own the row for the walk (no concurrent
-    /// writer); the filter kernels hand each row to one work-item.
+    /// them it cleared. The caller must own the row for the walk (no
+    /// concurrent writer). The filter kernels walk rows with
+    /// [`retain_row_classed`](Self::retain_row_classed); this per-bit walk
+    /// is its test oracle.
     // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
     // row walk: callers charge the words, tests and clears it reports; the
     // inner loop clears one bit of a loaded word per pass (≤ 64).
@@ -170,6 +174,79 @@ impl CandidateBitmap {
                 kill |= u64::from(!keep(w * 64 + bit as usize)) << bit;
                 bits &= bits - 1;
             }
+            if kill != 0 {
+                word.fetch_and(!kill, Ordering::Relaxed);
+                cleared += u64::from(kill.count_ones());
+            }
+        }
+        (tested, cleared)
+    }
+
+    /// [`retain_row`](Self::retain_row) for a row of a shared verdict
+    /// class: `class` holds the verdicts already known for the class's
+    /// columns, so `keep` runs only on the live bits neither table holds.
+    /// New verdicts are OR-ed into the tables for the class's other rows,
+    /// and every failing live bit, known or new, is cleared with one word
+    /// AND. `None` (a singleton class) judges every live bit, as
+    /// `retain_row` does.
+    ///
+    /// Exact: `keep` must be a pure function of the column for every row
+    /// of the class, so a stored verdict is the verdict this row would
+    /// compute. Returns the same `(tested, cleared)` as `retain_row` —
+    /// every live bit counts as tested, whoever judged it — so the filter
+    /// kernels' charges do not depend on the tables. The caller must own
+    /// the row; the tables may be shared by concurrent walks, whose races
+    /// only recompute the same verdicts.
+    // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
+    // row walk: callers charge the words, tests and clears it reports; the
+    // inner loop judges one bit of a loaded word per pass (≤ 64).
+    // sigmo-lint: allow(relaxed-read-in-report) — the walking work-item
+    // owns the row, so no writer races its loads and the counts it
+    // reports are exact; a table word read early only misses verdicts
+    // the walk then recomputes.
+    pub fn retain_row_classed(
+        &self,
+        row: usize,
+        class: Option<VerdictTable<'_>>,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> (u64, u64) {
+        debug_assert!(row < self.rows);
+        let base = row * self.words_per_row;
+        let (mut tested, mut cleared) = (0u64, 0u64);
+        for (w, word) in self.words[base..base + self.words_per_row]
+            .iter()
+            .enumerate()
+        {
+            let live = word.load(Ordering::Relaxed);
+            if live == 0 {
+                continue;
+            }
+            tested += u64::from(live.count_ones());
+            let (known_fail, unknown) = match class {
+                Some(t) => {
+                    let fail = t.fail[w].load(Ordering::Relaxed);
+                    let pass = t.pass[w].load(Ordering::Relaxed);
+                    (live & fail, live & !(fail | pass))
+                }
+                None => (0, live),
+            };
+            let mut fail = 0u64;
+            let mut bits = unknown;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                fail |= u64::from(!keep(w * 64 + bit as usize)) << bit;
+                bits &= bits - 1;
+            }
+            if let Some(t) = class {
+                let pass = unknown & !fail;
+                if pass != 0 {
+                    t.pass[w].fetch_or(pass, Ordering::Relaxed);
+                }
+                if fail != 0 {
+                    t.fail[w].fetch_or(fail, Ordering::Relaxed);
+                }
+            }
+            let kill = known_fail | fail;
             if kill != 0 {
                 word.fetch_and(!kill, Ordering::Relaxed);
                 cleared += u64::from(kill.count_ones());
@@ -377,6 +454,53 @@ impl CandidateBitmap {
     /// scattered bits, given the configured word width.
     pub fn modeled_bytes_for_bits(&self, n_bits: u64) -> u64 {
         n_bits * self.word_width.bytes()
+    }
+}
+
+/// The verdict tables of one filter launch's shared classes: per class a
+/// `pass` and a `fail` bitmap row, bit `d` set once some row of the class
+/// has judged column `d`. Allocated zeroed before the launch, outside the
+/// kernel closure; only classes of at least two rows get tables, so they
+/// never exceed the bitmap they serve (DESIGN.md §19).
+pub struct ClassVerdicts {
+    words_per_row: usize,
+    /// Class `c`'s pass row, then its fail row: `2 × words_per_row` words
+    /// from `2c × words_per_row`.
+    words: Vec<AtomicU64>,
+}
+
+/// One class's verdict rows (see [`ClassVerdicts`]).
+#[derive(Clone, Copy)]
+pub struct VerdictTable<'a> {
+    pass: &'a [AtomicU64],
+    fail: &'a [AtomicU64],
+}
+
+impl ClassVerdicts {
+    /// Empty tables for `classes` shared classes over `bitmap`'s columns.
+    pub fn new(classes: usize, bitmap: &CandidateBitmap) -> Self {
+        let words_per_row = bitmap.words_per_row;
+        let words = (0..2 * classes * words_per_row)
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        Self {
+            words_per_row,
+            words,
+        }
+    }
+
+    /// Class `class`'s tables.
+    #[inline]
+    pub fn class(&self, class: u32) -> VerdictTable<'_> {
+        let (pass, fail) = self.words[2 * class as usize * self.words_per_row..]
+            [..2 * self.words_per_row]
+            .split_at(self.words_per_row);
+        VerdictTable { pass, fail }
+    }
+
+    /// Bytes held by the tables.
+    pub fn memory_bytes(&self) -> usize {
+        self.words.len() * 8
     }
 }
 

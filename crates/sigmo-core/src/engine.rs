@@ -24,7 +24,7 @@ use crate::join::{
 use crate::mapping::Gmcr;
 use crate::plan::QueryPlan;
 use crate::schema::LabelSchema;
-use crate::stats::{CandidateStats, IterationStats, StrategyCounts};
+use crate::stats::{IterationStats, RowCounts, StrategyCounts};
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, LabeledGraph};
 use std::time::{Duration, Instant};
@@ -400,113 +400,7 @@ impl Engine {
 
         // ❸–❹ filter.
         let t1 = Instant::now();
-        initialize_candidates_bucketed(
-            queue,
-            plan.buckets(),
-            data,
-            &bitmap,
-            cfg.filter_work_group_size,
-            governor,
-        );
-        // Label-pair pre-check: one extra pass over the constrained query
-        // rows, clearing candidates that cannot supply the row's concrete
-        // (edge label, neighbor label) pairs. Edge labels are invisible to
-        // the node-label signature refinement below, so this is the only
-        // filter that prunes bond-order mismatches before the join — and a
-        // cleared bit here makes `next_candidate` reject the extension
-        // word-parallel instead of per-probe. Folded into iteration 1's
-        // stats (it runs at radius 0, before any refinement).
-        let pair_cleared = label_pair_filter(
-            queue,
-            facts.pairs(),
-            plan.pair_schema(),
-            plan.pair_rows(),
-            &bitmap,
-            governor,
-        );
-        // Node-predicate filter: clears candidates failing a query node's
-        // compiled SMARTS predicate (atom list, degree, ring, H-count,
-        // charge). Local properties, so — like the pair pre-check — it runs
-        // once at radius 0 and folds into iteration 1's stats. Predicate-free
-        // batches have an empty work list and skip the launch entirely,
-        // leaving their stats bit-identical to the pre-predicate engine.
-        let pred_cleared = facts.attrs().map_or(0, |attrs| {
-            node_predicate_filter(queue, attrs, plan.pred_rows(), &bitmap, governor)
-        });
-        let mut iterations = Vec::with_capacity(cfg.refinement_iterations);
-        iterations.push(IterationStats {
-            iteration: 1,
-            candidates: CandidateStats::from_bitmap(&bitmap),
-            cleared_bits: pair_cleared + pred_cleared,
-            dirty_nodes: (plan.pair_rows().len() + plan.pred_rows().len()) as u64,
-        });
-        for it in 2..=cfg.refinement_iterations {
-            // Refinement only prunes, so stopping between iterations keeps
-            // a sound (superset) candidate set for the join.
-            if governor.heartbeat() {
-                break;
-            }
-            let radius = it - 1;
-            if cfg.filter_mode == FilterMode::Incremental && radius > plan.last_dirty_radius() {
-                // Query-side fixpoint: no query signature will ever move
-                // again, so no remaining iteration can clear a bit
-                // (DESIGN.md §4b). Skipped work is never charged or ticked.
-                break;
-            }
-            let (cleared, dirty) = match cfg.filter_mode {
-                FilterMode::Exhaustive | FilterMode::EarlyExit => {
-                    let cleared = refine_candidates_classes(
-                        queue,
-                        data,
-                        &cfg.schema,
-                        plan.classes_at(radius),
-                        facts.signatures_at(radius),
-                        &bitmap,
-                        cfg.filter_work_group_size,
-                        governor,
-                    );
-                    (cleared, queries.num_nodes() as u64)
-                }
-                FilterMode::Incremental => {
-                    let delta = plan.delta_at(radius);
-                    if delta.is_empty() {
-                        // Rings still moving, but only through wildcard or
-                        // saturated labels: no signature moved, nothing to
-                        // test. Skip the launch entirely.
-                        (0, 0)
-                    } else {
-                        // The transposed kernel scans only the dirty rows'
-                        // bitmap words; dead data graphs are all-zero
-                        // columns and cost 1/64th of a word load each.
-                        let cleared = refine_candidates_delta(
-                            queue,
-                            data,
-                            &cfg.schema,
-                            delta,
-                            facts.signatures_at(radius),
-                            &bitmap,
-                            governor,
-                        );
-                        (cleared, delta.dirty_rows() as u64)
-                    }
-                }
-            };
-            iterations.push(IterationStats {
-                iteration: it,
-                candidates: CandidateStats::from_bitmap(&bitmap),
-                cleared_bits: cleared,
-                dirty_nodes: dirty,
-            });
-            if cfg.filter_mode == FilterMode::EarlyExit
-                && cleared == 0
-                && facts.active_at(radius) == 0
-                && plan.active_at(radius) == 0
-            {
-                // Fixpoint: both frontiers drained and nothing cleared —
-                // every further iteration is provably a no-op.
-                break;
-            }
-        }
+        let iterations = self.filter_with_facts(plan, data, facts, &bitmap, queue, governor);
         let filter = t1.elapsed();
 
         // ❺ mapping.
@@ -589,6 +483,144 @@ impl Engine {
             completion: outcome.completion,
             strategy: outcome.strategy,
         }
+    }
+
+    /// The filter phase alone (steps ❸–❹): initializes the all-zero
+    /// `bitmap` (`plan`'s query rows × `data`'s nodes) and refines it as
+    /// [`Engine::run_with_facts`] does, returning the per-iteration trace.
+    /// Each iteration's [`crate::CandidateStats`] summarizes the per-row
+    /// counts the row kernels report ([`RowCounts`]); the bitmap is
+    /// popcounted once after init, and again only after the per-node
+    /// Exhaustive/EarlyExit kernel, whose clears scatter over every row.
+    pub fn filter_with_facts(
+        &self,
+        plan: &QueryPlan,
+        data: &CsrGo,
+        facts: &BatchFacts,
+        bitmap: &CandidateBitmap,
+        queue: &Queue,
+        governor: &Governor,
+    ) -> Vec<IterationStats> {
+        let cfg = &self.config;
+        plan.assert_fits(cfg);
+        facts.assert_serves(cfg, plan, data);
+        let queries = plan.batch();
+        initialize_candidates_bucketed(
+            queue,
+            plan.buckets(),
+            data,
+            bitmap,
+            cfg.filter_work_group_size,
+            governor,
+        );
+        // The one popcount pass of the run: from here on every row walk
+        // keeps its row's count.
+        let mut counts = RowCounts::of(bitmap);
+        // Label-pair pre-check: one extra pass over the constrained query
+        // rows, clearing candidates that cannot supply the row's concrete
+        // (edge label, neighbor label) pairs. Edge labels are invisible to
+        // the node-label signature refinement below, so this is the only
+        // filter that prunes bond-order mismatches before the join — and a
+        // cleared bit here makes `next_candidate` reject the extension
+        // word-parallel instead of per-probe. Folded into iteration 1's
+        // stats (it runs at radius 0, before any refinement).
+        let pair_cleared = label_pair_filter(
+            queue,
+            facts.pairs(),
+            plan.pair_schema(),
+            plan.pair_rows(),
+            bitmap,
+            &counts,
+            governor,
+        );
+        // Node-predicate filter: clears candidates failing a query node's
+        // compiled SMARTS predicate (atom list, degree, ring, H-count,
+        // charge). Local properties, so — like the pair pre-check — it runs
+        // once at radius 0 and folds into iteration 1's stats. Predicate-free
+        // batches have an empty work list and skip the launch entirely,
+        // leaving their stats bit-identical to the pre-predicate engine.
+        let pred_cleared = facts.attrs().map_or(0, |attrs| {
+            node_predicate_filter(queue, attrs, plan.pred_rows(), bitmap, &counts, governor)
+        });
+        let mut iterations = Vec::with_capacity(cfg.refinement_iterations);
+        iterations.push(IterationStats {
+            iteration: 1,
+            candidates: counts.stats(),
+            cleared_bits: pair_cleared + pred_cleared,
+            dirty_nodes: (plan.pair_rows().len() + plan.pred_rows().len()) as u64,
+        });
+        for it in 2..=cfg.refinement_iterations {
+            // Refinement only prunes, so stopping between iterations keeps
+            // a sound (superset) candidate set for the join.
+            if governor.heartbeat() {
+                break;
+            }
+            let radius = it - 1;
+            if cfg.filter_mode == FilterMode::Incremental && radius > plan.last_dirty_radius() {
+                // Query-side fixpoint: no query signature will ever move
+                // again, so no remaining iteration can clear a bit
+                // (DESIGN.md §4b). Skipped work is never charged or ticked.
+                break;
+            }
+            let (cleared, dirty) = match cfg.filter_mode {
+                FilterMode::Exhaustive | FilterMode::EarlyExit => {
+                    let cleared = refine_candidates_classes(
+                        queue,
+                        data,
+                        &cfg.schema,
+                        plan.classes_at(radius),
+                        facts.signatures_at(radius),
+                        bitmap,
+                        cfg.filter_work_group_size,
+                        governor,
+                    );
+                    // The per-node kernel's clears scatter over every row,
+                    // so its iterations recount.
+                    counts = RowCounts::of(bitmap);
+                    (cleared, queries.num_nodes() as u64)
+                }
+                FilterMode::Incremental => {
+                    let delta = plan.delta_at(radius);
+                    if delta.is_empty() {
+                        // Rings still moving, but only through wildcard or
+                        // saturated labels: no signature moved, nothing to
+                        // test. Skip the launch entirely.
+                        (0, 0)
+                    } else {
+                        // The transposed kernel scans only the dirty rows'
+                        // bitmap words; dead data graphs are all-zero
+                        // columns and cost 1/64th of a word load each.
+                        let cleared = refine_candidates_delta(
+                            queue,
+                            data,
+                            &cfg.schema,
+                            delta,
+                            facts.signatures_at(radius),
+                            bitmap,
+                            &counts,
+                            governor,
+                        );
+                        (cleared, delta.dirty_rows() as u64)
+                    }
+                }
+            };
+            iterations.push(IterationStats {
+                iteration: it,
+                candidates: counts.stats(),
+                cleared_bits: cleared,
+                dirty_nodes: dirty,
+            });
+            if cfg.filter_mode == FilterMode::EarlyExit
+                && cleared == 0
+                && facts.active_at(radius) == 0
+                && plan.active_at(radius) == 0
+            {
+                // Fixpoint: both frontiers drained and nothing cleared —
+                // every further iteration is provably a no-op.
+                break;
+            }
+        }
+        iterations
     }
 
     /// Convenience: batches the graph lists and runs.

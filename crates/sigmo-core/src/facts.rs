@@ -17,17 +17,19 @@
 //! the batch. [`BatchFacts::assemble`] relies on this to splice stored
 //! [`MolFacts`] next to freshly built ones.
 //!
-//! One routine builds every data-side signature: a BFS per node, bounded
-//! by the deepest radius needed, over a stamp array and a frontier queue
-//! reused across nodes and graphs (no per-node allocation). The
-//! per-batch [`crate::SignatureSet`] stays as the test oracle.
+//! One routine builds every data-side signature: radius-`r` balls as
+//! bitsets, a node's ball at `r` being its ball at `r − 1` OR-ed with its
+//! neighbours' balls at `r − 1`, one 64-node column block of the graph at
+//! a time, in scratch reused across blocks and graphs (no per-node
+//! allocation). The per-batch [`crate::SignatureSet`] stays as the test
+//! oracle.
 
 use crate::engine::{EngineConfig, FilterMode};
 use crate::filter::{pair_schema, pair_signature};
 use crate::plan::QueryPlan;
 use crate::schema::LabelSchema;
 use crate::signature::Signature;
-use sigmo_graph::{CsrGo, LabeledGraph, NodeAttrs, NodeId, WILDCARD_LABEL};
+use sigmo_graph::{CsrGo, Label, LabeledGraph, NodeAttrs, NodeId, WILDCARD_LABEL};
 
 /// Facts of a batch of graphs, indexed by global node id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +154,7 @@ impl BatchFacts {
         let mut active = vec![0usize; depth];
         let mut pairs = Vec::with_capacity(n);
         let mut bfs = Bfs::default();
-        let mut all_stored = true;
+        let mut attrs = with_attrs.then(NodeAttrs::default);
         for g in 0..data.num_graphs() {
             let range = data.node_range(g);
             let base = range.start as usize;
@@ -172,24 +174,20 @@ impl BatchFacts {
                         active[r - 1] += f.active_at(r);
                     }
                     pairs.extend_from_slice(&f.pairs);
+                    if let Some(out) = attrs.as_mut() {
+                        let own = f.attrs.as_ref().expect("molecule facts carry attributes");
+                        append_attrs(out, own);
+                    }
                 }
                 None => {
-                    all_stored = false;
                     bfs.signatures(data, g, schema, &mut sigs, &mut active);
                     pairs.extend(range.map(|v| pair_signature(data, &pair_schema, v)));
+                    if let Some(out) = attrs.as_mut() {
+                        append_attrs(out, &data.graph_node_attrs(g));
+                    }
                 }
             }
         }
-        let attrs = with_attrs.then(|| {
-            if all_stored && !stored.is_empty() {
-                concat_attrs(stored.iter().map(|m| {
-                    let f = &m.expect("every graph stored").0;
-                    f.attrs.as_ref().expect("molecule facts carry attributes")
-                }))
-            } else {
-                data.node_attrs()
-            }
-        });
         BatchFacts {
             schema: schema.clone(),
             num_nodes: n,
@@ -247,40 +245,47 @@ impl BatchFacts {
     }
 }
 
-fn concat_attrs<'a>(parts: impl Iterator<Item = &'a NodeAttrs>) -> NodeAttrs {
-    let mut out = NodeAttrs {
-        labels: Vec::new(),
-        degree: Vec::new(),
-        h_count: Vec::new(),
-        charge: Vec::new(),
-        min_ring: Vec::new(),
-    };
-    for a in parts {
-        out.labels.extend_from_slice(&a.labels);
-        out.degree.extend_from_slice(&a.degree);
-        out.h_count.extend_from_slice(&a.h_count);
-        out.charge.extend_from_slice(&a.charge);
-        out.min_ring.extend_from_slice(&a.min_ring);
-    }
-    out
+/// Appends one graph's attributes to a batch table (rings never cross
+/// graphs, so a batch table is its graphs' tables end to end).
+fn append_attrs(out: &mut NodeAttrs, part: &NodeAttrs) {
+    out.labels.extend_from_slice(&part.labels);
+    out.degree.extend_from_slice(&part.degree);
+    out.h_count.extend_from_slice(&part.h_count);
+    out.charge.extend_from_slice(&part.charge);
+    out.min_ring.extend_from_slice(&part.min_ring);
 }
 
-/// BFS scratch reused across nodes and graphs: `stamp[local] == epoch`
-/// marks a node visited by the current source, and the frontier queue
-/// holds the BFS levels back to back.
+/// Ball-bitset scratch reused across blocks and graphs. A graph's
+/// columns are taken one 64-node block `B` at a time: `ball[v]` holds
+/// `ball_r(v) ∩ B` as one word, so the scratch is O(graph nodes) words
+/// whatever the graph's size, and a block only touches the nodes within
+/// reach of it (`touched`, grown by one ring per radius).
 #[derive(Default)]
 struct Bfs {
-    stamp: Vec<u32>,
-    epoch: u32,
-    queue: Vec<NodeId>,
+    /// `ball_r(v) ∩ B`, local node id.
+    ball: Vec<u64>,
+    /// `ball_{r+1}(v) ∩ B` while radius `r + 1` is built.
+    next: Vec<u64>,
+    /// Nodes with a non-empty ball in this block, in discovery order.
+    touched: Vec<usize>,
+    /// `in_touched[v]`: `v` is in `touched`.
+    in_touched: Vec<bool>,
+    /// `moved[v · depth + r]`: `v`'s ball grew reaching radius `r + 1`
+    /// (in any block so far) — its ring at distance `r + 1` is non-empty.
+    moved: Vec<bool>,
+    /// The block's concrete labels with their column masks.
+    labels: Vec<(Label, u64)>,
 }
 
 impl Bfs {
     /// Writes the signatures of graph `g`'s nodes into the radius-major
-    /// buffer `sigs` (row length `data.num_nodes()`, one row per radius)
-    /// and adds each radius' active count into `active`. A node's
-    /// signature at radius `r` counts the concrete labels at distance
-    /// `1..=r`; wildcard-labeled nodes are walked but never counted.
+    /// buffer `sigs` (row length `data.num_nodes()`, one row per radius;
+    /// the graph's slots must be empty on entry) and adds each radius'
+    /// active count into `active`. A node's signature at radius `r` counts
+    /// the concrete labels of its ball at `r` minus itself — the labels
+    /// at distance `1..=r`; wildcard-labeled nodes are walked but never
+    /// counted. Saturating per-label adds sum to the same stored count
+    /// in any order, so each block adds its share of the ball directly.
     fn signatures(
         &mut self,
         data: &CsrGo,
@@ -290,43 +295,87 @@ impl Bfs {
         active: &mut [usize],
     ) {
         let stride = data.num_nodes();
+        let depth = active.len();
         let range = data.node_range(g);
-        let base = range.start;
-        if self.stamp.len() < range.len() {
-            self.stamp.resize(range.len(), 0);
+        let base = range.start as usize;
+        let n = range.len();
+        if depth == 0 || n == 0 {
+            return;
         }
-        for v in range {
-            self.epoch = self.epoch.wrapping_add(1);
-            if self.epoch == 0 {
-                self.stamp.fill(0);
-                self.epoch = 1;
+        // Every node's ring at distance 0 (itself) is non-empty.
+        active[0] += n;
+        for buf in [&mut self.ball, &mut self.next] {
+            buf.clear();
+            buf.resize(n, 0);
+        }
+        self.in_touched.clear();
+        self.in_touched.resize(n, false);
+        self.moved.clear();
+        self.moved.resize(n * depth, false);
+        for lo in (0..n).step_by(64) {
+            let hi = n.min(lo + 64);
+            self.labels.clear();
+            self.touched.clear();
+            for v in lo..hi {
+                let bit = 1u64 << (v - lo);
+                let l = data.label((base + v) as NodeId);
+                if l != WILDCARD_LABEL {
+                    match self.labels.iter_mut().find(|(x, _)| *x == l) {
+                        Some((_, mask)) => *mask |= bit,
+                        None => self.labels.push((l, bit)),
+                    }
+                }
+                self.ball[v] = bit;
+                self.in_touched[v] = true;
+                self.touched.push(v);
             }
-            let epoch = self.epoch;
-            self.stamp[(v - base) as usize] = epoch;
-            self.queue.clear();
-            self.queue.push(v);
-            // The ring at the current distance is `queue[lo..hi]`.
-            let (mut lo, mut hi) = (0usize, 1usize);
-            let mut sig = Signature::EMPTY;
-            for (r, count) in active.iter_mut().enumerate() {
-                if lo < hi {
-                    *count += 1;
-                    for i in lo..hi {
-                        for &w in data.neighbors(self.queue[i]) {
-                            let local = (w - base) as usize;
-                            if self.stamp[local] != epoch {
-                                self.stamp[local] = epoch;
-                                self.queue.push(w);
-                                let l = data.label(w);
-                                if l != WILDCARD_LABEL {
-                                    sig.add(schema, l, 1);
-                                }
-                            }
+            for r in 0..depth {
+                let reached = self.touched.len();
+                for &v in &self.touched {
+                    self.next[v] = self.ball[v];
+                }
+                for i in 0..reached {
+                    let v = self.touched[i];
+                    let b = self.ball[v];
+                    for &w in data.neighbors((base + v) as NodeId) {
+                        let u = w as usize - base;
+                        self.next[u] |= b;
+                        if !self.in_touched[u] {
+                            self.in_touched[u] = true;
+                            self.touched.push(u);
                         }
                     }
-                    (lo, hi) = (hi, self.queue.len());
                 }
-                sigs[r * stride + v as usize] = sig;
+                for &v in &self.touched {
+                    let ball = self.next[v];
+                    if ball != self.ball[v] {
+                        self.moved[v * depth + r] = true;
+                    }
+                    self.ball[v] = ball;
+                    let own = if (lo..hi).contains(&v) {
+                        1u64 << (v - lo)
+                    } else {
+                        0
+                    };
+                    let sig = &mut sigs[r * stride + base + v];
+                    for &(l, mask) in &self.labels {
+                        let count = (ball & mask & !own).count_ones();
+                        if count != 0 {
+                            sig.add(schema, l, u64::from(count));
+                        }
+                    }
+                }
+            }
+            for &v in &self.touched {
+                self.ball[v] = 0;
+                self.next[v] = 0;
+                self.in_touched[v] = false;
+            }
+        }
+        for v in 0..n {
+            let moved = &self.moved[v * depth..][..depth];
+            for (count, &m) in active[1..].iter_mut().zip(moved) {
+                *count += usize::from(m);
             }
         }
     }
@@ -350,22 +399,100 @@ mod tests {
         ]
     }
 
+    /// `g` with every `k`-th node's label replaced by the wildcard.
+    fn with_wildcards(g: &LabeledGraph, k: usize) -> LabeledGraph {
+        let mut out = LabeledGraph::new();
+        for v in 0..g.num_nodes() {
+            let l = g.label(v as NodeId);
+            out.add_node(if v % k == 0 { WILDCARD_LABEL } else { l });
+        }
+        for (a, b, l) in g.edges() {
+            out.add_edge(a, b, l).unwrap();
+        }
+        out
+    }
+
+    /// The oracle's shapes beyond molecules: more than 64 and more than
+    /// 128 nodes (balls span several words), one graph in three
+    /// components plus isolated nodes, wildcard-labeled nodes, and a hub
+    /// whose 90 same-label neighbours overflow its schema group.
+    fn oracle_graphs() -> Vec<LabeledGraph> {
+        let mut gs = graphs();
+        gs.push(sigmo_graph::random_sparse_graph(100, 25, 12, 3));
+        gs.push(sigmo_graph::random_sparse_graph(150, 40, 12, 4));
+        let mut split = LabeledGraph::new();
+        for part in [
+            sigmo_graph::random_sparse_graph(40, 8, 12, 5),
+            sigmo_graph::random_sparse_graph(30, 5, 12, 6),
+            LabeledGraph::from_edges(&[2], &[]).unwrap(),
+            sigmo_graph::random_sparse_graph(12, 2, 12, 7),
+        ] {
+            let base = split.num_nodes() as NodeId;
+            for v in 0..part.num_nodes() {
+                split.add_node(part.label(v as NodeId));
+            }
+            for (a, b, l) in part.edges() {
+                split.add_edge(base + a, base + b, l).unwrap();
+            }
+        }
+        gs.push(split);
+        gs.push(with_wildcards(
+            &sigmo_graph::random_sparse_graph(90, 20, 12, 8),
+            4,
+        ));
+        let mut hub = LabeledGraph::new();
+        hub.add_node(1);
+        for i in 1..=90u32 {
+            hub.add_node(11);
+            hub.add_edge(0, i, 1).unwrap();
+            if i > 1 && i % 3 == 0 {
+                hub.add_node(if i % 2 == 0 { 11 } else { WILDCARD_LABEL });
+                let tail = hub.num_nodes() as NodeId - 1;
+                hub.add_edge(i, tail, 1).unwrap();
+            }
+        }
+        gs.push(hub);
+        gs
+    }
+
     #[test]
     fn batch_facts_equal_the_signature_set_oracle() {
-        let schema = LabelSchema::organic();
-        let batch = CsrGo::from_graphs(&graphs());
-        let facts = BatchFacts::compute(&batch, &schema, 5, false);
-        let mut set = SignatureSet::new(&batch, schema.clone());
-        for r in 1..=5 {
-            let active = set.advance(&batch);
-            assert_eq!(facts.signatures_at(r), set.signatures(), "radius {r}");
-            assert_eq!(facts.active_at(r), active, "radius {r}");
+        let batch = CsrGo::from_graphs(&oracle_graphs());
+        for schema in [
+            LabelSchema::organic(),
+            LabelSchema::uniform(12),
+            LabelSchema::uniform(16),
+        ] {
+            for depth in 1..=6 {
+                let facts = BatchFacts::compute(&batch, &schema, depth, false);
+                let mut set = SignatureSet::new(&batch, schema.clone());
+                for r in 1..=depth {
+                    let active = set.advance(&batch);
+                    assert_eq!(
+                        facts.signatures_at(r),
+                        set.signatures(),
+                        "depth {depth}, radius {r}, {schema:?}"
+                    );
+                    assert_eq!(facts.active_at(r), active, "depth {depth}, radius {r}");
+                }
+            }
         }
+        let facts = BatchFacts::compute(&batch, &LabelSchema::organic(), 1, false);
         let pairs: Vec<Signature> = (0..batch.num_nodes() as NodeId)
             .map(|v| pair_signature(&batch, &pair_schema(), v))
             .collect();
         assert_eq!(facts.pairs(), pairs.as_slice());
         assert!(facts.attrs().is_none());
+    }
+
+    #[test]
+    fn the_hub_saturates_its_group() {
+        let schema = LabelSchema::organic();
+        let hub = oracle_graphs().pop().unwrap();
+        let facts = BatchFacts::of_graph(&hub, &schema, 1, false);
+        let g = schema.group(11);
+        assert!(g.max_count() < 90, "the hub must overflow label 11's group");
+        assert_eq!(facts.signatures_at(1)[0].count(&schema, 11), g.max_count());
     }
 
     #[test]
@@ -383,6 +510,46 @@ mod tests {
             .map(|(i, m)| (i % 2 == 0).then_some(m))
             .collect();
         assert_eq!(BatchFacts::assemble(&batch, &some, &schema, 4, true), fresh);
+
+        // Under a predicate-bearing plan the run reads attributes, copied
+        // per stored molecule and computed per missing one; the data holds
+        // rings and a charge, so a misplaced graph's attributes would show.
+        let mut q = LabeledGraph::from_edges(&[1, 1], &[(0, 1)]).unwrap();
+        q.set_predicate(
+            0,
+            sigmo_graph::NodePredicate {
+                ring: Some(true),
+                ..Default::default()
+            },
+        );
+        let cfg = EngineConfig::default();
+        let plan = QueryPlan::build(&[q], &cfg);
+        assert_eq!(plan.pred_rows().len(), 1);
+        let mut gs = gs;
+        let mut ring =
+            LabeledGraph::from_edges(&[1, 1, 1, 1, 3], &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+                .unwrap();
+        ring.set_charge(4, -1);
+        gs.insert(1, ring);
+        let batch = CsrGo::from_graphs(&gs);
+        let mols: Vec<MolFacts> = gs
+            .iter()
+            .map(|g| MolFacts::build(g, &cfg.schema, 6))
+            .collect();
+        let fresh = BatchFacts::for_run(&cfg, &plan, &batch, &[]);
+        assert_eq!(fresh.attrs(), Some(&batch.node_attrs()));
+        for mask in 0..1u32 << gs.len() {
+            let stored: Vec<Option<&MolFacts>> = mols
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (mask >> i & 1 == 1).then_some(m))
+                .collect();
+            assert_eq!(
+                BatchFacts::for_run(&cfg, &plan, &batch, &stored),
+                fresh,
+                "stored mask {mask:#b}"
+            );
+        }
     }
 
     #[test]

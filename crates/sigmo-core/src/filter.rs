@@ -17,10 +17,14 @@
 //!
 //! The row-transposed kernels — [`label_pair_filter`],
 //! [`node_predicate_filter`] and [`refine_candidates_delta`] — share one
-//! word-granular row walk ([`CandidateBitmap::retain_row`]): each word is
-//! loaded once, its failing bits gather into a kill mask, and one
-//! `fetch_and` clears them. Their domination tests are branch-free SWAR
-//! compares over every selected group at once
+//! word-granular row walk ([`CandidateBitmap::retain_row_classed`]): each
+//! word is loaded once, its failing bits gather into a kill mask, and one
+//! `fetch_and` clears them. A row's verdict at a data node depends only
+//! on the node and the row's class — its signature, or its compiled
+//! predicate — so rows of one class share per-launch verdict tables
+//! ([`ClassVerdicts`]) and each live bit is judged once per class, not
+//! once per row (DESIGN.md §19). Their domination tests are branch-free
+//! SWAR compares over every selected group at once
 //! ([`Signature::dominates_tops`]).
 //!
 //! All kernels charge their modeled work to the device counters at word
@@ -35,10 +39,11 @@
 //! differential test `word_parallel_differential` pins both kernels to
 //! produce bit-identical bitmaps.
 
-use crate::candidates::CandidateBitmap;
+use crate::candidates::{CandidateBitmap, ClassVerdicts};
 use crate::governor::Governor;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
+use crate::stats::RowCounts;
 use sigmo_device::Queue;
 use sigmo_graph::{
     CsrGo, EdgeLabel, Label, NodeAttrs, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL,
@@ -48,6 +53,36 @@ use sigmo_graph::{
 const INIT_INSTR_PER_QNODE: u64 = 4;
 /// Modeled instruction cost of one domination test (|L| group compares).
 const REFINE_INSTR_PER_TEST: u64 = 24;
+
+/// Plan-time verdict classes of a row list, given each row's verdict key
+/// (the inputs its per-bit verdict reads besides the data node): rows
+/// whose key occurs at least twice get the dense id of their key, in
+/// first-seen order; rows with a unique key get none. Deterministic.
+fn shared_class_ids<K: std::hash::Hash + Eq>(keys: &[K]) -> Vec<Option<u32>> {
+    let mut counts: std::collections::HashMap<&K, (usize, Option<u32>)> =
+        std::collections::HashMap::new();
+    for k in keys {
+        counts.entry(k).or_insert((0, None)).0 += 1;
+    }
+    let mut next = 0u32;
+    keys.iter()
+        .map(|k| {
+            let (n, id) = counts.get_mut(k).expect("counted above");
+            if *n < 2 {
+                return None;
+            }
+            Some(*id.get_or_insert_with(|| {
+                next += 1;
+                next - 1
+            }))
+        })
+        .collect()
+}
+
+/// Number of shared classes among `classes` (ids are dense from 0).
+fn shared_class_count(classes: impl Iterator<Item = Option<u32>>) -> usize {
+    classes.flatten().max().map_or(0, |c| c as usize + 1)
+}
 
 /// Per-label query-row lists, built once per batch (or once per *plan* —
 /// [`crate::plan::QueryPlan`] caches them across stream chunks). The rows
@@ -459,6 +494,10 @@ pub struct DeltaRow {
     pub tops: u64,
     /// The dirty query row index.
     pub row: u32,
+    /// The row's shared verdict class: the dirty rows with this `sig`
+    /// (hence this `tops`), when there are at least two. `None` for a
+    /// signature only this row holds.
+    pub class: Option<u32>,
 }
 
 impl DeltaClasses {
@@ -484,15 +523,18 @@ impl DeltaClasses {
             classes[class] |= moved;
             dirty.push((q as u32, class as u32));
         }
+        let shared = shared_class_ids(&dirty.iter().map(|&(_, c)| c).collect::<Vec<_>>());
         let rows = dirty
             .into_iter()
-            .map(|(row, class)| {
+            .zip(shared)
+            .map(|((row, class), shared)| {
                 let changed = classes[class as usize];
                 DeltaRow {
                     sig: cur[row as usize],
                     changed,
                     tops: schema.top_bits(changed),
                     row,
+                    class: shared,
                 }
             })
             .collect();
@@ -527,7 +569,8 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 /// The RefineCandidates kernel restricted to one radius' dirty work,
 /// *transposed*: one work-item per dirty query row (not per data node),
 /// which walks its own candidate row a word at a time
-/// ([`CandidateBitmap::retain_row`]) and applies the field-restricted
+/// ([`CandidateBitmap::retain_row_classed`], sharing verdicts within the
+/// row's [`DeltaRow::class`]) and applies the field-restricted
 /// domination verdict, branch-free ([`Signature::dominates_tops`] over the
 /// row's [`DeltaRow::tops`]), at each live bit. Work is
 /// O(bitmap words + live bits) in the dirty rows — columns whose bits are
@@ -542,9 +585,11 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 /// live bit `(q, d)` depends only on the two signatures, and the
 /// field-restricted test is exact per live bit (see [`DeltaRow`]; the
 /// differential and property tests pin it). Rows are disjoint across
-/// work-items, so clears never race.
+/// work-items, so clears never race. Each walked row's live count goes to
+/// `counts`.
 ///
 /// Returns the number of bits cleared.
+#[allow(clippy::too_many_arguments)]
 pub fn refine_candidates_delta(
     queue: &Queue,
     data: &CsrGo,
@@ -552,6 +597,7 @@ pub fn refine_candidates_delta(
     delta: &DeltaClasses,
     data_sigs: &[Signature],
     bitmap: &CandidateBitmap,
+    counts: &RowCounts,
     governor: &Governor,
 ) -> u64 {
     let word_bytes = bitmap.word_width().bytes();
@@ -560,6 +606,7 @@ pub fn refine_candidates_delta(
     let row_words = n.div_ceil(64) as u64;
     let rows = delta.rows();
     let all_tops = schema.top_bits(u64::MAX);
+    let verdicts = ClassVerdicts::new(shared_class_count(rows.iter().map(|r| r.class)), bitmap);
     let snap = queue.parallel_for_chunks_until(
         "refine_candidates",
         "filter",
@@ -581,9 +628,12 @@ pub fn refine_candidates_delta(
                 // instead of one compare per schema group (see
                 // [`DeltaRow::changed`]).
                 let mask_cost = 2 * u64::from(dirty.changed.count_ones()) + 2;
-                let (row_tests, row_cleared) = bitmap.retain_row(dirty.row as usize, |d| {
-                    data_sigs[d].dominates_tops(&dirty.sig, all_tops, dirty.tops)
-                });
+                let class = dirty.class.map(|c| verdicts.class(c));
+                let (row_tests, row_cleared) =
+                    bitmap.retain_row_classed(dirty.row as usize, class, |d| {
+                        data_sigs[d].dominates_tops(&dirty.sig, all_tops, dirty.tops)
+                    });
+                counts.set(dirty.row as usize, row_tests - row_cleared);
                 cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
@@ -668,10 +718,11 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
 /// Transposed like [`refine_candidates_delta`]: one work-item per
 /// constrained query row (`pair_rows`, precomputed by the plan — rows
 /// whose pair signature is non-empty), walking its row a word at a time
-/// and testing bucket domination at each live bit. The branch-free test
-/// compares only the row's live buckets ([`PairRow::tops`]). The data
-/// nodes' pair signatures (`data_pairs[d]`) come precomputed from
-/// [`crate::BatchFacts`].
+/// and testing bucket domination at each live bit not already judged for
+/// its [`PairRow::class`]. The branch-free test compares only the row's
+/// live buckets ([`PairRow::tops`]). The data nodes' pair signatures
+/// (`data_pairs[d]`) come precomputed from [`crate::BatchFacts`]. Each
+/// walked row's live count goes to `counts`.
 ///
 /// Returns the number of bits cleared.
 pub fn label_pair_filter(
@@ -680,6 +731,7 @@ pub fn label_pair_filter(
     schema: &LabelSchema,
     pair_rows: &[PairRow],
     bitmap: &CandidateBitmap,
+    counts: &RowCounts,
     governor: &Governor,
 ) -> u64 {
     if pair_rows.is_empty() {
@@ -690,6 +742,10 @@ pub fn label_pair_filter(
     debug_assert_eq!(n, bitmap.cols());
     let row_words = n.div_ceil(64) as u64;
     let all_tops = schema.top_bits(u64::MAX);
+    let verdicts = ClassVerdicts::new(
+        shared_class_count(pair_rows.iter().map(|r| r.class)),
+        bitmap,
+    );
     let snap = queue.parallel_for_chunks_until(
         "label_pair_filter",
         "filter",
@@ -705,10 +761,19 @@ pub fn label_pair_filter(
             let mut trip_sq = 0u64;
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
-                let PairRow { row, sig, tops, .. } = pair_rows[r];
-                let (row_tests, row_cleared) = bitmap.retain_row(row as usize, |d| {
-                    data_pairs[d].dominates_tops(&sig, all_tops, tops)
-                });
+                let PairRow {
+                    row,
+                    sig,
+                    tops,
+                    class,
+                    ..
+                } = pair_rows[r];
+                let class = class.map(|c| verdicts.class(c));
+                let (row_tests, row_cleared) =
+                    bitmap.retain_row_classed(row as usize, class, |d| {
+                        data_pairs[d].dominates_tops(&sig, all_tops, tops)
+                    });
+                counts.set(row as usize, row_tests - row_cleared);
                 cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
@@ -751,24 +816,67 @@ pub struct PairRow {
     /// `live`): the mask of the kernel's branch-free test
     /// ([`Signature::dominates_tops`]).
     pub tops: u64,
+    /// The row's shared verdict class: the constrained rows with this
+    /// `sig` (hence this `tops`), when there are at least two. `None` for
+    /// a pair signature only this row holds.
+    pub class: Option<u32>,
 }
 
 /// The constrained-row list [`label_pair_filter`] consumes: every query
 /// row with a non-empty pair signature (`query_pairs[q]` is row `q`'s),
-/// ascending. Plans build this once per batch.
+/// ascending, classed by pair signature. Plans build this once per batch.
 pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow> {
-    query_pairs
+    let rows: Vec<(u32, Signature)> = query_pairs
         .iter()
         .enumerate()
         .filter(|&(_, &sig)| sig != Signature::EMPTY)
-        .map(|(row, &sig)| {
+        .map(|(row, &sig)| (row as u32, sig))
+        .collect();
+    let classes = shared_class_ids(&rows.iter().map(|&(_, sig)| sig).collect::<Vec<_>>());
+    rows.into_iter()
+        .zip(classes)
+        .map(|((row, sig), class)| {
             let live = sig.diff_groups(schema, &Signature::EMPTY);
             PairRow {
-                row: row as u32,
+                row,
                 sig,
                 live,
                 tops: schema.top_bits(live),
+                class,
             }
+        })
+        .collect()
+}
+
+/// One predicated query row of the node-predicate filter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PredRow {
+    /// The query row (flat query node id).
+    pub row: u32,
+    /// Its compiled, non-trivial predicate.
+    pub pred: NodePredicate,
+    /// The row's shared verdict class: the predicated rows with an equal
+    /// predicate, when there are at least two. `None` for a predicate
+    /// only this row holds.
+    pub class: Option<u32>,
+}
+
+/// The predicated-row list [`node_predicate_filter`] consumes: every
+/// query row with a non-trivial compiled predicate, ascending, classed by
+/// predicate. Plans build this once per batch.
+pub fn pred_rows(queries: &CsrGo) -> Vec<PredRow> {
+    let rows: Vec<&(u32, NodePredicate)> = queries
+        .predicates()
+        .iter()
+        .filter(|(_, p)| !p.is_trivial())
+        .collect();
+    let classes = shared_class_ids(&rows.iter().map(|(_, p)| p).collect::<Vec<_>>());
+    rows.into_iter()
+        .zip(classes)
+        .map(|((row, pred), class)| PredRow {
+            row: *row,
+            pred: pred.clone(),
+            class,
         })
         .collect()
 }
@@ -783,16 +891,19 @@ pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow
 ///
 /// Transposed like [`label_pair_filter`]: one work-item per predicated
 /// query row, walking its row a word at a time and evaluating the
-/// predicate at each live bit against the data nodes' precomputed attributes
+/// predicate at each live bit not already judged for its
+/// [`PredRow::class`], against the data nodes' precomputed attributes
 /// ([`NodeAttrs`]: degree, H-neighbor count, charge, smallest-ring size —
-/// from [`crate::BatchFacts`]).
+/// from [`crate::BatchFacts`]). Each walked row's live count goes to
+/// `counts`.
 ///
 /// Returns the number of bits cleared.
 pub fn node_predicate_filter(
     queue: &Queue,
     attrs: &NodeAttrs,
-    pred_rows: &[(u32, NodePredicate)],
+    pred_rows: &[PredRow],
     bitmap: &CandidateBitmap,
+    counts: &RowCounts,
     governor: &Governor,
 ) -> u64 {
     if pred_rows.is_empty() {
@@ -802,6 +913,10 @@ pub fn node_predicate_filter(
     let n = attrs.labels.len();
     debug_assert_eq!(n, bitmap.cols());
     let row_words = n.div_ceil(64) as u64;
+    let verdicts = ClassVerdicts::new(
+        shared_class_count(pred_rows.iter().map(|r| r.class)),
+        bitmap,
+    );
     let snap = queue.parallel_for_chunks_until(
         "node_predicate_filter",
         "filter",
@@ -815,9 +930,17 @@ pub fn node_predicate_filter(
             let mut trip_sq = 0u64;
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
-                let (q, ref pred) = pred_rows[r];
+                let PredRow {
+                    row,
+                    ref pred,
+                    class,
+                } = pred_rows[r];
+                let class = class.map(|c| verdicts.class(c));
                 let (row_tests, row_cleared) =
-                    bitmap.retain_row(q as usize, |d| pred.matches(attrs, d as NodeId));
+                    bitmap.retain_row_classed(row as usize, class, |d| {
+                        pred.matches(attrs, d as NodeId)
+                    });
+                counts.set(row as usize, row_tests - row_cleared);
                 cleared += row_cleared;
                 words += row_words;
                 tests += row_tests;
@@ -1128,6 +1251,7 @@ mod tests {
                 &schema,
                 &rows,
                 &fast,
+                &RowCounts::of(&fast),
                 &Governor::unlimited(),
             );
             let expected = crate::naive::label_pair_filter(&queries, &data, &schema, &slow);

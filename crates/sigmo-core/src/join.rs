@@ -345,9 +345,11 @@ pub fn join_with_policy(
             // so budget truncation is deterministic across thread counts
             // (work-groups are independent).
             let mut ticker = gov.ticker();
-            // Frontier buffers for BFS pairs, reused across the group's
-            // pairs so the per-pair steady state is allocation-free.
+            // Frontier buffers for BFS pairs and the mapping/cursor stacks
+            // of DFS pairs, reused across the group's pairs so the per-pair
+            // steady state is allocation-free.
             let mut scratch = BfsScratch::default();
+            let mut dfs_scratch = DfsScratch::default();
             for (k, &qg) in gmcr.queries_for(dg).iter().enumerate() {
                 if gov.stopped() {
                     break;
@@ -399,6 +401,7 @@ pub fn join_with_policy(
                         gov,
                         &mut ticker,
                         &mut found_any,
+                        &mut dfs_scratch,
                     ),
                     JoinVariant::Bfs => bfs_pair(
                         data,
@@ -492,6 +495,18 @@ pub fn join_with_policy(
     }
 }
 
+/// The DFS stacks of [`dfs_pair`], reused across a work-group's pairs:
+/// `mapping[k]` is the global data node for the query node at order
+/// position `k`, and `cursors[k]` the next candidate index to try at depth
+/// `k` (depth 0 scans the data graph's node range, depth > 0 the anchor
+/// image's adjacency). Capacity is retained, so steady-state pairs do not
+/// touch the allocator.
+#[derive(Debug, Default)]
+struct DfsScratch {
+    mapping: Vec<NodeId>,
+    cursors: Vec<u32>,
+}
+
 /// Explicit-stack DFS for one (query graph, data graph) pair. Returns the
 /// number of embeddings found (1 max in FindFirst mode); on a governor
 /// trip the count found so far is returned (a sound partial result).
@@ -511,19 +526,17 @@ fn dfs_pair(
     gov: &Governor,
     ticker: &mut GovernorTicker,
     found_any: &mut bool,
+    scratch: &mut DfsScratch,
 ) -> u64 {
     let qlen = plan.len();
     if qlen as u32 > d_hi - d_lo {
         return 0; // query larger than the data graph
     }
-    // mapping[k] = global data node for the query node at order position k.
-    // sigmo-lint: allow(alloc-in-kernel) — per-pair setup: two O(query)
-    // buffers once per pair, not per step; a real device kernel would
-    // carve these from LocalMem.
-    let mut mapping: Vec<NodeId> = vec![INVALID; qlen];
-    // cursors[k]: next candidate index to try at depth k. Depth 0 scans the
-    // data graph's node range; depth > 0 scans the anchor image's adjacency.
-    let mut cursors: Vec<u32> = vec![0; qlen]; // sigmo-lint: allow(alloc-in-kernel) — see above
+    let DfsScratch { mapping, cursors } = scratch;
+    mapping.clear();
+    mapping.resize(qlen, INVALID);
+    cursors.clear();
+    cursors.resize(qlen, 0);
     let mut matches = 0u64;
     let mut depth = 0usize;
     loop {
@@ -531,16 +544,7 @@ fn dfs_pair(
             return matches; // budget tripped: partial count is still sound
         }
         let cand = next_candidate(
-            data,
-            bitmap,
-            q_base,
-            plan,
-            d_lo,
-            d_hi,
-            &mapping,
-            &mut cursors,
-            depth,
-            params,
+            data, bitmap, q_base, plan, d_lo, d_hi, mapping, cursors, depth, params,
         );
         match cand {
             Some(d) => {
@@ -640,9 +644,17 @@ fn next_candidate(
         if mapping[..depth].contains(&d) {
             continue;
         }
-        // All earlier query neighbors must have a compatible data edge.
+        // All earlier query neighbors must have a compatible data edge. The
+        // anchor's is the edge just walked, whose label sits beside it in
+        // the adjacency; the others are looked up.
+        let anchor = plan.anchor[depth];
         for &(p, ql) in &plan.checks[depth] {
-            match data.edge_label(mapping[p as usize], d) {
+            let edge = if p == anchor {
+                Some(data.neighbor_edge_labels(anchor_img)[i])
+            } else {
+                data.edge_label(mapping[p as usize], d)
+            };
+            match edge {
                 Some(dl) => {
                     if ql != WILDCARD_EDGE && ql != dl {
                         continue 'next;

@@ -47,7 +47,7 @@ pub mod signature;
 pub mod stats;
 pub mod stream;
 
-pub use candidates::{CandidateBitmap, WordWidth};
+pub use candidates::{CandidateBitmap, ClassVerdicts, VerdictTable, WordWidth};
 pub use engine::{
     Engine, EngineConfig, FilterMode, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };
@@ -62,5 +62,5 @@ pub use memory::{estimate as estimate_memory, estimate_scaled, max_scale_factor,
 pub use plan::QueryPlan;
 pub use schema::LabelSchema;
 pub use signature::{Signature, SignatureSet};
-pub use stats::{CandidateStats, IterationStats, StrategyCounts};
+pub use stats::{CandidateStats, IterationStats, RowCounts, StrategyCounts};
 pub use stream::{Quarantined, StreamReport, StreamRunner};

@@ -28,11 +28,11 @@
 use crate::candidates::CandidateBitmap;
 use crate::engine::EngineConfig;
 use crate::facts::BatchFacts;
-use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, SignatureClasses};
+use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, PredRow, SignatureClasses};
 use crate::join;
 use crate::schema::LabelSchema;
 use crate::signature::Signature;
-use sigmo_graph::{CsrGo, LabeledGraph, NodeId, NodePredicate};
+use sigmo_graph::{CsrGo, LabeledGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -90,7 +90,7 @@ pub struct QueryPlan {
     /// atom lists, degree, ring, H-count, charge) — the work list of the
     /// predicate filter kernel. Empty for predicate-free batches, in which
     /// case that kernel never launches.
-    pred_rows: Vec<(u32, NodePredicate)>,
+    pred_rows: Vec<PredRow>,
 }
 
 impl QueryPlan {
@@ -134,12 +134,7 @@ impl QueryPlan {
             .collect();
         let pair_schema = filter::pair_schema();
         let pair_rows = filter::pair_rows(facts.pairs(), &pair_schema);
-        let pred_rows = csr
-            .predicates()
-            .iter()
-            .filter(|(_, p)| !p.is_trivial())
-            .cloned()
-            .collect();
+        let pred_rows = filter::pred_rows(&csr);
         Self {
             csr,
             schema: config.schema.clone(),
@@ -284,7 +279,7 @@ impl QueryPlan {
 
     /// Query rows with a non-trivial node predicate, ascending — the
     /// predicate filter kernel's work list.
-    pub fn pred_rows(&self) -> &[(u32, NodePredicate)] {
+    pub fn pred_rows(&self) -> &[PredRow] {
         &self.pred_rows
     }
 }

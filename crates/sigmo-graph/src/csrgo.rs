@@ -204,6 +204,39 @@ impl CsrGo {
         )
     }
 
+    /// Graph `g`'s node attributes, local ids: the `node_range(g)` slice
+    /// of [`CsrGo::node_attrs`], computed from that graph alone (no edge
+    /// crosses a graph boundary, so rings, degrees and H-counts are the
+    /// graph's own).
+    pub fn graph_node_attrs(&self, g: usize) -> NodeAttrs {
+        let range = self.node_range(g);
+        let base = range.start;
+        let offsets = self.csr.row_offsets();
+        let (lo, hi) = (offsets[range.start as usize], offsets[range.end as usize]);
+        let local_offsets: Vec<u32> = offsets[range.start as usize..=range.end as usize]
+            .iter()
+            .map(|&o| o - lo)
+            .collect();
+        let local_targets: Vec<NodeId> = self.csr.column_indices()[lo as usize..hi as usize]
+            .iter()
+            .map(|&t| t - base)
+            .collect();
+        let mut charges = vec![0i8; range.len()];
+        let first = self.charges.partition_point(|&(v, _)| v < base);
+        for &(v, c) in self.charges[first..]
+            .iter()
+            .take_while(|&&(v, _)| v < range.end)
+        {
+            charges[(v - base) as usize] = c;
+        }
+        NodeAttrs::build(
+            &self.labels()[range.start as usize..range.end as usize],
+            &charges,
+            &local_offsets,
+            &local_targets,
+        )
+    }
+
     /// The graph-offsets array (length `num_graphs + 1`).
     pub fn graph_offsets(&self) -> &[u32] {
         &self.graph_offsets
@@ -356,12 +389,23 @@ mod tests {
         // g0 = triangle, g1 = path; ring perception must not leak across
         // the graph boundary.
         let g0 = LabeledGraph::from_edges(&[1, 1, 1], &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let g1 = LabeledGraph::from_edges(&[0, 1], &[(0, 1)]).unwrap();
+        let mut g1 = LabeledGraph::from_edges(&[0, 1], &[(0, 1)]).unwrap();
+        g1.set_charge(1, -1);
         let b = CsrGo::from_graphs(&[g0, g1]);
         let attrs = b.node_attrs();
         assert_eq!(attrs.min_ring, vec![3, 3, 3, 0, 0]);
         assert_eq!(attrs.h_count[4], 1);
         assert_eq!(attrs.degree, vec![2, 2, 2, 1, 1]);
+        assert_eq!(attrs.charge, vec![0, 0, 0, 0, -1]);
+        // Each graph's own table is its slice of the batch table.
+        for (g, lo, hi) in [(0, 0, 3), (1, 3, 5)] {
+            let own = b.graph_node_attrs(g);
+            assert_eq!(own.labels, attrs.labels[lo..hi]);
+            assert_eq!(own.degree, attrs.degree[lo..hi]);
+            assert_eq!(own.h_count, attrs.h_count[lo..hi]);
+            assert_eq!(own.charge, attrs.charge[lo..hi]);
+            assert_eq!(own.min_ring, attrs.min_ring[lo..hi]);
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl NodePredicate {
 /// computed exactly: the smallest cycle through `v` closes one of its
 /// incident edges, and for that edge it is the edge plus the shortest
 /// alternative path between its endpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeAttrs {
     /// Node labels, id order.
     pub labels: Vec<Label>,

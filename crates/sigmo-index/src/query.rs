@@ -96,9 +96,10 @@ impl ScreenQuery {
                     .next_if(|r| r.row == v)
                     .map_or((Signature::EMPTY, 0), |r| (r.sig, r.live));
                 let any_labels = match pred_rows.peek() {
-                    Some(&&(row, ref pred)) if row == v => {
+                    Some(r) if r.row == v => {
+                        let any = r.pred.label_any;
                         pred_rows.next();
-                        pred.label_any
+                        any
                     }
                     _ => None,
                 };

@@ -53,10 +53,12 @@
 #                                 tests/parser_fuzz.rs battery (raw bytes,
 #                                 grammar token soup, and round-trip
 #                                 layers for both the SMILES and SMARTS
-#                                 parsers) and the filter kernels'
+#                                 parsers), the filter kernels'
 #                                 branch-free SWAR domination test against
 #                                 the per-group reference on random
-#                                 signature layouts (tests/properties.rs)
+#                                 signature layouts, and the class-aware
+#                                 row walk against the per-bit retain_row
+#                                 (both tests/properties.rs)
 #  14. canon-oracle               release-mode canonical-labeling sweep
 #                                 (tests/canonical_oracle.rs with its
 #                                 #[ignore]d tests): the pruned search's
@@ -124,6 +126,7 @@ stage() {
 fuzz_smoke() {
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test parser_fuzz
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties swar_domination
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties class_walk
 }
 
 # Runs one perfbench workload traced; fails unless it reports correct.

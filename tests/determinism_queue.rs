@@ -17,8 +17,8 @@
 use sigmo::cluster::FaultPlan;
 use sigmo::core::filter::initialize_candidates;
 use sigmo::core::{
-    naive, CandidateBitmap, Completion, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
-    RunBudget, StrategyCounts, TruncationReason, WordWidth,
+    naive, BatchFacts, CandidateBitmap, Completion, Engine, EngineConfig, FilterMode, Governor,
+    JoinStrategy, QueryPlan, RunBudget, StrategyCounts, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -150,6 +150,73 @@ fn word_wide_init_is_identical_across_thread_counts() {
                 }
             }
         }
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+/// Rows of one verdict class share per-launch verdict tables that
+/// concurrent walks fill racily. On a batch where every query appears
+/// three times, so most label-pair, predicate and dirty refine rows share
+/// a class with rows in other work-groups, every thread count must give
+/// the same bits, the same per-iteration trace and the same records.
+#[test]
+fn shared_class_verdicts_are_identical_across_thread_counts() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let (library, data) = workload();
+    let mut queries = Vec::new();
+    for _ in 0..3 {
+        queries.extend(library.iter().cloned());
+        queries.push(parse_smarts("[C;R][O,N;D2]").unwrap());
+    }
+    let data = CsrGo::from_graphs(&data);
+    let cfg = EngineConfig::default();
+    let plan = QueryPlan::build(&queries, &cfg);
+    let shared = plan
+        .pair_rows()
+        .iter()
+        .filter(|r| r.class.is_some())
+        .count();
+    assert!(
+        shared * 4 >= plan.pair_rows().len() * 3,
+        "most label-pair rows must share a class ({shared} of {})",
+        plan.pair_rows().len()
+    );
+    assert!(plan.pred_rows().iter().all(|r| r.class.is_some()));
+    assert!((1..=plan.max_radius()).any(|r| plan
+        .delta_at(r)
+        .rows()
+        .iter()
+        .any(|d| d.class.is_some())));
+    let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+    let run = |threads: &str| {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let queue = Queue::new(DeviceProfile::host());
+        let bitmap =
+            CandidateBitmap::new(plan.batch().num_nodes(), data.num_nodes(), cfg.bitmap_word);
+        let trace = Engine::new(cfg.clone()).filter_with_facts(
+            &plan,
+            &data,
+            &facts,
+            &bitmap,
+            &queue,
+            &Governor::unlimited(),
+        );
+        let bits: Vec<Vec<usize>> = (0..bitmap.rows())
+            .map(|r| bitmap.iter_set_in_range(r, 0, bitmap.cols()).collect())
+            .collect();
+        let trace: Vec<String> = trace.iter().map(|it| format!("{it:?}")).collect();
+        (bits, trace, record_keys(&queue.records()))
+    };
+    let one = run("1");
+    assert!(one.1.len() > 1, "refinement must run");
+    for threads in ["2", "4", "8"] {
+        let n = run(threads);
+        assert_eq!(one.0, n.0, "bits diverged between 1 and {threads} threads");
+        assert_eq!(one.1, n.1, "trace diverged between 1 and {threads} threads");
+        assert_eq!(
+            one.2, n.2,
+            "records diverged between 1 and {threads} threads"
+        );
     }
     std::env::remove_var("RAYON_NUM_THREADS");
 }

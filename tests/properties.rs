@@ -5,8 +5,9 @@ use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::schema::BitGroup;
 use sigmo::core::{
-    filter, naive, CandidateBitmap, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
-    LabelSchema, MatchMode, QueryPlan, RunBudget, Signature, SignatureSet, WordWidth,
+    filter, naive, CandidateBitmap, ClassVerdicts, Engine, EngineConfig, FilterMode, Governor,
+    JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, SignatureSet,
+    WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{reference_min_ring_sizes, CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -184,6 +185,7 @@ proptest! {
         let queue = queue();
         let gov = Governor::unlimited();
         filter::initialize_candidates_bucketed(&queue, plan.buckets(), &data, &bitmap, 256, &gov);
+        let counts = RowCounts::of(&bitmap);
         let mut data_sigs = SignatureSet::new(&data, schema.clone());
         for it in 2..=iters {
             let radius = it - 1;
@@ -202,6 +204,7 @@ proptest! {
                 delta,
                 data_sigs.signatures(),
                 &bitmap,
+                &counts,
                 &gov,
             );
         }
@@ -783,6 +786,79 @@ proptest! {
             }
         }
         prop_assert!(verdicts == [true, true], "only one verdict occurred");
+    }
+}
+
+/// A pure per-(class key, column) verdict for the class-walk property:
+/// a splitmix-style hash, failing about a third of the bits.
+fn class_verdict(seed: u64, key: u32, col: usize) -> bool {
+    let mut x = seed ^ (u64::from(key) << 32) ^ col as u64;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    !(x ^ (x >> 31)).is_multiple_of(3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(swar_cases()))]
+
+    /// The class-aware row walk equals the per-bit `retain_row`, row by
+    /// row: the same surviving bits and the same `(tested, cleared)`.
+    /// Rows share classes with overlapping but different live sets (a
+    /// class's base set, perturbed per row), some keys occur once
+    /// (singleton classes, no tables), some rows of a shared key walk
+    /// without tables, column counts straddle word seams and are rarely
+    /// multiples of 64, and rows are walked in random order.
+    #[test]
+    fn class_walk_equals_per_bit_retain_row(seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cols = rng.gen_range(1..=300usize);
+        let rows = rng.gen_range(1..=12usize);
+        let keys: Vec<u32> = (0..rows).map(|_| rng.gen_range(0..5u32)).collect();
+        // Dense ids for keys held by at least two rows; a few of those
+        // rows still walk without tables.
+        let mut ids: Vec<Option<u32>> = vec![None; 5];
+        let mut shared = 0u32;
+        for k in 0..5u32 {
+            if keys.iter().filter(|&&x| x == k).count() >= 2 {
+                ids[k as usize] = Some(shared);
+                shared += 1;
+            }
+        }
+        let class: Vec<Option<u32>> = keys
+            .iter()
+            .map(|&k| ids[k as usize].filter(|_| rng.gen_range(0..8u32) != 0))
+            .collect();
+        let density = rng.gen_range(1..=8u32);
+        let base: Vec<Vec<bool>> = (0..5)
+            .map(|_| (0..cols).map(|_| rng.gen_range(0..8u32) < density).collect())
+            .collect();
+        let fast = CandidateBitmap::new(rows, cols, WordWidth::U64);
+        let slow = CandidateBitmap::new(rows, cols, WordWidth::U64);
+        for (r, &k) in keys.iter().enumerate() {
+            for (c, &on) in base[k as usize].iter().enumerate() {
+                if on != (rng.gen_range(0..5u32) == 0) {
+                    fast.set(r, c);
+                    slow.set(r, c);
+                }
+            }
+        }
+        let verdicts = ClassVerdicts::new(shared as usize, &fast);
+        let mut order: Vec<usize> = (0..rows).collect();
+        for i in (1..rows).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for &r in &order {
+            let keep = |c: usize| class_verdict(seed, keys[r], c);
+            let table = class[r].map(|c| verdicts.class(c));
+            let got = fast.retain_row_classed(r, table, keep);
+            let want = slow.retain_row(r, keep);
+            prop_assert_eq!(got, want, "row {} of {} ({} cols)", r, rows, cols);
+            for c in 0..cols {
+                prop_assert_eq!(fast.get(r, c), slow.get(r, c), "bit ({}, {})", r, c);
+            }
+        }
+        prop_assert!(verdicts.memory_bytes() <= fast.padded_memory_bytes());
     }
 }
 

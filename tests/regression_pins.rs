@@ -5,8 +5,12 @@
 //! alters matching results — intended or not — must update these numbers
 //! consciously.
 
-use sigmo::core::{Engine, EngineConfig};
+use sigmo::core::{
+    BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Governor,
+    QueryPlan,
+};
 use sigmo::device::{DeviceProfile, Queue};
+use sigmo::graph::{CsrGo, LabeledGraph};
 use sigmo::mol::{parse_smarts, parse_smiles, parse_smiles_heavy, Dataset, DatasetConfig};
 
 fn queue() -> Queue {
@@ -168,19 +172,7 @@ fn pinned_kernel_charges() {
     Engine::with_defaults().run(d.queries(), d.data_graphs(), &q);
     assert_charges(&q, DATASET_CHARGES, "dataset");
 
-    let queries: Vec<_> = PREDICATE_QUERIES
-        .iter()
-        .map(|s| parse_smarts(s).unwrap())
-        .chain(
-            PLAIN_QUERIES
-                .iter()
-                .map(|s| parse_smiles_heavy(s).unwrap().to_labeled_graph()),
-        )
-        .collect();
-    let data: Vec<_> = PREDICATE_DATA
-        .iter()
-        .map(|s| parse_smiles(s).unwrap().to_labeled_graph())
-        .collect();
+    let (queries, data) = predicate_batch();
     let q = queue();
     Engine::with_defaults().run(&queries, &data, &q);
     let names: Vec<String> = q.records().iter().map(|r| r.name.clone()).collect();
@@ -192,6 +184,83 @@ fn pinned_kernel_charges() {
         assert!(names.iter().any(|n| n == kernel), "{kernel} did not launch");
     }
     assert_charges(&q, PREDICATE_CHARGES, "predicate batch");
+}
+
+/// The SMARTS batch of `pinned_kernel_charges`: predicate and plain
+/// queries over the predicate data molecules.
+fn predicate_batch() -> (Vec<LabeledGraph>, Vec<LabeledGraph>) {
+    let queries = PREDICATE_QUERIES
+        .iter()
+        .map(|s| parse_smarts(s).unwrap())
+        .chain(
+            PLAIN_QUERIES
+                .iter()
+                .map(|s| parse_smiles_heavy(s).unwrap().to_labeled_graph()),
+        )
+        .collect();
+    let data = PREDICATE_DATA
+        .iter()
+        .map(|s| parse_smiles(s).unwrap().to_labeled_graph())
+        .collect();
+    (queries, data)
+}
+
+/// The engine summarizes each iteration from the per-row counts its
+/// kernels report; after every iteration, under every filter mode, they
+/// must equal a popcount of the bitmap — on the pinned dataset and on
+/// the SMARTS batch (label-pair and predicate rows included).
+#[test]
+fn kernel_row_counts_equal_bitmap_stats_after_every_iteration() {
+    let d = Dataset::build(&DatasetConfig {
+        num_molecules: 50,
+        num_extracted_queries: 10,
+        seed: 0xFEED,
+        ..Default::default()
+    });
+    let workloads = [
+        ("dataset", d.queries().to_vec(), d.data_graphs().to_vec()),
+        {
+            let (queries, data) = predicate_batch();
+            ("predicate batch", queries, data)
+        },
+    ];
+    for (name, queries, data) in &workloads {
+        let data = CsrGo::from_graphs(data);
+        for mode in [
+            FilterMode::Incremental,
+            FilterMode::Exhaustive,
+            FilterMode::EarlyExit,
+        ] {
+            for iterations in 1..=6 {
+                let cfg = EngineConfig {
+                    refinement_iterations: iterations,
+                    filter_mode: mode,
+                    ..Default::default()
+                };
+                let plan = QueryPlan::build(queries, &cfg);
+                let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+                let bitmap = CandidateBitmap::new(
+                    plan.batch().num_nodes(),
+                    data.num_nodes(),
+                    cfg.bitmap_word,
+                );
+                let trace = Engine::new(cfg).filter_with_facts(
+                    &plan,
+                    &data,
+                    &facts,
+                    &bitmap,
+                    &queue(),
+                    &Governor::unlimited(),
+                );
+                let last = trace.last().expect("iteration 1 always runs");
+                assert_eq!(
+                    last.candidates,
+                    CandidateStats::from_bitmap(&bitmap),
+                    "{name}, {mode:?}, {iterations} iterations"
+                );
+            }
+        }
+    }
 }
 
 const DATASET_CHARGES: &[Charge] = &[

@@ -13,11 +13,11 @@ use std::sync::Mutex;
 
 use sigmo::baselines::{BruteForceMatcher, Matcher};
 use sigmo::core::{
-    filter, naive, BatchFacts, CandidateBitmap, Engine, EngineConfig, Governor, LabelSchema,
-    WordWidth,
+    filter, naive, BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, Governor,
+    LabelSchema, RowCounts, WordWidth,
 };
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
-use sigmo::graph::{CsrGo, LabeledGraph, NodePredicate};
+use sigmo::graph::{CsrGo, LabeledGraph};
 use sigmo::mol::{parse_smarts, parse_smiles, MoleculeGenerator};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -138,31 +138,28 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
             let query_facts = BatchFacts::compute(&queries, &organic, 0, false);
             let data_facts = BatchFacts::compute(&data, &organic, 0, true);
             let pair_rows = filter::pair_rows(query_facts.pairs(), &schema);
+            let counts = RowCounts::of(&fast);
             let fast_pair = filter::label_pair_filter(
                 &queue,
                 data_facts.pairs(),
                 &schema,
                 &pair_rows,
                 &fast,
+                &counts,
                 &governor,
             );
             let slow_pair = naive::label_pair_filter(&queries, &data, &schema, &slow);
             assert_eq!(fast_pair, slow_pair, "pair-filter cleared (seed {seed})");
             assert_bitmaps_identical(&fast, &slow, &format!("pair filter (seed {seed})"));
 
-            let pred_rows: Vec<(u32, NodePredicate)> = queries
-                .predicates()
-                .iter()
-                .filter(|(_, p)| !p.is_trivial())
-                .map(|(v, p)| (*v, p.clone()))
-                .collect();
+            let pred_rows = filter::pred_rows(&queries);
             assert!(
                 !pred_rows.is_empty(),
                 "the SMARTS panel must compile to real predicate rows"
             );
             let attrs = data_facts.attrs().expect("built with attributes");
             let fast_pred =
-                filter::node_predicate_filter(&queue, attrs, &pred_rows, &fast, &governor);
+                filter::node_predicate_filter(&queue, attrs, &pred_rows, &fast, &counts, &governor);
             let slow_pred = naive::node_predicate_filter(&queries, &data, &slow);
             assert_eq!(fast_pred, slow_pred, "predicate cleared (seed {seed})");
             assert!(
@@ -170,6 +167,12 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
                 "predicate filter must actually clear bits (seed {seed})"
             );
             assert_bitmaps_identical(&fast, &slow, &format!("predicate filter (seed {seed})"));
+            let (kept, want) = (counts.stats(), CandidateStats::from_bitmap(&fast));
+            assert_eq!(
+                (kept.total, kept.min, kept.median, kept.max, kept.empty_rows),
+                (want.total, want.min, want.median, want.max, want.empty_rows),
+                "kernel row counts (seed {seed})"
+            );
         }
     }
     std::env::remove_var("RAYON_NUM_THREADS");
