@@ -151,7 +151,7 @@ fn main() {
         "matches:          {} (faulted) vs {} (clean)",
         faulted.total_matches, clean.total_matches
     );
-    println!("sim makespan:     {:.2} s", faulted.makespan_s);
+    println!("sim makespan:     {:.4} s", faulted.makespan_s);
     println!("sim throughput:   {:.0} matches/s", faulted.throughput());
     assert!(
         faulted.reconciled(),

@@ -92,16 +92,14 @@ fn clean(stealing: bool) -> ShardConfig {
 /// them, so no shard loses both replicas: with 6 shards × 4 GPUs per
 /// node, replica pairs straddle nodes.
 fn faulted(crashes: usize, stragglers: usize, slowdown: f64, transient_pct: u64) -> ShardConfig {
-    let mut fault = FaultPlan::none(SHARDS);
+    let mut fault = FaultPlan::none(SHARDS).with_transient_pct(transient_pct);
     for rank in 0..crashes {
         fault.crashed.insert(rank);
     }
     for k in 0..stragglers {
         fault.stragglers.insert(SHARDS - 1 - k, slowdown);
     }
-    let mut cfg = ShardConfig::new(SHARDS, REPLICAS)
-        .with_fault(fault)
-        .with_transient_pct(transient_pct);
+    let mut cfg = ShardConfig::new(SHARDS, REPLICAS).with_fault(fault);
     // The attempt budget must keep P(exhaustion) ≈ 0 over the whole
     // trace: at 25 % transients a 4-attempt budget loses ~0.25³ of the
     // slices whose first attempt hits a corpse. Scale attempts with the

@@ -261,7 +261,11 @@ fn shard_setup(args: &ParsedArgs) -> Result<Option<ShardConfig>, ArgError> {
     // Crashes claim the low ranks (clamped so one rank stays healthy);
     // stragglers claim the high ranks, skipping corpses. Deterministic by
     // construction — the seed only drives ownership and transient blips.
-    let mut fault = FaultPlan::none(shards);
+    let mut fault = FaultPlan::none(shards).with_transient_pct(args.get_parsed(
+        "transient-pct",
+        0u64,
+        "a percentage 0..=100",
+    )?);
     for r in 0..crashes.min(shards.saturating_sub(1)) {
         fault.crashed.insert(r);
     }
@@ -271,9 +275,7 @@ fn shard_setup(args: &ParsedArgs) -> Result<Option<ShardConfig>, ArgError> {
             fault.stragglers.insert(r, slowdown.max(1.0));
         }
     }
-    let mut config = ShardConfig::new(shards, replicas)
-        .with_fault(fault)
-        .with_transient_pct(args.get_parsed("transient-pct", 0u64, "a percentage 0..=100")?);
+    let mut config = ShardConfig::new(shards, replicas).with_fault(fault);
     config.fault_seed = args.get_parsed("fault-seed", config.fault_seed, "an integer")?;
     config.work_stealing = args.get_parsed("steal", true, "true or false")?;
     Ok(Some(config))
@@ -304,7 +306,7 @@ fn shard_summary(out: &mut String, stats: &[sigmo_serve::ShardStats]) {
         writeln!(
             out,
             "hot shard {}: max queue depth {} ticks, {} molecules executed",
-            hot, s.max_queue_depth, s.executed_molecules
+            hot, s.max_queue_depth, s.executed_cost
         )
         .unwrap();
     }

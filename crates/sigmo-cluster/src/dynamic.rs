@@ -7,9 +7,10 @@
 //! from the same engine + cost-model pipeline the static simulator uses,
 //! so the two schedulers are directly comparable on makespan and CoV.
 
+use crate::sim::{mean_and_cov, seconds_to_ns, PartitionCosting};
 use rayon::prelude::*;
-use sigmo_core::{Engine, EngineConfig, MatchMode};
-use sigmo_device::{CostModel, DeviceProfile, Queue};
+use sigmo_core::EngineConfig;
+use sigmo_device::DeviceProfile;
 use sigmo_graph::LabeledGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -79,34 +80,21 @@ pub fn run_dynamic(
 ) -> DynamicReport {
     assert!(config.num_ranks > 0 && config.chunk_size > 0);
     let chunks: Vec<&[LabeledGraph]> = data.chunks(config.chunk_size).collect();
-    let model = CostModel::new(config.device.clone());
+    let costing = PartitionCosting::new(queries, &config.engine, &config.device);
     // Cost every chunk (parallel over host cores; rank assignment below is
     // a deterministic list-scheduling simulation).
-    let costs: Vec<(u64, f64)> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let queue = Queue::new(config.device.clone());
-            let engine = Engine::new(config.engine.clone());
-            let report = engine.run(queries, chunk, &queue);
-            let matches = match config.engine.mode {
-                MatchMode::FindAll => report.total_matches,
-                MatchMode::FindFirst => report.matched_pairs,
-            };
-            (matches, model.total_time_s(&queue.records()))
-        })
-        .collect();
+    let costs: Vec<(u64, f64)> = chunks.par_iter().map(|chunk| costing.run(chunk)).collect();
 
     // Self-scheduling: each chunk goes to the earliest-free rank, in chunk
     // order (the order molecules arrive from the dataset).
     let mut heap: BinaryHeap<(Reverse<u64>, usize)> =
         (0..config.num_ranks).map(|r| (Reverse(0u64), r)).collect();
-    let to_ns = |s: f64| (s * 1e9) as u64;
     let mut rank_times = vec![0u64; config.num_ranks];
     let mut rank_chunks = vec![0usize; config.num_ranks];
     let mut total_matches = 0u64;
     for &(matches, cost_s) in &costs {
         let (Reverse(free_at), rank) = heap.pop().expect("ranks nonempty");
-        let finish = free_at + to_ns(cost_s + config.dispatch_overhead_s);
+        let finish = free_at + seconds_to_ns(cost_s + config.dispatch_overhead_s);
         rank_times[rank] = finish;
         rank_chunks[rank] += 1;
         total_matches += matches;
@@ -114,16 +102,7 @@ pub fn run_dynamic(
     }
     let rank_times_s: Vec<f64> = rank_times.iter().map(|&ns| ns as f64 / 1e9).collect();
     let makespan_s = rank_times_s.iter().cloned().fold(0.0, f64::max);
-    let busy: Vec<f64> = rank_times_s.clone();
-    // sigmo-lint: allow(float-accumulation) — sequential fold over the
-    // rank-indexed times vector; summation order is fixed by construction.
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    let cov = if mean <= f64::EPSILON {
-        0.0
-    } else {
-        // sigmo-lint: allow(float-accumulation) — same fixed rank order.
-        (busy.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / busy.len() as f64).sqrt() / mean
-    };
+    let (_, cov) = mean_and_cov(&rank_times_s);
     DynamicReport {
         rank_times_s,
         rank_chunks,

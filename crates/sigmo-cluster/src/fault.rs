@@ -1,46 +1,46 @@
-//! Deterministic fault injection and retry for the cluster simulator.
+//! Deterministic fault injection for the cluster simulator, and the batch
+//! client of the [`ShardRouter`].
 //!
 //! The paper's 256-GPU MPI deployment (§6, Fig. 14) uses static
 //! partitioning with no recovery story: a crashed rank loses its shard and
-//! a straggler stretches the barrier for everyone. This module injects
-//! both fault classes *deterministically* (seeded, so every run of a test
-//! sees the same faults) and adds the recovery protocol a production
-//! deployment needs: failed shards are re-dispatched to surviving ranks
-//! with bounded attempts and exponential backoff, all in simulated time.
-//! [`FaultClusterReport::reconciled`] then certifies the invariant that
-//! matters: an injected-fault run recovers the *exact* clean-run totals.
+//! a straggler stretches the barrier for everyone. A [`FaultPlan`] injects
+//! those faults *deterministically* (seeded, so every run of a test sees
+//! the same faults), and the [`ShardRouter`] plays out the recovery
+//! protocol on its integer-tick clock: failed dispatches are retried on
+//! replica ranks with bounded attempts and exponential backoff
+//! ([`RetryPolicy`]). [`FaultClusterReport::reconciled`] then certifies
+//! the invariant that matters: an injected-fault run recovers the *exact*
+//! clean-run totals.
 //!
-//! Fault model:
+//! Fault model (shared with the sharded server, the router's other
+//! client):
 //!
-//! * **Rank crash** — the rank dies at dispatch: its shard's first attempt
-//!   fails instantly and the rank never executes anything again (also not
-//!   retries of other shards).
+//! * **Rank crash** — the rank is dead from the start; a dispatch to it
+//!   fails, the router latches it dead and never targets it again.
 //! * **Straggler** — the rank completes its work, slowed by a constant
 //!   factor (the paper's CoV tail, exaggerated).
-//! * **Transient dispatch failure** — a shard's dispatch fails the first
-//!   `k` times regardless of rank (network blips), exercising multi-round
+//! * **Transient dispatch failure** — a seeded percentage of dispatches
+//!   fail regardless of rank (network blips), exercising multi-round
 //!   backoff.
 
-use crate::partition::static_block_partition;
-use crate::sim::ClusterSim;
-use rayon::prelude::*;
-use sigmo_core::{Engine, MatchMode};
-use sigmo_device::{CostModel, Queue};
+use crate::router::{ShardConfig, ShardRouter, SliceDispatch};
+use crate::sim::{seconds_to_ns, ClusterReport, ClusterSim};
 use sigmo_graph::LabeledGraph;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which faults a cluster run will experience. Built deterministically
-/// from a seed so fault runs are reproducible.
+/// Which faults a run will experience. Built deterministically from a
+/// seed so fault runs are reproducible.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Total ranks the plan was drawn for (must match the sim config).
+    /// Total ranks the plan was drawn for (must match the router's).
     pub num_ranks: usize,
     /// Ranks that crash at dispatch and stay dead for the whole run.
     pub crashed: BTreeSet<usize>,
     /// Straggler ranks and their slowdown factor (> 1.0).
     pub stragglers: BTreeMap<usize, f64>,
-    /// Per-shard count of transient dispatch failures before success.
-    pub transient_failures: BTreeMap<usize, usize>,
+    /// Percentage (0–100) of dispatches that fail transiently, drawn
+    /// from a splitmix64 stream seeded by [`ShardConfig::fault_seed`].
+    pub transient_pct: u64,
 }
 
 impl FaultPlan {
@@ -50,7 +50,7 @@ impl FaultPlan {
             num_ranks,
             crashed: BTreeSet::new(),
             stragglers: BTreeMap::new(),
-            transient_failures: BTreeMap::new(),
+            transient_pct: 0,
         }
     }
 
@@ -86,14 +86,13 @@ impl FaultPlan {
             num_ranks,
             crashed,
             stragglers: straggler_map,
-            transient_failures: BTreeMap::new(),
+            transient_pct: 0,
         }
     }
 
-    /// Adds `failures` transient dispatch failures to `shard` (it fails
-    /// that many times on any rank before succeeding).
-    pub fn with_transient(mut self, shard: usize, failures: usize) -> Self {
-        self.transient_failures.insert(shard, failures);
+    /// Sets the transient dispatch-failure percentage (clamped to 100).
+    pub fn with_transient_pct(mut self, pct: u64) -> Self {
+        self.transient_pct = pct.min(100);
         self
     }
 
@@ -103,124 +102,64 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64: tiny, deterministic, dependency-free PRNG step.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+/// splitmix64: tiny, deterministic, dependency-free PRNG step — the only
+/// randomness source of fault plans, the router, and the serving
+/// workload generator.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-/// Bounded-retry policy with exponential backoff in simulated time.
+/// Bounded-retry policy with exponential backoff on the router's clock.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Maximum dispatch attempts per shard (including the first).
+    /// Maximum dispatch attempts per slice (including the first).
     pub max_attempts: usize,
-    /// Backoff before the first retry; doubles every further retry.
-    pub backoff_base_s: f64,
+    /// Backoff in ticks before the first retry; doubles every further
+    /// retry.
+    pub backoff_base_ticks: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 4,
-            backoff_base_s: 0.5,
+            backoff_base_ticks: 4,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Simulated wait before retry number `retry` (1-based: the first
-    /// retry waits the base, the second twice that, ...).
+    /// Ticks waited before retry number `retry` (1-based: the first retry
+    /// waits the base, the second twice that, ...), saturating at
+    /// `u64::MAX`. Integer ticks keep every schedule bit-deterministic —
+    /// no float accumulation ever reaches the clock.
     ///
     /// Contract: `retry >= 1` — there is no backoff before the *first*
     /// attempt, so retry number 0 is a caller bug. It is flagged with a
     /// `debug_assert!` and clamped to 1 rather than panicking a release
-    /// serving process mid-request. The doubling **saturates**: retry
-    /// numbers whose power of two exceeds `f64`'s range return
-    /// `f64::MAX`, never `inf`, so downstream simulated-time arithmetic
-    /// (`failed_at + backoff`) stays finite and comparable.
-    pub fn backoff_s(&self, retry: usize) -> f64 {
+    /// serving process mid-request.
+    pub fn backoff_ticks(&self, retry: usize) -> u64 {
         debug_assert!(retry >= 1, "retry numbers are 1-based");
-        let exp = retry.max(1) - 1;
-        if exp >= f64::MAX_EXP as usize {
-            return f64::MAX;
-        }
-        let backoff = self.backoff_base_s * 2f64.powi(exp as i32);
-        if backoff.is_finite() {
-            backoff
-        } else {
-            f64::MAX
-        }
-    }
-
-    /// Integer-tick backoff for the virtual-clock serving simulator:
-    /// `base_ticks` doubled per further retry, saturating at `u64::MAX`
-    /// (same 1-based contract as [`RetryPolicy::backoff_s`]). Integer
-    /// ticks keep the sharded serving schedule bit-deterministic — no
-    /// float accumulation ever reaches the latency accounting.
-    pub fn backoff_ticks(&self, base_ticks: u64, retry: usize) -> u64 {
-        debug_assert!(retry >= 1, "retry numbers are 1-based");
-        if base_ticks == 0 {
+        if self.backoff_base_ticks == 0 {
             return 0;
         }
         let exp = retry.max(1) - 1;
         if exp >= 64 {
             return u64::MAX;
         }
-        base_ticks.saturating_mul(1u64 << exp)
+        self.backoff_base_ticks.saturating_mul(1u64 << exp)
     }
-}
-
-/// What one dispatch attempt did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptOutcome {
-    /// The target rank was crashed: the dispatch failed instantly.
-    CrashedRank,
-    /// Injected transient failure: the dispatch failed instantly.
-    TransientFailure,
-    /// The shard ran to completion on the target rank.
-    Completed,
-}
-
-/// One dispatch attempt of one shard, in simulated time.
-#[derive(Debug, Clone)]
-pub struct ShardAttempt {
-    /// 1-based attempt number.
-    pub attempt: usize,
-    /// Rank the shard was dispatched to.
-    pub rank: usize,
-    /// Backoff waited before this attempt (0 for the first).
-    pub backoff_s: f64,
-    /// Simulated time the attempt started executing.
-    pub start_s: f64,
-    /// Simulated execution time (0 for failed dispatches).
-    pub duration_s: f64,
-    /// How the attempt ended.
-    pub outcome: AttemptOutcome,
-}
-
-/// Final outcome of one shard across all its attempts.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Shard id (== the rank that owns it under static partitioning).
-    pub shard: usize,
-    /// Molecules in the shard.
-    pub molecules: usize,
-    /// Matches contributed (0 unless some attempt completed).
-    pub matches: u64,
-    /// Every dispatch attempt, in order.
-    pub attempts: Vec<ShardAttempt>,
-    /// Whether some attempt completed.
-    pub completed: bool,
 }
 
 /// Aggregate result of a fault-injected cluster run.
 #[derive(Debug)]
 pub struct FaultClusterReport {
-    /// Per-shard outcomes, shard order.
-    pub shards: Vec<ShardOutcome>,
+    /// Where each shard's slice ran (or that it degraded), shard order.
+    pub dispatches: Vec<SliceDispatch>,
     /// Total matches across completed shards.
     pub total_matches: u64,
     /// Simulated makespan including retries and backoff waits.
@@ -231,8 +170,8 @@ pub struct FaultClusterReport {
     pub injected_stragglers: Vec<usize>,
     /// Shards that exhausted their attempts without completing.
     pub failed_shards: Vec<usize>,
-    /// Total retry dispatches across all shards.
-    pub total_retries: usize,
+    /// Failed dispatch attempts across all shards.
+    pub total_retries: u64,
 }
 
 impl FaultClusterReport {
@@ -252,15 +191,55 @@ impl FaultClusterReport {
     }
 }
 
+impl ClusterReport {
+    /// Replays this clean run's shards through a [`ShardRouter`] under
+    /// `plan` and `policy`: one slice per shard, in shard order, in one
+    /// step over the static partition. A shard's cost is its rank's
+    /// modeled time in nanoseconds, and every rank replicates every shard,
+    /// so a failed shard may be retried on any surviving rank. The engine
+    /// is deterministic, so a retried shard finds the matches the clean
+    /// run found; only the schedule and the lost shards change.
+    pub fn with_faults(&self, plan: &FaultPlan, policy: &RetryPolicy) -> FaultClusterReport {
+        let ranks = self.ranks.len();
+        let mut router = ShardRouter::new(ShardConfig {
+            fault: plan.clone(),
+            retry: policy.clone(),
+            // The modeled time already covers each launch's overhead.
+            dispatch_ticks: 0,
+            ..ShardConfig::new(ranks, ranks)
+        });
+        router.begin_step();
+        let dispatches: Vec<SliceDispatch> = self
+            .ranks
+            .iter()
+            .map(|r| router.schedule_slice(r.rank, seconds_to_ns(r.sim_time_s)))
+            .collect();
+        let total_matches = self
+            .ranks
+            .iter()
+            .zip(&dispatches)
+            .filter(|(_, d)| d.rank.is_some())
+            .map(|(r, _)| r.matches)
+            .sum();
+        FaultClusterReport {
+            failed_shards: dispatches
+                .iter()
+                .filter(|d| d.rank.is_none())
+                .map(|d| d.shard)
+                .collect(),
+            dispatches,
+            total_matches,
+            makespan_s: router.step_makespan() as f64 / 1e9,
+            injected_crashes: plan.crashed.iter().copied().collect(),
+            injected_stragglers: plan.stragglers.keys().copied().collect(),
+            total_retries: router.stats().iter().map(|s| s.retries).sum(),
+        }
+    }
+}
+
 impl ClusterSim {
-    /// Runs the workload under a [`FaultPlan`] and [`RetryPolicy`].
-    ///
-    /// Each shard's pipeline runs once on the host (the engine is
-    /// deterministic, so a retry re-executing the same shard would produce
-    /// identical results); the *schedule* — crashes, retries, backoff,
-    /// straggler slowdown — plays out in simulated time. Retries are
-    /// re-dispatched greedily to the least-loaded surviving rank (ties to
-    /// the lowest rank id), making the whole schedule deterministic.
+    /// Runs the workload under a [`FaultPlan`] and [`RetryPolicy`]: the
+    /// clean [`ClusterSim::run`], then [`ClusterReport::with_faults`].
     pub fn run_with_faults(
         &self,
         queries: &[LabeledGraph],
@@ -268,148 +247,7 @@ impl ClusterSim {
         plan: &FaultPlan,
         policy: &RetryPolicy,
     ) -> FaultClusterReport {
-        let cfg = self.config();
-        assert_eq!(
-            plan.num_ranks, cfg.num_ranks,
-            "fault plan drawn for a different rank count"
-        );
-        assert!(policy.max_attempts >= 1);
-        let parts = static_block_partition(data, cfg.num_ranks);
-        let model = CostModel::new(cfg.device.clone());
-        let engine_cfg = cfg.engine.clone();
-
-        // Phase 0: compute every shard's matches and base simulated
-        // duration once (reused for retries — the engine is deterministic).
-        let shard_runs: Vec<(u64, f64)> = parts
-            .par_iter()
-            .map(|part| {
-                if part.is_empty() {
-                    return (0u64, 0.0);
-                }
-                let queue = Queue::new(cfg.device.clone());
-                let engine = Engine::new(engine_cfg.clone());
-                let report = engine.run(queries, part, &queue);
-                let m = match engine_cfg.mode {
-                    MatchMode::FindAll => report.total_matches,
-                    MatchMode::FindFirst => report.matched_pairs,
-                };
-                (m, model.total_time_s(&queue.records()))
-            })
-            .collect();
-
-        // Phase 1: first dispatch, every shard on its owning rank.
-        let mut rank_clock = vec![0.0f64; cfg.num_ranks];
-        let mut shards: Vec<ShardOutcome> = Vec::with_capacity(cfg.num_ranks);
-        let mut pending: Vec<(usize, f64, usize)> = Vec::new(); // (shard, failure time, transient left)
-        for (s, part) in parts.iter().enumerate() {
-            let (matches, base_s) = shard_runs[s];
-            let mut outcome = ShardOutcome {
-                shard: s,
-                molecules: part.len(),
-                matches: 0,
-                attempts: Vec::new(),
-                completed: false,
-            };
-            let transient_left = plan.transient_failures.get(&s).copied().unwrap_or(0);
-            if plan.crashed.contains(&s) {
-                outcome.attempts.push(ShardAttempt {
-                    attempt: 1,
-                    rank: s,
-                    backoff_s: 0.0,
-                    start_s: 0.0,
-                    duration_s: 0.0,
-                    outcome: AttemptOutcome::CrashedRank,
-                });
-                pending.push((s, 0.0, transient_left));
-            } else if transient_left > 0 {
-                outcome.attempts.push(ShardAttempt {
-                    attempt: 1,
-                    rank: s,
-                    backoff_s: 0.0,
-                    start_s: 0.0,
-                    duration_s: 0.0,
-                    outcome: AttemptOutcome::TransientFailure,
-                });
-                pending.push((s, 0.0, transient_left - 1));
-            } else {
-                let duration = base_s * plan.slowdown(s);
-                outcome.attempts.push(ShardAttempt {
-                    attempt: 1,
-                    rank: s,
-                    backoff_s: 0.0,
-                    start_s: 0.0,
-                    duration_s: duration,
-                    outcome: AttemptOutcome::Completed,
-                });
-                outcome.matches = matches;
-                outcome.completed = true;
-                rank_clock[s] += duration;
-            }
-            shards.push(outcome);
-        }
-
-        // Phase 2: retries, shard order — greedy least-loaded surviving
-        // rank, exponential backoff from the last failure.
-        let mut total_retries = 0usize;
-        for (s, mut failed_at, mut transient_left) in pending {
-            let (matches, base_s) = shard_runs[s];
-            for attempt in 2..=policy.max_attempts {
-                let backoff = policy.backoff_s(attempt - 1);
-                let scheduled = failed_at + backoff;
-                // Least-loaded surviving rank; ties to the lowest id.
-                let Some(rank) = (0..cfg.num_ranks)
-                    .filter(|r| !plan.crashed.contains(r))
-                    .min_by(|&a, &b| rank_clock[a].total_cmp(&rank_clock[b]))
-                else {
-                    break; // every rank is dead: the shard cannot run
-                };
-                total_retries += 1;
-                let start = scheduled.max(rank_clock[rank]);
-                if transient_left > 0 {
-                    transient_left -= 1;
-                    failed_at = start;
-                    shards[s].attempts.push(ShardAttempt {
-                        attempt,
-                        rank,
-                        backoff_s: backoff,
-                        start_s: start,
-                        duration_s: 0.0,
-                        outcome: AttemptOutcome::TransientFailure,
-                    });
-                    continue;
-                }
-                let duration = base_s * plan.slowdown(rank);
-                shards[s].attempts.push(ShardAttempt {
-                    attempt,
-                    rank,
-                    backoff_s: backoff,
-                    start_s: start,
-                    duration_s: duration,
-                    outcome: AttemptOutcome::Completed,
-                });
-                shards[s].matches = matches;
-                shards[s].completed = true;
-                rank_clock[rank] = start + duration;
-                break;
-            }
-        }
-
-        let failed_shards: Vec<usize> = shards
-            .iter()
-            .filter(|o| !o.completed)
-            .map(|o| o.shard)
-            .collect();
-        let total_matches = shards.iter().map(|o| o.matches).sum();
-        let makespan_s = rank_clock.iter().cloned().fold(0.0, f64::max);
-        FaultClusterReport {
-            shards,
-            total_matches,
-            makespan_s,
-            injected_crashes: plan.crashed.iter().copied().collect(),
-            injected_stragglers: plan.stragglers.keys().copied().collect(),
-            failed_shards,
-            total_retries,
-        }
+        self.run(queries, data).with_faults(plan, policy)
     }
 }
 
@@ -420,12 +258,8 @@ mod tests {
     use sigmo_core::EngineConfig;
     use sigmo_mol::Dataset;
 
-    fn small_world() -> (Vec<LabeledGraph>, Vec<LabeledGraph>) {
+    fn clean_run(ranks: usize) -> ClusterReport {
         let d = Dataset::small(7);
-        (d.queries()[..6].to_vec(), d.data_graphs().to_vec())
-    }
-
-    fn sim(ranks: usize) -> ClusterSim {
         ClusterSim::new(ClusterConfig {
             num_ranks: ranks,
             engine: EngineConfig {
@@ -434,40 +268,29 @@ mod tests {
             },
             ..Default::default()
         })
+        .run(&d.queries()[..6], d.data_graphs())
     }
 
     #[test]
     fn backoff_saturates_instead_of_overflowing() {
-        let policy = RetryPolicy {
+        let policy = |base| RetryPolicy {
             max_attempts: 4,
-            backoff_base_s: 0.5,
+            backoff_base_ticks: base,
         };
-        // The documented doubling at small retry numbers.
-        assert_eq!(policy.backoff_s(1), 0.5);
-        assert_eq!(policy.backoff_s(2), 1.0);
-        assert_eq!(policy.backoff_s(3), 2.0);
-        // Doubling past f64's exponent range must saturate, not reach inf.
-        for retry in [1_100, 10_000, usize::MAX] {
-            let b = policy.backoff_s(retry);
-            assert!(b.is_finite(), "backoff_s({retry}) must stay finite");
-            assert_eq!(b, f64::MAX);
-        }
+        assert_eq!(policy(4).backoff_ticks(1), 4);
+        assert_eq!(policy(4).backoff_ticks(3), 16);
+        assert_eq!(policy(1).backoff_ticks(64), 1u64 << 63, "2^63 fits");
+        assert_eq!(policy(1).backoff_ticks(65), u64::MAX);
+        assert_eq!(policy(3).backoff_ticks(63), 3u64 << 62);
+        assert_eq!(policy(u64::MAX).backoff_ticks(2), u64::MAX);
+        assert_eq!(policy(0).backoff_ticks(usize::MAX), 0, "zero base is free");
         // Monotone non-decreasing across the saturation boundary.
-        let mut last = 0.0;
-        for retry in 1..2_000 {
-            let b = policy.backoff_s(retry);
+        let mut last = 0;
+        for retry in 1..200 {
+            let b = policy(3).backoff_ticks(retry);
             assert!(b >= last, "backoff must never shrink (retry {retry})");
             last = b;
         }
-
-        // The integer-tick variant saturates at u64::MAX the same way.
-        assert_eq!(policy.backoff_ticks(4, 1), 4);
-        assert_eq!(policy.backoff_ticks(4, 3), 16);
-        assert_eq!(policy.backoff_ticks(1, 64), 1u64 << 63, "2^63 fits");
-        assert_eq!(policy.backoff_ticks(1, 65), u64::MAX);
-        assert_eq!(policy.backoff_ticks(3, 63), 3u64 << 62);
-        assert_eq!(policy.backoff_ticks(u64::MAX, 2), u64::MAX);
-        assert_eq!(policy.backoff_ticks(0, usize::MAX), 0, "zero base is free");
     }
 
     #[test]
@@ -492,34 +315,23 @@ mod tests {
 
     #[test]
     fn no_faults_matches_clean_run() {
-        let (queries, data) = small_world();
-        let s = sim(4);
-        let clean = s.run(&queries, &data);
-        let faulted = s.run_with_faults(
-            &queries,
-            &data,
-            &FaultPlan::none(4),
-            &RetryPolicy::default(),
-        );
+        let clean = clean_run(4);
+        let faulted = clean.with_faults(&FaultPlan::none(4), &RetryPolicy::default());
         assert!(faulted.reconciled());
         assert_eq!(faulted.total_matches, clean.total_matches);
         assert_eq!(faulted.total_retries, 0);
-        assert!(faulted
-            .shards
-            .iter()
-            .all(|o| o.attempts.len() == 1 && o.completed));
+        for (d, r) in faulted.dispatches.iter().zip(&clean.ranks) {
+            assert_eq!(d.rank, Some(r.rank), "every shard stays on its own rank");
+        }
+        let makespan_ns = seconds_to_ns(clean.makespan_s);
+        assert_eq!((faulted.makespan_s * 1e9).round() as u64, makespan_ns);
     }
 
     #[test]
     fn three_of_sixteen_crashes_reconcile_exactly() {
-        // The acceptance scenario: 3 of 16 ranks crash (seeded); retry
-        // recovers the clean-run total exactly, with per-rank attempts
-        // and backoff recorded.
-        let (queries, data) = small_world();
-        let s = sim(16);
-        let clean = s.run(&queries, &data);
+        let clean = clean_run(16);
         let plan = FaultPlan::seeded(0x516_0301, 16, 3, 0, 1.0);
-        let report = s.run_with_faults(&queries, &data, &plan, &RetryPolicy::default());
+        let report = clean.with_faults(&plan, &RetryPolicy::default());
         assert!(
             report.reconciled(),
             "failed shards: {:?}",
@@ -527,91 +339,36 @@ mod tests {
         );
         assert_eq!(report.total_matches, clean.total_matches);
         assert_eq!(report.injected_crashes.len(), 3);
-        assert_eq!(report.total_retries, 3, "one retry per crashed shard");
-        for &r in &report.injected_crashes {
-            let o = &report.shards[r];
-            assert_eq!(o.attempts.len(), 2);
-            assert_eq!(o.attempts[0].outcome, AttemptOutcome::CrashedRank);
-            assert_eq!(o.attempts[1].outcome, AttemptOutcome::Completed);
-            assert!(o.attempts[1].backoff_s > 0.0, "backoff must be recorded");
-            assert!(
-                !plan.crashed.contains(&o.attempts[1].rank),
-                "retry landed on a dead rank"
-            );
+        assert_eq!(report.total_retries, 3, "one failed dispatch per crash");
+        for d in &report.dispatches {
+            let rank = d.rank.expect("every shard completed");
+            assert!(!plan.crashed.contains(&rank), "shard ran on a dead rank");
         }
     }
 
     #[test]
-    fn transient_failures_back_off_exponentially() {
-        let (queries, data) = small_world();
-        let s = sim(4);
-        let clean = s.run(&queries, &data);
-        let plan = FaultPlan::none(4).with_transient(1, 2);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff_base_s: 0.25,
-        };
-        let report = s.run_with_faults(&queries, &data, &plan, &policy);
-        assert!(report.reconciled());
-        assert_eq!(report.total_matches, clean.total_matches);
-        let o = &report.shards[1];
-        assert_eq!(o.attempts.len(), 3, "2 transient failures + 1 success");
-        assert_eq!(o.attempts[1].backoff_s, 0.25);
-        assert_eq!(o.attempts[2].backoff_s, 0.5, "backoff doubles");
-        assert!(o.attempts[2].start_s >= o.attempts[1].start_s);
-    }
-
-    #[test]
-    fn exhausted_attempts_leave_shard_failed_not_wrong() {
-        let (queries, data) = small_world();
-        let s = sim(4);
-        let clean = s.run(&queries, &data);
-        // More transient failures than the policy allows attempts.
-        let plan = FaultPlan::none(4).with_transient(0, 10);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff_base_s: 0.1,
-        };
-        let report = s.run_with_faults(&queries, &data, &plan, &policy);
-        assert!(!report.reconciled());
-        assert_eq!(report.failed_shards, vec![0]);
-        assert!(
-            report.total_matches < clean.total_matches,
-            "a failed shard's matches must not be counted"
-        );
-        assert!(!report.shards[0].completed);
-        assert_eq!(report.shards[0].matches, 0);
-    }
-
-    #[test]
     fn stragglers_stretch_the_makespan() {
-        let (queries, data) = small_world();
-        let s = sim(4);
-        let clean = s.run_with_faults(
-            &queries,
-            &data,
-            &FaultPlan::none(4),
-            &RetryPolicy::default(),
-        );
+        let clean = clean_run(4);
+        let policy = RetryPolicy::default();
+        let base = clean.with_faults(&FaultPlan::none(4), &policy);
         let mut slowed = FaultPlan::none(4);
         slowed.stragglers.insert(0, 10.0);
-        let report = s.run_with_faults(&queries, &data, &slowed, &RetryPolicy::default());
+        let report = clean.with_faults(&slowed, &policy);
         assert!(report.reconciled());
         assert_eq!(report.total_matches, clean.total_matches);
         assert!(
-            report.makespan_s > clean.makespan_s,
+            report.makespan_s > base.makespan_s,
             "10x slowdown must stretch the makespan ({} vs {})",
             report.makespan_s,
-            clean.makespan_s
+            base.makespan_s
         );
     }
 
     #[test]
-    fn all_ranks_crashed_fails_every_shard_gracefully() {
-        let (queries, data) = small_world();
-        let s = sim(2);
+    fn all_ranks_crashed_fails_every_shard() {
+        let clean = clean_run(2);
         let plan = FaultPlan::seeded(7, 2, 2, 0, 1.0);
-        let report = s.run_with_faults(&queries, &data, &plan, &RetryPolicy::default());
+        let report = clean.with_faults(&plan, &RetryPolicy::default());
         assert!(!report.reconciled());
         assert_eq!(report.failed_shards, vec![0, 1]);
         assert_eq!(report.total_matches, 0);

@@ -1,61 +1,48 @@
-//! The sharded serving tier: deterministic molecule→shard routing,
-//! replica-aware dispatch under seeded faults, and work-stealing.
+//! The dispatch state machine: replica-aware routing of work slices over
+//! simulated ranks under seeded faults, with bounded retry and
+//! work-stealing, on an integer-tick virtual clock.
 //!
 //! The paper's 256-GPU deployment statically partitions the corpus with
-//! no recovery story (§5.4.2, a stated limitation). This module is the
-//! serving-side answer: the [`crate::Server`]'s corpus is partitioned
-//! across `N` simulated ranks with `R`-way replication (placement from
-//! [`sigmo_cluster::replica_placement`], one replica per node while nodes
-//! last), each micro-batch's executed molecules are split into per-shard
-//! slices, and every slice is dispatched on the virtual clock:
+//! no recovery story (§5.4.2, a stated limitation). [`ShardRouter`] is the
+//! one place that recovery lives. Each shard has `R` replica ranks
+//! (placement from [`replica_placement`], one replica per node while
+//! nodes last), and every slice of a shard's work is dispatched on the
+//! virtual clock:
 //!
 //! * a slice whose target rank is **crashed** ([`FaultPlan::crashed`])
 //!   fails at dispatch; the rank is remembered as dead and the slice is
 //!   re-dispatched to a replica under [`RetryPolicy`] backoff
 //!   ([`RetryPolicy::backoff_ticks`] — integer, saturating);
-//! * a seeded **transient failure** (splitmix64 stream, one draw per
-//!   dispatch) costs a dispatch and a backoff, then retries;
+//! * a seeded **transient failure** ([`FaultPlan::transient_pct`] of
+//!   dispatches, drawn from a [`splitmix64`] stream) costs a dispatch and
+//!   a backoff, then retries;
 //! * a **straggler** rank ([`FaultPlan::stragglers`]) serves the slice
 //!   slowed by its factor;
 //! * a slice that exhausts `max_attempts` (or whose every replica is
-//!   known dead) is **degraded**: its molecules report zero matches with
-//!   `Truncated(ShardUnavailable)` — a sound lower bound — instead of
-//!   failing the whole batch.
+//!   known dead) is **degraded**: the router reports it unplaced and the
+//!   caller decides what a lost slice means.
 //!
 //! With [`ShardConfig::work_stealing`] on, a dispatch whose primary's
 //! backlog exceeds the least-loaded live replica's by more than
-//! [`ShardConfig::steal_margin`] ticks is diverted there — hot shards
-//! (skewed molecule popularity) shed work onto their replicas. The
-//! decision reads only the router's own per-rank busy ticks, so the
-//! schedule is bit-deterministic: same config, same trace, same
-//! schedule, at any thread count.
+//! [`ShardConfig::steal_margin`] ticks is diverted there. The decision
+//! reads only the router's own per-rank busy ticks, so the schedule is
+//! bit-deterministic: same config, same slices, same schedule.
 //!
-//! Crucially, none of this touches *results*: faults, retries, stealing,
-//! and backoff only move slices between ranks and ticks on the clock.
-//! Each slice still runs through the unchanged word-parallel
-//! [`sigmo_core::StreamRunner`] path, and the partial [`StreamReport`]s
-//! are folded back with [`StreamReport::absorb_partial`] /
-//! [`StreamReport::normalize`] — bit-identical to the unsharded,
-//! fault-free oracle (pinned in `tests/shard_soak.rs`).
+//! The router has two clients, and each picks what a tick is worth:
 //!
-//! [`StreamReport`]: sigmo_core::StreamReport
-//! [`StreamReport::absorb_partial`]: sigmo_core::StreamReport::absorb_partial
-//! [`StreamReport::normalize`]: sigmo_core::StreamReport::normalize
+//! * `sigmo-serve`'s sharded server charges one tick per molecule of a
+//!   slice, several slices per server step;
+//! * [`crate::ClusterSim::run_with_faults`] charges each shard's modeled
+//!   device time in nanoseconds, one slice per shard in one step over the
+//!   static partition, with every rank a replica of every shard.
+//!
+//! Neither client's results depend on the schedule: the router only
+//! moves slices between ranks and ticks on the clock.
 
-use crate::cache::MolId;
-use sigmo_cluster::{replica_placement, FaultPlan, RetryPolicy};
+use crate::fault::{splitmix64, FaultPlan, RetryPolicy};
+use crate::topology::replica_placement;
 
-/// splitmix64: the router's only randomness source (ownership hashing and
-/// the transient-failure stream).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Configuration of the sharded serving tier.
+/// Configuration of a [`ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of shards == number of simulated ranks (shard `s`'s primary
@@ -66,20 +53,14 @@ pub struct ShardConfig {
     /// Ranks per simulated node — the replica-placement failure-domain
     /// stride (the paper's machines hold 4 GPUs each).
     pub gpus_per_node: usize,
-    /// Crashed ranks and stragglers. `num_ranks` must equal `shards`.
-    /// (The batch-mode per-shard `transient_failures` counts are ignored
-    /// here; serving transients come from [`ShardConfig::transient_pct`].)
+    /// Crashed ranks, stragglers and the transient-failure rate.
+    /// `num_ranks` must equal `shards`.
     pub fault: FaultPlan,
-    /// Percentage (0–100) of dispatches that fail transiently, drawn from
-    /// a splitmix64 stream seeded by [`ShardConfig::fault_seed`].
-    pub transient_pct: u64,
-    /// Seed for molecule→shard ownership hashing and the transient draw.
+    /// Seed for ownership hashing ([`ShardRouter::owner`]) and the
+    /// transient-failure draw.
     pub fault_seed: u64,
-    /// Attempt bound and backoff shape for failed dispatches.
+    /// Attempt bound and backoff for failed dispatches.
     pub retry: RetryPolicy,
-    /// Base backoff in virtual ticks (doubles per further retry,
-    /// saturating — [`RetryPolicy::backoff_ticks`]).
-    pub backoff_base_ticks: u64,
     /// Virtual ticks charged per dispatch attempt (the work-queue
     /// round-trip a real deployment pays per slice).
     pub dispatch_ticks: u64,
@@ -98,25 +79,17 @@ impl ShardConfig {
             replicas,
             gpus_per_node: 4,
             fault: FaultPlan::none(shards),
-            transient_pct: 0,
             fault_seed: 0x0051_6d08,
             retry: RetryPolicy::default(),
-            backoff_base_ticks: 4,
             dispatch_ticks: 1,
             work_stealing: true,
             steal_margin: 2,
         }
     }
 
-    /// Replaces the fault plan (crashes + stragglers).
+    /// Replaces the fault plan.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Sets the transient dispatch-failure percentage.
-    pub fn with_transient_pct(mut self, pct: u64) -> Self {
-        self.transient_pct = pct.min(100);
         self
     }
 }
@@ -133,8 +106,9 @@ pub struct ShardStats {
     pub steals: u64,
     /// Slices that exhausted every replica and degraded.
     pub degraded_slices: u64,
-    /// Molecules executed for this shard.
-    pub executed_molecules: u64,
+    /// Service cost executed for this shard, in the client's cost units
+    /// (before straggler slowdown).
+    pub executed_cost: u64,
     /// Service ticks charged to this shard's executions.
     pub busy_ticks: u64,
     /// Deepest primary backlog (ticks) observed at a dispatch.
@@ -224,10 +198,10 @@ impl ShardRouter {
         &self.stats
     }
 
-    /// The shard owning molecule `id` under partition version `epoch`.
+    /// The shard owning item `id` under partition version `epoch`.
     /// A pure seeded hash: deterministic, uniform across shards, and
     /// re-drawn wholesale when the epoch bumps (a repartition).
-    pub fn owner(&self, id: MolId, epoch: u64) -> usize {
+    pub fn owner(&self, id: u32, epoch: u64) -> usize {
         let mut state = self
             .config
             .fault_seed
@@ -252,12 +226,12 @@ impl ShardRouter {
         self.span
     }
 
-    /// Schedules one `molecules`-long slice of `shard`'s work, playing
-    /// out crashes, transient failures, backoff, stragglers, and
-    /// work-stealing on the virtual clock. Returns where (and whether)
-    /// the slice ran; the *caller* executes it — the router never touches
-    /// results.
-    pub fn schedule_slice(&mut self, shard: usize, molecules: usize) -> SliceDispatch {
+    /// Schedules one slice of `shard`'s work whose service costs `cost`
+    /// ticks on a healthy rank, playing out crashes, transient failures,
+    /// backoff, stragglers, and work-stealing on the virtual clock.
+    /// Returns where (and whether) the slice ran; the *caller* executes
+    /// it — the router never touches results.
+    pub fn schedule_slice(&mut self, shard: usize, cost: u64) -> SliceDispatch {
         let mut ready = 0u64;
         for attempt in 1..=self.config.retry.max_attempts {
             // Replicas not yet observed dead, placement order.
@@ -293,44 +267,31 @@ impl ShardRouter {
                 (live[(attempt - 1) % live.len()], false)
             };
             let start = ready.max(self.rank_busy[target]);
-            if self.config.fault.crashed.contains(&target) {
-                // Discovered at dispatch: the rank is dead. Remember the
-                // corpse, back off, retry on a replica.
-                self.known_dead[target] = true;
+            let crashed = self.config.fault.crashed.contains(&target);
+            if crashed || self.transient_fails() {
+                if crashed {
+                    // Discovered at dispatch: remember the corpse.
+                    self.known_dead[target] = true;
+                } else {
+                    // A transient blip briefly busies the live target.
+                    self.rank_busy[target] = start + self.config.dispatch_ticks;
+                }
+                // Either way the slice backs off and retries.
                 self.stats[shard].retries += 1;
-                ready = start
-                    + self.config.dispatch_ticks
-                    + self
-                        .config
-                        .retry
-                        .backoff_ticks(self.config.backoff_base_ticks, attempt);
-                self.span = self.span.max(ready);
-                continue;
-            }
-            if self.transient_fails() {
-                // The dispatch itself failed (network blip): the target
-                // briefly busied, the slice backs off and retries.
-                self.rank_busy[target] = start + self.config.dispatch_ticks;
-                self.stats[shard].retries += 1;
-                ready = start
-                    + self.config.dispatch_ticks
-                    + self
-                        .config
-                        .retry
-                        .backoff_ticks(self.config.backoff_base_ticks, attempt);
+                ready =
+                    start + self.config.dispatch_ticks + self.config.retry.backoff_ticks(attempt);
                 self.span = self.span.max(ready);
                 continue;
             }
             // Success: the slice occupies the target for a dispatch plus
-            // one tick per molecule, stretched by the straggler factor.
+            // its cost, stretched by the straggler factor.
             let slowdown = self.config.fault.slowdown(target);
-            let service_mols = ((molecules as f64) * slowdown).ceil() as u64;
-            let service = self.config.dispatch_ticks + service_mols;
+            let service = self.config.dispatch_ticks + ((cost as f64) * slowdown).ceil() as u64;
             let finish = start + service;
             self.rank_busy[target] = finish;
             self.span = self.span.max(finish);
             self.stats[shard].dispatches += 1;
-            self.stats[shard].executed_molecules += molecules as u64;
+            self.stats[shard].executed_cost += cost;
             self.stats[shard].busy_ticks += service;
             if diverted {
                 self.stats[shard].steals += 1;
@@ -355,10 +316,8 @@ impl ShardRouter {
 
     /// One seeded draw from the transient-failure stream.
     fn transient_fails(&mut self) -> bool {
-        if self.config.transient_pct == 0 {
-            return false;
-        }
-        splitmix64(&mut self.transient_state) % 100 < self.config.transient_pct
+        let pct = self.config.fault.transient_pct;
+        pct != 0 && splitmix64(&mut self.transient_state) % 100 < pct
     }
 }
 
@@ -424,7 +383,6 @@ mod tests {
         fault.crashed.insert(2);
         let mut router = ShardRouter::new(ShardConfig {
             work_stealing: false,
-            backoff_base_ticks: 4,
             ..ShardConfig::new(4, 2).with_fault(fault)
         });
         router.begin_step();
@@ -459,7 +417,7 @@ mod tests {
         // Transient storms degrade too once attempts run out.
         let mut stormy = ShardRouter::new(ShardConfig {
             work_stealing: false,
-            ..ShardConfig::new(2, 1).with_transient_pct(100)
+            ..ShardConfig::new(2, 1).with_fault(FaultPlan::none(2).with_transient_pct(100))
         });
         stormy.begin_step();
         let d = stormy.schedule_slice(0, 5);
@@ -530,7 +488,7 @@ mod tests {
             let mut router = ShardRouter::new(ShardConfig {
                 fault_seed: seed,
                 work_stealing: false,
-                ..ShardConfig::new(4, 2).with_transient_pct(40)
+                ..ShardConfig::new(4, 2).with_fault(FaultPlan::none(4).with_transient_pct(40))
             });
             router.begin_step();
             (0..32)

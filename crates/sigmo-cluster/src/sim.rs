@@ -89,36 +89,20 @@ impl ClusterSim {
     }
 
     /// Runs the workload: `data` is statically partitioned across ranks,
-    /// every rank matches the full `queries` set against its partition.
-    ///
-    /// The query-side [`QueryPlan`] is built once on the host and shared
-    /// (borrowed) by every rank — the real cluster broadcasts the plan
-    /// alongside the query batch instead of rebuilding it per GPU.
+    /// every rank matches the full `queries` set against its partition
+    /// under one shared query plan.
     // sigmo-lint: allow(wall-clock-in-result) — per-rank wall_time is
     // display-only, excluded from determinism keys; the load-balance
     // metrics below key on the modeled sim_time_s instead.
     pub fn run(&self, queries: &[LabeledGraph], data: &[LabeledGraph]) -> ClusterReport {
         let parts = static_block_partition(data, self.config.num_ranks);
-        let model = CostModel::new(self.config.device.clone());
-        let engine_cfg = self.config.engine.clone();
-        let plan = QueryPlan::build(queries, &engine_cfg);
+        let costing = PartitionCosting::new(queries, &self.config.engine, &self.config.device);
         let ranks: Vec<RankResult> = parts
             .into_par_iter()
             .enumerate()
             .map(|(rank, part)| {
                 let t0 = std::time::Instant::now();
-                let queue = Queue::new(self.config.device.clone());
-                let engine = Engine::new(engine_cfg.clone());
-                let (matches, sim_time_s) = if part.is_empty() {
-                    (0u64, 0.0)
-                } else {
-                    let report = engine.run_planned(&plan, &CsrGo::from_graphs(&part), &queue);
-                    let m = match engine_cfg.mode {
-                        MatchMode::FindAll => report.total_matches,
-                        MatchMode::FindFirst => report.matched_pairs,
-                    };
-                    (m, model.total_time_s(&queue.records()))
-                };
+                let (matches, sim_time_s) = costing.run(&part);
                 RankResult {
                     rank,
                     molecules: part.len(),
@@ -131,17 +115,7 @@ impl ClusterSim {
         let total_matches = ranks.iter().map(|r| r.matches).sum();
         let times: Vec<f64> = ranks.iter().map(|r| r.sim_time_s).collect();
         let makespan_s = times.iter().cloned().fold(0.0, f64::max);
-        // sigmo-lint: allow(float-accumulation) — sequential fold over the
-        // rank-indexed times vector (the indexed par collect above
-        // preserves rank order), so summation order is fixed.
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        let cov = if mean <= f64::EPSILON {
-            0.0
-        } else {
-            // sigmo-lint: allow(float-accumulation) — same fixed rank order.
-            let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
-            var.sqrt() / mean
-        };
+        let (mean, cov) = mean_and_cov(&times);
         ClusterReport {
             ranks,
             total_matches,
@@ -150,6 +124,77 @@ impl ClusterSim {
             coefficient_of_variation: cov,
         }
     }
+}
+
+/// Runs one query plan over data partitions and models each run's device
+/// time — the costing both the static and the dynamic scheduler use, so
+/// the two are comparable on makespan and CoV.
+///
+/// The query-side [`QueryPlan`] is built once and shared (borrowed) by
+/// every partition: the real cluster broadcasts the plan alongside the
+/// query batch instead of rebuilding it per GPU. Building a plan launches
+/// nothing, so a partition's modeled time equals a one-shot
+/// [`Engine::run`]'s.
+pub(crate) struct PartitionCosting<'a> {
+    plan: QueryPlan,
+    engine: &'a EngineConfig,
+    device: &'a DeviceProfile,
+    model: CostModel,
+}
+
+impl<'a> PartitionCosting<'a> {
+    pub(crate) fn new(
+        queries: &[LabeledGraph],
+        engine: &'a EngineConfig,
+        device: &'a DeviceProfile,
+    ) -> Self {
+        Self {
+            plan: QueryPlan::build(queries, engine),
+            engine,
+            device,
+            model: CostModel::new(device.clone()),
+        }
+    }
+
+    /// `part`'s matches (embeddings in Find All, matched pairs in Find
+    /// First) and modeled device seconds, on a fresh queue. An empty
+    /// partition launches nothing and costs nothing.
+    pub(crate) fn run(&self, part: &[LabeledGraph]) -> (u64, f64) {
+        if part.is_empty() {
+            return (0, 0.0);
+        }
+        let queue = Queue::new(self.device.clone());
+        let report = Engine::new(self.engine.clone()).run_planned(
+            &self.plan,
+            &CsrGo::from_graphs(part),
+            &queue,
+        );
+        let matches = match self.engine.mode {
+            MatchMode::FindAll => report.total_matches,
+            MatchMode::FindFirst => report.matched_pairs,
+        };
+        (matches, self.model.total_time_s(&queue.records()))
+    }
+}
+
+/// Mean and coefficient of variation of per-rank times (CoV 0 when the
+/// mean is 0).
+pub(crate) fn mean_and_cov(times: &[f64]) -> (f64, f64) {
+    // sigmo-lint: allow(float-accumulation) — sequential fold over a
+    // rank-indexed times vector, so summation order is fixed.
+    let mean = times.iter().sum::<f64>() / times.len() as f64;
+    if mean <= f64::EPSILON {
+        return (mean, 0.0);
+    }
+    // sigmo-lint: allow(float-accumulation) — same fixed rank order.
+    let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
+    (mean, var.sqrt() / mean)
+}
+
+/// Modeled seconds as integer nanoseconds — the tick both the dynamic
+/// scheduler and the fault router run on.
+pub(crate) fn seconds_to_ns(s: f64) -> u64 {
+    (s * 1e9) as u64
 }
 
 #[cfg(test)]

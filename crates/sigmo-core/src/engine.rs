@@ -86,11 +86,6 @@ pub enum FilterMode {
     /// `refinement_iterations` rounds. Kept as the oracle baseline for
     /// the differential tests and the `ablate_filter_convergence` bench.
     Exhaustive,
-    /// Exhaustive kernels plus fixpoint early-exit: refinement stops once
-    /// an iteration clears zero bits while both signature sets report
-    /// drained BFS frontiers — from there every later iteration is
-    /// provably a no-op.
-    EarlyExit,
     /// Delta-driven refinement (default): each iteration re-tests only
     /// the signature classes whose representative signature moved at this
     /// radius, skips data graphs with no live candidate left, and stops
@@ -127,7 +122,7 @@ pub struct EngineConfig {
     /// Join matching-order heuristic (used by the fixed strategies; the
     /// adaptive strategies pick per pair).
     pub join_order: JoinOrder,
-    /// Refinement scheduling: exhaustive, early-exit, or delta-driven.
+    /// Refinement scheduling: exhaustive or delta-driven.
     pub filter_mode: FilterMode,
     /// Join variant selection: fixed DFS/BFS or per-pair adaptive.
     pub join_strategy: JoinStrategy,
@@ -491,7 +486,7 @@ impl Engine {
     /// Each iteration's [`crate::CandidateStats`] summarizes the per-row
     /// counts the row kernels report ([`RowCounts`]); the bitmap is
     /// popcounted once after init, and again only after the per-node
-    /// Exhaustive/EarlyExit kernel, whose clears scatter over every row.
+    /// Exhaustive kernel, whose clears scatter over every row.
     pub fn filter_with_facts(
         &self,
         plan: &QueryPlan,
@@ -563,7 +558,7 @@ impl Engine {
                 break;
             }
             let (cleared, dirty) = match cfg.filter_mode {
-                FilterMode::Exhaustive | FilterMode::EarlyExit => {
+                FilterMode::Exhaustive => {
                     let cleared = refine_candidates_classes(
                         queue,
                         data,
@@ -610,15 +605,6 @@ impl Engine {
                 cleared_bits: cleared,
                 dirty_nodes: dirty,
             });
-            if cfg.filter_mode == FilterMode::EarlyExit
-                && cleared == 0
-                && facts.active_at(radius) == 0
-                && plan.active_at(radius) == 0
-            {
-                // Fixpoint: both frontiers drained and nothing cleared —
-                // every further iteration is provably a no-op.
-                break;
-            }
         }
         iterations
     }
@@ -713,19 +699,15 @@ mod tests {
             .run(std::slice::from_ref(&q), &d, &queue())
         };
         let ex = mk(FilterMode::Exhaustive);
-        let ee = mk(FilterMode::EarlyExit);
         let inc = mk(FilterMode::Incremental);
         assert_eq!(ex.iterations.len(), 8, "exhaustive runs the full schedule");
-        assert!(ee.iterations.len() < 8, "early-exit must stop at fixpoint");
         assert!(
-            inc.iterations.len() <= ee.iterations.len(),
-            "query convergence implies the generic fixpoint"
+            inc.iterations.len() < 8,
+            "incremental must stop at fixpoint"
         );
-        for r in [&ee, &inc] {
-            assert_eq!(r.total_matches, ex.total_matches);
-            assert_eq!(r.matched_pair_list, ex.matched_pair_list);
-            assert_eq!(r.gmcr_pairs, ex.gmcr_pairs);
-        }
+        assert_eq!(inc.total_matches, ex.total_matches);
+        assert_eq!(inc.matched_pair_list, ex.matched_pair_list);
+        assert_eq!(inc.gmcr_pairs, ex.gmcr_pairs);
         // On the iterations every mode ran, the bitmaps evolve identically.
         for (a, b) in ex.iterations.iter().zip(&inc.iterations) {
             assert_eq!(a.candidates.total, b.candidates.total);

@@ -36,13 +36,11 @@ use sigmo_graph::{CsrGo, Label, LabeledGraph, NodeAttrs, NodeId, WILDCARD_LABEL}
 pub struct BatchFacts {
     schema: LabelSchema,
     num_nodes: usize,
+    /// Deepest radius held.
+    depth: usize,
     /// Node signatures at radii `1..=depth`, radius-major: radius `r`
     /// occupies `sigs[(r − 1) · num_nodes ..][..num_nodes]`.
     sigs: Vec<Signature>,
-    /// `active[r − 1]`: nodes whose BFS ring at distance `r − 1` is
-    /// non-empty — what [`crate::SignatureSet::advance`] returns when it
-    /// advances to radius `r`.
-    active: Vec<usize>,
     /// Label-pair signatures under [`pair_schema`].
     pairs: Vec<Signature>,
     /// Predicate attributes, present when the facts were built with them.
@@ -74,13 +72,13 @@ impl BatchFacts {
     }
 
     /// The deepest data radius a run of `plan` under `config` can read:
-    /// every configured radius for the fixed schedules, and no further
+    /// every configured radius for the fixed schedule, and no further
     /// than the query side's last moving radius for the incremental one.
     pub fn run_depth(config: &EngineConfig, plan: &QueryPlan) -> usize {
         let radii = config.refinement_iterations.saturating_sub(1);
         match config.filter_mode {
             FilterMode::Incremental => radii.min(plan.last_dirty_radius()),
-            FilterMode::Exhaustive | FilterMode::EarlyExit => radii,
+            FilterMode::Exhaustive => radii,
         }
     }
 
@@ -151,7 +149,6 @@ impl BatchFacts {
         let n = data.num_nodes();
         let pair_schema = pair_schema();
         let mut sigs = vec![Signature::EMPTY; depth * n];
-        let mut active = vec![0usize; depth];
         let mut pairs = Vec::with_capacity(n);
         let mut bfs = Bfs::default();
         let mut attrs = with_attrs.then(NodeAttrs::default);
@@ -171,7 +168,6 @@ impl BatchFacts {
                     for r in 1..=depth {
                         sigs[(r - 1) * n + base..][..f.num_nodes]
                             .copy_from_slice(f.signatures_at(r));
-                        active[r - 1] += f.active_at(r);
                     }
                     pairs.extend_from_slice(&f.pairs);
                     if let Some(out) = attrs.as_mut() {
@@ -180,7 +176,7 @@ impl BatchFacts {
                     }
                 }
                 None => {
-                    bfs.signatures(data, g, schema, &mut sigs, &mut active);
+                    bfs.signatures(data, g, schema, depth, &mut sigs);
                     pairs.extend(range.map(|v| pair_signature(data, &pair_schema, v)));
                     if let Some(out) = attrs.as_mut() {
                         append_attrs(out, &data.graph_node_attrs(g));
@@ -191,8 +187,8 @@ impl BatchFacts {
         BatchFacts {
             schema: schema.clone(),
             num_nodes: n,
+            depth,
             sigs,
-            active,
             pairs,
             attrs,
         }
@@ -205,7 +201,7 @@ impl BatchFacts {
 
     /// Deepest radius held.
     pub fn depth(&self) -> usize {
-        self.active.len()
+        self.depth
     }
 
     /// Nodes covered.
@@ -217,13 +213,6 @@ impl BatchFacts {
     pub fn signatures_at(&self, radius: usize) -> &[Signature] {
         self.check_radius(radius);
         &self.sigs[(radius - 1) * self.num_nodes..][..self.num_nodes]
-    }
-
-    /// Nodes whose BFS frontier was still non-empty when advancing to
-    /// `radius` (`1..=depth`).
-    pub fn active_at(&self, radius: usize) -> usize {
-        self.check_radius(radius);
-        self.active[radius - 1]
     }
 
     fn check_radius(&self, radius: usize) {
@@ -270,18 +259,15 @@ struct Bfs {
     touched: Vec<usize>,
     /// `in_touched[v]`: `v` is in `touched`.
     in_touched: Vec<bool>,
-    /// `moved[v · depth + r]`: `v`'s ball grew reaching radius `r + 1`
-    /// (in any block so far) — its ring at distance `r + 1` is non-empty.
-    moved: Vec<bool>,
     /// The block's concrete labels with their column masks.
     labels: Vec<(Label, u64)>,
 }
 
 impl Bfs {
-    /// Writes the signatures of graph `g`'s nodes into the radius-major
-    /// buffer `sigs` (row length `data.num_nodes()`, one row per radius;
-    /// the graph's slots must be empty on entry) and adds each radius'
-    /// active count into `active`. A node's signature at radius `r` counts
+    /// Writes the signatures of graph `g`'s nodes at radii `1..=depth`
+    /// into the radius-major buffer `sigs` (row length
+    /// `data.num_nodes()`, one row per radius; the graph's slots must be
+    /// empty on entry). A node's signature at radius `r` counts
     /// the concrete labels of its ball at `r` minus itself — the labels
     /// at distance `1..=r`; wildcard-labeled nodes are walked but never
     /// counted. Saturating per-label adds sum to the same stored count
@@ -291,27 +277,22 @@ impl Bfs {
         data: &CsrGo,
         g: usize,
         schema: &LabelSchema,
+        depth: usize,
         sigs: &mut [Signature],
-        active: &mut [usize],
     ) {
         let stride = data.num_nodes();
-        let depth = active.len();
         let range = data.node_range(g);
         let base = range.start as usize;
         let n = range.len();
         if depth == 0 || n == 0 {
             return;
         }
-        // Every node's ring at distance 0 (itself) is non-empty.
-        active[0] += n;
         for buf in [&mut self.ball, &mut self.next] {
             buf.clear();
             buf.resize(n, 0);
         }
         self.in_touched.clear();
         self.in_touched.resize(n, false);
-        self.moved.clear();
-        self.moved.resize(n * depth, false);
         for lo in (0..n).step_by(64) {
             let hi = n.min(lo + 64);
             self.labels.clear();
@@ -348,9 +329,6 @@ impl Bfs {
                 }
                 for &v in &self.touched {
                     let ball = self.next[v];
-                    if ball != self.ball[v] {
-                        self.moved[v * depth + r] = true;
-                    }
                     self.ball[v] = ball;
                     let own = if (lo..hi).contains(&v) {
                         1u64 << (v - lo)
@@ -370,12 +348,6 @@ impl Bfs {
                 self.ball[v] = 0;
                 self.next[v] = 0;
                 self.in_touched[v] = false;
-            }
-        }
-        for v in 0..n {
-            let moved = &self.moved[v * depth..][..depth];
-            for (count, &m) in active[1..].iter_mut().zip(moved) {
-                *count += usize::from(m);
             }
         }
     }
@@ -467,13 +439,12 @@ mod tests {
                 let facts = BatchFacts::compute(&batch, &schema, depth, false);
                 let mut set = SignatureSet::new(&batch, schema.clone());
                 for r in 1..=depth {
-                    let active = set.advance(&batch);
+                    set.advance(&batch);
                     assert_eq!(
                         facts.signatures_at(r),
                         set.signatures(),
                         "depth {depth}, radius {r}, {schema:?}"
                     );
-                    assert_eq!(facts.active_at(r), active, "depth {depth}, radius {r}");
                 }
             }
         }

@@ -131,7 +131,8 @@ pub fn label_pair_filter(
 }
 
 /// Per-bit reference of the node-predicate filter: for every set bit of a
-/// predicated query row, evaluates the compiled [`NodePredicate`] against
+/// predicated query row, evaluates the compiled
+/// [`NodePredicate`](sigmo_graph::NodePredicate) against
 /// freshly built data-node attributes and clears on failure. Shares the
 /// evaluation function with the kernel (`NodePredicate::matches`), so the
 /// differential test pins only the word-parallel row enumeration and the

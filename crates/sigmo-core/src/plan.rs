@@ -9,9 +9,7 @@
 //! [`QueryPlan`] computes it exactly once:
 //!
 //! * query signatures at every radius the configured iteration count can
-//!   reach, with the per-radius *active* counts the engine's fixpoint
-//!   early-exit consumes — built by the same [`BatchFacts`] routine as
-//!   the data side;
+//!   reach — built by the same [`BatchFacts`] routine as the data side;
 //! * [`SignatureClasses`] per radius, memoized — a radius where no query
 //!   signature moved shares the previous radius' classes by `Arc` instead
 //!   of rebuilding them;
@@ -63,8 +61,8 @@ pub struct QueryPlan {
     schema: LabelSchema,
     induced: bool,
     buckets: LabelBuckets,
-    /// Query signatures at radii `1..=max_radius`, active counts and
-    /// label-pair signatures.
+    /// Query signatures at radii `1..=max_radius` and label-pair
+    /// signatures.
     facts: BatchFacts,
     /// `radii[r - 1]` is the state at radius `r` (used by iteration
     /// `r + 1`); radius 0 is the all-empty signature set and needs no
@@ -253,12 +251,6 @@ impl QueryPlan {
         &self.state(radius).delta
     }
 
-    /// Query nodes whose BFS frontier was still active when advancing to
-    /// `radius` (1-based).
-    pub fn active_at(&self, radius: usize) -> usize {
-        self.facts.active_at(radius)
-    }
-
     /// The precomputed max-degree join plans, one per query graph.
     pub fn join_plans(&self) -> &[join::QueryPlan] {
         &self.join_plans
@@ -313,12 +305,6 @@ mod tests {
             plan.classes_at(2).classes().len(),
             plan.classes_at(5).classes().len()
         );
-        // Frontier counts drain: every node's radius-0 ring (itself) is
-        // non-empty entering the first advance, the isolated node drains
-        // there, and the C-O pair drains during the radius-2 call.
-        assert_eq!(plan.active_at(1), 3);
-        assert_eq!(plan.active_at(2), 2);
-        assert_eq!(plan.active_at(3), 0);
     }
 
     #[test]

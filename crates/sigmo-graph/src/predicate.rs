@@ -57,6 +57,7 @@ impl NodePredicate {
 
     /// Evaluates the conjunction against data node `v`'s attributes. This
     /// is the single definition every evaluation path shares.
+    #[inline]
     pub fn matches(&self, attrs: &NodeAttrs, v: NodeId) -> bool {
         let i = v as usize;
         if let Some(mask) = self.label_any {

@@ -15,10 +15,12 @@
 //!   codes), and the per-molecule result cache ([`cache::ResultCache`]).
 //! * [`sim`] — a deterministic virtual-clock load simulator and the
 //!   unbatched oracle the soak tests compare against.
-//! * [`shard`] — the sharded serving tier: the corpus partitioned across
-//!   simulated ranks with replica retry, seeded fault injection,
-//!   work-stealing, and graceful degradation — results bit-identical to
-//!   the unsharded fault-free oracle.
+//! * sharded serving — with [`ServeConfig::sharding`] set, the corpus is
+//!   partitioned across simulated ranks and every executed slice is
+//!   dispatched through [`sigmo_cluster::ShardRouter`] (re-exported here):
+//!   replica retry, seeded fault injection, work-stealing, and graceful
+//!   degradation on the virtual clock, one tick per molecule — results
+//!   bit-identical to the unsharded fault-free oracle.
 //!
 //! The [`sigmo_index`] screening tier plugs in underneath the molecule
 //! store: each interned molecule's signature digest is registered once,
@@ -37,7 +39,6 @@
 
 pub mod cache;
 pub mod server;
-pub mod shard;
 pub mod sim;
 
 pub use cache::{MolOutcome, MolStore, PlanCache, ResultCache};
@@ -45,7 +46,9 @@ pub use server::{
     CorpusLoad, MatchRequest, RejectReason, RequestReport, ServeConfig, ServeStats, Server,
     StepOutcome,
 };
-pub use shard::{ShardConfig, ShardRouter, ShardStats, SliceDispatch};
+pub use sigmo_cluster::{
+    FaultPlan, RetryPolicy, ShardConfig, ShardRouter, ShardStats, SliceDispatch,
+};
 pub use sigmo_index::{FrozenIndex, IndexConfig, IndexFileError, ScreenQuery};
 pub use sim::{
     generate_workload, oracle_replay, run_soak, served_outcome, OracleOutcome, SoakEntry,

@@ -15,7 +15,7 @@
 //! against an unbatched oracle replay, bit for bit.
 
 use crate::cache::{MolId, MolOutcome, MolStore, PlanCache, PlanId, ResultCache};
-use crate::shard::{ShardConfig, ShardRouter, ShardStats};
+use sigmo_cluster::{ShardConfig, ShardRouter, ShardStats};
 use sigmo_core::engine::EngineConfig;
 use sigmo_core::{
     Completion, MatchMode, MolFacts, RunBudget, StreamReport, StreamRunner, TruncationReason,
@@ -136,9 +136,10 @@ pub struct ServeConfig {
     /// and plan reuse (the no-cache ablation) while keeping batching.
     pub caching: bool,
     /// Sharded serving tier: `Some` partitions the corpus across
-    /// simulated ranks with replica retry, work-stealing, and graceful
-    /// degradation (see [`crate::shard`]); `None` keeps the single-node
-    /// path bit-for-bit unchanged.
+    /// simulated ranks and dispatches every slice through a
+    /// [`ShardRouter`] (replica retry, work-stealing, graceful
+    /// degradation); `None` keeps the single-node path bit-for-bit
+    /// unchanged.
     pub sharding: Option<ShardConfig>,
     /// Standing-corpus screening index: `Some` digests every interned
     /// molecule once at ingest and consults the index per plan-group,
@@ -647,12 +648,15 @@ impl Server {
     /// Sharded variant of [`Server::execute`]: splits `exec` into
     /// per-shard slices by epoch-hashed ownership, schedules each slice
     /// through the [`ShardRouter`] (replica retry, work-stealing, seeded
-    /// faults on the virtual clock), runs the surviving slices through
-    /// the unchanged streamed engine, and folds the partial reports back
-    /// into `exec` order with [`StreamReport::absorb_partial`] /
-    /// [`StreamReport::normalize`] — bit-identical to the unsharded path.
-    /// Returns outcomes, the cacheability mask, and each molecule's
-    /// finish tick (its slice's completion, relative to the step start).
+    /// faults on the virtual clock, one tick per molecule), runs the
+    /// surviving slices through the unchanged streamed engine, and folds
+    /// the partial reports back into `exec` order with
+    /// [`StreamReport::absorb_partial`] / [`StreamReport::normalize`] —
+    /// bit-identical to the unsharded path. A slice the router degrades
+    /// reports zero matches with `Truncated(ShardUnavailable)`, a sound
+    /// lower bound, instead of failing the batch. Returns outcomes, the
+    /// cacheability mask, and each molecule's finish tick (its slice's
+    /// completion, relative to the step start).
     ///
     /// Index screening composes per slice: pruned molecules stay in
     /// their slice for scheduling (ticks, replica wear, and degraded
@@ -691,7 +695,7 @@ impl Server {
                 .router
                 .as_mut()
                 .expect("sharded path")
-                .schedule_slice(shard, slice.len());
+                .schedule_slice(shard, slice.len() as u64);
             for &pos in slice {
                 finishes[pos] = dispatch.finish;
             }

@@ -17,19 +17,11 @@
 //! be invisible to results.
 
 use crate::server::{MatchRequest, RejectReason, RequestReport, ServeConfig, Server};
+use sigmo_cluster::splitmix64;
 use sigmo_core::{MatchMode, StreamRunner};
 use sigmo_device::Queue;
 use sigmo_graph::LabeledGraph;
 use sigmo_mol::{functional_groups, MoleculeGenerator};
-
-/// splitmix64: the workload generator's only randomness source.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Workload shape for [`generate_workload`].
 #[derive(Debug, Clone)]

@@ -4,6 +4,9 @@
 #   1. cargo fmt --check          formatting
 #   2. cargo clippy               warnings are errors, all targets
 #   3. cargo test -q              the full test suite (tier-1)
+#   3b. cargo doc                 rustdoc with warnings as errors over the
+#                                 workspace (catches broken intra-doc
+#                                 links when items move between crates)
 #   4. sigmo-lint                 workspace determinism audit (call-graph
 #                                 reachability from kernel launches and
 #                                 result reports: per-bit probes, atomic
@@ -146,6 +149,7 @@ if [ "$LINT_ONLY" -eq 0 ]; then
     stage fmt cargo fmt --check
     stage clippy cargo clippy -q --all-targets -- -D warnings
     stage test cargo test -q
+    stage doc env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 fi
 stage lint cargo run -q --release -p sigmo-lint -- --root .
 if [ "$LINT_ONLY" -eq 0 ]; then

@@ -328,11 +328,7 @@ fn every_filter_mode_is_deterministic_across_thread_counts() {
     // geometry + counter totals) must be a pure function of the workload.
     let _guard = ENV_LOCK.lock().unwrap();
     let mut totals = Vec::new();
-    for mode in [
-        FilterMode::Exhaustive,
-        FilterMode::EarlyExit,
-        FilterMode::Incremental,
-    ] {
+    for mode in [FilterMode::Exhaustive, FilterMode::Incremental] {
         let (m1, r1) = run_pipeline_mode("1", mode);
         let (m4, r4) = run_pipeline_mode("4", mode);
         let (m8, r8) = run_pipeline_mode("8", mode);
@@ -347,8 +343,7 @@ fn every_filter_mode_is_deterministic_across_thread_counts() {
         totals[0] > 0,
         "workload produced no matches — test is vacuous"
     );
-    assert_eq!(totals[0], totals[1], "EarlyExit changed the match total");
-    assert_eq!(totals[0], totals[2], "Incremental changed the match total");
+    assert_eq!(totals[0], totals[1], "Incremental changed the match total");
 }
 
 /// One serve-soak run's full observable surface: per-request outcomes
@@ -483,12 +478,10 @@ fn run_sharded_soak(threads: &str, sharding: Option<ShardConfig>) -> SoakTrace {
 /// One crashed rank, one straggler, a 25% transient rate — replicas
 /// absorb all of it for any shard count ≥ 2.
 fn faulty_sharding(shards: usize) -> ShardConfig {
-    let mut fault = FaultPlan::none(shards);
+    let mut fault = FaultPlan::none(shards).with_transient_pct(25);
     fault.crashed.insert(0);
     fault.stragglers.insert(shards - 1, 3.0);
-    ShardConfig::new(shards, 2)
-        .with_fault(fault)
-        .with_transient_pct(25)
+    ShardConfig::new(shards, 2).with_fault(fault)
 }
 
 #[test]

@@ -219,7 +219,7 @@ proptest! {
         }
     }
 
-    /// All three engine filter modes agree on totals and matched pairs for
+    /// Both engine filter modes agree on totals and matched pairs for
     /// random workloads — the engine-level face of the bit-identity above.
     #[test]
     fn filter_modes_agree_on_random_workloads(
@@ -236,11 +236,8 @@ proptest! {
             .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
         };
         let ex = run(FilterMode::Exhaustive);
-        let ee = run(FilterMode::EarlyExit);
         let inc = run(FilterMode::Incremental);
-        prop_assert_eq!(ex.total_matches, ee.total_matches);
         prop_assert_eq!(ex.total_matches, inc.total_matches);
-        prop_assert_eq!(&ex.matched_pair_list, &ee.matched_pair_list);
         prop_assert_eq!(&ex.matched_pair_list, &inc.matched_pair_list);
         prop_assert!(inc.iterations.len() <= ex.iterations.len());
     }

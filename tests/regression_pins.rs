@@ -226,11 +226,7 @@ fn kernel_row_counts_equal_bitmap_stats_after_every_iteration() {
     ];
     for (name, queries, data) in &workloads {
         let data = CsrGo::from_graphs(data);
-        for mode in [
-            FilterMode::Incremental,
-            FilterMode::Exhaustive,
-            FilterMode::EarlyExit,
-        ] {
+        for mode in [FilterMode::Incremental, FilterMode::Exhaustive] {
             for iterations in 1..=6 {
                 let cfg = EngineConfig {
                     refinement_iterations: iterations,

@@ -46,16 +46,12 @@ fn skewed_workload(requests: usize) -> Vec<sigmo::serve::TimedRequest> {
 #[test]
 fn sharded_fault_soak_is_bit_identical_to_unsharded_oracle() {
     let trace = skewed_workload(160);
-    let mut fault = FaultPlan::none(4);
+    let mut fault = FaultPlan::none(4).with_transient_pct(20);
     fault.crashed.insert(0);
     fault.stragglers.insert(2, 4.0);
     let sharded_cfg = ServeConfig {
         queue_capacity: 4096,
-        sharding: Some(
-            ShardConfig::new(4, 2)
-                .with_fault(fault)
-                .with_transient_pct(20),
-        ),
+        sharding: Some(ShardConfig::new(4, 2).with_fault(fault)),
         ..ServeConfig::default()
     };
     let unsharded_cfg = ServeConfig {
@@ -122,6 +118,42 @@ fn sharded_fault_soak_is_bit_identical_to_unsharded_oracle() {
         assert_eq!(a.report, b.report);
     }
     assert_eq!(sharded.shard_stats(), again.shard_stats());
+}
+
+/// A fault plan's transient rate reaches the serving router: with no
+/// crashed rank and no straggler, transients alone force retries, and the
+/// served results still equal the unsharded run's.
+#[test]
+fn fault_plan_transients_force_serving_retries() {
+    let trace = skewed_workload(40);
+    let mut shard_cfg =
+        ShardConfig::new(3, 2).with_fault(FaultPlan::none(3).with_transient_pct(30));
+    // Eight attempts at 30% lose a slice with probability 0.3^8.
+    shard_cfg.retry.max_attempts = 8;
+    let config = ServeConfig {
+        queue_capacity: 4096,
+        sharding: Some(shard_cfg),
+        ..ServeConfig::default()
+    };
+    let mut sharded = Server::new(config, queue());
+    let soak = run_soak(&mut sharded, &trace);
+    let stats = sharded.shard_stats().expect("sharded server has stats");
+    let retries: u64 = stats.iter().map(|s| s.retries).sum();
+    assert!(retries > 0, "the plan's 30% transients must force retries");
+    assert_eq!(stats.iter().map(|s| s.degraded_slices).sum::<u64>(), 0);
+
+    let mut unsharded = Server::new(
+        ServeConfig {
+            queue_capacity: 4096,
+            ..ServeConfig::default()
+        },
+        queue(),
+    );
+    let base = run_soak(&mut unsharded, &trace);
+    assert_eq!(base.entries.len(), soak.entries.len());
+    for (s, u) in soak.entries.iter().zip(&base.entries) {
+        assert_eq!(served_outcome(&s.report), served_outcome(&u.report));
+    }
 }
 
 /// With single replicas and a crashed rank, the dead shard's molecules
