@@ -2,15 +2,18 @@
 //!
 //! Three records back DESIGN.md §8 and the robustness claims:
 //!
-//! 1. **Deadline stress** — an 8-clique of wildcards against a uniform
-//!    16-clique has ≈ 5.2e8 embeddings; unbudgeted it runs for hours. A
-//!    2 s deadline must end it with `Truncated(Deadline)` and a nonzero
-//!    sound partial count, promptly.
+//! 1. **Deadline stress** — an 8-node wildcard query with no
+//!    automorphism (the 8-clique minus a spider with legs of 1, 2 and 4
+//!    edges) against a uniform 16-clique has ≈ 5.2e8 embeddings, each its
+//!    own class; unbudgeted it runs for hours. (A wildcard 8-clique would
+//!    not do: the join breaks its 8! symmetries and lists 12,870
+//!    classes in milliseconds.) A 2 s deadline must end it with
+//!    `Truncated(Deadline)` and a nonzero sound partial count, promptly.
 //! 2. **Ticker overhead ablation** — a realistic workload under the
 //!    unlimited governor (`Engine::run`'s own path: ticks are two integer
 //!    compares against `u64::MAX`) versus a fully *armed* governor whose
 //!    generous budgets never trip (real step budget, a wall-clock
-//!    heartbeat every 256 steps, an embedding-cap charge per match).
+//!    heartbeat every 256 steps, an embedding cap charged per match).
 //!    Totals must be identical and the armed overhead under 2 %.
 //! 3. **Fault-injection record** — a 16-rank cluster sim with 3 seeded
 //!    rank crashes and 2 stragglers; retries must reconcile the total
@@ -37,12 +40,31 @@ fn clique(n: u32, label: u8, edge: u8) -> LabeledGraph {
     g
 }
 
+/// The deadline stress query: the wildcard 8-clique minus a spider with
+/// legs of 1, 2 and 4 edges. The spider has no automorphism, so neither
+/// has its complement.
+fn asymmetric_wildcard_octet() -> LabeledGraph {
+    let spider = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)];
+    let mut g = LabeledGraph::new();
+    for _ in 0..8 {
+        g.add_node(WILDCARD_LABEL);
+    }
+    for a in 0..8u32 {
+        for b in (a + 1)..8 {
+            if !spider.contains(&(a, b)) {
+                g.add_edge(a, b, WILDCARD_EDGE).unwrap();
+            }
+        }
+    }
+    g
+}
+
 fn main() {
     let scale = BenchScale::from_env();
     println!("# Extension — pathological workloads under the run governor ({scale:?} scale)");
 
-    // ---- 1. Wildcard clique under a 2 s deadline --------------------------
-    let queries = [clique(8, WILDCARD_LABEL, WILDCARD_EDGE)];
+    // ---- 1. Asymmetric wildcard octet under a 2 s deadline ----------------
+    let queries = [asymmetric_wildcard_octet()];
     let data = [clique(16, 1, 1)];
     let queue = Queue::new(DeviceProfile::host());
     let budget = RunBudget::none().with_deadline(Duration::from_secs(2));
@@ -54,14 +76,14 @@ fn main() {
         &Governor::new(&budget),
     );
     let elapsed = started.elapsed();
-    println!("\n## Wildcard 8-clique vs uniform 16-clique, 2 s deadline");
+    println!("\n## Asymmetric wildcard 8-node query vs uniform 16-clique, 2 s deadline");
     println!("completion:       {}", report.completion);
     println!("partial matches:  {}", report.total_matches);
     println!("wall clock:       {elapsed:.2?}");
     assert_eq!(
         report.completion,
         Completion::Truncated(TruncationReason::Deadline),
-        "the clique must not finish inside 2 s"
+        "the octet must not finish inside 2 s"
     );
     assert!(
         report.total_matches > 0,

@@ -27,9 +27,12 @@
 //!   truncation is bit-deterministic across scheduler interleavings and
 //!   thread counts (see `tests/determinism_queue.rs`); a global latch
 //!   would make the surviving subset depend on which group tripped first.
-//! * **Embedding cap** — global across the run; charged per embedding
-//!   found (embeddings are orders of magnitude rarer than steps, so a
-//!   relaxed atomic per match is cheap).
+//! * **Embedding cap** — global across the run. Each ticker gathers the
+//!   embeddings its group finds (a join representative brings its whole
+//!   class) and adds them to the shared count once per heartbeat, at
+//!   group end, or at once when it alone holds the cap: one shared
+//!   atomic per embedding bounced its cache line between cores. The run
+//!   trips once the shared count reaches the cap.
 //! * **Cancellation** — an external [`CancelToken`] flipped by another
 //!   thread (a request handler, a stream supervisor); folded into the
 //!   latch at each heartbeat.
@@ -369,32 +372,36 @@ impl Governor {
             steps: 0,
             budget: self.inner.step_budget.unwrap_or(u64::MAX),
             countdown: HEARTBEAT_STRIDE,
+            embeddings: 0,
+            cap: self.inner.embedding_cap.unwrap_or(u64::MAX),
         }
     }
 
-    /// Charges one found embedding against the global cap. Returns true
-    /// when the run should stop (cap reached or already stopped).
+    /// Adds a ticker's gathered embeddings to the shared count, tripping
+    /// the cap once the count reaches it. Returns true when it tripped.
     // sigmo-lint: allow(uncharged-access) — governor budget bookkeeping,
     // not modeled device traffic; the cost model prices bitmap and CSR
     // words, not control-plane atomics.
-    #[inline]
-    pub fn note_embedding(&self) -> bool {
-        if let Some(cap) = self.inner.embedding_cap {
-            let seen = self.inner.embeddings.fetch_add(1, Ordering::Relaxed) + 1;
-            if seen >= cap {
-                self.trip(TruncationReason::EmbeddingCap);
-            }
+    fn flush_embeddings(&self, ticker: &mut GovernorTicker) -> bool {
+        let n = std::mem::take(&mut ticker.embeddings);
+        let seen = self.inner.embeddings.fetch_add(n, Ordering::Relaxed) + n;
+        let tripped = seen >= ticker.cap;
+        if tripped {
+            self.trip(TruncationReason::EmbeddingCap);
         }
-        self.stopped()
+        tripped
     }
 
-    /// Flushes a ticker's locally accumulated steps into the shared total
-    /// (diagnostics only — enforcement is ticker-local). Call when a
-    /// work-group finishes or trips.
+    /// Flushes a ticker into the shared totals: its steps (diagnostics
+    /// only — enforcement is ticker-local) and its gathered embeddings
+    /// (which may trip the cap). Call when a work-group finishes or trips.
     // sigmo-lint: allow(uncharged-access) — governor bookkeeping, not
-    // modeled device traffic (see `note_embedding`).
-    pub fn flush_steps(&self, ticker: &GovernorTicker) {
+    // modeled device traffic (see `flush_embeddings`).
+    pub fn flush_ticker(&self, ticker: &mut GovernorTicker) {
         self.inner.steps.fetch_add(ticker.steps, Ordering::Relaxed);
+        if ticker.embeddings > 0 {
+            self.flush_embeddings(ticker);
+        }
     }
 
     /// Total join steps flushed by finished work-groups.
@@ -428,6 +435,10 @@ pub struct GovernorTicker {
     steps: u64,
     budget: u64,
     countdown: u32,
+    /// Embeddings found since the last flush (only counted under a cap).
+    embeddings: u64,
+    /// The embedding cap, `u64::MAX` when there is none.
+    cap: u64,
 }
 
 impl GovernorTicker {
@@ -446,9 +457,26 @@ impl GovernorTicker {
         self.countdown -= 1;
         if self.countdown == 0 {
             self.countdown = HEARTBEAT_STRIDE;
+            if self.embeddings > 0 {
+                gov.flush_embeddings(self);
+            }
             return gov.heartbeat();
         }
         gov.stopped()
+    }
+
+    /// Charges `n` found embeddings against the run's embedding cap. They
+    /// gather here and reach the shared count at the next heartbeat, at
+    /// [`Governor::flush_ticker`], or at once when this ticker alone
+    /// holds the cap. Returns true when that flush tripped the cap. With
+    /// no cap this is one compare.
+    #[inline]
+    pub fn note_embeddings(&mut self, gov: &Governor, n: u64) -> bool {
+        if self.cap == u64::MAX {
+            return false;
+        }
+        self.embeddings += n;
+        self.embeddings >= self.cap && gov.flush_embeddings(self)
     }
 
     /// Steps charged by this ticker so far.
@@ -628,14 +656,56 @@ mod tests {
     #[test]
     fn embedding_cap_trips_globally() {
         let gov = Governor::new(&RunBudget::none().with_embedding_cap(3));
-        assert!(!gov.note_embedding());
-        assert!(!gov.note_embedding());
-        assert!(gov.note_embedding(), "third embedding reaches the cap");
+        let mut t = gov.ticker();
+        assert!(!t.note_embeddings(&gov, 1));
+        assert!(!t.note_embeddings(&gov, 1));
+        assert!(
+            t.note_embeddings(&gov, 1),
+            "third embedding reaches the cap"
+        );
         assert_eq!(
             gov.completion(),
             Completion::Truncated(TruncationReason::EmbeddingCap)
         );
         assert_eq!(gov.embeddings_charged(), 3);
+    }
+
+    #[test]
+    fn embeddings_of_many_tickers_trip_at_a_flush() {
+        // Neither ticker holds the cap alone; their sum does. The shared
+        // count learns of it at the flushes, and the run trips there.
+        let gov = Governor::new(&RunBudget::none().with_embedding_cap(10));
+        let mut a = gov.ticker();
+        let mut b = gov.ticker();
+        assert!(!a.note_embeddings(&gov, 6));
+        assert!(!b.note_embeddings(&gov, 6));
+        assert_eq!(gov.embeddings_charged(), 0, "nothing flushed yet");
+        gov.flush_ticker(&mut a);
+        assert!(!gov.stopped());
+        gov.flush_ticker(&mut b);
+        assert!(gov.stopped());
+        assert_eq!(gov.embeddings_charged(), 12);
+        assert_eq!(
+            gov.completion(),
+            Completion::Truncated(TruncationReason::EmbeddingCap)
+        );
+        // A heartbeat flushes too.
+        let gov = Governor::new(&RunBudget::none().with_embedding_cap(10));
+        let mut t = gov.ticker();
+        assert!(!t.note_embeddings(&gov, 4));
+        for _ in 0..HEARTBEAT_STRIDE {
+            t.tick(&gov);
+        }
+        assert_eq!(gov.embeddings_charged(), 4);
+    }
+
+    #[test]
+    fn uncapped_tickers_count_nothing() {
+        let gov = Governor::unlimited();
+        let mut t = gov.ticker();
+        assert!(!t.note_embeddings(&gov, u64::MAX / 2));
+        gov.flush_ticker(&mut t);
+        assert_eq!(gov.embeddings_charged(), 0);
     }
 
     #[test]
@@ -684,8 +754,8 @@ mod tests {
         for _ in 0..7 {
             b.tick(&gov);
         }
-        gov.flush_steps(&a);
-        gov.flush_steps(&b);
+        gov.flush_ticker(&mut a);
+        gov.flush_ticker(&mut b);
         assert_eq!(gov.steps_charged(), 12);
         assert_eq!(a.steps(), 5);
     }

@@ -8,6 +8,7 @@
 //! orders) are checked during expansion, and wildcard bonds match anything.
 
 pub mod cost;
+pub mod symmetry;
 
 use crate::candidates::CandidateBitmap;
 use crate::governor::{Completion, Governor, GovernorTicker};
@@ -18,7 +19,11 @@ use cost::{Decision, JoinVariant, OrderChoice, PairStats};
 use parking_lot::Mutex;
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, EdgeLabel, NodeId, WILDCARD_EDGE};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use symmetry::Symmetry;
 
 const INVALID: NodeId = NodeId::MAX;
 
@@ -76,6 +81,11 @@ pub struct JoinOutcome {
 /// after the first has at least one earlier neighbor (the *anchor*): its
 /// candidates are enumerated from the anchor image's adjacency list rather
 /// than the whole data graph.
+///
+/// The plan also carries the query's [`Symmetry`] and its conditions per
+/// position (DESIGN.md §20): in Find All the join enumerates one
+/// representative per embedding class and counts it as the order of the
+/// broken group.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Query-local node ids in matching order.
@@ -88,6 +98,19 @@ pub struct QueryPlan {
     /// For position `k`: earlier order-positions NOT adjacent in the query
     /// (only populated when induced matching is requested).
     non_edges: Vec<Vec<u32>>,
+    /// For position `k`: earlier order-positions whose images must be
+    /// smaller than position `k`'s image (symmetry breaking).
+    above: Vec<Vec<u32>>,
+    /// For position `k`: earlier order-positions whose images must be
+    /// larger than position `k`'s image (symmetry breaking).
+    below: Vec<Vec<u32>>,
+    /// The broken automorphism group, shared by every order of the query.
+    symmetry: Arc<Symmetry>,
+    /// The earlier query of the batch whose slice equals this one's, if
+    /// any: its pairs copy that query's results in Find All.
+    twin_of: Option<u32>,
+    /// Whether a later query of the batch is a twin of this one.
+    has_twins: bool,
 }
 
 impl QueryPlan {
@@ -95,19 +118,38 @@ impl QueryPlan {
     /// order at the max-degree node (most structurally constrained first —
     /// the default heuristic).
     pub fn build(queries: &CsrGo, qg: usize, induced: bool) -> Self {
-        let range = queries.node_range(qg);
-        // A zero-node query has no max-degree node and no plan: it matches
-        // nothing and the join skips it (degradation contract, DESIGN.md §8).
-        // Degree ties break toward the smallest node id so the order is a
-        // pure function of the graph (not of `max_by_key`'s last-wins scan
-        // direction or any future parallel reduction).
-        match range
-            .clone()
-            .max_by_key(|&v| (queries.degree(v), std::cmp::Reverse(v)))
-        {
+        match max_degree_start(queries, qg) {
             Some(start) => Self::build_from(queries, qg, induced, start),
             None => Self::empty(),
         }
+    }
+
+    /// The max-degree plans of every query graph of a batch, with twins
+    /// marked: a query whose slice (labels, edges, bond labels, charges
+    /// and predicates) equals an earlier query's shares that query's
+    /// symmetry and, in Find All, its join results.
+    pub fn build_batch(queries: &CsrGo, induced: bool) -> Vec<Self> {
+        let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut plans: Vec<Self> = Vec::with_capacity(queries.num_graphs());
+        for qg in 0..queries.num_graphs() {
+            let alike = seen.entry(slice_hash(queries, qg)).or_default();
+            let twin = alike.iter().copied().find(|&r| same_slice(queries, r, qg));
+            let plan = match twin {
+                None => {
+                    alike.push(qg);
+                    Self::build(queries, qg, induced)
+                }
+                Some(twin) => {
+                    plans[twin].has_twins = true;
+                    let mut plan = plans[twin].clone();
+                    plan.twin_of = Some(twin as u32);
+                    plan.has_twins = false;
+                    plan
+                }
+            };
+            plans.push(plan);
+        }
+        plans
     }
 
     /// The plan of a zero-node query: matches nothing, skipped by the join.
@@ -117,13 +159,40 @@ impl QueryPlan {
             anchor: Vec::new(),
             checks: Vec::new(),
             non_edges: Vec::new(),
+            above: Vec::new(),
+            below: Vec::new(),
+            symmetry: Arc::new(Symmetry::trivial()),
+            twin_of: None,
+            has_twins: false,
         }
     }
 
     /// Builds the plan starting the BFS order at an explicit query node —
     /// used by the min-candidates ordering extension, where the engine
-    /// starts at the node with the fewest surviving candidates.
+    /// starts at the node with the fewest surviving candidates. The
+    /// query's automorphisms are searched along this order.
     pub fn build_from(queries: &CsrGo, qg: usize, induced: bool, start: NodeId) -> Self {
+        let mut plan = Self::layout(queries, qg, induced, start);
+        let symmetry = Symmetry::of_query(queries, qg, &plan.order);
+        plan.set_symmetry(Arc::new(symmetry));
+        plan
+    }
+
+    /// This query's plan in the BFS order from `start`, with the same
+    /// symmetry and twin marks: the per-run orders derive their
+    /// conditions from the group found at plan build, without searching
+    /// again.
+    pub fn reordered(&self, queries: &CsrGo, qg: usize, induced: bool, start: NodeId) -> Self {
+        let mut plan = Self::layout(queries, qg, induced, start);
+        plan.set_symmetry(Arc::clone(&self.symmetry));
+        plan.twin_of = self.twin_of;
+        plan.has_twins = self.has_twins;
+        plan
+    }
+
+    /// The order, anchors and checks of the BFS order from `start`, with
+    /// the trivial group.
+    fn layout(queries: &CsrGo, qg: usize, induced: bool, start: NodeId) -> Self {
         let range = queries.node_range(qg);
         let base = range.start;
         let n = (range.end - range.start) as usize;
@@ -184,7 +253,30 @@ impl QueryPlan {
             anchor,
             checks,
             non_edges,
+            above: vec![Vec::new(); n],
+            below: vec![Vec::new(); n],
+            symmetry: Arc::new(Symmetry::trivial()),
+            twin_of: None,
+            has_twins: false,
         }
+    }
+
+    /// Installs `symmetry` and files each of its conditions at the later
+    /// of its two positions, where the join checks it.
+    fn set_symmetry(&mut self, symmetry: Arc<Symmetry>) {
+        let mut pos_of = vec![0u32; self.order.len()];
+        for (k, &x) in self.order.iter().enumerate() {
+            pos_of[x as usize] = k as u32;
+        }
+        for (a, b) in symmetry.conditions() {
+            let (pa, pb) = (pos_of[a as usize], pos_of[b as usize]);
+            if pa < pb {
+                self.above[pb as usize].push(pa);
+            } else {
+                self.below[pa as usize].push(pb);
+            }
+        }
+        self.symmetry = symmetry;
     }
 
     /// Number of query nodes.
@@ -214,10 +306,86 @@ impl QueryPlan {
         &self.non_edges[k]
     }
 
+    /// The broken automorphism group.
+    pub fn symmetry(&self) -> &Symmetry {
+        &self.symmetry
+    }
+
+    /// The earlier query whose results this one copies in Find All.
+    pub fn twin_of(&self) -> Option<u32> {
+        self.twin_of
+    }
+
     /// True when the plan covers no nodes (a zero-node query).
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
+
+    /// The window `[start, end)` of `nbrs` (a sorted adjacency list) that
+    /// can hold position `k`'s image once `mapping` holds the images of
+    /// positions `..k`: above every image the bounds put below it, and
+    /// below every image they put above it.
+    #[inline]
+    pub(crate) fn window(&self, k: usize, mapping: &[NodeId], nbrs: &[NodeId]) -> (usize, usize) {
+        let start = match self.above[k].iter().map(|&p| mapping[p as usize]).max() {
+            Some(lo) => nbrs.partition_point(|&d| d <= lo),
+            None => 0,
+        };
+        let end = match self.below[k].iter().map(|&p| mapping[p as usize]).min() {
+            Some(hi) => nbrs.partition_point(|&d| d < hi),
+            None => nbrs.len(),
+        };
+        (start, end.max(start))
+    }
+}
+
+/// The max-degree node of query graph `qg`, ties toward the smallest id,
+/// or `None` for a zero-node query.
+fn max_degree_start(queries: &CsrGo, qg: usize) -> Option<NodeId> {
+    // A zero-node query has no max-degree node and no plan: it matches
+    // nothing and the join skips it (degradation contract, DESIGN.md §8).
+    // Degree ties break toward the smallest node id so the order is a
+    // pure function of the graph (not of `max_by_key`'s last-wins scan
+    // direction or any future parallel reduction).
+    queries
+        .node_range(qg)
+        .max_by_key(|&v| (queries.degree(v), std::cmp::Reverse(v)))
+}
+
+/// Feeds everything the join reads of query graph `qg` — labels,
+/// adjacency with bond labels, charges and predicates, in local ids —
+/// into one hash.
+fn slice_hash(queries: &CsrGo, qg: usize) -> u64 {
+    let range = queries.node_range(qg);
+    let base = range.start;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for v in range {
+        (queries.label(v), queries.charge(v), queries.predicate(v)).hash(&mut h);
+        for (&u, &l) in queries
+            .neighbors(v)
+            .iter()
+            .zip(queries.neighbor_edge_labels(v))
+        {
+            (u - base, l).hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// Whether query graphs `a` and `b` have equal slices: the same labels,
+/// adjacency with bond labels, charges and predicates, node by node.
+fn same_slice(queries: &CsrGo, a: usize, b: usize) -> bool {
+    let (ra, rb) = (queries.node_range(a), queries.node_range(b));
+    let (base_a, base_b) = (ra.start, rb.start);
+    let local = |v: NodeId, base: NodeId| queries.neighbors(v).iter().map(move |&u| u - base);
+    ra.len() == rb.len()
+        && ra.zip(rb).all(|(x, y)| {
+            queries.label(x) == queries.label(y)
+                && queries.charge(x) == queries.charge(y)
+                && queries.predicate(x) == queries.predicate(y)
+                && queries.neighbor_edge_labels(x) == queries.neighbor_edge_labels(y)
+                && local(x, base_a).eq(local(y, base_b))
+        })
 }
 
 /// Configuration of one join launch.
@@ -323,6 +491,7 @@ pub fn join_with_policy(
     let collected: Mutex<Vec<MatchRecord>> = Mutex::new(Vec::new());
     let limit = params.collect_limit.unwrap_or(0);
     let gov = &params.governor;
+    let find_all = params.mode == JoinMode::FindAll;
     let word_bytes = bitmap.word_width().bytes();
     // Pre-allocated attribution buffers (device discipline: no allocation
     // inside the kernel closure). Each GMCR pair is written by exactly one
@@ -350,11 +519,21 @@ pub fn join_with_policy(
             // steady state is allocation-free.
             let mut scratch = BfsScratch::default();
             let mut dfs_scratch = DfsScratch::default();
-            for (k, &qg) in gmcr.queries_for(dg).iter().enumerate() {
+            // The current pair's records, and those of every pair whose
+            // query has twins (the twins' pairs copy them). Both stay
+            // empty unless a collect limit is set.
+            // sigmo-lint: allow(alloc-in-kernel) — empty until a record is
+            // collected; bounded by the collect limit.
+            let mut pair_records: Vec<MatchRecord> = Vec::new();
+            // sigmo-lint: allow(alloc-in-kernel) — as `pair_records`.
+            let mut held: Vec<MatchRecord> = Vec::new();
+            let here = gmcr.queries_for(dg);
+            for (k, &qg) in here.iter().enumerate() {
                 if gov.stopped() {
                     break;
                 }
-                if policy.max_degree[qg as usize].is_empty() {
+                let base_plan = &policy.max_degree[qg as usize];
+                if base_plan.is_empty() {
                     continue; // zero-node query: matches nothing
                 }
                 let decision = match policy.mode {
@@ -363,7 +542,7 @@ pub fn join_with_policy(
                         let stats = PairStats::gather(
                             bitmap,
                             queries.node_range(qg as usize).start,
-                            &policy.max_degree[qg as usize],
+                            base_plan,
                             &policy.min_candidates[qg as usize],
                             drange.start,
                             drange.end,
@@ -380,54 +559,100 @@ pub fn join_with_policy(
                     }
                 };
                 let plan = match decision.order {
-                    OrderChoice::MaxDegree => &policy.max_degree[qg as usize],
+                    OrderChoice::MaxDegree => base_plan,
                     OrderChoice::MinCandidates => &policy.min_candidates[qg as usize],
                 };
-                pair_decisions[gmcr.pair_index(dg, k)].store(decision.code(), Ordering::Relaxed);
-                let mut found_any = false;
-                let n_matches = match decision.variant {
-                    JoinVariant::Dfs => dfs_pair(
-                        data,
-                        bitmap,
-                        queries.node_range(qg as usize).start,
-                        plan,
-                        drange.start,
-                        drange.end,
-                        params,
-                        dg,
-                        qg as usize,
-                        &collected,
-                        limit,
-                        gov,
-                        &mut ticker,
-                        &mut found_any,
-                        &mut dfs_scratch,
-                    ),
-                    JoinVariant::Bfs => bfs_pair(
-                        data,
-                        bitmap,
-                        queries.node_range(qg as usize).start,
-                        plan,
-                        drange.start,
-                        drange.end,
-                        params,
-                        dg,
-                        qg as usize,
-                        &collected,
-                        limit,
-                        gov,
-                        &mut ticker,
-                        &mut found_any,
-                        &mut scratch,
-                    ),
+                let pair = gmcr.pair_index(dg, k);
+                pair_decisions[pair].store(decision.code(), Ordering::Relaxed);
+                // Records this pair may still add to the shared collection.
+                let room = if limit == 0 {
+                    0
+                } else {
+                    limit.saturating_sub(collected.lock().len())
                 };
-                if found_any {
-                    gmcr.mark_matched(gmcr.pair_index(dg, k));
+                // In Find All, a twin's pair copies its representative's
+                // pair, which this group ran earlier (GMCR lists queries in
+                // ascending order).
+                let twin = base_plan
+                    .twin_of
+                    .filter(|_| find_all)
+                    .and_then(|r| Some((r, here[..k].binary_search(&r).ok()?)));
+                let n_matches = match twin {
+                    Some((r, kr)) => {
+                        // sigmo-lint: allow(relaxed-read-in-report) — own write
+                        // this work-group stored that pair's count itself,
+                        // earlier in its own program order; no other writer.
+                        let n = pair_matches[gmcr.pair_index(dg, kr)].load(Ordering::Relaxed);
+                        // sigmo-lint: allow(alloc-in-kernel) — copies of
+                        // collected records, bounded by the collect limit.
+                        pair_records.extend(
+                            held.iter()
+                                .filter(|rec| rec.query_graph == r as usize)
+                                .take(room)
+                                .map(|rec| MatchRecord {
+                                    query_graph: qg as usize,
+                                    ..rec.clone()
+                                }),
+                        );
+                        ticker.note_embeddings(gov, n);
+                        ctx.counters.record_trips(1);
+                        n
+                    }
+                    None => {
+                        let reps = match decision.variant {
+                            JoinVariant::Dfs => dfs_pair(
+                                data,
+                                bitmap,
+                                queries.node_range(qg as usize).start,
+                                plan,
+                                drange.start,
+                                drange.end,
+                                params,
+                                dg,
+                                qg as usize,
+                                (&mut pair_records, room),
+                                gov,
+                                &mut ticker,
+                                &mut dfs_scratch,
+                            ),
+                            JoinVariant::Bfs => bfs_pair(
+                                data,
+                                bitmap,
+                                queries.node_range(qg as usize).start,
+                                plan,
+                                drange.start,
+                                drange.end,
+                                params,
+                                dg,
+                                qg as usize,
+                                (&mut pair_records, room),
+                                gov,
+                                &mut ticker,
+                                &mut scratch,
+                            ),
+                        };
+                        ctx.counters.record_trips(reps + 1);
+                        reps * class_size(plan, params.mode)
+                    }
+                };
+                if n_matches > 0 {
+                    gmcr.mark_matched(pair);
                     pairs_matched.fetch_add(1, Ordering::Relaxed);
                 }
-                pair_matches[gmcr.pair_index(dg, k)].store(n_matches, Ordering::Relaxed);
+                pair_matches[pair].store(n_matches, Ordering::Relaxed);
                 total.fetch_add(n_matches, Ordering::Relaxed);
-                ctx.counters.record_trips(n_matches + 1);
+                if !pair_records.is_empty() {
+                    if base_plan.has_twins {
+                        // sigmo-lint: allow(alloc-in-kernel) — bounded by
+                        // the collect limit per pair.
+                        held.extend(pair_records.iter().cloned());
+                    }
+                    let mut guard = collected.lock();
+                    let take = limit.saturating_sub(guard.len()).min(pair_records.len());
+                    // sigmo-lint: allow(alloc-in-kernel) — bounded by `limit`
+                    guard.extend(pair_records.drain(..take));
+                    pair_records.clear();
+                }
             }
             if ticker.tripped() {
                 group_tripped[dg].store(1, Ordering::Relaxed);
@@ -446,7 +671,7 @@ pub fn join_with_policy(
             if scratch.bytes_materialized > 0 {
                 ctx.counters.add_bytes_written(scratch.bytes_materialized);
             }
-            gov.flush_steps(&ticker);
+            gov.flush_ticker(&mut ticker);
         },
     );
 
@@ -495,21 +720,72 @@ pub fn join_with_policy(
     }
 }
 
+/// How many embeddings one found embedding stands for: the order of the
+/// broken group in Find All, 1 in Find First (which breaks nothing).
+#[inline]
+pub(crate) fn class_size(plan: &QueryPlan, mode: JoinMode) -> u64 {
+    match mode {
+        JoinMode::FindAll => plan.symmetry.order(),
+        JoinMode::FindFirst => 1,
+    }
+}
+
+/// Appends the records of one found embedding while `records` holds
+/// fewer than `room`: in Find All its whole class, one record per
+/// element of the broken group (identity first); in Find First the
+/// embedding alone. `image(k)` is the data node of order position `k`.
+// sigmo-lint: allow(alloc-in-kernel) — one row per collected match,
+// bounded by the collect limit (match materialization is host-side
+// output).
+pub(crate) fn collect_embedding(
+    (records, room): (&mut Vec<MatchRecord>, usize),
+    plan: &QueryPlan,
+    mode: JoinMode,
+    dg: usize,
+    qg: usize,
+    image: impl Fn(usize) -> NodeId,
+) {
+    if records.len() >= room {
+        return;
+    }
+    // Reorder from matching order to query-local node order.
+    let mut rep = vec![INVALID; plan.len()];
+    for k in 0..plan.len() {
+        rep[plan.order[k] as usize] = image(k);
+    }
+    let as_record = |mapping| MatchRecord {
+        data_graph: dg,
+        query_graph: qg,
+        mapping,
+    };
+    match mode {
+        JoinMode::FindFirst => records.push(as_record(rep)),
+        JoinMode::FindAll => plan.symmetry.expand_class(&rep, |mapping| {
+            records.push(as_record(mapping));
+            records.len() < room
+        }),
+    }
+}
+
 /// The DFS stacks of [`dfs_pair`], reused across a work-group's pairs:
 /// `mapping[k]` is the global data node for the query node at order
 /// position `k`, and `cursors[k]` the next candidate index to try at depth
 /// `k` (depth 0 scans the data graph's node range, depth > 0 the anchor
-/// image's adjacency). Capacity is retained, so steady-state pairs do not
-/// touch the allocator.
+/// image's adjacency up to `ends[k]`, `u32::MAX` for all of it). Capacity
+/// is retained, so
+/// steady-state pairs do not touch the allocator.
 #[derive(Debug, Default)]
 struct DfsScratch {
     mapping: Vec<NodeId>,
     cursors: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 /// Explicit-stack DFS for one (query graph, data graph) pair. Returns the
-/// number of embeddings found (1 max in FindFirst mode); on a governor
-/// trip the count found so far is returned (a sound partial result).
+/// number of embeddings found (1 max in FindFirst mode) — in Find All one
+/// per class of the broken group, each satisfying the plan's
+/// symmetry-breaking bounds; on a governor trip the count found so far is
+/// returned (a sound partial result).
 #[allow(clippy::too_many_arguments)]
 fn dfs_pair(
     data: &CsrGo,
@@ -521,22 +797,30 @@ fn dfs_pair(
     params: &JoinParams,
     dg: usize,
     qg: usize,
-    collected: &Mutex<Vec<MatchRecord>>,
-    limit: usize,
+    (records, room): (&mut Vec<MatchRecord>, usize),
     gov: &Governor,
     ticker: &mut GovernorTicker,
-    found_any: &mut bool,
     scratch: &mut DfsScratch,
 ) -> u64 {
     let qlen = plan.len();
     if qlen as u32 > d_hi - d_lo {
         return 0; // query larger than the data graph
     }
-    let DfsScratch { mapping, cursors } = scratch;
+    let find_all = params.mode == JoinMode::FindAll;
+    let class = class_size(plan, params.mode);
+    // Only Find All over a non-trivial group has bounds to apply.
+    let breaking = find_all && !plan.symmetry.is_trivial();
+    let DfsScratch {
+        mapping,
+        cursors,
+        ends,
+    } = scratch;
     mapping.clear();
     mapping.resize(qlen, INVALID);
     cursors.clear();
     cursors.resize(qlen, 0);
+    ends.clear();
+    ends.resize(qlen, 0);
     let mut matches = 0u64;
     let mut depth = 0usize;
     loop {
@@ -544,44 +828,41 @@ fn dfs_pair(
             return matches; // budget tripped: partial count is still sound
         }
         let cand = next_candidate(
-            data, bitmap, q_base, plan, d_lo, d_hi, mapping, cursors, depth, params,
+            data, bitmap, q_base, plan, d_lo, d_hi, mapping, cursors, ends, depth, params,
         );
         match cand {
             Some(d) => {
                 mapping[depth] = d;
                 if depth + 1 == qlen {
                     matches += 1;
-                    *found_any = true;
-                    if limit > 0 {
-                        let mut guard = collected.lock();
-                        if guard.len() < limit {
-                            // Reorder mapping to query-local node order.
-                            // sigmo-lint: allow(alloc-in-kernel) — one
-                            // row per collected match, bounded by `limit`
-                            // (match materialization is host-side output).
-                            let mut by_node = vec![INVALID; qlen];
-                            for (k, &dn) in mapping.iter().enumerate() {
-                                by_node[plan.order[k] as usize] = dn;
-                            }
-                            // sigmo-lint: allow(alloc-in-kernel) — bounded by `limit`
-                            guard.push(MatchRecord {
-                                data_graph: dg,
-                                query_graph: qg,
-                                mapping: by_node,
-                            });
-                        }
+                    if room > 0 {
+                        collect_embedding((records, room), plan, params.mode, dg, qg, |k| {
+                            mapping[k]
+                        });
                     }
                     mapping[depth] = INVALID;
-                    if gov.note_embedding() {
-                        return matches; // embedding cap reached
-                    }
-                    if params.mode == JoinMode::FindFirst {
-                        return matches;
+                    if ticker.note_embeddings(gov, class) || !find_all {
+                        return matches; // embedding cap reached, or Find First
                     }
                     // stay at this depth, keep scanning candidates
-                } else {
+                } else if !breaking {
                     depth += 1;
                     cursors[depth] = 0;
+                    ends[depth] = u32::MAX; // the whole adjacency list
+                } else {
+                    // Scan only the adjacency window the symmetry-breaking
+                    // bounds leave open (the lists are sorted). An empty
+                    // window rejects `d` here, without a step.
+                    let next = depth + 1;
+                    let nbrs = data.neighbors(mapping[plan.anchor[next] as usize]);
+                    let (start, end) = plan.window(next, mapping, nbrs);
+                    if start < end {
+                        depth = next;
+                        cursors[depth] = start as u32;
+                        ends[depth] = end as u32;
+                    } else {
+                        mapping[depth] = INVALID;
+                    }
                 }
             }
             None => {
@@ -612,6 +893,7 @@ fn next_candidate(
     d_hi: NodeId,
     mapping: &[NodeId],
     cursors: &mut [u32],
+    ends: &[u32],
     depth: usize,
     params: &JoinParams,
 ) -> Option<NodeId> {
@@ -627,12 +909,13 @@ fn next_candidate(
     }
     let anchor_img = mapping[plan.anchor[depth] as usize];
     let nbrs = data.neighbors(anchor_img);
+    let end = nbrs.len().min(ends[depth] as usize);
     // sigmo-lint: allow(unbounded-kernel-loop) — bounded by one adjacency
-    // list (the cursor strictly advances toward nbrs.len()); each call is
-    // one DFS step already ticked by dfs_pair's governed loop.
+    // list (the cursor strictly advances toward `end` ≤ nbrs.len()); each
+    // call is one DFS step already ticked by dfs_pair's governed loop.
     'next: loop {
         let i = cursors[depth] as usize;
-        if i >= nbrs.len() {
+        if i >= end {
             return None;
         }
         cursors[depth] += 1;
@@ -865,6 +1148,47 @@ mod tests {
         let (out, matched) = run(&[q], &[d0, d1, d2], JoinParams::default());
         assert_eq!(out.total_matches, 2);
         assert_eq!(matched, vec![(0, 0), (1, 0)]);
+    }
+
+    #[test]
+    fn a_partial_chain_still_counts_and_collects_each_embedding_once() {
+        // The C6 ring's group has order 12; break only its first level
+        // (order 6). Each class then keeps 2 representatives, each
+        // counting 6, and each expands to 6 records: 12 embeddings per
+        // ring either way, every record distinct.
+        let ring = |n: u32| {
+            let labels = vec![1u8; n as usize];
+            let edges: Vec<(u32, u32, u8)> = (0..n).map(|i| (i, (i + 1) % n, 1)).collect();
+            labeled(&labels, &edges)
+        };
+        let queries = CsrGo::from_graphs(&[ring(6)]);
+        let data = CsrGo::from_graphs(&[ring(6), ring(6)]);
+        let q = queue();
+        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        initialize_candidates(&q, &queries, &data, &bm, 64);
+        let gmcr = Gmcr::build(&q, &queries, &data, &bm, 64);
+        let mut plan = QueryPlan::layout(&queries, 0, false, 0);
+        let prefix = Symmetry::chain(&queries, 0, &plan.order, symmetry::SEARCH_BUDGET, 6);
+        assert_eq!(prefix.order(), 6);
+        plan.set_symmetry(Arc::new(prefix));
+        for variant in [JoinVariant::Dfs, JoinVariant::Bfs] {
+            let plans = [plan.clone()];
+            let policy = JoinPolicy {
+                max_degree: &plans,
+                min_candidates: &plans,
+                mode: PolicyMode::Fixed(variant, OrderChoice::MaxDegree),
+            };
+            let params = JoinParams {
+                collect_limit: Some(100),
+                ..Default::default()
+            };
+            let out = join_with_policy(&q, &queries, &data, &bm, &gmcr, &policy, &params);
+            assert_eq!(out.total_matches, 24, "{variant:?}");
+            let mut maps: Vec<_> = out.records.iter().map(|r| r.mapping.clone()).collect();
+            maps.sort();
+            maps.dedup();
+            assert_eq!(maps.len(), 24, "{variant:?}");
+        }
     }
 
     #[test]

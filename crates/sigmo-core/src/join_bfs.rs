@@ -13,9 +13,8 @@
 
 use crate::candidates::CandidateBitmap;
 use crate::governor::{Completion, Governor, GovernorTicker};
-use crate::join::{JoinMode, JoinParams, MatchRecord, QueryPlan};
+use crate::join::{class_size, collect_embedding, JoinMode, JoinParams, MatchRecord, QueryPlan};
 use crate::mapping::Gmcr;
-use parking_lot::Mutex;
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, NodeId, WILDCARD_EDGE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,7 +156,7 @@ pub fn join_bfs_governed(
                 peak.fetch_max(local_peak, Ordering::Relaxed);
                 charge(ctx.counters, local_rows, qlen);
             }
-            gov.flush_steps(&ticker);
+            gov.flush_ticker(&mut ticker);
         },
     );
 
@@ -198,44 +197,12 @@ pub struct BfsScratch {
     pub bytes_materialized: u64,
 }
 
-/// Appends one embedding to the collection buffer, reordering from
-/// matching order to query-local node order. `prefix` holds positions
-/// `0..qlen-1`; `last` is the final extension.
-// sigmo-lint: allow(alloc-in-kernel) — one row per collected match,
-// bounded by `limit`; match materialization is host-side output.
-fn record_row(
-    collected: &Mutex<Vec<MatchRecord>>,
-    limit: usize,
-    plan: &QueryPlan,
-    dg: usize,
-    qg: usize,
-    prefix: &[NodeId],
-    last: NodeId,
-) {
-    if limit == 0 {
-        return;
-    }
-    let mut guard = collected.lock();
-    if guard.len() >= limit {
-        return;
-    }
-    let qlen = plan.len();
-    let mut by_node = vec![NodeId::MAX; qlen];
-    for (k, &dn) in prefix.iter().enumerate() {
-        by_node[plan.order_slot(k) as usize] = dn;
-    }
-    by_node[plan.order_slot(qlen - 1) as usize] = last;
-    guard.push(MatchRecord {
-        data_graph: dg,
-        query_graph: qg,
-        mapping: by_node,
-    });
-}
-
 /// Level-synchronous BFS for one (query graph, data graph) pair, the
 /// per-pair twin of `join::dfs_pair`: same mode/limit/induced semantics,
-/// same return contract (embeddings found; on a governor trip the count
-/// so far — rows only count once fully extended, so partials are sound).
+/// the same symmetry-breaking bounds in Find All, same return contract
+/// (embeddings found, one per class of the broken group in Find All; on
+/// a governor trip the count so far — rows only count once fully
+/// extended, so partials are sound).
 /// Ticked once per frontier row expanded (word granularity: a row
 /// expansion walks a whole adjacency run).
 // sigmo-lint: allow(uncharged-access) — per-row traffic is charged in
@@ -256,11 +223,9 @@ pub(crate) fn bfs_pair(
     params: &JoinParams,
     dg: usize,
     qg: usize,
-    collected: &Mutex<Vec<MatchRecord>>,
-    limit: usize,
+    (records, room): (&mut Vec<MatchRecord>, usize),
     gov: &Governor,
     ticker: &mut GovernorTicker,
-    found_any: &mut bool,
     scratch: &mut BfsScratch,
 ) -> u64 {
     const INVALID: NodeId = NodeId::MAX;
@@ -268,6 +233,9 @@ pub(crate) fn bfs_pair(
     if qlen as u32 > d_hi - d_lo {
         return 0; // query larger than the data graph
     }
+    let find_all = params.mode == JoinMode::FindAll;
+    let class = class_size(plan, params.mode);
+    let breaking = find_all && !plan.symmetry().is_trivial();
     scratch.cur.clear();
     let q0 = (q_base + plan.order_slot(0)) as usize;
     for d in bitmap.iter_set_in_range(q0, d_lo as usize, d_hi as usize) {
@@ -279,9 +247,8 @@ pub(crate) fn bfs_pair(
         for i in 0..scratch.cur.len() {
             let d = scratch.cur[i];
             matches += 1;
-            *found_any = true;
-            record_row(collected, limit, plan, dg, qg, &[], d);
-            if gov.note_embedding() || params.mode == JoinMode::FindFirst {
+            collect_embedding((&mut *records, room), plan, params.mode, dg, qg, |_| d);
+            if ticker.note_embeddings(gov, class) || !find_all {
                 return matches;
             }
         }
@@ -322,7 +289,18 @@ pub(crate) fn bfs_pair(
                     }
                 }
             }
-            'cand: for ci in 0..scratch.cache.len() {
+            // The symmetry-breaking bounds leave a window of the memo
+            // (sorted like the adjacency it filters) open in Find All.
+            let (lo, hi) = if breaking {
+                plan.window(
+                    depth,
+                    &scratch.cur[row_start..row_start + stride],
+                    &scratch.cache,
+                )
+            } else {
+                (0, scratch.cache.len())
+            };
+            'cand: for ci in lo..hi {
                 let d = scratch.cache[ci];
                 let row = &scratch.cur[row_start..row_start + stride];
                 if row.contains(&d) {
@@ -350,9 +328,14 @@ pub(crate) fn bfs_pair(
                 }
                 if last_level {
                     matches += 1;
-                    *found_any = true;
-                    record_row(collected, limit, plan, dg, qg, row, d);
-                    if gov.note_embedding() || params.mode == JoinMode::FindFirst {
+                    collect_embedding((&mut *records, room), plan, params.mode, dg, qg, |k| {
+                        if k < stride {
+                            row[k]
+                        } else {
+                            d
+                        }
+                    });
+                    if ticker.note_embeddings(gov, class) || !find_all {
                         return matches;
                     }
                 } else {

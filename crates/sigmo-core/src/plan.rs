@@ -75,8 +75,9 @@ pub struct QueryPlan {
     /// How many times `SignatureClasses` were actually rebuilt (≤ number
     /// of radii; the memoization pin tests read this).
     classes_builds: usize,
-    /// Max-degree join plans per query graph (the data-aware
-    /// min-candidates ordering still has to be built per run).
+    /// Max-degree join plans per query graph, with each query's
+    /// automorphism group and twin marks (the data-aware min-candidates
+    /// ordering still has to be built per run).
     join_plans: Vec<join::QueryPlan>,
     /// Schema of the label-pair signatures (fixed 16 uniform buckets).
     pair_schema: LabelSchema,
@@ -127,9 +128,7 @@ impl QueryPlan {
             prev_sigs = sigs;
             radii.push(RadiusState { classes, delta });
         }
-        let join_plans = (0..csr.num_graphs())
-            .map(|qg| join::QueryPlan::build(&csr, qg, config.induced))
-            .collect();
+        let join_plans = join::QueryPlan::build_batch(&csr, config.induced);
         let pair_schema = filter::pair_schema();
         let pair_rows = filter::pair_rows(facts.pairs(), &pair_schema);
         let pred_rows = filter::pred_rows(&csr);
@@ -167,7 +166,7 @@ impl QueryPlan {
 
     /// Join plans starting at each query graph's node with the fewest
     /// surviving candidates in `bitmap` — the data-aware ordering, built
-    /// per run. A zero-node query has no start node and gets the empty
+    /// per run from the max-degree plans' symmetry (no second search). A zero-node query has no start node and gets the empty
     /// plan (it matches nothing, the join skips it). Count ties break
     /// toward the smallest node id: an explicit key, so the ordering is a
     /// stated contract — adaptive runs must be bit-identical across
@@ -181,7 +180,7 @@ impl QueryPlan {
                     .min_by_key(|&v| (bitmap.row_count(v as usize), v))
                 {
                     Some(start) => {
-                        join::QueryPlan::build_from(&self.csr, qg, self.induced, start as NodeId)
+                        self.join_plans[qg].reordered(&self.csr, qg, self.induced, start as NodeId)
                     }
                     None => join::QueryPlan::empty(),
                 }

@@ -565,9 +565,10 @@ mod tests {
     fn strategy_retry_salvages_a_dfs_pathological_molecule() {
         use sigmo_graph::LabeledGraph;
         // Query: C with 3 H leaves. Data: C with 8 H leaves → 8·7·6 = 336
-        // embeddings. The DFS ticks once per stack step (~800 for this
-        // pair); the BFS ticks once per frontier row (1 + 8 + 56 = 65). A
-        // step budget between the two makes DFS trip where BFS completes.
+        // embeddings, 56 classes under the query's 3! automorphisms. The
+        // DFS ticks once per stack step (131 for this pair's increasing
+        // triples); the BFS ticks once per frontier row (1 + 8 + 28 = 37).
+        // A step budget between the two makes DFS trip where BFS completes.
         let mut q = LabeledGraph::new();
         let qc = q.add_node(1);
         for _ in 0..3 {
@@ -581,7 +582,7 @@ mod tests {
             d.add_edge(dc, h, 1).unwrap();
         }
         let queries = [q];
-        let budget = crate::governor::RunBudget::none().with_step_budget(200);
+        let budget = crate::governor::RunBudget::none().with_step_budget(80);
         let base = StreamRunner::new(EngineConfig::default(), u64::MAX)
             .with_max_chunk(1)
             .with_budget(budget.clone());

@@ -51,8 +51,8 @@
 #                                 the committed BENCH_pipeline.json,
 #                                 BENCH_serve.json, BENCH_adaptive.json,
 #                                 BENCH_shard.json, and BENCH_index.json
-#  13. fuzz-smoke                 deep fuzz sweep at 10 000 cases per
-#                                 property, in release: the
+#  13. fuzz-smoke                 deep fuzz sweep in release: at 10 000
+#                                 cases per property the
 #                                 tests/parser_fuzz.rs battery (raw bytes,
 #                                 grammar token soup, and round-trip
 #                                 layers for both the SMILES and SMARTS
@@ -61,7 +61,13 @@
 #                                 the per-group reference on random
 #                                 signature layouts, and the class-aware
 #                                 row walk against the per-bit retain_row
-#                                 (both tests/properties.rs)
+#                                 (both tests/properties.rs); at 2 000
+#                                 cases the join's symmetry breaking
+#                                 (tests/symmetry_breaking.rs: Find All
+#                                 counts and records equal brute force,
+#                                 each a multiple of |Aut(q)|, in every
+#                                 matching order, DFS and BFS, induced
+#                                 and wildcard queries included)
 #  14. canon-oracle               release-mode canonical-labeling sweep
 #                                 (tests/canonical_oracle.rs with its
 #                                 #[ignore]d tests): the pruned search's
@@ -93,7 +99,7 @@
 # `--lint-only` runs just the sigmo-lint stage — the inner loop while
 # triaging findings or writing pragma justifications.
 # `--pathological` adds a governor smoke stage: the ext_pathological
-# binary must terminate the wildcard-clique workload under its 2 s
+# binary must terminate the asymmetric wildcard workload under its 2 s
 # deadline with a Truncated(Deadline) partial result (it asserts this
 # itself and exits nonzero otherwise).
 # Each stage reports its wall time; the summary line at the end gives the
@@ -124,12 +130,15 @@ stage() {
     echo "==> $name ok ($((SECONDS - start))s)"
 }
 
-# The deep fuzz sweep, in release: the parser fuzz battery and the SWAR
-# domination property at 10 000 cases each.
+# The deep fuzz sweep, in release: the parser fuzz battery, the SWAR
+# domination and class-walk properties at 10 000 cases each, and the
+# symmetry-breaking properties at 2 000 (each case runs the join once
+# per matching order; the stage stays under a minute).
 fuzz_smoke() {
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test parser_fuzz
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties swar_domination
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties class_walk
+    SIGMO_FUZZ_CASES=2000 cargo test -q --release --test symmetry_breaking
 }
 
 # Runs one perfbench workload traced; fails unless it reports correct.

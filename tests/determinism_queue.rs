@@ -18,7 +18,7 @@ use sigmo::cluster::FaultPlan;
 use sigmo::core::filter::initialize_candidates;
 use sigmo::core::{
     naive, BatchFacts, CandidateBitmap, Completion, Engine, EngineConfig, FilterMode, Governor,
-    JoinStrategy, QueryPlan, RunBudget, StrategyCounts, TruncationReason, WordWidth,
+    JoinStrategy, QueryPlan, RunBudget, RunReport, StrategyCounts, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -304,6 +304,99 @@ fn step_budget_truncation_is_identical_across_thread_counts() {
             r1, rn,
             "kernel records diverged between 1 and {threads} threads"
         );
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+/// Symmetric queries (a ring, a hydrogen star, tert-butyl, a wildcard
+/// triangle) and a twin of one of them, over hydrogen-rich molecules.
+fn symmetric_workload() -> (Vec<LabeledGraph>, Vec<LabeledGraph>) {
+    let mut gen = MoleculeGenerator::with_seed(41);
+    let data: Vec<LabeledGraph> = gen
+        .generate_batch(24)
+        .iter()
+        .map(|m| m.to_labeled_graph())
+        .collect();
+    let mut star = LabeledGraph::new();
+    let c = star.add_node(1);
+    for _ in 0..3 {
+        let h = star.add_node(0);
+        star.add_edge(c, h, 1).unwrap();
+    }
+    let mut queries: Vec<LabeledGraph> = functional_groups()
+        .into_iter()
+        .filter(|q| ["benzene", "tert-butyl", "isopropyl"].contains(&q.name))
+        .map(|q| q.graph)
+        .collect();
+    queries.push(star.clone());
+    queries.push(parse_smarts("[CR]1[CR][CR]1").unwrap());
+    queries.push(star);
+    (queries, data)
+}
+
+fn run_symmetric_budgeted(threads: &str, steps: Option<u64>) -> (RunReport, Vec<RecordKey>) {
+    std::env::set_var("RAYON_NUM_THREADS", threads);
+    let (queries, data) = symmetric_workload();
+    let queue = Queue::new(DeviceProfile::host());
+    let budget = match steps {
+        Some(s) => RunBudget::none().with_step_budget(s),
+        None => RunBudget::none(),
+    };
+    let report = Engine::new(EngineConfig::with_iterations(4)).run_with_governor(
+        &queries,
+        &data,
+        &queue,
+        &Governor::new(&budget),
+    );
+    (report, record_keys(&queue.records()))
+}
+
+#[test]
+fn symmetric_step_budget_truncation_is_identical_across_thread_counts() {
+    // Representatives count as their whole class, and a twin copies its
+    // original's pair: a truncated run's partial totals, per-pair counts
+    // and kernel records must still be a pure function of each group's
+    // own workload, and every pair count a multiple of its class size.
+    let _guard = ENV_LOCK.lock().unwrap();
+    let (full, _) = run_symmetric_budgeted("1", None);
+    let (queries, _) = symmetric_workload();
+    let sizes: Vec<u64> = QueryPlan::build(&queries, &EngineConfig::with_iterations(4))
+        .join_plans()
+        .iter()
+        .map(|p| p.symmetry().order())
+        .collect();
+    assert!(
+        sizes.iter().all(|&s| s > 1),
+        "every query is symmetric: {sizes:?}"
+    );
+    let (r1, k1) = run_symmetric_budgeted(THREADS[0], Some(30));
+    assert_eq!(
+        r1.completion,
+        Completion::Truncated(TruncationReason::StepBudget)
+    );
+    assert!(
+        r1.total_matches < full.total_matches && r1.total_matches > 0,
+        "a 30-step budget must truncate this workload (got {} of {})",
+        r1.total_matches,
+        full.total_matches
+    );
+    for &(_, qg, n) in &r1.pair_counts {
+        assert_eq!(
+            n % sizes[qg],
+            0,
+            "query {qg}: {n} is no whole number of classes"
+        );
+    }
+    for threads in ["4", "8"] {
+        let (rn, kn) = run_symmetric_budgeted(threads, Some(30));
+        assert_eq!(r1.completion, rn.completion);
+        assert_eq!(r1.total_matches, rn.total_matches, "{threads} threads");
+        assert_eq!(r1.pair_counts, rn.pair_counts, "{threads} threads");
+        assert_eq!(
+            r1.truncated_graphs, rn.truncated_graphs,
+            "{threads} threads"
+        );
+        assert_eq!(k1, kn, "kernel records diverged at {threads} threads");
     }
     std::env::remove_var("RAYON_NUM_THREADS");
 }

@@ -19,9 +19,10 @@ fn queue() -> Queue {
 }
 
 /// A complete graph on `n` nodes, every node labelled `label`, every edge
-/// labelled `edge`. With wildcard labels this is the pathological query of
-/// ISSUE 3: against a uniform data clique its DFS join enumerates O(n!)
-/// embeddings and only a budget can stop it.
+/// labelled `edge`. A wildcard clique against a uniform data clique has
+/// O(N!) embeddings in classes of n! (its symmetries): the join lists one
+/// per class, which an embedding cap still stops, but fast enough that a
+/// deadline test needs an asymmetric query.
 fn clique(n: u32, label: u8, edge: u8) -> LabeledGraph {
     let mut g = LabeledGraph::new();
     for _ in 0..n {
@@ -30,6 +31,27 @@ fn clique(n: u32, label: u8, edge: u8) -> LabeledGraph {
     for a in 0..n {
         for b in (a + 1)..n {
             g.add_edge(a, b, edge).unwrap();
+        }
+    }
+    g
+}
+
+/// The 8-node wildcard query of the deadline tests: the complete graph
+/// minus a spider with legs of 1, 2 and 4 edges. Its complement has no
+/// automorphism, so neither has it, and the join cannot break any
+/// symmetry: against a uniform 16-clique, which holds every edge, it
+/// still has 16·15·…·9 ≈ 5.2e8 embeddings to enumerate one by one.
+fn asymmetric_wildcard_octet() -> LabeledGraph {
+    let spider = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)];
+    let mut g = LabeledGraph::new();
+    for _ in 0..8 {
+        g.add_node(WILDCARD_LABEL);
+    }
+    for a in 0..8u32 {
+        for b in (a + 1)..8 {
+            if !spider.contains(&(a, b)) {
+                g.add_edge(a, b, WILDCARD_EDGE).unwrap();
+            }
         }
     }
     g
@@ -107,10 +129,12 @@ fn unlimited_governor_is_bit_identical_to_plain_run() {
 
 #[test]
 fn wildcard_clique_under_deadline_truncates_with_partials() {
-    // K8 of wildcards against a uniform K16: 16·15·…·9 ≈ 5.2e8 embeddings.
+    // An asymmetric 8-node wildcard query against a uniform K16: 16·15·…·9
+    // ≈ 5.2e8 embeddings. (A wildcard K8 would not do: its 8! symmetries
+    // leave the join only the 12,870 increasing 8-subsets to find.)
     // Unbudgeted this runs for ages; the deadline must end it promptly
     // with a nonzero sound partial count.
-    let queries = [clique(8, WILDCARD_LABEL, WILDCARD_EDGE)];
+    let queries = [asymmetric_wildcard_octet()];
     let data = [clique(16, 1, 1)];
     let budget = RunBudget::none().with_deadline(Duration::from_millis(150));
     let started = Instant::now();

@@ -334,7 +334,7 @@ const DATASET_CHARGES: &[Charge] = &[
         5816,
         0x3fd0d2f20bf0f0e7,
     ),
-    ("join", 3579300, 7158600, 0, 0, 0, 0x400a447b21e38e4e),
+    ("join", 1865900, 3731800, 0, 0, 0, 0x3ff747113df7b5c5),
     ("d2h_matches", 0, 0, 573, 0, 0, 0x0),
 ];
 
@@ -380,6 +380,6 @@ const PREDICATE_CHARGES: &[Charge] = &[
     ("refine_candidates", 618, 1368, 0, 0, 18, 0x0),
     ("gmcr_size", 1008, 724, 40, 0, 181, 0x3fdd6d6dea1fbbd7),
     ("gmcr_populate", 880, 724, 248, 0, 181, 0x3fdd6d6dea1fbbd7),
-    ("join", 76900, 153800, 0, 0, 0, 0x3feabf506de40c37),
+    ("join", 60500, 121000, 0, 0, 0, 0x3fecc5ef649a2efe),
     ("d2h_matches", 0, 0, 62, 0, 0, 0x0),
 ];
