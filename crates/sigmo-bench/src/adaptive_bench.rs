@@ -1,6 +1,6 @@
-//! The adaptive-join ablation shared by `ext_adaptive` (which emits
-//! `BENCH_adaptive.json`) and `bench_diff` (which gates regressions
-//! against the committed copy).
+//! The adaptive-join ablation behind `BENCH_adaptive.json`: one
+//! [`gate`](crate::gate) table entry, recorded by `ext_adaptive` and
+//! gated by `bench_diff`.
 //!
 //! Three scenarios, each constructed so a *different* fixed
 //! (variant, order) combination wins — no fixed strategy is best
@@ -21,15 +21,16 @@
 //!   first embedding in a handful of steps; BFS must materialize whole
 //!   levels below it first.
 //!
-//! Join cost is measured two ways. The *gates* use the deterministic
+//! Join cost is measured two ways. The asserts use the deterministic
 //! simulated device seconds (`sim_s`: the analytical device model over
 //! the join kernels' charged traffic — this repo's substrate for all
-//! paper-shape claims, noise-free by construction). The real host wall
-//! of each whole run is recorded alongside as best-of-[`REPS`] for
-//! context only. Match
-//! totals and per-pair attributions must be bit-identical across all
-//! five configurations; the run asserts that on every rep.
+//! paper-shape claims, noise-free by construction), and the gate holds
+//! them exact. The real host wall of each whole run is recorded
+//! alongside as best-of-[`REPS`] and gated as a wall. Match totals and
+//! per-pair attributions must be bit-identical across all five
+//! configurations; the run asserts that on every rep.
 
+use crate::gate::Field;
 use crate::BenchScale;
 use sigmo_core::{Engine, EngineConfig, JoinOrder, JoinStrategy, MatchMode, StrategyCounts};
 use sigmo_device::{summarize, CostModel, DeviceProfile, Queue};
@@ -39,6 +40,13 @@ use std::time::Instant;
 /// Fresh runs per configuration; real walls take the minimum, modeled
 /// walls and results must agree exactly across reps.
 pub const REPS: usize = 3;
+
+/// Required whole-workload win over the worst fixed combination.
+pub const MIN_SPEEDUP_VS_WORST: f64 = 1.3;
+/// Allowed slowdown vs the per-scenario hindsight oracle.
+pub const MAX_ORACLE_OVERHEAD: f64 = 1.05;
+/// Every fixed combination must lose by this factor somewhere.
+pub const MIN_PER_COMBO_LOSS: f64 = 1.3;
 
 /// The four fixed (variant, order) combinations, in decision-code order.
 pub const COMBOS: [(&str, JoinStrategy, JoinOrder); 4] = [
@@ -90,8 +98,6 @@ impl ScenarioResult {
 
 /// Aggregate ablation result.
 pub struct AdaptiveBenchResult {
-    /// The scale the workload was built at.
-    pub scale: BenchScale,
     /// Per-scenario measurements.
     pub scenarios: Vec<ScenarioResult>,
 }
@@ -366,90 +372,89 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     }
 }
 
-/// Runs the full ablation.
-pub fn run_adaptive_bench(scale: BenchScale) -> AdaptiveBenchResult {
-    AdaptiveBenchResult {
-        scale,
+/// Runs the full ablation (the table's runner) and asserts its premise
+/// and its payoff on the modeled walls:
+///
+/// * every scenario matches something;
+/// * every fixed combination loses at least [`MIN_PER_COMBO_LOSS`]× to
+///   the per-scenario oracle somewhere — no fixed strategy wins
+///   everywhere on this workload;
+/// * the adaptive engine beats the worst fixed combination by at least
+///   [`MIN_SPEEDUP_VS_WORST`]× on the whole workload, and
+/// * lands within [`MAX_ORACLE_OVERHEAD`] of the oracle.
+pub fn run(scale: BenchScale) -> Vec<Field> {
+    let r = AdaptiveBenchResult {
         scenarios: scenarios(scale).iter().map(run_scenario).collect(),
-    }
-}
-
-/// Renders the flat JSON `BENCH_adaptive.json` holds. Keys are unique at
-/// the top level so `bench_diff`'s scanning parser can read them back.
-pub fn render_json(r: &AdaptiveBenchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{:?}\",\n", r.scale));
+    };
     for s in &r.scenarios {
-        out.push_str(&format!(
-            "  \"{}_total_matches\": {},\n",
-            s.name, s.total_matches
-        ));
-        for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
-            out.push_str(&format!(
-                "  \"{}_model_{combo}_s\": {:.9},\n",
-                s.name, s.fixed_model_s[i]
-            ));
-        }
-        out.push_str(&format!(
-            "  \"{}_model_adaptive_s\": {:.9},\n",
-            s.name, s.adaptive_model_s
-        ));
-        for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
-            out.push_str(&format!(
-                "  \"{}_wall_{combo}_s\": {:.6},\n",
-                s.name, s.fixed_wall_s[i]
-            ));
-        }
-        out.push_str(&format!(
-            "  \"{}_wall_adaptive_s\": {:.6},\n",
-            s.name, s.adaptive_wall_s
-        ));
-        out.push_str(&format!(
-            "  \"{}_adaptive_dfs_pairs\": {},\n",
-            s.name, s.decisions.dfs_pairs
-        ));
-        out.push_str(&format!(
-            "  \"{}_adaptive_bfs_pairs\": {},\n",
-            s.name, s.decisions.bfs_pairs
-        ));
-        out.push_str(&format!(
-            "  \"{}_adaptive_max_degree_pairs\": {},\n",
-            s.name, s.decisions.max_degree_pairs
-        ));
-        out.push_str(&format!(
-            "  \"{}_adaptive_min_candidates_pairs\": {},\n",
-            s.name, s.decisions.min_candidates_pairs
-        ));
+        assert!(
+            s.total_matches > 0,
+            "{}: a degenerate zero-match scenario proves nothing",
+            s.name
+        );
     }
-    out.push_str(&format!(
-        "  \"adaptive_total_s\": {:.9},\n",
-        r.adaptive_total_s()
-    ));
-    out.push_str(&format!(
-        "  \"oracle_total_s\": {:.9},\n",
-        r.oracle_total_s()
-    ));
-    out.push_str(&format!(
-        "  \"worst_fixed_total_s\": {:.9},\n",
-        r.worst_fixed_total_s()
-    ));
-    out.push_str(&format!(
-        "  \"best_fixed_total_s\": {:.9},\n",
-        r.best_fixed_total_s()
-    ));
-    out.push_str(&format!(
-        "  \"speedup_vs_worst_fixed\": {:.3},\n",
-        r.worst_fixed_total_s() / r.adaptive_total_s().max(1e-12)
-    ));
-    out.push_str(&format!(
-        "  \"speedup_vs_best_fixed\": {:.3},\n",
-        r.best_fixed_total_s() / r.adaptive_total_s().max(1e-12)
-    ));
-    out.push_str(&format!(
-        "  \"oracle_overhead\": {:.4}\n",
-        r.adaptive_total_s() / r.oracle_total_s().max(1e-12)
-    ));
-    out.push_str("}\n");
-    out
+    for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
+        let worst_loss = r
+            .scenarios
+            .iter()
+            .map(|s| s.fixed_model_s[i] / s.oracle_model_s().max(1e-12))
+            .fold(0.0, f64::max);
+        assert!(
+            worst_loss >= MIN_PER_COMBO_LOSS,
+            "{combo} never loses ≥{MIN_PER_COMBO_LOSS}x — the workload no longer \
+             discriminates and the ablation is vacuous (got {worst_loss:.2}x)"
+        );
+    }
+    let speedup = r.worst_fixed_total_s() / r.adaptive_total_s().max(1e-12);
+    let overhead = r.adaptive_total_s() / r.oracle_total_s().max(1e-12);
+    assert!(
+        speedup >= MIN_SPEEDUP_VS_WORST,
+        "adaptive must be ≥{MIN_SPEEDUP_VS_WORST}x the worst fixed strategy, got {speedup:.2}x"
+    );
+    assert!(
+        overhead <= MAX_ORACLE_OVERHEAD,
+        "adaptive must be ≤{MAX_ORACLE_OVERHEAD}x the per-scenario oracle, got {overhead:.3}x"
+    );
+
+    let mut f = vec![Field::scale(scale)];
+    for s in &r.scenarios {
+        let key = |field: &str| format!("{}_{field}", s.name);
+        f.push(Field::count(key("total_matches"), s.total_matches));
+        for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
+            f.push(Field::exact(
+                key(&format!("model_{combo}_s")),
+                s.fixed_model_s[i],
+                9,
+            ));
+        }
+        f.push(Field::exact(key("model_adaptive_s"), s.adaptive_model_s, 9));
+        for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
+            f.push(Field::wall(
+                key(&format!("wall_{combo}_s")),
+                s.fixed_wall_s[i],
+            ));
+        }
+        let d = &s.decisions;
+        f.extend([
+            Field::wall(key("wall_adaptive_s"), s.adaptive_wall_s),
+            Field::count(key("adaptive_dfs_pairs"), d.dfs_pairs),
+            Field::count(key("adaptive_bfs_pairs"), d.bfs_pairs),
+            Field::count(key("adaptive_max_degree_pairs"), d.max_degree_pairs),
+            Field::count(key("adaptive_min_candidates_pairs"), d.min_candidates_pairs),
+        ]);
+    }
+    f.extend([
+        Field::exact("adaptive_total_s", r.adaptive_total_s(), 9),
+        Field::exact("oracle_total_s", r.oracle_total_s(), 9),
+        Field::exact("worst_fixed_total_s", r.worst_fixed_total_s(), 9),
+        Field::exact("best_fixed_total_s", r.best_fixed_total_s(), 9),
+        Field::exact("speedup_vs_worst_fixed", speedup, 3),
+        Field::exact(
+            "speedup_vs_best_fixed",
+            r.best_fixed_total_s() / r.adaptive_total_s().max(1e-12),
+            3,
+        ),
+        Field::exact("oracle_overhead", overhead, 4),
+    ]);
+    f
 }

@@ -1,498 +1,86 @@
-//! Regression gate against the committed pipeline profile: re-runs the
-//! `bench_pipeline` workload fresh (same scale, seed, and default engine
-//! configuration) and compares per-phase wall times and the
-//! `refine_candidates` kernel wall against `BENCH_pipeline.json`. Any
-//! phase slower than `committed × 1.25 + 10 ms` fails, as does any drift
-//! in the match totals (those must be bit-identical across filter-mode
-//! and scheduling changes).
+//! Regression gate against the committed `BENCH_*.json` files: re-runs
+//! every bench of the [`sigmo_bench::gate`] table fresh (same scale,
+//! seeds and configurations, with each runner's own invariant asserts)
+//! and compares field by field. An exact field must reproduce its
+//! committed token, a wall must stay within `committed × 1.25 + 10 ms`,
+//! and a key missing on either side fails. Each fresh rendering is
+//! written under `target/bench_diff/` for inspection.
 //!
-//! Wall times are the minimum over [`REPS`] fresh runs — the gate asks
-//! "can the current code still hit the committed profile", so best-of-N
-//! is the right statistic for a noisy shared host.
-//!
-//! The baseline JSON is hand-parsed (the vendored serde stub has no
-//! deserializer); the format is exactly what `bench_pipeline` renders.
-//! Override the baseline path with `SIGMO_BENCH_DIFF_BASELINE`.
+//! Run from the repo root (`scripts/bench_diff.sh` does).
 
+use sigmo_bench::gate::{self, Field, BENCHES};
 use sigmo_bench::BenchScale;
-use sigmo_core::{Engine, EngineConfig, RunReport};
-use sigmo_device::{summarize, CostModel, DeviceProfile, Queue};
+use std::path::Path;
 
-/// Fresh runs per comparison; each phase takes its minimum wall.
-const REPS: usize = 3;
-/// Relative slack: fail only on a >25 % regression.
-const REL_LIMIT: f64 = 1.25;
-/// Absolute slack so sub-millisecond phases don't flake on timer noise.
-const ABS_SLACK_S: f64 = 0.010;
-
-/// Scans `"key": <number>` inside `text` and parses the number.
-fn find_f64(text: &str, key: &str) -> f64 {
-    let tag = format!("\"{key}\":");
-    let at = text
-        .find(&tag)
-        .unwrap_or_else(|| panic!("baseline is missing {key:?}"));
-    let rest = &text[at + tag.len()..];
-    let end = rest
-        .find([',', '}', '\n'])
-        .unwrap_or_else(|| panic!("unterminated value for {key:?}"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad number for {key:?}: {:?}", &rest[..end]))
-}
-
-/// Scans `"key": "<string>"` inside `text`.
-fn find_str<'a>(text: &'a str, key: &str) -> &'a str {
-    let tag = format!("\"{key}\":");
-    let at = text
-        .find(&tag)
-        .unwrap_or_else(|| panic!("baseline is missing {key:?}"));
-    let rest = text[at + tag.len()..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .unwrap_or_else(|| panic!("{key:?} is not a string"));
-    let end = rest
-        .find('"')
-        .unwrap_or_else(|| panic!("unterminated string for {key:?}"));
-    &rest[..end]
-}
-
-/// The slice of the baseline holding the `phases_wall_s` object.
-fn phases_section(base: &str) -> &str {
-    let start = base
-        .find("\"phases_wall_s\"")
-        .expect("baseline is missing phases_wall_s");
-    let end = base
-        .find("\"kernels\"")
-        .expect("baseline is missing kernels");
-    &base[start..end]
-}
-
-/// Wall seconds of the named kernel's aggregate line in the baseline.
-fn kernel_wall(base: &str, name: &str) -> f64 {
-    let tag = format!("\"name\": \"{name}\"");
-    let line = base
-        .lines()
-        .find(|l| l.contains(&tag))
-        .unwrap_or_else(|| panic!("baseline has no kernel {name:?}"));
-    find_f64(line, "wall_s")
-}
-
-struct FreshRun {
-    report: RunReport,
-    refine_wall_s: f64,
-}
-
-fn run_once(scale: BenchScale) -> FreshRun {
-    let d = scale.dataset(0x5167);
-    let queue = Queue::new(DeviceProfile::nvidia_v100s());
-    let report = Engine::new(EngineConfig::default()).run(d.queries(), d.data_graphs(), &queue);
-    let model = CostModel::new(DeviceProfile::nvidia_v100s());
-    let refine_wall_s = summarize(&queue.records(), &model)
-        .iter()
-        .find(|k| k.name == "refine_candidates")
-        .map_or(0.0, |k| k.wall_s);
-    FreshRun {
-        report,
-        refine_wall_s,
-    }
-}
+/// Where fresh renderings go.
+const OUT_DIR: &str = "target/bench_diff";
 
 fn main() {
-    let baseline_path = std::env::var("SIGMO_BENCH_DIFF_BASELINE")
-        .unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
-    let base = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-
     let scale = BenchScale::from_env();
-    let committed_scale = find_str(&base, "scale");
-    let fresh_scale = format!("{scale:?}");
-    assert_eq!(
-        committed_scale, fresh_scale,
-        "baseline was recorded at scale {committed_scale} but this run is {fresh_scale}; \
-         set SIGMO_BENCH_SCALE to match or regenerate the baseline"
-    );
-
-    let runs: Vec<FreshRun> = (0..REPS).map(|_| run_once(scale)).collect();
-    let first = &runs[0].report;
-    for r in &runs[1..] {
-        assert_eq!(
-            r.report.total_matches, first.total_matches,
-            "nondeterministic totals"
-        );
-        assert_eq!(
-            r.report.matched_pairs, first.matched_pairs,
-            "nondeterministic totals"
-        );
-        assert_eq!(
-            r.report.gmcr_pairs, first.gmcr_pairs,
-            "nondeterministic totals"
-        );
-    }
-
-    let min_over = |f: &dyn Fn(&FreshRun) -> f64| runs.iter().map(f).fold(f64::INFINITY, f64::min);
-    let fresh: Vec<(&str, f64)> = vec![
-        ("setup", min_over(&|r| r.report.timings.setup.as_secs_f64())),
-        (
-            "filter",
-            min_over(&|r| r.report.timings.filter.as_secs_f64()),
-        ),
-        (
-            "mapping",
-            min_over(&|r| r.report.timings.mapping.as_secs_f64()),
-        ),
-        ("join", min_over(&|r| r.report.timings.join.as_secs_f64())),
-        (
-            "total",
-            min_over(&|r| r.report.timings.total().as_secs_f64()),
-        ),
-        ("refine_candidates", min_over(&|r| r.refine_wall_s)),
-    ];
-
-    let phases = phases_section(&base);
+    std::fs::create_dir_all(OUT_DIR).unwrap_or_else(|e| panic!("create {OUT_DIR}: {e}"));
     let mut failures: Vec<String> = Vec::new();
-    println!(
-        "{:<18} {:>12} {:>12} {:>12}  status",
-        "phase", "committed_s", "fresh_min_s", "limit_s"
-    );
-    for (name, fresh_s) in &fresh {
-        let committed = if *name == "refine_candidates" {
-            kernel_wall(&base, name)
-        } else {
-            find_f64(phases, name)
+    for bench in BENCHES {
+        let committed = match std::fs::read_to_string(bench.file)
+            .map_err(|e| e.to_string())
+            .and_then(|text| gate::parse(&text))
+        {
+            Ok(pairs) => pairs,
+            Err(e) => {
+                failures.push(format!("{}: {e}", bench.file));
+                continue;
+            }
         };
-        let limit = committed * REL_LIMIT + ABS_SLACK_S;
-        let ok = *fresh_s <= limit;
+        // A scale mismatch is reported without paying for the run.
+        let scale_field = Field::scale(scale);
+        if let Some((_, token)) = committed.iter().find(|(k, _)| k == "scale") {
+            if *token != scale_field.token {
+                failures.push(format!(
+                    "{}: scale: this run is {} but the file was recorded at {token}; \
+                     set SIGMO_BENCH_SCALE to match or re-record it",
+                    bench.file, scale_field.token
+                ));
+                continue;
+            }
+        }
+
+        let fresh = (bench.run)(scale);
+        let out = Path::new(OUT_DIR).join(bench.file);
+        std::fs::write(&out, gate::render(&fresh))
+            .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+        let cmp = gate::compare(&committed, &fresh);
         println!(
-            "{name:<18} {committed:>12.6} {fresh_s:>12.6} {limit:>12.6}  {}",
-            if ok { "ok" } else { "REGRESSED" }
+            "{:<36} {:>12} {:>12} {:>12}  status",
+            format!("{} wall", bench.name),
+            "committed_s",
+            "fresh_min_s",
+            "limit_s"
         );
-        if !ok {
-            failures.push(format!(
-                "{name}: fresh {fresh_s:.6}s > limit {limit:.6}s (committed {committed:.6}s)"
-            ));
+        for w in &cmp.walls {
+            println!(
+                "{:<36} {:>12.6} {:>12.6} {:>12.6}  {}",
+                w.key,
+                w.committed,
+                w.fresh,
+                w.limit,
+                if w.ok() { "ok" } else { "REGRESSED" }
+            );
         }
+        println!(
+            "{}: {} exact fields match, {} failure(s)\n",
+            bench.name,
+            cmp.exact_matched,
+            cmp.failures.len()
+        );
+        failures.extend(cmp.failures.iter().map(|f| format!("{}: {f}", bench.file)));
     }
-
-    for (key, fresh_total) in [
-        ("total_matches", first.total_matches),
-        ("matched_pairs", first.matched_pairs),
-        ("gmcr_pairs", first.gmcr_pairs as u64),
-    ] {
-        let committed = find_f64(&base, key) as u64;
-        if committed != fresh_total {
-            failures.push(format!(
-                "{key}: fresh {fresh_total} != committed {committed} (totals must be bit-identical)"
-            ));
-        }
-    }
-
-    check_serve(scale, &mut failures);
-    check_adaptive(scale, &mut failures);
-    check_shard(scale, &mut failures);
-    check_index(scale, &mut failures);
 
     if failures.is_empty() {
-        println!("bench_diff: no regression vs {baseline_path}");
+        println!("bench_diff: no regression");
     } else {
-        eprintln!(
-            "bench_diff: {} regression(s) vs {baseline_path}:",
-            failures.len()
-        );
+        eprintln!("bench_diff: {} regression(s):", failures.len());
         for f in &failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
-    }
-}
-
-/// Serving-layer gate against `BENCH_serve.json` (skipped with a notice
-/// when no baseline is committed). Wall times get the same
-/// `× 1.25 + 10 ms` slack as the pipeline phases; everything driven by
-/// the virtual clock — per-request totals, final tick, latency ticks —
-/// is deterministic and must match exactly.
-/// Adaptive-join gate against `BENCH_adaptive.json` (skipped with a
-/// notice when no baseline is committed). Match totals and the adaptive
-/// engine's per-pair decision tallies are deterministic and must match
-/// exactly; the modeled join walls are deterministic too, but get the
-/// standard `× 1.25 + 10 ms` slack so deliberate cost-model retuning in
-/// a future change reads as a regression only when it actually is one.
-fn check_adaptive(scale: BenchScale, failures: &mut Vec<String>) {
-    let path = std::env::var("SIGMO_BENCH_ADAPTIVE_BASELINE")
-        .unwrap_or_else(|_| "BENCH_adaptive.json".to_string());
-    let base = match std::fs::read_to_string(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            println!("bench_diff: no {path}, skipping the adaptive gate");
-            return;
-        }
-    };
-    let committed_scale = find_str(&base, "scale");
-    let fresh_scale = format!("{scale:?}");
-    assert_eq!(
-        committed_scale, fresh_scale,
-        "adaptive baseline was recorded at scale {committed_scale} but this run is {fresh_scale}"
-    );
-    let fresh = sigmo_bench::adaptive_bench::run_adaptive_bench(scale);
-    println!(
-        "{:<28} {:>12} {:>12} {:>12}  status",
-        "adaptive model", "committed_s", "fresh_s", "limit_s"
-    );
-    for s in &fresh.scenarios {
-        for (key, fresh_v) in [
-            (format!("{}_total_matches", s.name), s.total_matches),
-            (
-                format!("{}_adaptive_dfs_pairs", s.name),
-                s.decisions.dfs_pairs,
-            ),
-            (
-                format!("{}_adaptive_bfs_pairs", s.name),
-                s.decisions.bfs_pairs,
-            ),
-            (
-                format!("{}_adaptive_max_degree_pairs", s.name),
-                s.decisions.max_degree_pairs,
-            ),
-            (
-                format!("{}_adaptive_min_candidates_pairs", s.name),
-                s.decisions.min_candidates_pairs,
-            ),
-        ] {
-            let committed = find_f64(&base, &key) as u64;
-            if committed != fresh_v {
-                failures.push(format!(
-                    "adaptive {key}: fresh {fresh_v} != committed {committed} \
-                     (totals and decisions must be bit-identical)"
-                ));
-            }
-        }
-        for (key, fresh_s) in [
-            (format!("{}_model_adaptive_s", s.name), s.adaptive_model_s),
-            (format!("{}_model_dfs_maxdeg_s", s.name), s.fixed_model_s[0]),
-            (
-                format!("{}_model_bfs_mincand_s", s.name),
-                s.fixed_model_s[3],
-            ),
-        ] {
-            let committed = find_f64(&base, &key);
-            let limit = committed * REL_LIMIT + ABS_SLACK_S;
-            let ok = fresh_s <= limit;
-            println!(
-                "{key:<28} {committed:>12.9} {fresh_s:>12.9} {limit:>12.6}  {}",
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "{key}: fresh {fresh_s:.9}s > limit {limit:.6}s (committed {committed:.9}s)"
-                ));
-            }
-        }
-    }
-}
-
-/// Sharded-serving gate against `BENCH_shard.json` (skipped with a
-/// notice when no baseline is committed). The run itself re-asserts
-/// oracle bit-identity and the stealing/degradation invariants (see
-/// `shard_bench`); here the virtual-clock quantities — final ticks per
-/// configuration, latency percentiles, retry/steal/backlog counters —
-/// must match the committed baseline exactly, and the five walls get the
-/// standard `× 1.25 + 10 ms` slack.
-fn check_shard(scale: BenchScale, failures: &mut Vec<String>) {
-    let path = std::env::var("SIGMO_BENCH_SHARD_BASELINE")
-        .unwrap_or_else(|_| "BENCH_shard.json".to_string());
-    let base = match std::fs::read_to_string(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            println!("bench_diff: no {path}, skipping the shard gate");
-            return;
-        }
-    };
-    let committed_scale = find_str(&base, "scale");
-    let fresh_scale = format!("{scale:?}");
-    assert_eq!(
-        committed_scale, fresh_scale,
-        "shard baseline was recorded at scale {committed_scale} but this run is {fresh_scale}"
-    );
-    let fresh = sigmo_bench::shard_bench::run_shard_bench(scale);
-    println!(
-        "{:<22} {:>12} {:>12} {:>12}  status",
-        "shard wall", "committed_s", "fresh_min_s", "limit_s"
-    );
-    for (key, fresh_s) in [
-        ("wall_oracle_s", fresh.oracle_wall_s),
-        ("wall_static_clean_s", fresh.static_clean.wall_s),
-        ("wall_steal_clean_s", fresh.steal_clean.wall_s),
-        ("wall_steal_light_s", fresh.steal_light.wall_s),
-        ("wall_steal_heavy_s", fresh.steal_heavy.wall_s),
-    ] {
-        let committed = find_f64(&base, key);
-        let limit = committed * REL_LIMIT + ABS_SLACK_S;
-        let ok = fresh_s <= limit;
-        println!(
-            "{key:<22} {committed:>12.6} {fresh_s:>12.6} {limit:>12.6}  {}",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            failures.push(format!(
-                "{key}: fresh {fresh_s:.6}s > limit {limit:.6}s (committed {committed:.6}s)"
-            ));
-        }
-    }
-    let mut exact: Vec<(String, u64)> = vec![
-        ("requests".to_string(), fresh.requests as u64),
-        ("total_matches".to_string(), fresh.total_matches),
-        ("latency_p50_ticks".to_string(), fresh.latency_p50),
-        ("latency_p99_ticks".to_string(), fresh.latency_p99),
-        ("final_tick_oracle".to_string(), fresh.oracle_final_tick),
-    ];
-    for (name, c) in [
-        ("static_clean", &fresh.static_clean),
-        ("steal_clean", &fresh.steal_clean),
-        ("steal_light", &fresh.steal_light),
-        ("steal_heavy", &fresh.steal_heavy),
-    ] {
-        exact.push((format!("final_tick_{name}"), c.final_tick));
-        exact.push((format!("retries_{name}"), c.retries));
-        exact.push((format!("steals_{name}"), c.steals));
-        exact.push((format!("hot_depth_{name}"), c.hot_depth));
-    }
-    for (key, fresh_v) in exact {
-        let committed = find_f64(&base, &key) as u64;
-        if committed != fresh_v {
-            failures.push(format!(
-                "shard {key}: fresh {fresh_v} != committed {committed} \
-                 (virtual-clock quantities must be bit-identical)"
-            ));
-        }
-    }
-}
-
-/// Corpus-screening gate against `BENCH_index.json` (skipped with a
-/// notice when no baseline is committed). The run itself re-asserts
-/// soundness (indexed and index-off match totals identical), the ≥5×
-/// payoff at the largest corpus, and the sublinear screening wall (see
-/// `index_bench`); here the deterministic quantities — survivors and
-/// match totals per tier — must match the committed baseline exactly,
-/// and the per-tier walls get the standard `× 1.25 + 10 ms` slack.
-fn check_index(scale: BenchScale, failures: &mut Vec<String>) {
-    let path = std::env::var("SIGMO_BENCH_INDEX_BASELINE")
-        .unwrap_or_else(|_| "BENCH_index.json".to_string());
-    let base = match std::fs::read_to_string(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            println!("bench_diff: no {path}, skipping the index gate");
-            return;
-        }
-    };
-    let committed_scale = find_str(&base, "scale");
-    let fresh_scale = format!("{scale:?}");
-    assert_eq!(
-        committed_scale, fresh_scale,
-        "index baseline was recorded at scale {committed_scale} but this run is {fresh_scale}"
-    );
-    let fresh = sigmo_bench::index_bench::run_index_bench(scale);
-    let committed_planted = find_f64(&base, "planted") as usize;
-    if committed_planted != fresh.planted {
-        failures.push(format!(
-            "index planted: fresh {} != committed {committed_planted}",
-            fresh.planted
-        ));
-    }
-    println!(
-        "{:<26} {:>12} {:>12} {:>12}  status",
-        "index wall", "committed_s", "fresh_min_s", "limit_s"
-    );
-    for t in &fresh.tiers {
-        let n = t.corpus;
-        for (key, fresh_v) in [
-            (format!("survivors_{n}"), t.survivors as u64),
-            (format!("total_matches_{n}"), t.total_matches),
-        ] {
-            let committed = find_f64(&base, &key) as u64;
-            if committed != fresh_v {
-                failures.push(format!(
-                    "index {key}: fresh {fresh_v} != committed {committed} \
-                     (screening decisions must be bit-identical)"
-                ));
-            }
-        }
-        for (key, fresh_s) in [
-            (format!("wall_build_{n}_s"), t.build_wall_s),
-            (format!("wall_screen_{n}_s"), t.screen_wall_s),
-            (format!("wall_indexed_{n}_s"), t.indexed_wall_s),
-            (format!("wall_off_{n}_s"), t.off_wall_s),
-        ] {
-            let committed = find_f64(&base, &key);
-            let limit = committed * REL_LIMIT + ABS_SLACK_S;
-            let ok = fresh_s <= limit;
-            println!(
-                "{key:<26} {committed:>12.6} {fresh_s:>12.6} {limit:>12.6}  {}",
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "{key}: fresh {fresh_s:.6}s > limit {limit:.6}s (committed {committed:.6}s)"
-                ));
-            }
-        }
-    }
-}
-
-fn check_serve(scale: BenchScale, failures: &mut Vec<String>) {
-    let path = std::env::var("SIGMO_BENCH_SERVE_BASELINE")
-        .unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    let base = match std::fs::read_to_string(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            println!("bench_diff: no {path}, skipping the serve gate");
-            return;
-        }
-    };
-    let committed_scale = find_str(&base, "scale");
-    let fresh_scale = format!("{scale:?}");
-    assert_eq!(
-        committed_scale, fresh_scale,
-        "serve baseline was recorded at scale {committed_scale} but this run is {fresh_scale}"
-    );
-    let fresh = sigmo_bench::serve_bench::run_serve_bench(scale);
-    println!(
-        "{:<18} {:>12} {:>12} {:>12}  status",
-        "serve wall", "committed_s", "fresh_min_s", "limit_s"
-    );
-    for (key, fresh_s) in [
-        ("wall_no_cache_s", fresh.no_cache.wall_s),
-        ("wall_cold_s", fresh.cold.wall_s),
-        ("wall_warm_s", fresh.warm.wall_s),
-    ] {
-        let committed = find_f64(&base, key);
-        let limit = committed * REL_LIMIT + ABS_SLACK_S;
-        let ok = fresh_s <= limit;
-        println!(
-            "{key:<18} {committed:>12.6} {fresh_s:>12.6} {limit:>12.6}  {}",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            failures.push(format!(
-                "{key}: fresh {fresh_s:.6}s > limit {limit:.6}s (committed {committed:.6}s)"
-            ));
-        }
-    }
-    for (key, fresh_v) in [
-        ("requests", fresh.requests as u64),
-        ("total_matches", fresh.total_matches),
-        ("final_tick", fresh.final_tick),
-        ("latency_p50_ticks", fresh.latency_p50),
-        ("latency_p95_ticks", fresh.latency_p95),
-        ("latency_max_ticks", fresh.latency_max),
-        ("result_hits", fresh.stats.result_hits),
-        ("executed_molecules", fresh.stats.executed_molecules),
-    ] {
-        let committed = find_f64(&base, key) as u64;
-        if committed != fresh_v {
-            failures.push(format!(
-                "serve {key}: fresh {fresh_v} != committed {committed} \
-                 (virtual-clock quantities must be bit-identical)"
-            ));
-        }
     }
 }

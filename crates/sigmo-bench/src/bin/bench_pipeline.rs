@@ -1,103 +1,10 @@
 //! Pipeline benchmark with a machine-readable report: runs the full
-//! engine on the default synthetic workload and writes `BENCH_pipeline.json`
-//! with per-phase wall times, per-kernel aggregates (including the
-//! word-granular bitmap read counter), memory footprints, and match
-//! totals. The JSON is rendered by hand — the vendored serde stub has no
-//! serializer — and the committed copy documents the word-parallel
-//! kernels' measured profile.
-
-use sigmo_bench::BenchScale;
-use sigmo_core::{Engine, EngineConfig};
-use sigmo_device::{summarize, CostModel, DeviceProfile, Queue};
-use std::fmt::Write as _;
+//! engine on the default synthetic workload (best of three runs) and
+//! writes `BENCH_pipeline.json` — per-phase and per-kernel walls, modeled
+//! `sim_s`, charged counters (including the word-granular bitmap read
+//! counter), memory footprints and match totals. The fields are declared
+//! in [`sigmo_bench::pipeline_bench`].
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let d = scale.dataset(0x5167);
-    let queue = Queue::new(DeviceProfile::nvidia_v100s());
-    let report = Engine::new(EngineConfig::default()).run(d.queries(), d.data_graphs(), &queue);
-    let model = CostModel::new(DeviceProfile::nvidia_v100s());
-    let kernels = summarize(&queue.records(), &model);
-
-    let mut totals_instr = 0u64;
-    let mut totals_bytes = 0u64;
-    let mut totals_atomics = 0u64;
-    let mut totals_word_reads = 0u64;
-    for k in &kernels {
-        totals_instr += k.instructions;
-        totals_bytes += k.bytes;
-        totals_atomics += k.atomics;
-        totals_word_reads += k.word_reads;
-    }
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(j, "  \"queries\": {},", d.queries().len());
-    let _ = writeln!(j, "  \"data_graphs\": {},", d.data_graphs().len());
-    j.push_str("  \"phases_wall_s\": {\n");
-    let _ = writeln!(
-        j,
-        "    \"setup\": {:.6},",
-        report.timings.setup.as_secs_f64()
-    );
-    let _ = writeln!(
-        j,
-        "    \"filter\": {:.6},",
-        report.timings.filter.as_secs_f64()
-    );
-    let _ = writeln!(
-        j,
-        "    \"mapping\": {:.6},",
-        report.timings.mapping.as_secs_f64()
-    );
-    let _ = writeln!(j, "    \"join\": {:.6},", report.timings.join.as_secs_f64());
-    let _ = writeln!(
-        j,
-        "    \"total\": {:.6}",
-        report.timings.total().as_secs_f64()
-    );
-    j.push_str("  },\n");
-    j.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 < kernels.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"phase\": \"{}\", \"calls\": {}, \
-             \"wall_s\": {:.6}, \"sim_s\": {:.6}, \"instructions\": {}, \
-             \"bytes\": {}, \"atomics\": {}, \"word_reads\": {}, \
-             \"mean_occupancy\": {:.4}}}{comma}",
-            k.name,
-            k.phase,
-            k.calls,
-            k.wall_s,
-            k.sim_s,
-            k.instructions,
-            k.bytes,
-            k.atomics,
-            k.word_reads,
-            k.mean_occupancy,
-        );
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"counters_total\": {\n");
-    let _ = writeln!(j, "    \"instructions\": {totals_instr},");
-    let _ = writeln!(j, "    \"bytes\": {totals_bytes},");
-    let _ = writeln!(j, "    \"atomics\": {totals_atomics},");
-    let _ = writeln!(j, "    \"word_reads\": {totals_word_reads}");
-    j.push_str("  },\n");
-    j.push_str("  \"memory_bytes\": {\n");
-    let _ = writeln!(j, "    \"bitmap_packed\": {},", report.bitmap_bytes);
-    let _ = writeln!(j, "    \"bitmap_padded\": {},", report.bitmap_padded_bytes);
-    let _ = writeln!(j, "    \"graphs\": {},", report.graph_bytes);
-    let _ = writeln!(j, "    \"signatures\": {}", report.signature_bytes);
-    j.push_str("  },\n");
-    let _ = writeln!(j, "  \"total_matches\": {},", report.total_matches);
-    let _ = writeln!(j, "  \"matched_pairs\": {},", report.matched_pairs);
-    let _ = writeln!(j, "  \"gmcr_pairs\": {}", report.gmcr_pairs);
-    j.push_str("}\n");
-
-    std::fs::write("BENCH_pipeline.json", &j).expect("write BENCH_pipeline.json");
-    print!("{j}");
-    eprintln!("wrote BENCH_pipeline.json");
+    sigmo_bench::gate::record(&sigmo_bench::gate::PIPELINE);
 }

@@ -1,94 +1,12 @@
 //! Adaptive-join ablation (extension): runs three scenarios where
-//! different fixed (variant, order) combinations win, asserts all five
-//! configurations agree bit for bit on results, writes
-//! `BENCH_adaptive.json`, and fails unless
-//!
-//! * the adaptive engine beats the *worst* fixed combination by at least
-//!   [`MIN_SPEEDUP_VS_WORST`]× on the whole workload,
-//! * it lands within [`MAX_ORACLE_OVERHEAD`] of the per-scenario oracle
-//!   (best fixed combination chosen with hindsight), and
-//! * every fixed combination loses at least [`MIN_PER_COMBO_LOSS`]× to
-//!   the oracle in some scenario — the premise that no fixed strategy
-//!   wins everywhere must actually hold on this workload.
-//!
-//! Gates are on the deterministic modeled join-kernel walls (see
-//! `adaptive_bench` module docs). `SIGMO_BENCH_ADAPTIVE_OUT` overrides
-//! the output path; `check.sh` points it into `target/` so a gate run
-//! cannot overwrite the committed baseline `bench_diff` compares against.
-
-use sigmo_bench::adaptive_bench::{render_json, run_adaptive_bench, COMBOS};
-use sigmo_bench::BenchScale;
-
-/// Required whole-workload win over the worst fixed combination.
-const MIN_SPEEDUP_VS_WORST: f64 = 1.3;
-/// Allowed slowdown vs the per-scenario hindsight oracle.
-const MAX_ORACLE_OVERHEAD: f64 = 1.05;
-/// Every fixed combination must lose by this factor somewhere.
-const MIN_PER_COMBO_LOSS: f64 = 1.3;
+//! different fixed (variant, order) combinations win and writes
+//! `BENCH_adaptive.json`. The run asserts that all five configurations
+//! agree bit for bit on results, that no fixed combination wins
+//! everywhere, and that the adaptive engine beats the worst fixed
+//! combination ≥1.3× while staying within 1.05× of the per-scenario
+//! oracle, all on the deterministic modeled join walls (see
+//! [`sigmo_bench::adaptive_bench::run`]).
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let result = run_adaptive_bench(scale);
-    let json = render_json(&result);
-    print!("{json}");
-    let out = std::env::var("SIGMO_BENCH_ADAPTIVE_OUT")
-        .unwrap_or_else(|_| "BENCH_adaptive.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-
-    for s in &result.scenarios {
-        assert!(
-            s.total_matches > 0,
-            "{}: a degenerate zero-match scenario proves nothing",
-            s.name
-        );
-        let oracle = s.oracle_model_s();
-        eprintln!(
-            "{:<8} oracle {:.6}s adaptive {:.6}s decisions dfs {} / bfs {}, \
-             maxdeg {} / mincand {}",
-            s.name,
-            oracle,
-            s.adaptive_model_s,
-            s.decisions.dfs_pairs,
-            s.decisions.bfs_pairs,
-            s.decisions.max_degree_pairs,
-            s.decisions.min_candidates_pairs,
-        );
-    }
-
-    // Premise: every fixed combination is badly wrong in some scenario.
-    for (i, &(combo, _, _)) in COMBOS.iter().enumerate() {
-        let worst_loss = result
-            .scenarios
-            .iter()
-            .map(|s| s.fixed_model_s[i] / s.oracle_model_s().max(1e-12))
-            .fold(0.0, f64::max);
-        eprintln!(
-            "{combo:<12} total {:.6}s worst scenario loss {worst_loss:.2}x",
-            result.fixed_total_s(i)
-        );
-        assert!(
-            worst_loss >= MIN_PER_COMBO_LOSS,
-            "{combo} never loses ≥{MIN_PER_COMBO_LOSS}x — the workload no longer \
-             discriminates and the ablation is vacuous (got {worst_loss:.2}x)"
-        );
-    }
-
-    let adaptive = result.adaptive_total_s();
-    let worst = result.worst_fixed_total_s();
-    let oracle = result.oracle_total_s();
-    let speedup = worst / adaptive.max(1e-12);
-    let overhead = adaptive / oracle.max(1e-12);
-    eprintln!(
-        "adaptive {adaptive:.6}s vs worst fixed {worst:.6}s ({speedup:.2}x) \
-         vs oracle {oracle:.6}s ({overhead:.3}x)"
-    );
-    assert!(
-        speedup >= MIN_SPEEDUP_VS_WORST,
-        "adaptive must be ≥{MIN_SPEEDUP_VS_WORST}x the worst fixed strategy, got {speedup:.2}x"
-    );
-    assert!(
-        overhead <= MAX_ORACLE_OVERHEAD,
-        "adaptive must be ≤{MAX_ORACLE_OVERHEAD}x the per-scenario oracle, got {overhead:.3}x"
-    );
+    sigmo_bench::gate::record(&sigmo_bench::gate::ADAPTIVE);
 }

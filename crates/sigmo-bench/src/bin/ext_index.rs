@@ -1,37 +1,10 @@
 //! Corpus-scale screening benchmark (extension): digests tiered corpora
 //! with planted rare-pattern carriers, screens through the persistent
-//! signature index, and compares the indexed path against the index-off
-//! engine oracle. The run itself asserts exactness (identical match
-//! totals), the ≥5× payoff at the largest corpus, and the sublinear
-//! screening wall (the asserts live in
-//! [`sigmo_bench::index_bench::run_index_bench`]); this binary writes
-//! `BENCH_index.json`.
-//!
-//! `SIGMO_BENCH_INDEX_OUT` overrides the output path; `check.sh` points
-//! it into `target/` so a gate run cannot overwrite the committed
-//! baseline that `bench_diff` compares against.
-
-use sigmo_bench::index_bench::{render_json, run_index_bench};
-use sigmo_bench::BenchScale;
+//! signature index, compares the indexed path against the index-off
+//! engine oracle and writes `BENCH_index.json`. The run asserts exactness
+//! (identical match totals), the ≥5× payoff at the largest corpus, and
+//! the sublinear screening wall (see [`sigmo_bench::index_bench::run`]).
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let result = run_index_bench(scale);
-    let json = render_json(&result);
-    print!("{json}");
-    let out =
-        std::env::var("SIGMO_BENCH_INDEX_OUT").unwrap_or_else(|_| "BENCH_index.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-    let largest = result.tiers.last().expect("tiers");
-    eprintln!(
-        "largest corpus {}: indexed {:.4}s vs index-off {:.4}s ({:.1}×), \
-         {} survivors of {} molecules",
-        largest.corpus,
-        largest.indexed_wall_s,
-        largest.off_wall_s,
-        result.speedup_largest,
-        largest.survivors,
-        largest.corpus
-    );
+    sigmo_bench::gate::record(&sigmo_bench::gate::INDEX);
 }

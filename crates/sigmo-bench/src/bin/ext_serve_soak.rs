@@ -1,36 +1,10 @@
 //! Serving-layer soak benchmark (extension): runs the seeded soak trace
 //! through the no-cache ablation, a cold-cache server, and a warm-cache
-//! server, asserts all three agree bit for bit on per-request results,
-//! writes `BENCH_serve.json`, and fails if the warm-cache configuration
-//! is not at least [`MIN_WARM_SPEEDUP`]× faster than the ablation —
-//! deduplication has to actually pay for itself.
-//!
-//! `SIGMO_BENCH_SERVE_OUT` overrides the output path; `check.sh` points
-//! it into `target/` so a gate run cannot overwrite the committed
-//! baseline that `bench_diff` compares against.
-
-use sigmo_bench::serve_bench::{render_json, run_serve_bench};
-use sigmo_bench::BenchScale;
-
-/// Required warm-over-ablation throughput ratio.
-const MIN_WARM_SPEEDUP: f64 = 2.0;
+//! server and writes `BENCH_serve.json`. The run asserts that all three
+//! agree bit for bit on per-request results and that the warm cache is at
+//! least 2× faster than the ablation (see
+//! [`sigmo_bench::serve_bench::run`]).
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let result = run_serve_bench(scale);
-    let json = render_json(&result);
-    print!("{json}");
-    let out =
-        std::env::var("SIGMO_BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-    eprintln!(
-        "warm {:.1} req/s vs no-cache {:.1} req/s: {:.2}x",
-        result.warm.throughput_rps, result.no_cache.throughput_rps, result.warm_speedup
-    );
-    assert!(
-        result.warm_speedup >= MIN_WARM_SPEEDUP,
-        "warm-cache throughput must be ≥{MIN_WARM_SPEEDUP}x the no-cache ablation, got {:.2}x",
-        result.warm_speedup
-    );
+    sigmo_bench::gate::record(&sigmo_bench::gate::SERVE);
 }

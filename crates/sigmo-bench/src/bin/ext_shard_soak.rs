@@ -1,30 +1,11 @@
 //! Sharded-serving soak benchmark (extension): serves the seeded,
 //! popularity-skewed trace unsharded (the oracle) and through four
 //! sharded configurations — static partitioning, work-stealing, and two
-//! fault plans — asserts every configuration agrees with the oracle bit
-//! for bit with zero degraded slices, writes `BENCH_shard.json`, and
-//! fails if work-stealing does not cut the hot shard's peak backlog (the
-//! stealing asserts live in [`sigmo_bench::shard_bench::run_shard_bench`]).
-//!
-//! `SIGMO_BENCH_SHARD_OUT` overrides the output path; `check.sh` points
-//! it into `target/` so a gate run cannot overwrite the committed
-//! baseline that `bench_diff` compares against.
-
-use sigmo_bench::shard_bench::{render_json, run_shard_bench};
-use sigmo_bench::BenchScale;
+//! fault plans — and writes `BENCH_shard.json`. The run asserts that every
+//! configuration agrees with the oracle bit for bit with zero degraded
+//! slices and that work-stealing cuts the hot shard's peak backlog (see
+//! [`sigmo_bench::shard_bench::run`]).
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let result = run_shard_bench(scale);
-    let json = render_json(&result);
-    print!("{json}");
-    let out =
-        std::env::var("SIGMO_BENCH_SHARD_OUT").unwrap_or_else(|_| "BENCH_shard.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-    eprintln!(
-        "hot-shard backlog: static {} ticks vs stealing {} ticks; \
-         heavy-fault plan absorbed {} retries with 0 degraded slices",
-        result.static_clean.hot_depth, result.steal_clean.hot_depth, result.steal_heavy.retries
-    );
+    sigmo_bench::gate::record(&sigmo_bench::gate::SHARD);
 }

@@ -1,19 +1,17 @@
 //! Per-kernel profiling summary of one full pipeline run — the executor's
 //! equivalent of an `nsys`/`rocprof` summary table (supports §5.1.3's
-//! resource-utilization analysis).
+//! resource-utilization analysis). The run is one rep of the
+//! `BENCH_pipeline.json` workload ([`sigmo_bench::pipeline_bench`]).
 
-use sigmo_bench::BenchScale;
-use sigmo_core::{Engine, EngineConfig};
-use sigmo_device::{render_table, summarize, CostModel, DeviceProfile, Queue};
+use sigmo_bench::{pipeline_bench, BenchScale};
+use sigmo_device::render_table;
 
 fn main() {
     let scale = BenchScale::from_env();
-    let d = scale.dataset(0x5167);
-    let queue = Queue::new(DeviceProfile::nvidia_v100s());
-    let report = Engine::new(EngineConfig::default()).run(d.queries(), d.data_graphs(), &queue);
-    let model = CostModel::new(DeviceProfile::nvidia_v100s());
+    let run = pipeline_bench::run_once(scale);
+    let report = &run.report;
     println!("# Pipeline kernel profile ({scale:?} scale, V100S model)\n");
-    print!("{}", render_table(&summarize(&queue.records(), &model)));
+    print!("{}", render_table(&run.kernels));
     println!("\nmatches: {}", report.total_matches);
     println!(
         "memory: bitmap {:.1} MB ({}%), graphs {:.1} MB, signatures {:.1} MB",

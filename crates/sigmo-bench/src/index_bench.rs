@@ -1,6 +1,6 @@
-//! Corpus-scale screening benchmark shared by `ext_index` (which emits
-//! `BENCH_index.json`) and `bench_diff` (which gates regressions against
-//! the committed copy).
+//! Corpus-scale screening benchmark behind `BENCH_index.json`: one
+//! [`gate`](crate::gate) table entry, recorded by `ext_index` and gated
+//! by `bench_diff`.
 //!
 //! The scenario is the standing-corpus workload the persistent index
 //! exists for: a large molecule corpus digested once, then a rare-pattern
@@ -24,8 +24,9 @@
 //!   tier's screen, plus timer slack.
 //!
 //! Wall times are the minimum over [`REPS`] fresh runs; counts and match
-//! totals are deterministic and gated exactly by `bench_diff`.
+//! totals are deterministic and gated exactly.
 
+use crate::gate::Field;
 use crate::BenchScale;
 use sigmo_core::{Engine, EngineConfig, QueryPlan};
 use sigmo_device::{DeviceProfile, Queue};
@@ -98,53 +99,26 @@ pub fn build_corpus(size: usize) -> Vec<LabeledGraph> {
     mols
 }
 
-/// One corpus tier's measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexTierResult {
-    /// Corpus size (molecules).
-    pub corpus: usize,
-    /// Molecules surviving the corpus screen.
-    pub survivors: usize,
-    /// Match total — identical between the indexed and index-off paths.
-    pub total_matches: u64,
-    /// Best-of-[`REPS`] wall seconds to digest the whole corpus.
-    pub build_wall_s: f64,
-    /// Best-of wall seconds for the corpus screen alone.
-    pub screen_wall_s: f64,
-    /// Best-of wall seconds for the full indexed path (screen + engine
-    /// on the survivors).
-    pub indexed_wall_s: f64,
-    /// Best-of wall seconds for the index-off engine over the corpus.
-    pub off_wall_s: f64,
-}
-
-/// Aggregate screening-bench result.
-#[derive(Debug)]
-pub struct IndexBenchResult {
-    /// The scale the tiers were built at.
-    pub scale: BenchScale,
-    /// Planted carriers per tier.
-    pub planted: usize,
-    /// Per-tier measurements, smallest corpus first.
-    pub tiers: Vec<IndexTierResult>,
-    /// `off_wall / indexed_wall` at the largest tier.
-    pub speedup_largest: f64,
-}
-
 fn engine_matches(query: &LabeledGraph, mols: &[LabeledGraph], queue: &Queue) -> u64 {
     Engine::new(EngineConfig::default())
         .run(std::slice::from_ref(query), mols, queue)
         .total_matches
 }
 
-/// Runs the full tiered screening bench.
-pub fn run_index_bench(scale: BenchScale) -> IndexBenchResult {
+/// Runs the full tiered screening bench (the table's runner).
+pub fn run(scale: BenchScale) -> Vec<Field> {
     let query = iodine_chain();
     let config = EngineConfig::default();
     let plan = QueryPlan::build(std::slice::from_ref(&query), &config);
     let screen_query = ScreenQuery::from_plan(&plan, RADIUS);
     let queue = Queue::new(DeviceProfile::host());
-    let mut results: Vec<IndexTierResult> = Vec::new();
+    let mut fields = vec![
+        Field::scale(scale),
+        Field::count("planted", PLANTED as u64),
+        Field::count("radius", RADIUS as u64),
+    ];
+    // (corpus, screen wall, indexed wall, off wall) per tier.
+    let mut walls: Vec<(usize, f64, f64, f64)> = Vec::new();
 
     for size in tiers(scale) {
         let mols = build_corpus(size);
@@ -212,72 +186,30 @@ pub fn run_index_bench(scale: BenchScale) -> IndexBenchResult {
             "indexed and index-off totals diverged at corpus {size} — screening is unsound"
         );
 
-        results.push(IndexTierResult {
-            corpus: size,
-            survivors: survivors.len(),
-            total_matches: off_matches,
-            build_wall_s: build_wall,
-            screen_wall_s: screen_wall,
-            indexed_wall_s: indexed_wall,
-            off_wall_s: off_wall,
-        });
+        fields.extend([
+            Field::count(format!("survivors_{size}"), survivors.len() as u64),
+            Field::count(format!("total_matches_{size}"), off_matches),
+            Field::wall(format!("wall_build_{size}_s"), build_wall),
+            Field::wall(format!("wall_screen_{size}_s"), screen_wall),
+            Field::wall(format!("wall_indexed_{size}_s"), indexed_wall),
+            Field::wall(format!("wall_off_{size}_s"), off_wall),
+        ]);
+        walls.push((size, screen_wall, indexed_wall, off_wall));
     }
 
-    let smallest = results.first().expect("at least one tier");
-    let largest = results.last().expect("at least one tier");
-    let speedup = largest.off_wall_s / largest.indexed_wall_s.max(1e-9);
+    let (smallest, smallest_screen, ..) = walls[0];
+    let (largest, largest_screen, largest_indexed, largest_off) = walls[walls.len() - 1];
+    let speedup = largest_off / largest_indexed.max(1e-9);
     assert!(
         speedup >= 5.0,
         "indexed path must be ≥5× the index-off engine at the largest corpus \
-         (got {speedup:.1}× — off {:.4}s vs indexed {:.4}s)",
-        largest.off_wall_s,
-        largest.indexed_wall_s
+         (got {speedup:.1}× — off {largest_off:.4}s vs indexed {largest_indexed:.4}s)"
     );
     assert!(
-        largest.screen_wall_s <= smallest.screen_wall_s * 8.0 + 0.005,
+        largest_screen <= smallest_screen * 8.0 + 0.005,
         "screening wall must grow sublinearly with the corpus \
-         ({:.6}s at {} molecules vs {:.6}s at {})",
-        largest.screen_wall_s,
-        largest.corpus,
-        smallest.screen_wall_s,
-        smallest.corpus
+         ({largest_screen:.6}s at {largest} molecules vs {smallest_screen:.6}s at {smallest})"
     );
-
-    IndexBenchResult {
-        scale,
-        planted: PLANTED,
-        tiers: results,
-        speedup_largest: speedup,
-    }
-}
-
-/// Renders the flat JSON `BENCH_index.json` holds. Keys are unique at the
-/// top level so `bench_diff`'s scanning parser can read them back.
-pub fn render_json(r: &IndexBenchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{:?}\",\n", r.scale));
-    out.push_str(&format!("  \"planted\": {},\n", r.planted));
-    out.push_str(&format!("  \"radius\": {RADIUS},\n"));
-    for t in &r.tiers {
-        let n = t.corpus;
-        out.push_str(&format!("  \"survivors_{n}\": {},\n", t.survivors));
-        out.push_str(&format!("  \"total_matches_{n}\": {},\n", t.total_matches));
-        out.push_str(&format!("  \"wall_build_{n}_s\": {:.6},\n", t.build_wall_s));
-        out.push_str(&format!(
-            "  \"wall_screen_{n}_s\": {:.6},\n",
-            t.screen_wall_s
-        ));
-        out.push_str(&format!(
-            "  \"wall_indexed_{n}_s\": {:.6},\n",
-            t.indexed_wall_s
-        ));
-        out.push_str(&format!("  \"wall_off_{n}_s\": {:.6},\n", t.off_wall_s));
-    }
-    out.push_str(&format!(
-        "  \"speedup_largest\": {:.3}\n",
-        r.speedup_largest
-    ));
-    out.push_str("}\n");
-    out
+    fields.push(Field::recorded("speedup_largest", speedup, 3));
+    fields
 }

@@ -9,14 +9,20 @@
 //! how scaling behaves — are the reproduction targets recorded in
 //! EXPERIMENTS.md.
 //!
+//! The five committed `BENCH_*.json` files are one table, [`gate`]: each
+//! bench's runner declares every field once, tagged exact or wall, and
+//! both the recording binaries and the `bench_diff` gate read it.
+//!
 //! All experiments share [`BenchScale`], controlled by the
 //! `SIGMO_BENCH_SCALE` environment variable:
 //! `quick` (default; seconds), `paper` (minutes; closest to the paper's
-//! dataset proportions).
+//! dataset proportions). Any other value is an error.
 
 pub mod adaptive_bench;
 pub mod figures;
+pub mod gate;
 pub mod index_bench;
+pub mod pipeline_bench;
 pub mod scale;
 pub mod serve_bench;
 pub mod shard_bench;

@@ -13,11 +13,25 @@ pub enum BenchScale {
 }
 
 impl BenchScale {
-    /// Reads `SIGMO_BENCH_SCALE` (`quick` | `paper`); defaults to quick.
+    /// Parses a scale name: `quick` or `paper`.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "quick" => Ok(BenchScale::Quick),
+            "paper" => Ok(BenchScale::Paper),
+            other => Err(format!(
+                "unknown bench scale {other:?}: expected `quick` or `paper`"
+            )),
+        }
+    }
+
+    /// Reads `SIGMO_BENCH_SCALE` (`quick` | `paper`); defaults to quick
+    /// when unset and panics on any other value, so a typo cannot
+    /// silently run (or gate) the wrong scale.
     pub fn from_env() -> Self {
-        match std::env::var("SIGMO_BENCH_SCALE").as_deref() {
-            Ok("paper") => BenchScale::Paper,
-            _ => BenchScale::Quick,
+        match std::env::var("SIGMO_BENCH_SCALE") {
+            Err(std::env::VarError::NotPresent) => BenchScale::Quick,
+            Ok(name) => Self::parse(&name).unwrap_or_else(|e| panic!("SIGMO_BENCH_SCALE: {e}")),
+            Err(e) => panic!("SIGMO_BENCH_SCALE: {e}"),
         }
     }
 

@@ -1,6 +1,6 @@
-//! The serving-layer soak benchmark shared by `ext_serve_soak` (which
-//! emits `BENCH_serve.json`) and `bench_diff` (which gates regressions
-//! against the committed copy).
+//! The serving-layer soak benchmark behind `BENCH_serve.json`: one
+//! [`gate`](crate::gate) table entry, recorded by `ext_serve_soak` and
+//! gated by `bench_diff`.
 //!
 //! Three measured configurations over one seeded trace:
 //!
@@ -10,13 +10,15 @@
 //! * `warm` — the same server runs the trace a second time, so the plan
 //!   and result caches already hold the whole working set.
 //!
-//! Wall times are the minimum over [`REPS`] fresh runs, matching
-//! `bench_diff`'s best-of-N convention. Everything except wall time —
-//! per-request reports, total matches, virtual-clock ticks, latency
-//! percentiles, cache hit counts — is deterministic and the three
-//! configurations must agree on per-request results bit for bit (asserted
-//! here on every run).
+//! Wall times are the minimum over [`REPS`] fresh runs, the gate's
+//! best-of-N convention. Everything except wall time — per-request
+//! reports, total matches, virtual-clock ticks, latency percentiles,
+//! cache hit counts — is deterministic and gated exactly; the three
+//! configurations must agree on per-request results bit for bit, and the
+//! warm cache must be at least [`MIN_WARM_SPEEDUP`]× the ablation
+//! (asserted here on every run).
 
+use crate::gate::Field;
 use crate::BenchScale;
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_serve::{
@@ -61,43 +63,9 @@ pub fn serve_config(caching: bool) -> ServeConfig {
     }
 }
 
-/// One configuration's measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ConfigResult {
-    /// Best-of-[`REPS`] wall seconds for the soak.
-    pub wall_s: f64,
-    /// Requests per wall second at that best run.
-    pub throughput_rps: f64,
-}
-
-/// Aggregate soak-bench result.
-#[derive(Debug)]
-pub struct ServeBenchResult {
-    /// The scale the workload was built at.
-    pub scale: BenchScale,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Sum of per-request matches (identical across configurations).
-    pub total_matches: u64,
-    /// Final virtual-clock tick of the cold run (deterministic).
-    pub final_tick: u64,
-    /// Cold-run latency percentiles in ticks (deterministic).
-    pub latency_p50: u64,
-    /// 95th percentile.
-    pub latency_p95: u64,
-    /// Maximum.
-    pub latency_max: u64,
-    /// The ablation (caching off).
-    pub no_cache: ConfigResult,
-    /// Cold caches.
-    pub cold: ConfigResult,
-    /// Warm caches.
-    pub warm: ConfigResult,
-    /// `no_cache.wall_s / warm.wall_s` — the headline cache win.
-    pub warm_speedup: f64,
-    /// Warm-run server stats (cache hit counters).
-    pub stats: ServeStats,
-}
+/// Required warm-over-ablation wall ratio: deduplication has to pay for
+/// itself.
+pub const MIN_WARM_SPEEDUP: f64 = 2.0;
 
 fn soak_wall(server: &mut Server, trace: &[TimedRequest]) -> (SoakReport, f64) {
     let start = Instant::now();
@@ -117,14 +85,14 @@ fn assert_same_results(a: &SoakReport, b: &SoakReport, what: &str) {
     }
 }
 
-/// Runs the full three-configuration soak bench.
-pub fn run_serve_bench(scale: BenchScale) -> ServeBenchResult {
+/// Runs the full three-configuration soak bench (the table's runner).
+pub fn run(scale: BenchScale) -> Vec<Field> {
     let trace = generate_workload(&workload(scale));
     let mut no_cache_wall = f64::INFINITY;
     let mut cold_wall = f64::INFINITY;
     let mut warm_wall = f64::INFINITY;
     let mut reference: Option<SoakReport> = None;
-    let mut final_stats = ServeStats::default();
+    let mut stats = ServeStats::default();
     for _ in 0..REPS {
         let mut ablated = Server::new(serve_config(false), Queue::new(DeviceProfile::host()));
         let (no_cache_report, w) = soak_wall(&mut ablated, &trace);
@@ -144,8 +112,15 @@ pub fn run_serve_bench(scale: BenchScale) -> ServeBenchResult {
         } else {
             reference = Some(cold_report);
         }
-        final_stats = cached.stats();
+        stats = cached.stats();
     }
+    let warm_speedup = no_cache_wall / warm_wall.max(1e-9);
+    assert!(
+        warm_speedup >= MIN_WARM_SPEEDUP,
+        "warm-cache throughput must be ≥{MIN_WARM_SPEEDUP}x the no-cache ablation, \
+         got {warm_speedup:.2}x"
+    );
+
     let cold_report = reference.expect("at least one rep");
     let mut lat = cold_report.latencies();
     lat.sort_unstable();
@@ -154,70 +129,31 @@ pub fn run_serve_bench(scale: BenchScale) -> ServeBenchResult {
         .iter()
         .map(|e| e.report.total_matches)
         .sum();
-    let per = |wall_s: f64| ConfigResult {
-        wall_s,
-        throughput_rps: cold_report.entries.len() as f64 / wall_s.max(1e-9),
-    };
-    ServeBenchResult {
-        scale,
-        requests: trace.len(),
-        total_matches,
-        final_tick: cold_report.final_tick,
-        latency_p50: lat[lat.len() / 2],
-        latency_p95: lat[((lat.len() * 95) / 100).min(lat.len() - 1)],
-        latency_max: *lat.last().unwrap(),
-        no_cache: per(no_cache_wall),
-        cold: per(cold_wall),
-        warm: per(warm_wall),
-        warm_speedup: no_cache_wall / warm_wall.max(1e-9),
-        stats: final_stats,
-    }
-}
-
-/// Renders the flat JSON `BENCH_serve.json` holds. Keys are unique at the
-/// top level so `bench_diff`'s scanning parser can read them back.
-pub fn render_json(r: &ServeBenchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{:?}\",\n", r.scale));
-    out.push_str(&format!("  \"requests\": {},\n", r.requests));
-    out.push_str(&format!("  \"total_matches\": {},\n", r.total_matches));
-    out.push_str(&format!("  \"final_tick\": {},\n", r.final_tick));
-    out.push_str(&format!("  \"latency_p50_ticks\": {},\n", r.latency_p50));
-    out.push_str(&format!("  \"latency_p95_ticks\": {},\n", r.latency_p95));
-    out.push_str(&format!("  \"latency_max_ticks\": {},\n", r.latency_max));
-    out.push_str(&format!(
-        "  \"wall_no_cache_s\": {:.6},\n",
-        r.no_cache.wall_s
-    ));
-    out.push_str(&format!("  \"wall_cold_s\": {:.6},\n", r.cold.wall_s));
-    out.push_str(&format!("  \"wall_warm_s\": {:.6},\n", r.warm.wall_s));
-    out.push_str(&format!(
-        "  \"throughput_no_cache_rps\": {:.3},\n",
-        r.no_cache.throughput_rps
-    ));
-    out.push_str(&format!(
-        "  \"throughput_cold_rps\": {:.3},\n",
-        r.cold.throughput_rps
-    ));
-    out.push_str(&format!(
-        "  \"throughput_warm_rps\": {:.3},\n",
-        r.warm.throughput_rps
-    ));
-    out.push_str(&format!("  \"warm_speedup\": {:.3},\n", r.warm_speedup));
-    out.push_str(&format!("  \"plan_hits\": {},\n", r.stats.plan_hits));
-    out.push_str(&format!("  \"plan_misses\": {},\n", r.stats.plan_misses));
-    out.push_str(&format!("  \"mol_hits\": {},\n", r.stats.mol_hits));
-    out.push_str(&format!("  \"mol_misses\": {},\n", r.stats.mol_misses));
-    out.push_str(&format!("  \"result_hits\": {},\n", r.stats.result_hits));
-    out.push_str(&format!(
-        "  \"result_misses\": {},\n",
-        r.stats.result_misses
-    ));
-    out.push_str(&format!(
-        "  \"executed_molecules\": {}\n",
-        r.stats.executed_molecules
-    ));
-    out.push_str("}\n");
-    out
+    let rps = |wall_s: f64| cold_report.entries.len() as f64 / wall_s.max(1e-9);
+    vec![
+        Field::scale(scale),
+        Field::count("requests", trace.len() as u64),
+        Field::count("total_matches", total_matches),
+        Field::count("final_tick", cold_report.final_tick),
+        Field::count("latency_p50_ticks", lat[lat.len() / 2]),
+        Field::count(
+            "latency_p95_ticks",
+            lat[((lat.len() * 95) / 100).min(lat.len() - 1)],
+        ),
+        Field::count("latency_max_ticks", *lat.last().unwrap()),
+        Field::wall("wall_no_cache_s", no_cache_wall),
+        Field::wall("wall_cold_s", cold_wall),
+        Field::wall("wall_warm_s", warm_wall),
+        Field::recorded("throughput_no_cache_rps", rps(no_cache_wall), 3),
+        Field::recorded("throughput_cold_rps", rps(cold_wall), 3),
+        Field::recorded("throughput_warm_rps", rps(warm_wall), 3),
+        Field::recorded("warm_speedup", warm_speedup, 3),
+        Field::count("plan_hits", stats.plan_hits),
+        Field::count("plan_misses", stats.plan_misses),
+        Field::count("mol_hits", stats.mol_hits),
+        Field::count("mol_misses", stats.mol_misses),
+        Field::count("result_hits", stats.result_hits),
+        Field::count("result_misses", stats.result_misses),
+        Field::count("executed_molecules", stats.executed_molecules),
+    ]
 }

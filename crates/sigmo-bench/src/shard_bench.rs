@@ -1,6 +1,6 @@
-//! The sharded-serving soak benchmark shared by `ext_shard_soak` (which
-//! emits `BENCH_shard.json`) and `bench_diff` (which gates regressions
-//! against the committed copy).
+//! The sharded-serving soak benchmark behind `BENCH_shard.json`: one
+//! [`gate`](crate::gate) table entry, recorded by `ext_shard_soak` and
+//! gated by `bench_diff`.
 //!
 //! One seeded, popularity-skewed trace is served five ways:
 //!
@@ -22,8 +22,9 @@
 //! hot shard's peak backlog. Wall times are the minimum over [`REPS`]
 //! fresh runs; everything on the virtual clock (final ticks, latency
 //! percentiles, retry/steal/backlog counters) is deterministic and gated
-//! exactly by `bench_diff`.
+//! exactly.
 
+use crate::gate::Field;
 use crate::BenchScale;
 use sigmo_cluster::FaultPlan;
 use sigmo_device::{DeviceProfile, Queue};
@@ -110,51 +111,6 @@ fn faulted(crashes: usize, stragglers: usize, slowdown: f64, transient_pct: u64)
     cfg
 }
 
-/// One sharded configuration's measurement. Everything except `wall_s`
-/// is on the virtual clock and deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardConfigResult {
-    /// Best-of-[`REPS`] wall seconds for the soak.
-    pub wall_s: f64,
-    /// Final virtual-clock tick.
-    pub final_tick: u64,
-    /// Failed dispatch attempts summed over shards.
-    pub retries: u64,
-    /// Stolen dispatches summed over shards.
-    pub steals: u64,
-    /// Degraded slices summed over shards (asserted zero).
-    pub degraded: u64,
-    /// Peak primary backlog in ticks, max over shards.
-    pub hot_depth: u64,
-}
-
-/// Aggregate sharded-soak result.
-#[derive(Debug)]
-pub struct ShardBenchResult {
-    /// The scale the workload was built at.
-    pub scale: BenchScale,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Sum of per-request matches (identical across configurations).
-    pub total_matches: u64,
-    /// `steal_clean` latency percentiles in ticks (deterministic).
-    pub latency_p50: u64,
-    /// 99th percentile.
-    pub latency_p99: u64,
-    /// Unsharded oracle: final tick and best-of wall.
-    pub oracle_final_tick: u64,
-    /// Best-of-[`REPS`] oracle wall seconds.
-    pub oracle_wall_s: f64,
-    /// Sharded, fault-free, stealing off.
-    pub static_clean: ShardConfigResult,
-    /// Sharded, fault-free, stealing on.
-    pub steal_clean: ShardConfigResult,
-    /// 1 crash, 1 straggler ×4, 10 % transients.
-    pub steal_light: ShardConfigResult,
-    /// 2 crashes, 2 stragglers ×8, 25 % transients.
-    pub steal_heavy: ShardConfigResult,
-}
-
 fn soak_wall(server: &mut Server, trace: &[TimedRequest]) -> (SoakReport, f64) {
     let start = Instant::now();
     let report = run_soak(server, trace);
@@ -182,8 +138,9 @@ fn fold_stats(stats: &[ShardStats]) -> (u64, u64, u64, u64) {
     (retries, steals, degraded, hot_depth)
 }
 
-/// Runs the full five-configuration sharded soak bench.
-pub fn run_shard_bench(scale: BenchScale) -> ShardBenchResult {
+/// Runs the full five-configuration sharded soak bench (the table's
+/// runner).
+pub fn run(scale: BenchScale) -> Vec<Field> {
     let trace = generate_workload(&workload(scale));
     let sharded: [(&str, Option<ShardConfig>); 4] = [
         ("static_clean", Some(clean(false))),
@@ -263,76 +220,32 @@ pub fn run_shard_bench(scale: BenchScale) -> ShardBenchResult {
         .iter()
         .map(|e| e.report.total_matches)
         .sum();
-    let per = |i: usize| {
-        let (retries, steals, degraded, hot_depth) = counters[i];
-        ShardConfigResult {
-            wall_s: walls[i],
-            final_tick: reports[i].as_ref().expect("at least one rep").final_tick,
-            retries,
-            steals,
-            degraded,
-            hot_depth,
-        }
-    };
-    ShardBenchResult {
-        scale,
-        requests: trace.len(),
-        total_matches,
-        latency_p50: lat[lat.len() / 2],
-        latency_p99: lat[((lat.len() * 99) / 100).min(lat.len() - 1)],
-        oracle_final_tick: oracle_report.final_tick,
-        oracle_wall_s: oracle_wall,
-        static_clean: per(0),
-        steal_clean: per(1),
-        steal_light: per(2),
-        steal_heavy: per(3),
+    let mut fields = vec![
+        Field::scale(scale),
+        Field::count("requests", trace.len() as u64),
+        Field::count("shards", SHARDS as u64),
+        Field::count("replicas", REPLICAS as u64),
+        Field::count("total_matches", total_matches),
+        Field::count("latency_p50_ticks", lat[lat.len() / 2]),
+        Field::count(
+            "latency_p99_ticks",
+            lat[((lat.len() * 99) / 100).min(lat.len() - 1)],
+        ),
+        Field::count("final_tick_oracle", oracle_report.final_tick),
+    ];
+    for (i, (name, _)) in sharded.iter().enumerate() {
+        let (retries, steals, _, hot_depth) = counters[i];
+        let final_tick = reports[i].as_ref().expect("at least one rep").final_tick;
+        fields.extend([
+            Field::count(format!("final_tick_{name}"), final_tick),
+            Field::count(format!("retries_{name}"), retries),
+            Field::count(format!("steals_{name}"), steals),
+            Field::count(format!("hot_depth_{name}"), hot_depth),
+        ]);
     }
-}
-
-/// Renders the flat JSON `BENCH_shard.json` holds. Keys are unique at the
-/// top level so `bench_diff`'s scanning parser can read them back.
-pub fn render_json(r: &ShardBenchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{:?}\",\n", r.scale));
-    out.push_str(&format!("  \"requests\": {},\n", r.requests));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-    out.push_str(&format!("  \"total_matches\": {},\n", r.total_matches));
-    out.push_str(&format!("  \"latency_p50_ticks\": {},\n", r.latency_p50));
-    out.push_str(&format!("  \"latency_p99_ticks\": {},\n", r.latency_p99));
-    out.push_str(&format!(
-        "  \"final_tick_oracle\": {},\n",
-        r.oracle_final_tick
-    ));
-    for (name, c) in [
-        ("static_clean", &r.static_clean),
-        ("steal_clean", &r.steal_clean),
-        ("steal_light", &r.steal_light),
-        ("steal_heavy", &r.steal_heavy),
-    ] {
-        out.push_str(&format!("  \"final_tick_{name}\": {},\n", c.final_tick));
-        out.push_str(&format!("  \"retries_{name}\": {},\n", c.retries));
-        out.push_str(&format!("  \"steals_{name}\": {},\n", c.steals));
-        out.push_str(&format!("  \"hot_depth_{name}\": {},\n", c.hot_depth));
+    fields.push(Field::wall("wall_oracle_s", oracle_wall));
+    for (i, (name, _)) in sharded.iter().enumerate() {
+        fields.push(Field::wall(format!("wall_{name}_s"), walls[i]));
     }
-    out.push_str(&format!("  \"wall_oracle_s\": {:.6},\n", r.oracle_wall_s));
-    out.push_str(&format!(
-        "  \"wall_static_clean_s\": {:.6},\n",
-        r.static_clean.wall_s
-    ));
-    out.push_str(&format!(
-        "  \"wall_steal_clean_s\": {:.6},\n",
-        r.steal_clean.wall_s
-    ));
-    out.push_str(&format!(
-        "  \"wall_steal_light_s\": {:.6},\n",
-        r.steal_light.wall_s
-    ));
-    out.push_str(&format!(
-        "  \"wall_steal_heavy_s\": {:.6}\n",
-        r.steal_heavy.wall_s
-    ));
-    out.push_str("}\n");
-    out
+    fields
 }

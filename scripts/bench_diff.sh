@@ -1,19 +1,15 @@
 #!/usr/bin/env bash
-# Performance regression gate: re-runs the bench_pipeline workload and
-# compares per-phase wall times (plus the refine_candidates kernel wall
-# and the match totals) against the committed BENCH_pipeline.json.
-# Fails on a >25% phase regression or any drift in the match totals.
-# Also gates the serving soak (BENCH_serve.json), the adaptive-join
-# ablation (BENCH_adaptive.json), the sharded fault soak
-# (BENCH_shard.json), and the corpus-screening bench (BENCH_index.json)
-# — each skipped with a notice when its baseline is not committed;
-# deterministic quantities (virtual-clock ticks, survivor sets, match
-# totals) must match exactly.
+# Bench regression gate: re-runs every bench of the sigmo_bench::gate
+# table (BENCH_pipeline, BENCH_serve, BENCH_adaptive, BENCH_shard and
+# BENCH_index) with each bench's own invariant asserts, and compares each
+# field with the committed BENCH_*.json: exact fields (virtual-clock
+# values, counters, totals, modeled seconds) must match as text, walls
+# must stay within committed × 1.25 + 10 ms, and a key missing on either
+# side fails. Fresh renderings land in target/bench_diff/.
 #
 # Environment:
-#   SIGMO_BENCH_SCALE          must match the committed baseline's scale
-#                              (the bin checks and says so if not)
-#   SIGMO_BENCH_DIFF_BASELINE  alternate baseline path
+#   SIGMO_BENCH_SCALE          quick (default) | paper; must match the
+#                              committed files' scale (the bin checks)
 #
 # Run from anywhere inside the repo.
 set -euo pipefail

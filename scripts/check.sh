@@ -23,35 +23,21 @@
 #   7. ablate_filter_convergence  filter-mode ablation; asserts the
 #                                 incremental refine path stays ≥2× faster
 #                                 than exhaustive with identical totals
-#   8. ext_serve_soak             serving soak: no-cache/cold/warm configs
-#                                 must agree bit for bit and the warm cache
-#                                 must be ≥2× the ablation (output diverted
-#                                 to target/ so the committed BENCH_serve
-#                                 baseline is untouched)
-#   9. ext_adaptive               adaptive-join ablation: no fixed
-#                                 (variant, order) combo may win every
-#                                 scenario, adaptive must beat the worst
-#                                 fixed combo ≥1.3× and stay ≤1.05× the
-#                                 per-scenario oracle (output diverted to
-#                                 target/ like the serve soak)
-#  10. ext_shard_soak             sharded fault soak: static/stealing/
-#                                 light-fault/heavy-fault configurations
-#                                 must match the unsharded oracle bit for
-#                                 bit with zero degraded slices, and
-#                                 stealing must cut the hot shard's peak
-#                                 backlog (output diverted to target/)
-#  11. ext_index                  corpus-screening bench: tiered corpora
-#                                 with planted rare-pattern carriers; the
-#                                 indexed path must match the index-off
-#                                 engine's totals exactly, beat it ≥5× at
-#                                 the largest corpus, and keep the screen
-#                                 wall sublinear (output diverted to
-#                                 target/)
-#  12. scripts/bench_diff.sh      per-phase wall-time regression gate vs
-#                                 the committed BENCH_pipeline.json,
-#                                 BENCH_serve.json, BENCH_adaptive.json,
-#                                 BENCH_shard.json, and BENCH_index.json
-#  13. fuzz-smoke                 deep fuzz sweep in release: at 10 000
+#   8. scripts/bench_diff.sh      the one bench gate: re-runs every bench
+#                                 of the sigmo_bench::gate table (pipeline,
+#                                 serve soak, adaptive ablation, shard
+#                                 soak, corpus screen) with each bench's
+#                                 own invariant asserts — the serve warm
+#                                 cache ≥2× the ablation, adaptive ≥1.3×
+#                                 the worst fixed combo and ≤1.05× the
+#                                 oracle, sharded runs bit-identical to
+#                                 the oracle with stealing cutting the hot
+#                                 backlog, the index exact and ≥5× at the
+#                                 largest corpus — and compares every
+#                                 field with the committed BENCH_*.json:
+#                                 exact fields as text, walls within
+#                                 ×1.25 + 10 ms
+#   9. fuzz-smoke                 deep fuzz sweep in release: at 10 000
 #                                 cases per property the
 #                                 tests/parser_fuzz.rs battery (raw bytes,
 #                                 grammar token soup, and round-trip
@@ -68,7 +54,7 @@
 #                                 each a multiple of |Aut(q)|, in every
 #                                 matching order, DFS and BFS, induced
 #                                 and wildcard queries included)
-#  14. canon-oracle               release-mode canonical-labeling sweep
+#  10. canon-oracle               release-mode canonical-labeling sweep
 #                                 (tests/canonical_oracle.rs with its
 #                                 #[ignore]d tests): the pruned search's
 #                                 codes equal the unpruned oracle's on the
@@ -78,8 +64,8 @@
 #                                 C.C.C.C.C.C.C.C and five dot-joined C1CC1
 #                                 (hydrogens explicit) each canonicalize in
 #                                 under 10 ms
-#  15. perfbench-screen           traced end-to-end benchmark smoke runs
-#  16. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
+#  11. perfbench-screen           traced end-to-end benchmark smoke runs
+#  12. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
 #                                 workloads at the shortest --seconds that
 #                                 still yields the 1000 operations the
 #                                 harness requires (screen 4, serve-cold
@@ -90,7 +76,7 @@
 #                                 perfbench/ changes
 #
 # `--fast` skips the bench, fuzz, canon-oracle and perfbench run stages
-# (6-16) for quick
+# (6-12) for quick
 # pre-push runs. The lint and perfbench-build stages are NOT skipped: the
 # determinism audit is cheap (sub-second scan, <5 s budget enforced in
 # its own tests) and is exactly the check that must not be skippable in a
@@ -168,14 +154,6 @@ fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-build cargo bench --no-run
     stage ablate-filter cargo bench -p sigmo-bench --bench ablate_filter_convergence
-    stage serve-soak env SIGMO_BENCH_SERVE_OUT=target/BENCH_serve.fresh.json \
-        cargo run -q --release -p sigmo-bench --bin ext_serve_soak
-    stage adaptive env SIGMO_BENCH_ADAPTIVE_OUT=target/BENCH_adaptive.fresh.json \
-        cargo run -q --release -p sigmo-bench --bin ext_adaptive
-    stage shard-soak env SIGMO_BENCH_SHARD_OUT=target/BENCH_shard.fresh.json \
-        cargo run -q --release -p sigmo-bench --bin ext_shard_soak
-    stage index-screen env SIGMO_BENCH_INDEX_OUT=target/BENCH_index.fresh.json \
-        cargo run -q --release -p sigmo-bench --bin ext_index
     stage bench-diff scripts/bench_diff.sh
     stage fuzz-smoke fuzz_smoke
     stage canon-oracle cargo test -q --release --test canonical_oracle -- --include-ignored
