@@ -140,8 +140,10 @@ mod tests {
     fn dynamic_total_equals_static_total() {
         let (queries, data) = world();
         let dynamic = run_dynamic(&dyn_config(4), &queries, &data);
-        let mut engine = EngineConfig::default();
-        engine.refinement_iterations = 3;
+        let engine = EngineConfig {
+            refinement_iterations: 3,
+            ..Default::default()
+        };
         let stat = ClusterSim::new(ClusterConfig {
             num_ranks: 4,
             engine,

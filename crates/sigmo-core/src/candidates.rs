@@ -5,16 +5,16 @@
 //! bits with atomics and relies on a warp's neighbouring lanes to merge
 //! them into word transactions. The host executor has no warp, so the
 //! filter kernels update a word at a time themselves: init ORs each
-//! (row, word, label) mask with one [`CandidateBitmap::or_word`], and the
-//! clearing kernels walk a row with [`CandidateBitmap::retain_row_classed`],
-//! one load and at most one `fetch_and` per word. Rows that share a
-//! verdict class share its [`ClassVerdicts`] tables, so each live bit's
-//! verdict is computed once per class instead of once per row (DESIGN.md
-//! §19). Updates stay atomic RMWs because work-groups whose size is not a
-//! multiple of 64 share their boundary words. The per-bit
+//! (row, word, label) mask with one [`CandidateBitmap::or_word`], an
+//! atomic RMW because work-groups whose size is not a multiple of 64
+//! share their boundary words. The clearing kernels judge each verdict
+//! class once per word over the union of its rows' live bits
+//! ([`CandidateBitmap::fail_bits`]), and each row of the class, owned by
+//! one work-item, then takes one load and one store per word
+//! ([`CandidateBitmap::clear_row_failing`]; DESIGN.md §19). The per-bit
 //! [`CandidateBitmap::set`] and [`CandidateBitmap::clear`] remain for the
 //! oracles and the per-node refine kernel, and the per-bit
-//! [`CandidateBitmap::retain_row`] is the walk's test oracle.
+//! [`CandidateBitmap::retain_row`] is the class walk's test oracle.
 //!
 //! Storage is always `AtomicU64`; the configurable *word width*
 //! ([`WordWidth`], Table 1's "candidates bitmap integer") controls the
@@ -149,9 +149,9 @@ impl CandidateBitmap {
     /// costs one `fetch_and(!kill)` instead of one RMW per bit. Returns
     /// `(tested, cleared)`: the set bits `keep` judged and how many of
     /// them it cleared. The caller must own the row for the walk (no
-    /// concurrent writer). The filter kernels walk rows with
-    /// [`retain_row_classed`](Self::retain_row_classed); this per-bit walk
-    /// is its test oracle.
+    /// concurrent writer). The filter kernels judge a class once and clear
+    /// its rows with [`clear_row_failing`](Self::clear_row_failing); this
+    /// per-bit walk is their test oracle.
     // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
     // row walk: callers charge the words, tests and clears it reports; the
     // inner loop clears one bit of a loaded word per pass (≤ 64).
@@ -182,77 +182,59 @@ impl CandidateBitmap {
         (tested, cleared)
     }
 
-    /// [`retain_row`](Self::retain_row) for a row of a shared verdict
-    /// class: `class` holds the verdicts already known for the class's
-    /// columns, so `keep` runs only on the live bits neither table holds.
-    /// New verdicts are OR-ed into the tables for the class's other rows,
-    /// and every failing live bit, known or new, is cleared with one word
-    /// AND. `None` (a singleton class) judges every live bit, as
-    /// `retain_row` does.
-    ///
-    /// Exact: `keep` must be a pure function of the column for every row
-    /// of the class, so a stored verdict is the verdict this row would
-    /// compute. Returns the same `(tested, cleared)` as `retain_row` —
-    /// every live bit counts as tested, whoever judged it — so the filter
-    /// kernels' charges do not depend on the tables. The caller must own
-    /// the row; the tables may be shared by concurrent walks, whose races
-    /// only recompute the same verdicts.
-    // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
-    // row walk: callers charge the words, tests and clears it reports; the
-    // inner loop judges one bit of a loaded word per pass (≤ 64).
+    /// The bits of `live` (word `word` of some row) that `keep` rejects:
+    /// `keep(col)` runs once per set bit and its verdict is OR-ed into the
+    /// mask without a branch.
+    // sigmo-lint: allow(unbounded-kernel-loop) — one set bit of a loaded
+    // word per pass (≤ 64).
+    #[inline]
+    pub fn fail_bits(live: u64, word: usize, mut keep: impl FnMut(usize) -> bool) -> u64 {
+        let (mut fail, mut bits) = (0u64, live);
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            fail |= u64::from(!keep(word * 64 + bit as usize)) << bit;
+            bits &= bits - 1;
+        }
+        fail
+    }
+
+    /// Clears from `row` the bits `fail` marks (bit `i` of `fail[w]` is
+    /// column `64 × w + i`): one load and one store per word, without a
+    /// branch. Returns `(tested, cleared)`: the row's live bits and how
+    /// many of them were cleared. The caller must own the row for the walk
+    /// (no concurrent reader or writer), which is why a plain store can
+    /// replace the `fetch_and`.
+    // sigmo-lint: allow(uncharged-access) — primitive row walk: callers
+    // charge the words, tests and clears it reports.
     // sigmo-lint: allow(relaxed-read-in-report) — the walking work-item
     // owns the row, so no writer races its loads and the counts it
-    // reports are exact; a table word read early only misses verdicts
-    // the walk then recomputes.
-    pub fn retain_row_classed(
-        &self,
-        row: usize,
-        class: Option<VerdictTable<'_>>,
-        mut keep: impl FnMut(usize) -> bool,
-    ) -> (u64, u64) {
-        debug_assert!(row < self.rows);
+    // reports are exact.
+    #[inline]
+    pub fn clear_row_failing(&self, row: usize, fail: &[AtomicU64]) -> (u64, u64) {
+        debug_assert!(row < self.rows && fail.len() == self.words_per_row);
         let base = row * self.words_per_row;
         let (mut tested, mut cleared) = (0u64, 0u64);
-        for (w, word) in self.words[base..base + self.words_per_row]
-            .iter()
-            .enumerate()
-        {
+        for (word, fail) in self.words[base..base + self.words_per_row].iter().zip(fail) {
             let live = word.load(Ordering::Relaxed);
-            if live == 0 {
-                continue;
-            }
+            let kill = live & fail.load(Ordering::Relaxed);
+            word.store(live ^ kill, Ordering::Relaxed);
             tested += u64::from(live.count_ones());
-            let (known_fail, unknown) = match class {
-                Some(t) => {
-                    let fail = t.fail[w].load(Ordering::Relaxed);
-                    let pass = t.pass[w].load(Ordering::Relaxed);
-                    (live & fail, live & !(fail | pass))
-                }
-                None => (0, live),
-            };
-            let mut fail = 0u64;
-            let mut bits = unknown;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                fail |= u64::from(!keep(w * 64 + bit as usize)) << bit;
-                bits &= bits - 1;
-            }
-            if let Some(t) = class {
-                let pass = unknown & !fail;
-                if pass != 0 {
-                    t.pass[w].fetch_or(pass, Ordering::Relaxed);
-                }
-                if fail != 0 {
-                    t.fail[w].fetch_or(fail, Ordering::Relaxed);
-                }
-            }
-            let kill = known_fail | fail;
-            if kill != 0 {
-                word.fetch_and(!kill, Ordering::Relaxed);
-                cleared += u64::from(kill.count_ones());
-            }
+            cleared += u64::from(kill.count_ones());
         }
         (tested, cleared)
+    }
+
+    /// ORs every word of `row` into `acc` (word `w` into `acc[w]`).
+    // sigmo-lint: allow(relaxed-read-in-report) — the filter's class
+    // work-item owns the rows it ORs and the `acc` scratch it ORs into.
+    #[inline]
+    pub fn or_row_into(&self, row: usize, acc: &[AtomicU64]) {
+        debug_assert!(row < self.rows && acc.len() == self.words_per_row);
+        let base = row * self.words_per_row;
+        for (word, acc) in self.words[base..base + self.words_per_row].iter().zip(acc) {
+            let union = acc.load(Ordering::Relaxed) | word.load(Ordering::Relaxed);
+            acc.store(union, Ordering::Relaxed);
+        }
     }
 
     /// Overwrites this bitmap with the contents of `other`, word by word.
@@ -457,53 +439,6 @@ impl CandidateBitmap {
     }
 }
 
-/// The verdict tables of one filter launch's shared classes: per class a
-/// `pass` and a `fail` bitmap row, bit `d` set once some row of the class
-/// has judged column `d`. Allocated zeroed before the launch, outside the
-/// kernel closure; only classes of at least two rows get tables, so they
-/// never exceed the bitmap they serve (DESIGN.md §19).
-pub struct ClassVerdicts {
-    words_per_row: usize,
-    /// Class `c`'s pass row, then its fail row: `2 × words_per_row` words
-    /// from `2c × words_per_row`.
-    words: Vec<AtomicU64>,
-}
-
-/// One class's verdict rows (see [`ClassVerdicts`]).
-#[derive(Clone, Copy)]
-pub struct VerdictTable<'a> {
-    pass: &'a [AtomicU64],
-    fail: &'a [AtomicU64],
-}
-
-impl ClassVerdicts {
-    /// Empty tables for `classes` shared classes over `bitmap`'s columns.
-    pub fn new(classes: usize, bitmap: &CandidateBitmap) -> Self {
-        let words_per_row = bitmap.words_per_row;
-        let words = (0..2 * classes * words_per_row)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        Self {
-            words_per_row,
-            words,
-        }
-    }
-
-    /// Class `class`'s tables.
-    #[inline]
-    pub fn class(&self, class: u32) -> VerdictTable<'_> {
-        let (pass, fail) = self.words[2 * class as usize * self.words_per_row..]
-            [..2 * self.words_per_row]
-            .split_at(self.words_per_row);
-        VerdictTable { pass, fail }
-    }
-
-    /// Bytes held by the tables.
-    pub fn memory_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,7 +541,7 @@ mod tests {
             b.set(2, 64);
             b
         };
-        let keep = |c: usize| c % 3 != 0;
+        let keep = |c: usize| !c.is_multiple_of(3);
         let fast = fresh();
         let got = fast.retain_row(1, keep);
         let slow = fresh();

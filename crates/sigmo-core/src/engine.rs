@@ -663,7 +663,11 @@ mod tests {
         let d0 = labeled(&[1, 1, 3], &[(0, 1, 1), (1, 2, 1)]);
         let d1 = labeled(&[1], &[]);
         let engine = Engine::with_defaults();
-        let report = engine.run(&[q.clone()], &[d0.clone(), d1.clone()], &queue());
+        let report = engine.run(
+            std::slice::from_ref(&q),
+            &[d0.clone(), d1.clone()],
+            &queue(),
+        );
         assert_eq!(report.total_matches, 1);
         assert_eq!(report.matched_pair_list, vec![(0, 0)]);
         // The diameter-1 query converges after radius 1: the default
@@ -766,11 +770,11 @@ mod tests {
             &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)],
         );
         let base = Engine::new(EngineConfig::with_iterations(1))
-            .run(&[q.clone()], &[d.clone()], &queue())
+            .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
             .total_matches;
         for iters in 2..=6 {
             let m = Engine::new(EngineConfig::with_iterations(iters))
-                .run(&[q.clone()], &[d.clone()], &queue())
+                .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
                 .total_matches;
             assert_eq!(m, base, "filter changed results at {iters} iterations");
         }
@@ -816,7 +820,8 @@ mod tests {
     #[should_panic(expected = "≥ 1 iteration")]
     fn zero_iterations_rejected() {
         let q = labeled(&[1], &[]);
-        Engine::new(EngineConfig::with_iterations(0)).run(&[q.clone()], &[q], &queue());
+        let graphs = std::slice::from_ref(&q);
+        Engine::new(EngineConfig::with_iterations(0)).run(graphs, graphs, &queue());
     }
 
     #[test]
@@ -936,7 +941,7 @@ mod nlsm_tests {
     fn transfer_records_appear_in_queue_log() {
         let q = LabeledGraph::from_edges(&[1, 1], &[(0, 1)]).unwrap();
         let queue = Queue::new(DeviceProfile::host());
-        Engine::with_defaults().run(std::slice::from_ref(&q), &[q.clone()], &queue);
+        Engine::with_defaults().run(std::slice::from_ref(&q), std::slice::from_ref(&q), &queue);
         let recs = queue.records();
         let transfers: Vec<_> = recs.iter().filter(|r| r.phase == "transfer").collect();
         assert_eq!(transfers.len(), 2, "h2d at setup, d2h at the end");

@@ -17,15 +17,14 @@
 //!
 //! The row-transposed kernels — [`label_pair_filter`],
 //! [`node_predicate_filter`] and [`refine_candidates_delta`] — share one
-//! word-granular row walk ([`CandidateBitmap::retain_row_classed`]): each
-//! word is loaded once, its failing bits gather into a kill mask, and one
-//! `fetch_and` clears them. A row's verdict at a data node depends only
-//! on the node and the row's class — its signature, or its compiled
-//! predicate — so rows of one class share per-launch verdict tables
-//! ([`ClassVerdicts`]) and each live bit is judged once per class, not
-//! once per row (DESIGN.md §19). Their domination tests are branch-free
-//! SWAR compares over every selected group at once
-//! ([`Signature::dominates_tops`]).
+//! class-major launch (`class_major_filter`). A row's verdict at a data
+//! node depends only on the node and the row's class — its signature, or
+//! its compiled predicate — so the plan lists each stage's rows class by
+//! class, and the work-item of a class's first row judges the class once
+//! over the union of its rows' live bits. Every row of the class then
+//! clears its failing bits with one load and one store per word
+//! (DESIGN.md §19). The domination tests are branch-free SWAR compares
+//! over every selected group at once ([`Signature::dominates_tops`]).
 //!
 //! All kernels charge their modeled work to the device counters at word
 //! granularity: every distinct bitmap word actually loaded goes through
@@ -39,7 +38,7 @@
 //! differential test `word_parallel_differential` pins both kernels to
 //! produce bit-identical bitmaps.
 
-use crate::candidates::{CandidateBitmap, ClassVerdicts};
+use crate::candidates::CandidateBitmap;
 use crate::governor::Governor;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
@@ -48,6 +47,7 @@ use sigmo_device::Queue;
 use sigmo_graph::{
     CsrGo, EdgeLabel, Label, NodeAttrs, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled instruction cost of one label comparison in the init kernel.
 const INIT_INSTR_PER_QNODE: u64 = 4;
@@ -55,33 +55,130 @@ const INIT_INSTR_PER_QNODE: u64 = 4;
 const REFINE_INSTR_PER_TEST: u64 = 24;
 
 /// Plan-time verdict classes of a row list, given each row's verdict key
-/// (the inputs its per-bit verdict reads besides the data node): rows
-/// whose key occurs at least twice get the dense id of their key, in
-/// first-seen order; rows with a unique key get none. Deterministic.
-fn shared_class_ids<K: std::hash::Hash + Eq>(keys: &[K]) -> Vec<Option<u32>> {
-    let mut counts: std::collections::HashMap<&K, (usize, Option<u32>)> =
-        std::collections::HashMap::new();
-    for k in keys {
-        counts.entry(k).or_insert((0, None)).0 += 1;
-    }
-    let mut next = 0u32;
-    keys.iter()
-        .map(|k| {
-            let (n, id) = counts.get_mut(k).expect("counted above");
-            if *n < 2 {
-                return None;
-            }
-            Some(*id.get_or_insert_with(|| {
-                next += 1;
-                next - 1
-            }))
-        })
-        .collect()
+/// (the inputs its per-bit verdict reads besides the data node): every
+/// distinct key gets a dense class id in first-seen order, keys only one
+/// row holds included. Deterministic. The stage builders then sort their
+/// rows by class id (stably, so a class's rows stay ascending): the
+/// class-major order [`class_major_filter`] walks.
+fn class_ids<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32> {
+    let mut ids: std::collections::HashMap<K, u32> = std::collections::HashMap::new();
+    keys.map(|k| {
+        let next = ids.len() as u32;
+        *ids.entry(k).or_insert(next)
+    })
+    .collect()
 }
 
-/// Number of shared classes among `classes` (ids are dense from 0).
-fn shared_class_count(classes: impl Iterator<Item = Option<u32>>) -> usize {
-    classes.flatten().max().map_or(0, |c| c as usize + 1)
+/// A row of a class-major filter stage: its query row and verdict class.
+trait ClassRow: Sync {
+    fn row_class(&self) -> (usize, u32);
+}
+
+/// The class-major launch shared by the row-transposed filter kernels
+/// (DESIGN.md §19): one work-item per row of `rows` (class-major, as the
+/// stage builders list them), [`DELTA_ROWS_PER_GROUP`] to a group. The
+/// work-item of a class's first row does the class's work: it ORs the
+/// class's rows into the class's slot, judges every bit of that union
+/// once — `keep(row, column)`, branch-free — and leaves the failing bits
+/// in the slot; every row of the class then clears `live & fail` with one
+/// load and one store per word. The work-items of the class's other rows
+/// find their rows done.
+///
+/// Exact: `keep` is a pure function of the class key and the column, so
+/// the union's verdict at a column is each row's own. No two work-items
+/// touch one class's rows or slot, so nothing races. The charges are the
+/// per-bit walk's: per row, `tested = popcount(live)`,
+/// `cleared = popcount(live & fail)`, `instr_per_test(row)` modeled
+/// instructions per test, one load of each row word, one data-side fact
+/// (8 bytes) per test and the row's own key (16 bytes). They are sums over
+/// rows, so it does not matter which work-group charges a row. Each walked
+/// row's live count goes to `counts`.
+///
+/// Returns the number of bits cleared.
+#[allow(clippy::too_many_arguments)]
+fn class_major_filter<R: ClassRow>(
+    queue: &Queue,
+    name: &str,
+    rows: &[R],
+    bitmap: &CandidateBitmap,
+    counts: &RowCounts,
+    governor: &Governor,
+    instr_per_test: impl Fn(&R) -> u64 + Sync,
+    keep: impl Fn(&R, usize) -> bool + Sync,
+) -> u64 {
+    let word_bytes = bitmap.word_width().bytes();
+    let row_words = bitmap.words_per_row();
+    // One zeroed slot per class, allocated outside the kernel closure: a
+    // launch has at most one class per row, so the slots never exceed
+    // the rows' share of the bitmap.
+    let classes = rows.last().map_or(0, |r| r.row_class().1 as usize + 1);
+    let slots: Vec<AtomicU64> = (0..classes * row_words)
+        .map(|_| AtomicU64::new(0))
+        .collect();
+    let snap = queue.parallel_for_chunks_until(
+        name,
+        "filter",
+        rows.len(),
+        DELTA_ROWS_PER_GROUP,
+        || governor.stopped(),
+        |items, counters| {
+            // Group-local charge accumulation, flushed once per work-group
+            // (same convention as `refine_candidates_classes`).
+            let mut cleared = 0u64;
+            let mut tests = 0u64;
+            let mut test_instr = 0u64;
+            let mut trip_sq = 0u64;
+            let mut rows_run = 0u64;
+            for i in items {
+                if governor.stopped() {
+                    break; // consult once per row, never per bit
+                }
+                let class = rows[i].row_class().1;
+                if i > 0 && rows[i - 1].row_class().1 == class {
+                    continue; // done with its class's first row
+                }
+                let len = rows[i..].iter().position(|m| m.row_class().1 != class);
+                let members = &rows[i..i + len.unwrap_or(rows.len() - i)];
+                let key = &rows[i];
+                let slot = &slots[class as usize * row_words..][..row_words];
+                for m in members {
+                    bitmap.or_row_into(m.row_class().0, slot);
+                }
+                for (w, out) in slot.iter().enumerate() {
+                    // sigmo-lint: allow(relaxed-read-in-report) — the slot
+                    // and the class's rows are this work-item's alone.
+                    let union = out.load(Ordering::Relaxed);
+                    let fail = CandidateBitmap::fail_bits(union, w, |d| keep(key, d));
+                    out.store(fail, Ordering::Relaxed);
+                }
+                for m in members {
+                    let row = m.row_class().0;
+                    let (row_tests, row_cleared) = bitmap.clear_row_failing(row, slot);
+                    counts.set(row, row_tests - row_cleared);
+                    cleared += row_cleared;
+                    tests += row_tests;
+                    test_instr += instr_per_test(m) * row_tests;
+                    trip_sq += row_tests * row_tests;
+                    rows_run += 1;
+                }
+            }
+            if rows_run == 0 {
+                return; // the group's rows were done with their classes' first rows
+            }
+            // Cost model of a transposed kernel: every bitmap word of a
+            // scanned row is loaded exactly once (word-granular traffic);
+            // each live bit costs one data-side load (8 bytes) and one
+            // test; each scanned row loads its own key once (16 bytes).
+            let words = rows_run * row_words as u64;
+            counters.add_instructions(test_instr + words);
+            counters.add_word_reads(words, word_bytes);
+            counters.add_bytes_read(tests * 8 + rows_run * 16);
+            counters.add_atomics(cleared);
+            counters.add_bytes_written(cleared * word_bytes);
+            counters.record_trip_moments(tests, trip_sq, rows_run);
+        },
+    );
+    snap.atomic_ops
 }
 
 /// Per-label query-row lists, built once per batch (or once per *plan* —
@@ -494,18 +591,17 @@ pub struct DeltaRow {
     pub tops: u64,
     /// The dirty query row index.
     pub row: u32,
-    /// The row's shared verdict class: the dirty rows with this `sig`
-    /// (hence this `tops`), when there are at least two. `None` for a
-    /// signature only this row holds.
-    pub class: Option<u32>,
+    /// The row's verdict class: the dirty rows with this `sig` (hence
+    /// this `tops`), a singleton when only this row holds it.
+    pub class: u32,
 }
 
 impl DeltaClasses {
     /// Collects the rows with `prev[q] != cur[q]` in one O(|V_Q|) pass,
     /// recording per signature class which schema fields moved (the union
     /// over class members — exact for every member, since a skipped field
-    /// is unmoved for *all* of them). Deterministic: rows stay in
-    /// ascending order.
+    /// is unmoved for *all* of them). Deterministic: rows are class-major,
+    /// classes in first-seen order and each class's rows ascending.
     pub fn build(schema: &LabelSchema, prev: &[Signature], cur: &[Signature]) -> Self {
         let mut index: std::collections::HashMap<Signature, usize> =
             std::collections::HashMap::new();
@@ -523,21 +619,20 @@ impl DeltaClasses {
             classes[class] |= moved;
             dirty.push((q as u32, class as u32));
         }
-        let shared = shared_class_ids(&dirty.iter().map(|&(_, c)| c).collect::<Vec<_>>());
-        let rows = dirty
+        let mut rows: Vec<DeltaRow> = dirty
             .into_iter()
-            .zip(shared)
-            .map(|((row, class), shared)| {
+            .map(|(row, class)| {
                 let changed = classes[class as usize];
                 DeltaRow {
                     sig: cur[row as usize],
                     changed,
                     tops: schema.top_bits(changed),
                     row,
-                    class: shared,
+                    class,
                 }
             })
             .collect();
+        rows.sort_by_key(|r| r.class);
         DeltaClasses { rows }
     }
 
@@ -553,7 +648,7 @@ impl DeltaClasses {
         self.rows.len()
     }
 
-    /// The dirty rows, ascending — the delta kernel's work-items.
+    /// The dirty rows, class-major — the delta kernel's work-items.
     pub fn rows(&self) -> &[DeltaRow] {
         &self.rows
     }
@@ -568,17 +663,16 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 
 /// The RefineCandidates kernel restricted to one radius' dirty work,
 /// *transposed*: one work-item per dirty query row (not per data node),
-/// which walks its own candidate row a word at a time
-/// ([`CandidateBitmap::retain_row_classed`], sharing verdicts within the
-/// row's [`DeltaRow::class`]) and applies the field-restricted
-/// domination verdict, branch-free ([`Signature::dominates_tops`] over the
-/// row's [`DeltaRow::tops`]), at each live bit. Work is
-/// O(bitmap words + live bits) in the dirty rows — columns whose bits are
-/// long gone cost 1/64th of a word load, and data graphs with no live bit
-/// anywhere (the per-graph deadness the convergence machinery tracks) are
-/// skipped wholesale for free, because their columns are all-zero words.
-/// Skipped work is never charged or ticked, so the word-read accounting in
-/// `KernelSummary` reflects the real savings.
+/// in the class-major launch (`class_major_filter`): each
+/// [`DeltaRow::class`] is judged once per word with the field-restricted
+/// domination verdict, branch-free ([`Signature::dominates_tops`] over
+/// [`DeltaRow::tops`]), and each dirty row clears its failing bits. Work
+/// is O(bitmap words + live bits) in the dirty rows — columns whose bits
+/// are long gone cost 1/64th of a word load, and data graphs with no live
+/// bit anywhere (the per-graph deadness the convergence machinery tracks)
+/// are skipped wholesale for free, because their columns are all-zero
+/// words. Skipped work is never charged or ticked, so the word-read
+/// accounting in `KernelSummary` reflects the real savings.
 ///
 /// Bit-identical to running the full class set through
 /// [`refine_candidates_classes`] at the same radius: the verdict for a
@@ -600,67 +694,26 @@ pub fn refine_candidates_delta(
     counts: &RowCounts,
     governor: &Governor,
 ) -> u64 {
-    let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
-    debug_assert_eq!(n, bitmap.cols());
-    let row_words = n.div_ceil(64) as u64;
-    let rows = delta.rows();
+    debug_assert_eq!(data.num_nodes(), bitmap.cols());
     let all_tops = schema.top_bits(u64::MAX);
-    let verdicts = ClassVerdicts::new(shared_class_count(rows.iter().map(|r| r.class)), bitmap);
-    let snap = queue.parallel_for_chunks_until(
+    class_major_filter(
+        queue,
         "refine_candidates",
-        "filter",
-        rows.len(),
-        DELTA_ROWS_PER_GROUP,
-        || governor.stopped(),
-        |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group
-            // (same convention as `refine_candidates_classes`).
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut test_instr = 0u64;
-            let mut words = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            let mut visit = |r: usize| {
-                let dirty = &rows[r];
-                // Field-restricted test: ~2 instructions per moved field
-                // instead of one compare per schema group (see
-                // [`DeltaRow::changed`]).
-                let mask_cost = 2 * u64::from(dirty.changed.count_ones()) + 2;
-                let class = dirty.class.map(|c| verdicts.class(c));
-                let (row_tests, row_cleared) =
-                    bitmap.retain_row_classed(dirty.row as usize, class, |d| {
-                        data_sigs[d].dominates_tops(&dirty.sig, all_tops, dirty.tops)
-                    });
-                counts.set(dirty.row as usize, row_tests - row_cleared);
-                cleared += row_cleared;
-                words += row_words;
-                tests += row_tests;
-                test_instr += mask_cost * row_tests;
-                trip_sq += row_tests * row_tests;
-                rows_run += 1;
-            };
-            for r in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                visit(r);
-            }
-            // Cost model of the transposed kernel: every bitmap word of a
-            // scanned row is loaded exactly once (word-granular traffic);
-            // each live bit costs one data-signature load (8 bytes) and a
-            // masked domination test; each scanned row loads its own
-            // signature + mask once (16 bytes).
-            counters.add_instructions(test_instr + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
-    );
-    snap.atomic_ops
+        delta.rows(),
+        bitmap,
+        counts,
+        governor,
+        // Field-restricted test: ~2 instructions per moved field instead
+        // of one compare per schema group (see [`DeltaRow::changed`]).
+        |r| 2 * u64::from(r.changed.count_ones()) + 2,
+        |r, d| data_sigs[d].dominates_tops(&r.sig, all_tops, r.tops),
+    )
+}
+
+impl ClassRow for DeltaRow {
+    fn row_class(&self) -> (usize, u32) {
+        (self.row as usize, self.class)
+    }
 }
 
 /// Number of (edge label, neighbor label) pair buckets: 16 uniform 4-bit
@@ -717,12 +770,11 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
 ///
 /// Transposed like [`refine_candidates_delta`]: one work-item per
 /// constrained query row (`pair_rows`, precomputed by the plan — rows
-/// whose pair signature is non-empty), walking its row a word at a time
-/// and testing bucket domination at each live bit not already judged for
-/// its [`PairRow::class`]. The branch-free test compares only the row's
-/// live buckets ([`PairRow::tops`]). The data nodes' pair signatures
-/// (`data_pairs[d]`) come precomputed from [`crate::BatchFacts`]. Each
-/// walked row's live count goes to `counts`.
+/// whose pair signature is non-empty), in the class-major launch: each
+/// [`PairRow::class`] is judged once per word with the branch-free bucket
+/// domination test over the row's live buckets ([`PairRow::tops`]). The
+/// data nodes' pair signatures (`data_pairs[d]`) come precomputed from
+/// [`crate::BatchFacts`]. Each walked row's live count goes to `counts`.
 ///
 /// Returns the number of bits cleared.
 pub fn label_pair_filter(
@@ -737,68 +789,18 @@ pub fn label_pair_filter(
     if pair_rows.is_empty() {
         return 0;
     }
-    let word_bytes = bitmap.word_width().bytes();
-    let n = data_pairs.len();
-    debug_assert_eq!(n, bitmap.cols());
-    let row_words = n.div_ceil(64) as u64;
+    debug_assert_eq!(data_pairs.len(), bitmap.cols());
     let all_tops = schema.top_bits(u64::MAX);
-    let verdicts = ClassVerdicts::new(
-        shared_class_count(pair_rows.iter().map(|r| r.class)),
-        bitmap,
-    );
-    let snap = queue.parallel_for_chunks_until(
+    class_major_filter(
+        queue,
         "label_pair_filter",
-        "filter",
-        pair_rows.len(),
-        DELTA_ROWS_PER_GROUP,
-        || governor.stopped(),
-        |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group
-            // (same convention as the refine kernels).
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut words = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            let mut visit = |r: usize| {
-                let PairRow {
-                    row,
-                    sig,
-                    tops,
-                    class,
-                    ..
-                } = pair_rows[r];
-                let class = class.map(|c| verdicts.class(c));
-                let (row_tests, row_cleared) =
-                    bitmap.retain_row_classed(row as usize, class, |d| {
-                        data_pairs[d].dominates_tops(&sig, all_tops, tops)
-                    });
-                counts.set(row as usize, row_tests - row_cleared);
-                cleared += row_cleared;
-                words += row_words;
-                tests += row_tests;
-                trip_sq += row_tests * row_tests;
-                rows_run += 1;
-            };
-            for r in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                visit(r);
-            }
-            // Same cost shape as the transposed delta kernel: each scanned
-            // row loads its bitmap words once, each live bit one data pair
-            // signature (8 bytes) + one domination test, each row its own
-            // signature pair (16 bytes).
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
-    );
-    snap.atomic_ops
+        pair_rows,
+        bitmap,
+        counts,
+        governor,
+        |_| REFINE_INSTR_PER_TEST,
+        |r, d| data_pairs[d].dominates_tops(&r.sig, all_tops, r.tops),
+    )
 }
 
 /// One constrained query row of the label-pair pre-check.
@@ -816,26 +818,29 @@ pub struct PairRow {
     /// `live`): the mask of the kernel's branch-free test
     /// ([`Signature::dominates_tops`]).
     pub tops: u64,
-    /// The row's shared verdict class: the constrained rows with this
-    /// `sig` (hence this `tops`), when there are at least two. `None` for
-    /// a pair signature only this row holds.
-    pub class: Option<u32>,
+    /// The row's verdict class: the constrained rows with this `sig`
+    /// (hence this `tops`), a singleton when only this row holds it.
+    pub class: u32,
+}
+
+impl ClassRow for PairRow {
+    fn row_class(&self) -> (usize, u32) {
+        (self.row as usize, self.class)
+    }
 }
 
 /// The constrained-row list [`label_pair_filter`] consumes: every query
 /// row with a non-empty pair signature (`query_pairs[q]` is row `q`'s),
-/// ascending, classed by pair signature. Plans build this once per batch.
+/// classed by pair signature, class-major. Plans build this once per
+/// batch.
 pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow> {
-    let rows: Vec<(u32, Signature)> = query_pairs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &sig)| sig != Signature::EMPTY)
-        .map(|(row, &sig)| (row as u32, sig))
-        .collect();
-    let classes = shared_class_ids(&rows.iter().map(|&(_, sig)| sig).collect::<Vec<_>>());
-    rows.into_iter()
+    let constrained =
+        || (0..query_pairs.len() as u32).filter(|&q| query_pairs[q as usize] != Signature::EMPTY);
+    let classes = class_ids(constrained().map(|q| query_pairs[q as usize]));
+    let mut rows: Vec<PairRow> = constrained()
         .zip(classes)
-        .map(|((row, sig), class)| {
+        .map(|(row, class)| {
+            let sig = query_pairs[row as usize];
             let live = sig.diff_groups(schema, &Signature::EMPTY);
             PairRow {
                 row,
@@ -845,7 +850,9 @@ pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow
                 class,
             }
         })
-        .collect()
+        .collect();
+    rows.sort_by_key(|r| r.class);
+    rows
 }
 
 /// One predicated query row of the node-predicate filter.
@@ -855,30 +862,33 @@ pub struct PredRow {
     pub row: u32,
     /// Its compiled, non-trivial predicate.
     pub pred: NodePredicate,
-    /// The row's shared verdict class: the predicated rows with an equal
-    /// predicate, when there are at least two. `None` for a predicate
-    /// only this row holds.
-    pub class: Option<u32>,
+    /// The row's verdict class: the predicated rows with an equal
+    /// predicate, a singleton when only this row holds it.
+    pub class: u32,
+}
+
+impl ClassRow for PredRow {
+    fn row_class(&self) -> (usize, u32) {
+        (self.row as usize, self.class)
+    }
 }
 
 /// The predicated-row list [`node_predicate_filter`] consumes: every
-/// query row with a non-trivial compiled predicate, ascending, classed by
-/// predicate. Plans build this once per batch.
+/// query row with a non-trivial compiled predicate, classed by predicate,
+/// class-major. Plans build this once per batch.
 pub fn pred_rows(queries: &CsrGo) -> Vec<PredRow> {
-    let rows: Vec<&(u32, NodePredicate)> = queries
-        .predicates()
-        .iter()
-        .filter(|(_, p)| !p.is_trivial())
-        .collect();
-    let classes = shared_class_ids(&rows.iter().map(|(_, p)| p).collect::<Vec<_>>());
-    rows.into_iter()
+    let predicated = || queries.predicates().iter().filter(|(_, p)| !p.is_trivial());
+    let classes = class_ids(predicated().map(|(_, p)| p));
+    let mut rows: Vec<PredRow> = predicated()
         .zip(classes)
         .map(|((row, pred), class)| PredRow {
             row: *row,
             pred: pred.clone(),
             class,
         })
-        .collect()
+        .collect();
+    rows.sort_by_key(|r| r.class);
+    rows
 }
 
 /// The node-predicate filter kernel: clears candidate bits whose data
@@ -890,12 +900,11 @@ pub fn pred_rows(queries: &CsrGo) -> Vec<PredRow> {
 /// propagate to the join for free through the bitmap probe.
 ///
 /// Transposed like [`label_pair_filter`]: one work-item per predicated
-/// query row, walking its row a word at a time and evaluating the
-/// predicate at each live bit not already judged for its
-/// [`PredRow::class`], against the data nodes' precomputed attributes
-/// ([`NodeAttrs`]: degree, H-neighbor count, charge, smallest-ring size —
-/// from [`crate::BatchFacts`]). Each walked row's live count goes to
-/// `counts`.
+/// query row, in the class-major launch: each [`PredRow::class`] is judged
+/// once per word by evaluating the predicate against the data nodes'
+/// precomputed attributes ([`NodeAttrs`]: degree, H-neighbor count,
+/// charge, smallest-ring size — from [`crate::BatchFacts`]). Each walked
+/// row's live count goes to `counts`.
 ///
 /// Returns the number of bits cleared.
 pub fn node_predicate_filter(
@@ -909,64 +918,20 @@ pub fn node_predicate_filter(
     if pred_rows.is_empty() {
         return 0;
     }
-    let word_bytes = bitmap.word_width().bytes();
-    let n = attrs.labels.len();
-    debug_assert_eq!(n, bitmap.cols());
-    let row_words = n.div_ceil(64) as u64;
-    let verdicts = ClassVerdicts::new(
-        shared_class_count(pred_rows.iter().map(|r| r.class)),
-        bitmap,
-    );
-    let snap = queue.parallel_for_chunks_until(
+    debug_assert_eq!(attrs.labels.len(), bitmap.cols());
+    // Each live bit loads the data node's packed attributes (8 bytes:
+    // degree, h-count, charge, min-ring) and runs one predicate
+    // evaluation; each row its own predicate record (16 bytes).
+    class_major_filter(
+        queue,
         "node_predicate_filter",
-        "filter",
-        pred_rows.len(),
-        DELTA_ROWS_PER_GROUP,
-        || governor.stopped(),
-        |items, counters| {
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut words = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            let mut visit = |r: usize| {
-                let PredRow {
-                    row,
-                    ref pred,
-                    class,
-                } = pred_rows[r];
-                let class = class.map(|c| verdicts.class(c));
-                let (row_tests, row_cleared) =
-                    bitmap.retain_row_classed(row as usize, class, |d| {
-                        pred.matches(attrs, d as NodeId)
-                    });
-                counts.set(row as usize, row_tests - row_cleared);
-                cleared += row_cleared;
-                words += row_words;
-                tests += row_tests;
-                trip_sq += row_tests * row_tests;
-                rows_run += 1;
-            };
-            for r in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                visit(r);
-            }
-            // Cost shape mirrors the label-pair kernel: each scanned row
-            // loads its bitmap words once; each live bit loads the data
-            // node's packed attributes (8 bytes: degree, h-count, charge,
-            // min-ring) and runs one predicate evaluation; each row its
-            // own predicate record (16 bytes).
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
-    );
-    snap.atomic_ops
+        pred_rows,
+        bitmap,
+        counts,
+        governor,
+        |_| REFINE_INSTR_PER_TEST,
+        |r, d| r.pred.matches(attrs, d as NodeId),
+    )
 }
 
 /// Reference sequential filter for correctness tests: computes, per query

@@ -1078,7 +1078,12 @@ mod tests {
         };
         let q = ring(6);
         let d = ring(6);
-        let all = run(&[q.clone()], &[d.clone()], JoinParams::default()).0;
+        let all = run(
+            std::slice::from_ref(&q),
+            std::slice::from_ref(&d),
+            JoinParams::default(),
+        )
+        .0;
         assert_eq!(all.total_matches, 12);
         let first = run(
             &[q],

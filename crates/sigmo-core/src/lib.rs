@@ -47,7 +47,7 @@ pub mod signature;
 pub mod stats;
 pub mod stream;
 
-pub use candidates::{CandidateBitmap, ClassVerdicts, VerdictTable, WordWidth};
+pub use candidates::{CandidateBitmap, WordWidth};
 pub use engine::{
     Engine, EngineConfig, FilterMode, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };

@@ -8,11 +8,14 @@
 //!
 //! Built with two kernels, as in the paper: a sizing kernel whose per-data-
 //! graph counts are prefix-summed on the host, and a population kernel.
+//! The sizing kernel scans the bitmap once and keeps each pair's verdict
+//! in a (data graph × query graph) bitset, which the population kernel
+//! reads instead of scanning again.
 
 use crate::candidates::CandidateBitmap;
 use sigmo_device::Queue;
 use sigmo_graph::CsrGo;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Graph Mapping Compressed Representation.
 pub struct Gmcr {
@@ -37,8 +40,16 @@ impl Gmcr {
     ) -> Self {
         let n_data = data.num_graphs();
         let n_query = queries.num_graphs();
+        let word_bytes = bitmap.word_width().bytes();
 
-        // Kernel 1: per-data-graph counts of potentially matching queries.
+        // Kernel 1: per data graph, the potential query graphs (bit `qg`
+        // of the data graph's `pair_words` words of `potential`), their
+        // count, and the bitmap words the scan loaded.
+        let pair_words = n_query.div_ceil(64);
+        let potential: Vec<AtomicU64> = (0..n_data * pair_words)
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        let scanned: Vec<AtomicU64> = (0..n_data).map(|_| AtomicU64::new(0)).collect();
         let counts: Vec<AtomicU32> = (0..n_data).map(|_| AtomicU32::new(0)).collect();
         queue.parallel_for(
             "gmcr_size",
@@ -49,18 +60,23 @@ impl Gmcr {
                 let mut c = 0u32;
                 let mut probed_rows = 0u64;
                 let mut words_loaded = 0u64;
+                let verdicts = &potential[dg * pair_words..][..pair_words];
                 for qg in 0..n_query {
-                    let (potential, rows, words) =
+                    let (is_potential, rows, words) =
                         pair_is_potential_counted(queries, data, bitmap, qg, dg);
-                    if potential {
+                    if is_potential {
                         c += 1;
+                        // sigmo-lint: allow(relaxed-read-in-report) — the graph's own words
+                        let word = verdicts[qg / 64].load(Ordering::Relaxed);
+                        verdicts[qg / 64].store(word | 1 << (qg % 64), Ordering::Relaxed);
                     }
                     probed_rows += rows;
                     words_loaded += words;
                 }
                 counts[dg].store(c, Ordering::Relaxed);
+                scanned[dg].store(words_loaded, Ordering::Relaxed);
                 counters.add_instructions(probed_rows * 6);
-                counters.add_word_reads(words_loaded, bitmap.word_width().bytes());
+                counters.add_word_reads(words_loaded, word_bytes);
                 counters.add_bytes_written(4);
                 // Work per data graph varies with how many query graphs
                 // remain potential — the source of the mapping phase's
@@ -80,7 +96,9 @@ impl Gmcr {
             data_graph_offsets.push(acc);
         }
 
-        // Kernel 2: populate the indices.
+        // Kernel 2: populate the indices from the sizing kernel's
+        // verdicts. It charges the scan a device kernel repeats (the
+        // words the sizing scan loaded), though the host reads the bitset.
         let total = acc as usize;
         let indices: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
         {
@@ -92,19 +110,21 @@ impl Gmcr {
                 work_group_size,
                 |dg, counters| {
                     let mut pos = offsets[dg] as usize;
-                    let mut words_loaded = 0u64;
-                    for qg in 0..n_query {
-                        let (potential, _, words) =
-                            pair_is_potential_counted(queries, data, bitmap, qg, dg);
-                        if potential {
+                    let verdicts = &potential[dg * pair_words..][..pair_words];
+                    for (k, word) in verdicts.iter().enumerate() {
+                        let mut bits = word.load(Ordering::Relaxed);
+                        // sigmo-lint: allow(unbounded-kernel-loop) — one set
+                        // bit of a loaded word per pass (≤ 64).
+                        while bits != 0 {
+                            let qg = k * 64 + bits.trailing_zeros() as usize;
                             indices[pos].store(qg as u32, Ordering::Relaxed);
                             pos += 1;
+                            bits &= bits - 1;
                         }
-                        words_loaded += words;
                     }
                     debug_assert_eq!(pos, offsets[dg + 1] as usize);
                     counters.add_instructions(n_query as u64 * 8);
-                    counters.add_word_reads(words_loaded, bitmap.word_width().bytes());
+                    counters.add_word_reads(scanned[dg].load(Ordering::Relaxed), word_bytes);
                     counters.add_bytes_written((offsets[dg + 1] - offsets[dg]) as u64 * 4);
                     counters.record_trips((offsets[dg + 1] - offsets[dg]) as u64 + 1);
                 },
@@ -188,8 +208,8 @@ impl Gmcr {
 /// bitmap words loaded)` so the kernels charge exactly the traffic the
 /// scan generated.
 // sigmo-lint: allow(uncharged-access) — deliberately returns (rows, words)
-// instead of charging: both GMCR kernels charge the exact counts this scan
-// reports, at their own launch granularity.
+// instead of charging: the sizing kernel charges the exact counts this
+// scan reports, and the population kernel charges its words again.
 fn pair_is_potential_counted(
     queries: &CsrGo,
     data: &CsrGo,

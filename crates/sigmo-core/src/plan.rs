@@ -260,7 +260,7 @@ impl QueryPlan {
         &self.pair_schema
     }
 
-    /// Query rows with a non-empty label-pair signature, ascending, each
+    /// Query rows with a non-empty label-pair signature, class-major, each
     /// with its live-bucket mask — the pre-check kernel's work list (empty
     /// when every query edge or neighbor is a wildcard, in which case the
     /// pre-check is skipped).
@@ -268,7 +268,7 @@ impl QueryPlan {
         &self.pair_rows
     }
 
-    /// Query rows with a non-trivial node predicate, ascending — the
+    /// Query rows with a non-trivial node predicate, class-major — the
     /// predicate filter kernel's work list.
     pub fn pred_rows(&self) -> &[PredRow] {
         &self.pred_rows

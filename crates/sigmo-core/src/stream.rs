@@ -527,7 +527,7 @@ mod tests {
         let queue = Queue::new(DeviceProfile::host());
         let budget = 300_000u64;
         let runner = StreamRunner::new(EngineConfig::default(), budget);
-        let streamed = runner.run(&queries, data.into_iter(), &queue);
+        let streamed = runner.run(&queries, data, &queue);
         assert!(
             streamed.peak_chunk_bytes <= budget,
             "peak {} exceeded budget {}",
@@ -557,7 +557,7 @@ mod tests {
             },
             150_000,
         );
-        let streamed = runner.run(&queries, data.into_iter(), &queue);
+        let streamed = runner.run(&queries, data, &queue);
         assert_eq!(streamed.total_matches, batch.matched_pairs);
     }
 
@@ -706,6 +706,47 @@ mod tests {
             assert_eq!(report.peak_chunk_bytes, peak, "budget {budget}");
             assert_eq!(report.molecules, data.len());
         }
+    }
+
+    /// One chunk of more than 4,096 data nodes (bitmap rows of more than
+    /// 64 words) must stream exactly like six-molecule chunks: the filter
+    /// kernels' per-class verdicts span every word of a row, whatever its
+    /// width. Each query appears twice, so classes are shared, and the
+    /// SMARTS queries launch the predicate filter.
+    #[test]
+    fn a_chunk_wider_than_64_words_streams_like_small_chunks() {
+        let (mut queries, _) = world();
+        queries.extend(
+            ["[C;R]N", "[C,N]=O", "[CH3]C"]
+                .iter()
+                .map(|s| sigmo_mol::parse_smarts(s).unwrap()),
+        );
+        queries.extend(queries.clone());
+        let data: Vec<LabeledGraph> = MoleculeGenerator::with_seed(302)
+            .generate_batch(240)
+            .iter()
+            .map(|m| m.to_labeled_graph())
+            .collect();
+        let words = CsrGo::from_graphs(&data).num_nodes().div_ceil(64);
+        assert!(
+            words > 64,
+            "one chunk must be wider than 64 words ({words})"
+        );
+        let queue = Queue::new(DeviceProfile::host());
+        let run = |max_chunk: usize| {
+            let runner =
+                StreamRunner::new(EngineConfig::default(), u64::MAX).with_max_chunk(max_chunk);
+            let mut report = runner.run(&queries, data.iter().cloned(), &queue);
+            report.normalize();
+            report
+        };
+        let wide = run(data.len());
+        let narrow = run(6);
+        assert_eq!(wide.chunks, 1);
+        assert!(wide.total_matches > 0);
+        assert_eq!(wide.total_matches, narrow.total_matches);
+        assert_eq!(wide.matched_pair_list, narrow.matched_pair_list);
+        assert_eq!(wide.pair_counts, narrow.pair_counts);
     }
 
     #[test]

@@ -9,25 +9,36 @@
 //!
 //! Accounting convention: kernels call the `add_*` methods with *aggregate*
 //! counts per work-item (or per work-group) rather than per machine
-//! instruction, using relaxed atomics so the overhead stays negligible.
+//! instruction. Each worker thread of a launch charges its own counters
+//! with plain adds, and the queue sums the workers' counters when the
+//! launch ends ([`KernelCounters::absorb`]). Every count is a wrapping
+//! sum, so the totals do not depend on how the work-groups were spread
+//! over threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Thread-safe operation counters for one kernel launch.
+/// Operation counters of one kernel launch, or of one worker thread's
+/// share of it (not `Sync`: a worker charges its own).
 #[derive(Debug, Default)]
 pub struct KernelCounters {
-    instructions: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    atomic_ops: AtomicU64,
+    instructions: Cell<u64>,
+    bytes_read: Cell<u64>,
+    bytes_written: Cell<u64>,
+    atomic_ops: Cell<u64>,
     /// Bitmap words actually loaded (word-granular traffic, Figures 8/9).
-    word_reads: AtomicU64,
+    word_reads: Cell<u64>,
     /// Sum of per-work-item trip counts, for divergence estimation.
-    trip_sum: AtomicU64,
+    trip_sum: Cell<u64>,
     /// Sum of squared trip counts.
-    trip_sq_sum: AtomicU64,
+    trip_sq_sum: Cell<u64>,
     /// Number of work-items that reported a trip count.
-    trip_n: AtomicU64,
+    trip_n: Cell<u64>,
+}
+
+/// Adds `n` to a counter, wrapping like an atomic `fetch_add`.
+#[inline]
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get().wrapping_add(n));
 }
 
 /// An immutable snapshot of [`KernelCounters`].
@@ -93,26 +104,26 @@ impl KernelCounters {
     /// Adds executed instructions.
     #[inline]
     pub fn add_instructions(&self, n: u64) {
-        self.instructions.fetch_add(n, Ordering::Relaxed);
+        bump(&self.instructions, n);
     }
 
     /// Adds bytes read from global memory.
     #[inline]
     pub fn add_bytes_read(&self, n: u64) {
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.bytes_read, n);
     }
 
     /// Adds bytes written to global memory.
     #[inline]
     pub fn add_bytes_written(&self, n: u64) {
-        self.bytes_written.fetch_add(n, Ordering::Relaxed);
+        bump(&self.bytes_written, n);
     }
 
     /// Adds atomic read-modify-write operations (each also counts as one
     /// instruction and 2× word traffic is the caller's choice).
     #[inline]
     pub fn add_atomics(&self, n: u64) {
-        self.atomic_ops.fetch_add(n, Ordering::Relaxed);
+        bump(&self.atomic_ops, n);
     }
 
     /// Adds `words` word-granular bitmap loads of `word_bytes` each: the
@@ -123,9 +134,8 @@ impl KernelCounters {
     /// word-parallel scans make possible.
     #[inline]
     pub fn add_word_reads(&self, words: u64, word_bytes: u64) {
-        self.word_reads.fetch_add(words, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(words.saturating_mul(word_bytes), Ordering::Relaxed);
+        bump(&self.word_reads, words);
+        bump(&self.bytes_read, words.saturating_mul(word_bytes));
     }
 
     /// Records one work-item's trip count (loop iterations / visited
@@ -134,10 +144,9 @@ impl KernelCounters {
     /// different threads process query graphs of varying size").
     #[inline]
     pub fn record_trips(&self, trips: u64) {
-        self.trip_sum.fetch_add(trips, Ordering::Relaxed);
-        self.trip_sq_sum
-            .fetch_add(trips.saturating_mul(trips), Ordering::Relaxed);
-        self.trip_n.fetch_add(1, Ordering::Relaxed);
+        bump(&self.trip_sum, trips);
+        bump(&self.trip_sq_sum, trips.saturating_mul(trips));
+        bump(&self.trip_n, 1);
     }
 
     /// Records pre-aggregated trip moments — the `sum` of trips and
@@ -147,22 +156,27 @@ impl KernelCounters {
     /// individual [`Self::record_trips`] calls would have produced.
     #[inline]
     pub fn record_trip_moments(&self, sum: u64, sq_sum: u64, n: u64) {
-        self.trip_sum.fetch_add(sum, Ordering::Relaxed);
-        self.trip_sq_sum.fetch_add(sq_sum, Ordering::Relaxed);
-        self.trip_n.fetch_add(n, Ordering::Relaxed);
+        bump(&self.trip_sum, sum);
+        bump(&self.trip_sq_sum, sq_sum);
+        bump(&self.trip_n, n);
+    }
+
+    /// Adds every count of `other` — one worker's share of a launch —
+    /// into these counters.
+    pub fn absorb(&self, other: &KernelCounters) {
+        for (into, from) in self.cells().into_iter().zip(other.cells()) {
+            bump(into, from.get());
+        }
     }
 
     /// Takes a snapshot of the current totals.
-    // sigmo-lint: allow(relaxed-read-in-report) — the queue snapshots
-    // only after its parallel bridge joined, so every counter is
-    // quiescent; mid-kernel snapshots are not part of the API.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let n = self.trip_n.load(Ordering::Relaxed);
+        let n = self.trip_n.get();
         let divergence = if n == 0 {
             0.0
         } else {
-            let sum = self.trip_sum.load(Ordering::Relaxed) as f64;
-            let sq = self.trip_sq_sum.load(Ordering::Relaxed) as f64;
+            let sum = self.trip_sum.get() as f64;
+            let sq = self.trip_sq_sum.get() as f64;
             let mean = sum / n as f64;
             if mean <= f64::EPSILON {
                 0.0
@@ -172,25 +186,33 @@ impl KernelCounters {
             }
         };
         CounterSnapshot {
-            instructions: self.instructions.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-            word_reads: self.word_reads.load(Ordering::Relaxed),
+            instructions: self.instructions.get(),
+            bytes_read: self.bytes_read.get(),
+            bytes_written: self.bytes_written.get(),
+            atomic_ops: self.atomic_ops.get(),
+            word_reads: self.word_reads.get(),
             divergence,
         }
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
-        self.instructions.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.atomic_ops.store(0, Ordering::Relaxed);
-        self.word_reads.store(0, Ordering::Relaxed);
-        self.trip_sum.store(0, Ordering::Relaxed);
-        self.trip_sq_sum.store(0, Ordering::Relaxed);
-        self.trip_n.store(0, Ordering::Relaxed);
+        for c in self.cells() {
+            c.set(0);
+        }
+    }
+
+    fn cells(&self) -> [&Cell<u64>; 8] {
+        [
+            &self.instructions,
+            &self.bytes_read,
+            &self.bytes_written,
+            &self.atomic_ops,
+            &self.word_reads,
+            &self.trip_sum,
+            &self.trip_sq_sum,
+            &self.trip_n,
+        ]
     }
 }
 
@@ -366,19 +388,34 @@ mod tests {
 
     #[test]
     fn concurrent_accumulation_is_lossless() {
-        let c = std::sync::Arc::new(KernelCounters::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.add_instructions(1);
-                }
-            }));
+        // Eight workers charge their own counters and absorb them into one
+        // total, as a launch's workers do: the total equals one counter
+        // that saw every charge, whatever the split.
+        let total = std::sync::Mutex::new(KernelCounters::new());
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let total = &total;
+                scope.spawn(move || {
+                    let own = KernelCounters::new();
+                    for i in 0..1000 {
+                        own.add_instructions(1);
+                        own.add_word_reads(t, 8);
+                        own.record_trips(i % 7 + t);
+                    }
+                    total.lock().unwrap().absorb(&own);
+                });
+            }
+        });
+        let one = KernelCounters::new();
+        for t in 0..8u64 {
+            for i in 0..1000 {
+                one.add_instructions(1);
+                one.add_word_reads(t, 8);
+                one.record_trips(i % 7 + t);
+            }
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.snapshot().instructions, 8000);
+        let total = total.into_inner().unwrap().snapshot();
+        assert_eq!(total.instructions, 8000);
+        assert_eq!(total, one.snapshot());
     }
 }

@@ -62,6 +62,30 @@ pub struct WorkGroupCtx<'a> {
     pub counters: &'a KernelCounters,
 }
 
+/// One worker thread's counters for a launch, summed into the launch's
+/// total when the worker's share of the groups is done (on drop): the
+/// kernels charge plain per-worker cells, and the launch pays one lock
+/// per worker instead of atomic RMWs per work-group.
+struct WorkerCounters<'a> {
+    own: KernelCounters,
+    total: &'a Mutex<KernelCounters>,
+}
+
+impl<'a> WorkerCounters<'a> {
+    fn new(total: &'a Mutex<KernelCounters>) -> Self {
+        Self {
+            own: KernelCounters::new(),
+            total,
+        }
+    }
+}
+
+impl Drop for WorkerCounters<'_> {
+    fn drop(&mut self) {
+        self.total.lock().absorb(&self.own);
+    }
+}
+
 /// Record of one executed kernel.
 #[derive(Debug, Clone)]
 pub struct KernelRecord {
@@ -165,13 +189,11 @@ impl Queue {
 
     /// [`Queue::parallel_for_until`] dispatched at work-group charge
     /// granularity: the body receives each group's contiguous work-item
-    /// range (and the launch counters) exactly once, so a kernel can
+    /// range (and its worker's counters) exactly once, so a kernel can
     /// accumulate its modeled charges in group-locals and flush them with
-    /// a handful of counter RMWs per *group* instead of several per
-    /// work-item — the shared-atomic traffic that otherwise dominates
-    /// short work-items on the host executor. Dispatch order, stop-probe
-    /// semantics, and the kernel record are identical to
-    /// [`Queue::parallel_for_until`].
+    /// a handful of counter adds per *group* instead of several per
+    /// work-item. Dispatch order, stop-probe semantics, and the kernel
+    /// record are identical to [`Queue::parallel_for_until`].
     // sigmo-lint: allow(wall-clock-in-result) — wall_time is display-only,
     // excluded from determinism keys; the cost model prices counters.
     // sigmo-lint: allow(relaxed-read-in-report) — `skipped` is read after
@@ -190,21 +212,24 @@ impl Queue {
         F: Fn(std::ops::Range<usize>, &KernelCounters) + Sync,
     {
         let wg = work_group_size.max(1);
-        let counters = KernelCounters::new();
+        let counters = Mutex::new(KernelCounters::new());
         let skipped = AtomicUsize::new(0);
         let start = Instant::now();
         let num_groups = global_size.div_ceil(wg);
-        (0..num_groups).into_par_iter().for_each(|g| {
-            if stop() {
-                skipped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let lo = g * wg;
-            let hi = ((g + 1) * wg).min(global_size);
-            body(lo..hi, &counters);
-        });
+        (0..num_groups).into_par_iter().for_each_init(
+            || WorkerCounters::new(&counters),
+            |worker, g| {
+                if stop() {
+                    skipped.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                let lo = g * wg;
+                let hi = ((g + 1) * wg).min(global_size);
+                body(lo..hi, &worker.own);
+            },
+        );
         let wall = start.elapsed();
-        let snap = counters.snapshot();
+        let snap = counters.lock().snapshot();
         let skipped = skipped.load(Ordering::Relaxed);
         self.records.lock().push(KernelRecord {
             name: name.to_string(),
@@ -267,12 +292,12 @@ impl Queue {
         S: Fn() -> bool + Sync,
         F: Fn(&mut WorkGroupCtx<'_>) + Sync,
     {
-        let counters = KernelCounters::new();
+        let counters = Mutex::new(KernelCounters::new());
         let skipped = AtomicUsize::new(0);
         let start = Instant::now();
         (0..num_groups).into_par_iter().for_each_init(
-            || LocalMem::new(local_words),
-            |local, g| {
+            || (LocalMem::new(local_words), WorkerCounters::new(&counters)),
+            |(local, worker), g| {
                 if stop() {
                     skipped.fetch_add(1, Ordering::Relaxed);
                     return;
@@ -282,13 +307,13 @@ impl Queue {
                     group_id: g,
                     group_size: work_group_size,
                     local,
-                    counters: &counters,
+                    counters: &worker.own,
                 };
                 body(&mut ctx);
             },
         );
         let wall = start.elapsed();
-        let snap = counters.snapshot();
+        let snap = counters.lock().snapshot();
         let skipped = skipped.load(Ordering::Relaxed);
         self.records.lock().push(KernelRecord {
             name: name.to_string(),

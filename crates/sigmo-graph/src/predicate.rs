@@ -486,8 +486,8 @@ mod tests {
             prev = Some(first + (len as NodeId) / 2);
         }
         let attrs = g.node_attrs();
-        assert!(attrs.min_ring.iter().any(|&r| r == 8));
-        assert!(attrs.min_ring.iter().any(|&r| r == 0));
+        assert!(attrs.min_ring.contains(&8));
+        assert!(attrs.min_ring.contains(&0));
         assert_rings_match_reference(&[g], "bridged ring chain");
     }
 

@@ -83,26 +83,23 @@ impl ScreenQuery {
             .min(plan.last_dirty_radius())
             .min(plan.max_radius());
         let sigs = (sig_radius >= 1).then(|| plan.signatures_at(sig_radius));
-        // pair_rows and pred_rows are ascending by flat node id — walk
-        // them in lockstep.
-        let mut pair_rows = plan.pair_rows().iter().peekable();
-        let mut pred_rows = plan.pred_rows().iter().peekable();
+        // pair_rows and pred_rows list their rows class by class: index
+        // them by flat node id.
+        let mut pairs = vec![(Signature::EMPTY, 0); batch.num_nodes()];
+        for r in plan.pair_rows() {
+            pairs[r.row as usize] = (r.sig, r.live);
+        }
+        let mut label_any = vec![None; batch.num_nodes()];
+        for r in plan.pred_rows() {
+            label_any[r.row as usize] = r.pred.label_any;
+        }
         let mut graphs = Vec::with_capacity(batch.num_graphs());
         for g in 0..batch.num_graphs() {
             let mut req = GraphReq::default();
             for v in batch.node_range(g) {
                 let label = batch.label(v);
-                let (pair, live) = pair_rows
-                    .next_if(|r| r.row == v)
-                    .map_or((Signature::EMPTY, 0), |r| (r.sig, r.live));
-                let any_labels = match pred_rows.peek() {
-                    Some(r) if r.row == v => {
-                        let any = r.pred.label_any;
-                        pred_rows.next();
-                        any
-                    }
-                    _ => None,
-                };
+                let (pair, live) = pairs[v as usize];
+                let any_labels = label_any[v as usize];
                 let sig = sigs.map_or(Signature::EMPTY, |s| s[v as usize]);
                 let label = (label != WILDCARD_LABEL).then_some(label);
                 if label.is_none()

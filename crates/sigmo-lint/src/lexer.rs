@@ -225,9 +225,7 @@ pub fn lex(path: &str, text: &str) -> SourceFile {
                     let prev_ident = i > 0 && is_ident_byte(bytes[i - 1]);
                     if !prev_ident {
                         if let Some((kind, consumed)) = literal_prefix(bytes, i) {
-                            for _ in 0..consumed {
-                                code_buf.push(b' ');
-                            }
+                            code_buf.resize(code_buf.len() + consumed, b' ');
                             // Re-surface the delimiting quote for clarity.
                             code_buf.pop();
                             code_buf.push(b'"');
@@ -267,9 +265,7 @@ pub fn lex(path: &str, text: &str) -> SourceFile {
                             // blanked body (`'  '`) would pair with later
                             // text if the view were ever re-scanned, and
                             // no rule keys on char-literal delimiters.
-                            for _ in i..=end {
-                                code_buf.push(b' ');
-                            }
+                            code_buf.resize(code_buf.len() + end + 1 - i, b' ');
                             i = end + 1;
                         }
                         None => {
@@ -330,9 +326,7 @@ pub fn lex(path: &str, text: &str) -> SourceFile {
             State::RawStr(hashes) => {
                 if b == b'"' && raw_str_closes(bytes, i, hashes) {
                     code_buf.push(b'"');
-                    for _ in 0..hashes {
-                        code_buf.push(b' ');
-                    }
+                    code_buf.resize(code_buf.len() + hashes, b' ');
                     state = State::Code;
                     i += 1 + hashes;
                 } else {

@@ -120,8 +120,8 @@ fn check_folds(file: &FileIndex, range: Range<usize>, out: &mut Vec<Diagnostic>)
         };
         let mut depth = 0i32;
         let mut seed_end = close;
-        for j in open + 1..close {
-            match bytes[j] {
+        for (j, &b) in bytes.iter().enumerate().take(close).skip(open + 1) {
+            match b {
                 b'(' | b'[' | b'{' => depth += 1,
                 b')' | b']' | b'}' => depth -= 1,
                 b',' if depth == 0 => {

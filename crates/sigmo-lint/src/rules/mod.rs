@@ -289,14 +289,11 @@ fn binding_before<'a>(code: &'a str, bytes: &[u8], word_at: usize) -> Option<&'a
         break;
     }
     // Skip `&` / `&mut` of a reference type.
-    let word_end = |mut j: usize| {
-        let start = loop {
-            if j == 0 || !lexer::is_ident_byte(bytes[j - 1]) {
-                break j;
-            }
-            j -= 1;
-        };
-        start
+    let word_end = |mut j: usize| loop {
+        if j == 0 || !lexer::is_ident_byte(bytes[j - 1]) {
+            break j;
+        }
+        j -= 1;
     };
     if i > 0 && lexer::is_ident_byte(bytes[i - 1]) {
         let start = word_end(i);

@@ -2,8 +2,12 @@
 # Repo-wide gate, in dependency order:
 #
 #   1. cargo fmt --check          formatting
-#   2. cargo clippy               warnings are errors, all targets
-#   3. cargo test -q              the full test suite (tier-1)
+#   2. cargo clippy               warnings are errors, every workspace
+#                                 crate, all targets
+#   3. cargo test -q              the full test suite (tier-1): the root
+#                                 `Cargo.toml`'s default-members are every
+#                                 workspace crate, so the crates' own unit,
+#                                 integration and doc tests run too
 #   3b. cargo doc                 rustdoc with warnings as errors over the
 #                                 workspace (catches broken intra-doc
 #                                 links when items move between crates)
@@ -45,8 +49,9 @@
 #                                 parsers), the filter kernels'
 #                                 branch-free SWAR domination test against
 #                                 the per-group reference on random
-#                                 signature layouts, and the class-aware
-#                                 row walk against the per-bit retain_row
+#                                 signature layouts, and the class-major
+#                                 filter launch against the per-bit
+#                                 retain_row, row by row
 #                                 (both tests/properties.rs); at 2 000
 #                                 cases the join's symmetry breaking
 #                                 (tests/symmetry_breaking.rs: Find All
@@ -142,7 +147,7 @@ perfbench_smoke() {
 
 if [ "$LINT_ONLY" -eq 0 ]; then
     stage fmt cargo fmt --check
-    stage clippy cargo clippy -q --all-targets -- -D warnings
+    stage clippy cargo clippy -q --workspace --all-targets -- -D warnings
     stage test cargo test -q
     stage doc env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 fi

@@ -5,7 +5,7 @@ use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::schema::BitGroup;
 use sigmo::core::{
-    filter, naive, CandidateBitmap, ClassVerdicts, Engine, EngineConfig, FilterMode, Governor,
+    filter, naive, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Governor,
     JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, SignatureSet,
     WordWidth,
 };
@@ -786,76 +786,104 @@ proptest! {
     }
 }
 
-/// A pure per-(class key, column) verdict for the class-walk property:
-/// a splitmix-style hash, failing about a third of the bits.
-fn class_verdict(seed: u64, key: u32, col: usize) -> bool {
-    let mut x = seed ^ (u64::from(key) << 32) ^ col as u64;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    !(x ^ (x >> 31)).is_multiple_of(3)
+/// A random pair signature with one to three live buckets of count 1–2,
+/// or (for a data column) counts 0–3 in every bucket: a data column
+/// dominates a row's key about half the time.
+fn random_pair_sig(rng: &mut rand::rngs::StdRng, data: bool) -> Signature {
+    use rand::Rng;
+    let schema = filter::pair_schema();
+    let mut sig = Signature::EMPTY;
+    if data {
+        for b in 0..filter::PAIR_BUCKETS as u8 {
+            sig.add(&schema, b, rng.gen_range(0..4u64));
+        }
+    } else {
+        for _ in 0..rng.gen_range(1..=3usize) {
+            sig.add(&schema, rng.gen_range(0..4u8), rng.gen_range(1..=2u64));
+        }
+    }
+    sig
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(swar_cases()))]
 
-    /// The class-aware row walk equals the per-bit `retain_row`, row by
-    /// row: the same surviving bits and the same `(tested, cleared)`.
-    /// Rows share classes with overlapping but different live sets (a
-    /// class's base set, perturbed per row), some keys occur once
-    /// (singleton classes, no tables), some rows of a shared key walk
-    /// without tables, column counts straddle word seams and are rarely
-    /// multiples of 64, and rows are walked in random order.
+    /// The class-major launch (here `label_pair_filter`'s) equals the
+    /// per-bit `retain_row`, row by row: the same surviving bits, hence
+    /// the same `(tested, cleared)` per row, and the launch's charges are
+    /// the per-bit walk's sums. Rows share classes with overlapping but
+    /// different live sets (a class's base set, perturbed per row), some
+    /// keys occur once (singleton classes), some rows hold no key and
+    /// must stay untouched, whole words are dead in every row, and column
+    /// counts straddle word seams and are rarely multiples of 64.
     #[test]
     fn class_walk_equals_per_bit_retain_row(seed in any::<u64>()) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let schema = filter::pair_schema();
         let cols = rng.gen_range(1..=300usize);
         let rows = rng.gen_range(1..=12usize);
-        let keys: Vec<u32> = (0..rows).map(|_| rng.gen_range(0..5u32)).collect();
-        // Dense ids for keys held by at least two rows; a few of those
-        // rows still walk without tables.
-        let mut ids: Vec<Option<u32>> = vec![None; 5];
-        let mut shared = 0u32;
-        for k in 0..5u32 {
-            if keys.iter().filter(|&&x| x == k).count() >= 2 {
-                ids[k as usize] = Some(shared);
-                shared += 1;
-            }
-        }
-        let class: Vec<Option<u32>> = keys
+        let pool: Vec<Signature> = (0..5).map(|_| random_pair_sig(&mut rng, false)).collect();
+        // Key 5 is the empty signature: a row the stage does not list.
+        let keys: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..6usize)).collect();
+        let query_pairs: Vec<Signature> = keys
             .iter()
-            .map(|&k| ids[k as usize].filter(|_| rng.gen_range(0..8u32) != 0))
+            .map(|&k| pool.get(k).copied().unwrap_or(Signature::EMPTY))
             .collect();
+        let data_pairs: Vec<Signature> = (0..cols).map(|_| random_pair_sig(&mut rng, true)).collect();
         let density = rng.gen_range(1..=8u32);
-        let base: Vec<Vec<bool>> = (0..5)
+        let base: Vec<Vec<bool>> = (0..6)
             .map(|_| (0..cols).map(|_| rng.gen_range(0..8u32) < density).collect())
             .collect();
+        let dead_word = (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..cols.div_ceil(64)));
         let fast = CandidateBitmap::new(rows, cols, WordWidth::U64);
         let slow = CandidateBitmap::new(rows, cols, WordWidth::U64);
         for (r, &k) in keys.iter().enumerate() {
-            for (c, &on) in base[k as usize].iter().enumerate() {
-                if on != (rng.gen_range(0..5u32) == 0) {
+            for (c, &on) in base[k].iter().enumerate() {
+                if on != (rng.gen_range(0..5u32) == 0) && dead_word != Some(c / 64) {
                     fast.set(r, c);
                     slow.set(r, c);
                 }
             }
         }
-        let verdicts = ClassVerdicts::new(shared as usize, &fast);
-        let mut order: Vec<usize> = (0..rows).collect();
-        for i in (1..rows).rev() {
-            order.swap(i, rng.gen_range(0..=i));
+        let stage = filter::pair_rows(&query_pairs, &schema);
+        let counts = RowCounts::of(&fast);
+        let queue = queue();
+        let cleared = filter::label_pair_filter(
+            &queue,
+            &data_pairs,
+            &schema,
+            &stage,
+            &fast,
+            &counts,
+            &Governor::unlimited(),
+        );
+        let all_tops = schema.top_bits(u64::MAX);
+        let (mut tested, mut want_cleared) = (0u64, 0u64);
+        for r in &stage {
+            let keep = |c: usize| data_pairs[c].dominates_tops(&r.sig, all_tops, r.tops);
+            let (t, c) = slow.retain_row(r.row as usize, keep);
+            tested += t;
+            want_cleared += c;
         }
-        for &r in &order {
-            let keep = |c: usize| class_verdict(seed, keys[r], c);
-            let table = class[r].map(|c| verdicts.class(c));
-            let got = fast.retain_row_classed(r, table, keep);
-            let want = slow.retain_row(r, keep);
-            prop_assert_eq!(got, want, "row {} of {} ({} cols)", r, rows, cols);
+        for r in 0..rows {
             for c in 0..cols {
-                prop_assert_eq!(fast.get(r, c), slow.get(r, c), "bit ({}, {})", r, c);
+                prop_assert_eq!(fast.get(r, c), slow.get(r, c), "bit ({}, {}) of {} cols", r, c, cols);
             }
         }
-        prop_assert!(verdicts.memory_bytes() <= fast.padded_memory_bytes());
+        prop_assert_eq!(cleared, want_cleared);
+        prop_assert_eq!(format!("{:?}", counts.stats()), format!("{:?}", CandidateStats::from_bitmap(&fast)));
+        let records = queue.records();
+        if stage.is_empty() {
+            prop_assert!(records.is_empty());
+        } else {
+            let words = (stage.len() * cols.div_ceil(64)) as u64;
+            prop_assert_eq!(records.len(), 1);
+            prop_assert_eq!(records[0].global_size, stage.len());
+            prop_assert_eq!(records[0].counters.instructions, 24 * tested + words);
+            prop_assert_eq!(records[0].counters.word_reads, words);
+            prop_assert_eq!(records[0].counters.atomic_ops, want_cleared);
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! consciously.
 
 use sigmo::core::{
-    BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Governor,
+    BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Gmcr, Governor,
     QueryPlan,
 };
 use sigmo::device::{DeviceProfile, Queue};
@@ -255,6 +255,85 @@ fn kernel_row_counts_equal_bitmap_stats_after_every_iteration() {
                     "{name}, {mode:?}, {iterations} iterations"
                 );
             }
+        }
+    }
+}
+
+/// The GMCR as two independent scans of the bitmap build it: the first
+/// counts each data graph's potential query graphs (every query node keeps
+/// a candidate inside the data graph), the second lists them. Returns the
+/// offsets and each data graph's list.
+fn two_scan_gmcr(
+    queries: &CsrGo,
+    data: &CsrGo,
+    bitmap: &CandidateBitmap,
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let potential = |qg: usize, dg: usize| {
+        let cols = data.node_range(dg);
+        queries
+            .node_range(qg)
+            .all(|qn| bitmap.row_any_in_range(qn as usize, cols.start as usize, cols.end as usize))
+    };
+    let mut offsets = vec![0u32];
+    for dg in 0..data.num_graphs() {
+        let count = (0..queries.num_graphs())
+            .filter(|&qg| potential(qg, dg))
+            .count();
+        offsets.push(offsets[dg] + count as u32);
+    }
+    let lists = (0..data.num_graphs())
+        .map(|dg| {
+            (0..queries.num_graphs())
+                .filter(|&qg| potential(qg, dg))
+                .map(|qg| qg as u32)
+                .collect()
+        })
+        .collect();
+    (offsets, lists)
+}
+
+/// The GMCR build scans the bitmap once and lists the pairs from that
+/// scan's verdicts; its offsets and pairs must equal the two-scan
+/// reference after every iteration count, on the pinned dataset and the
+/// SMARTS batch, and its population kernel charges the words of the scan.
+#[test]
+fn gmcr_equals_the_two_scan_reference() {
+    let d = Dataset::build(&DatasetConfig {
+        num_molecules: 50,
+        num_extracted_queries: 10,
+        seed: 0xFEED,
+        ..Default::default()
+    });
+    let (queries, data) = predicate_batch();
+    for (name, queries, data) in [
+        ("dataset", d.queries(), d.data_graphs()),
+        ("predicate batch", &queries[..], &data[..]),
+    ] {
+        let data = CsrGo::from_graphs(data);
+        for iterations in [1, 2, 6] {
+            let cfg = EngineConfig::with_iterations(iterations);
+            let plan = QueryPlan::build(queries, &cfg);
+            let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+            let bitmap =
+                CandidateBitmap::new(plan.batch().num_nodes(), data.num_nodes(), cfg.bitmap_word);
+            let q = queue();
+            let governor = Governor::unlimited();
+            Engine::new(cfg.clone())
+                .filter_with_facts(&plan, &data, &facts, &bitmap, &q, &governor);
+            let gmcr = Gmcr::build(&q, plan.batch(), &data, &bitmap, cfg.filter_work_group_size);
+            let (offsets, lists) = two_scan_gmcr(plan.batch(), &data, &bitmap);
+            let at = format!("{name}, {iterations} iterations");
+            assert!(gmcr.num_pairs() > 0, "{at}: no potential pair");
+            assert_eq!(gmcr.data_graph_offsets(), &offsets[..], "{at}");
+            for (dg, list) in lists.iter().enumerate() {
+                assert_eq!(gmcr.queries_for(dg), &list[..], "{at}, data graph {dg}");
+            }
+            let records = q.records();
+            let words = |kernel: &str| {
+                let r = records.iter().find(|r| r.name == kernel).expect("launched");
+                r.counters.word_reads
+            };
+            assert_eq!(words("gmcr_populate"), words("gmcr_size"), "{at}");
         }
     }
 }
