@@ -2,7 +2,8 @@
 //!
 //! Measures the three hot paths the word-parallel rework touched —
 //! candidate initialization (label-bucketed vs full row scan), signature
-//! refinement (signature-class deduped vs per-row), and set-bit
+//! refinement (the class-major delta kernel at radius 1, where every row
+//! with a non-empty signature is dirty, vs per-row), and set-bit
 //! enumeration (`trailing_zeros` word walk vs per-column `get`) — against
 //! the `sigmo_core::naive` per-bit oracle on the same filter-dominated
 //! synthetic workload the other filter benches use. Refinement is timed
@@ -16,8 +17,9 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use sigmo_core::{
-    filter::{initialize_candidates, refine_candidates},
-    naive, CandidateBitmap, LabelSchema, SignatureSet, WordWidth,
+    filter::{initialize_candidates, refine_candidates_delta},
+    naive, CandidateBitmap, DeltaClasses, Governor, LabelSchema, RowCounts, Signature,
+    SignatureSet, WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -35,15 +37,22 @@ fn dataset(n: usize) -> (CsrGo, CsrGo) {
 }
 
 /// Signatures after one refinement round plus a bitmap seeded by init —
-/// the state both refine variants start from.
+/// the state both refine variants start from. At radius 1 every query row
+/// with a non-empty signature is dirty, and an empty signature is
+/// dominated by every data node, so the delta kernel's bitmap equals the
+/// per-row oracle's.
 struct RefineWorld {
     queries: CsrGo,
     data: CsrGo,
     queue: Queue,
+    schema: LabelSchema,
     qs: SignatureSet,
     ds: SignatureSet,
+    delta: DeltaClasses,
     seeded: CandidateBitmap,
     scratch: CandidateBitmap,
+    /// The kernel's per-row count sink (its values are not read here).
+    counts: RowCounts,
 }
 
 impl RefineWorld {
@@ -52,20 +61,26 @@ impl RefineWorld {
         let queue = Queue::new(DeviceProfile::host());
         let schema = LabelSchema::organic();
         let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema);
+        let mut ds = SignatureSet::new(&data, schema.clone());
         qs.advance(&queries);
         ds.advance(&data);
+        let radius0 = vec![Signature::EMPTY; queries.num_nodes()];
+        let delta = DeltaClasses::build(&schema, &radius0, qs.signatures());
         let seeded = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         naive::initialize_candidates(&queries, &data, &seeded);
         let scratch = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        let counts = RowCounts::of(&seeded);
         Self {
             queries,
             data,
             queue,
+            schema,
             qs,
             ds,
+            delta,
             seeded,
             scratch,
+            counts,
         }
     }
 
@@ -82,14 +97,15 @@ impl RefineWorld {
 
     fn refine_word_parallel(&self) -> u64 {
         self.scratch.copy_from(&self.seeded);
-        refine_candidates(
+        refine_candidates_delta(
             &self.queue,
-            &self.queries,
             &self.data,
-            &self.qs,
-            &self.ds,
+            &self.schema,
+            &self.delta,
+            self.ds.signatures(),
             &self.scratch,
-            1024,
+            &self.counts,
+            &Governor::unlimited(),
         )
     }
 }
@@ -136,10 +152,7 @@ fn bench_refine(c: &mut Criterion) {
 /// A refined bitmap ready to enumerate, shared by both enumeration sides.
 fn enumerate_world(n: usize) -> (CandidateBitmap, usize) {
     let w = RefineWorld::build(n);
-    w.scratch.copy_from(&w.seeded);
-    refine_candidates(
-        &w.queue, &w.queries, &w.data, &w.qs, &w.ds, &w.scratch, 1024,
-    );
+    w.refine_word_parallel();
     let nd = w.data.num_nodes();
     let bm = CandidateBitmap::new(w.queries.num_nodes(), nd, WordWidth::U64);
     bm.copy_from(&w.scratch);

@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmo_core::{
-    filter::{initialize_candidates, refine_candidates},
-    CandidateBitmap, LabelSchema, SignatureSet, WordWidth,
+    filter::{initialize_candidates, refine_candidates_delta},
+    CandidateBitmap, DeltaClasses, Governor, LabelSchema, RowCounts, Signature, SignatureSet,
+    WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -64,12 +65,25 @@ fn bench_refine(c: &mut Criterion) {
         let mut ds = SignatureSet::new(&data, schema.clone());
         qs.advance(&queries);
         ds.advance(&data);
+        // Radius 1 from init: every row with a neighbour moved.
+        let radius0 = vec![Signature::EMPTY; queries.num_nodes()];
+        let delta = DeltaClasses::build(&schema, &radius0, qs.signatures());
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let bm =
                     CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
                 initialize_candidates(&queue, &queries, &data, &bm, 1024);
-                refine_candidates(&queue, &queries, &data, &qs, &ds, &bm, 1024)
+                let counts = RowCounts::of(&bm);
+                refine_candidates_delta(
+                    &queue,
+                    &data,
+                    &schema,
+                    &delta,
+                    ds.signatures(),
+                    &bm,
+                    &counts,
+                    &Governor::unlimited(),
+                )
             })
         });
     }

@@ -8,9 +8,11 @@
 //! corpus size).
 
 use sigmo_bench::BenchScale;
-use sigmo_core::{Engine, EngineConfig, MatchMode};
+use sigmo_core::{
+    filter, BatchFacts, CandidateBitmap, Engine, EngineConfig, Governor, MatchMode, QueryPlan,
+    RowCounts, WordWidth,
+};
 use sigmo_device::{DeviceProfile, Queue};
-use sigmo_graph::CsrGo;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -29,23 +31,29 @@ fn main() {
     }
 
     // Candidate counts after deep refinement, per query graph (mean row
-    // count over the graph's nodes).
-    let qb = CsrGo::from_graphs(d.queries());
+    // count over the graph's nodes): the paper's filter — label init, then
+    // signature refinement at radii 1..=7 — without the label-pair and
+    // predicate stages the engine adds.
+    let cfg = EngineConfig::with_iterations(8);
+    let plan = QueryPlan::build(d.queries(), &cfg);
+    let qb = plan.batch();
     let db = d.data_batch();
-    let bitmap = {
-        use sigmo_core::{filter, CandidateBitmap, LabelSchema, SignatureSet, WordWidth};
-        let bm = CandidateBitmap::new(qb.num_nodes(), db.num_nodes(), WordWidth::U64);
-        filter::initialize_candidates(&queue, &qb, &db, &bm, 1024);
-        let schema = LabelSchema::organic();
-        let mut qs = SignatureSet::new(&qb, schema.clone());
-        let mut ds = SignatureSet::new(&db, schema);
-        for _ in 1..8 {
-            qs.advance(&qb);
-            ds.advance(&db);
-            filter::refine_candidates(&queue, &qb, &db, &qs, &ds, &bm, 1024);
-        }
-        bm
-    };
+    let facts = BatchFacts::compute(&db, &cfg.schema, plan.max_radius(), false);
+    let bitmap = CandidateBitmap::new(qb.num_nodes(), db.num_nodes(), WordWidth::U64);
+    filter::initialize_candidates(&queue, qb, &db, &bitmap, 1024);
+    let counts = RowCounts::of(&bitmap);
+    for radius in 1..=plan.max_radius() {
+        filter::refine_candidates_delta(
+            &queue,
+            &db,
+            &cfg.schema,
+            plan.delta_at(radius),
+            facts.signatures_at(radius),
+            &bitmap,
+            &counts,
+            &Governor::unlimited(),
+        );
+    }
     let mut rows: Vec<(usize, f64, f64)> = (0..qb.num_graphs())
         .map(|qg| {
             let range = qb.node_range(qg);

@@ -13,7 +13,7 @@
 //! one work-item, then takes one load and one store per word
 //! ([`CandidateBitmap::clear_row_failing`]; DESIGN.md §19). The per-bit
 //! [`CandidateBitmap::set`] and [`CandidateBitmap::clear`] remain for the
-//! oracles and the per-node refine kernel, and the per-bit
+//! oracles, and the per-bit
 //! [`CandidateBitmap::retain_row`] is the class walk's test oracle.
 //!
 //! Storage is always `AtomicU64`; the configurable *word width*

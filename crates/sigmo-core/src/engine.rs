@@ -13,7 +13,7 @@ use crate::candidates::{CandidateBitmap, WordWidth};
 use crate::facts::BatchFacts;
 use crate::filter::{
     initialize_candidates_bucketed, label_pair_filter, node_predicate_filter,
-    refine_candidates_classes, refine_candidates_delta,
+    refine_candidates_delta,
 };
 use crate::governor::{Completion, Governor};
 use crate::join::cost::{JoinVariant, OrderChoice};
@@ -78,24 +78,6 @@ impl JoinStrategy {
     }
 }
 
-/// How the filter phase schedules refinement work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterMode {
-    /// The paper's fixed schedule: every iteration re-tests every
-    /// signature class against every data node, for exactly
-    /// `refinement_iterations` rounds. Kept as the oracle baseline for
-    /// the differential tests and the `ablate_filter_convergence` bench.
-    Exhaustive,
-    /// Delta-driven refinement (default): each iteration re-tests only
-    /// the signature classes whose representative signature moved at this
-    /// radius, skips data graphs with no live candidate left, and stops
-    /// as soon as the query side converges. Bit-identical to
-    /// [`FilterMode::Exhaustive`] by the monotonicity argument in
-    /// DESIGN.md §4b.
-    #[default]
-    Incremental,
-}
-
 /// Engine configuration. Defaults follow the paper's V100S tuning
 /// (Table 1) and its observed optimum of six refinement iterations.
 #[derive(Debug, Clone)]
@@ -122,8 +104,6 @@ pub struct EngineConfig {
     /// Join matching-order heuristic (used by the fixed strategies; the
     /// adaptive strategies pick per pair).
     pub join_order: JoinOrder,
-    /// Refinement scheduling: exhaustive or delta-driven.
-    pub filter_mode: FilterMode,
     /// Join variant selection: fixed DFS/BFS or per-pair adaptive.
     pub join_strategy: JoinStrategy,
 }
@@ -140,7 +120,6 @@ impl Default for EngineConfig {
             collect_limit: None,
             schema: LabelSchema::organic(),
             join_order: JoinOrder::default(),
-            filter_mode: FilterMode::default(),
             join_strategy: JoinStrategy::default(),
         }
     }
@@ -485,8 +464,13 @@ impl Engine {
     /// [`Engine::run_with_facts`] does, returning the per-iteration trace.
     /// Each iteration's [`crate::CandidateStats`] summarizes the per-row
     /// counts the row kernels report ([`RowCounts`]); the bitmap is
-    /// popcounted once after init, and again only after the per-node
-    /// Exhaustive kernel, whose clears scatter over every row.
+    /// popcounted once, after init.
+    ///
+    /// Refinement re-tests, at each radius, only the query rows whose
+    /// signature moved ([`crate::DeltaClasses`]), and stops once the query
+    /// side converges: bit-identical to re-testing every row for exactly
+    /// `refinement_iterations − 1` radii, by the monotonicity argument in
+    /// DESIGN.md §4b. `naive::reference_filter` is the oracle.
     pub fn filter_with_facts(
         &self,
         plan: &QueryPlan,
@@ -499,7 +483,6 @@ impl Engine {
         let cfg = &self.config;
         plan.assert_fits(cfg);
         facts.assert_serves(cfg, plan, data);
-        let queries = plan.batch();
         initialize_candidates_bucketed(
             queue,
             plan.buckets(),
@@ -510,7 +493,7 @@ impl Engine {
         );
         // The one popcount pass of the run: from here on every row walk
         // keeps its row's count.
-        let mut counts = RowCounts::of(bitmap);
+        let counts = RowCounts::of(bitmap);
         // Label-pair pre-check: one extra pass over the constrained query
         // rows, clearing candidates that cannot supply the row's concrete
         // (edge label, neighbor label) pairs. Edge labels are invisible to
@@ -551,59 +534,38 @@ impl Engine {
                 break;
             }
             let radius = it - 1;
-            if cfg.filter_mode == FilterMode::Incremental && radius > plan.last_dirty_radius() {
+            if radius > plan.last_dirty_radius() {
                 // Query-side fixpoint: no query signature will ever move
                 // again, so no remaining iteration can clear a bit
                 // (DESIGN.md §4b). Skipped work is never charged or ticked.
                 break;
             }
-            let (cleared, dirty) = match cfg.filter_mode {
-                FilterMode::Exhaustive => {
-                    let cleared = refine_candidates_classes(
-                        queue,
-                        data,
-                        &cfg.schema,
-                        plan.classes_at(radius),
-                        facts.signatures_at(radius),
-                        bitmap,
-                        cfg.filter_work_group_size,
-                        governor,
-                    );
-                    // The per-node kernel's clears scatter over every row,
-                    // so its iterations recount.
-                    counts = RowCounts::of(bitmap);
-                    (cleared, queries.num_nodes() as u64)
-                }
-                FilterMode::Incremental => {
-                    let delta = plan.delta_at(radius);
-                    if delta.is_empty() {
-                        // Rings still moving, but only through wildcard or
-                        // saturated labels: no signature moved, nothing to
-                        // test. Skip the launch entirely.
-                        (0, 0)
-                    } else {
-                        // The transposed kernel scans only the dirty rows'
-                        // bitmap words; dead data graphs are all-zero
-                        // columns and cost 1/64th of a word load each.
-                        let cleared = refine_candidates_delta(
-                            queue,
-                            data,
-                            &cfg.schema,
-                            delta,
-                            facts.signatures_at(radius),
-                            bitmap,
-                            &counts,
-                            governor,
-                        );
-                        (cleared, delta.dirty_rows() as u64)
-                    }
-                }
+            let delta = plan.delta_at(radius);
+            let cleared = if delta.is_empty() {
+                // Rings still moving, but only through wildcard or
+                // saturated labels: no signature moved, nothing to test.
+                // Skip the launch entirely.
+                0
+            } else {
+                // The transposed kernel scans only the dirty rows' bitmap
+                // words; dead data graphs are all-zero columns and cost
+                // 1/64th of a word load each.
+                refine_candidates_delta(
+                    queue,
+                    data,
+                    &cfg.schema,
+                    delta,
+                    facts.signatures_at(radius),
+                    bitmap,
+                    &counts,
+                    governor,
+                )
             };
             iterations.push(IterationStats {
                 iteration: it,
                 candidates: counts.stats(),
                 cleared_bits: cleared,
-                dirty_nodes: dirty,
+                dirty_nodes: delta.dirty_rows() as u64,
             });
         }
         iterations
@@ -670,56 +632,51 @@ mod tests {
         );
         assert_eq!(report.total_matches, 1);
         assert_eq!(report.matched_pair_list, vec![(0, 0)]);
-        // The diameter-1 query converges after radius 1: the default
-        // incremental mode stops after iteration 2 instead of running the
-        // configured 6.
+        // The diameter-1 query converges after radius 1: the filter stops
+        // after iteration 2 instead of running the configured 6, with the
+        // results of a 1-iteration run.
         assert_eq!(report.iterations.len(), 2);
-        // The exhaustive oracle still runs the full fixed schedule and
-        // produces identical results.
-        let exhaustive = Engine::new(EngineConfig {
-            filter_mode: FilterMode::Exhaustive,
-            ..Default::default()
-        })
-        .run(&[q], &[d0, d1], &queue());
-        assert_eq!(exhaustive.iterations.len(), 6);
-        assert_eq!(exhaustive.total_matches, report.total_matches);
-        assert_eq!(exhaustive.matched_pair_list, report.matched_pair_list);
+        let shallow = Engine::new(EngineConfig::with_iterations(1)).run(&[q], &[d0, d1], &queue());
+        assert_eq!(shallow.total_matches, report.total_matches);
+        assert_eq!(shallow.matched_pair_list, report.matched_pair_list);
     }
 
     #[test]
-    fn filter_modes_agree_and_stop_early() {
+    fn filter_stops_early_and_matches_the_reference() {
         let q = labeled(&[1, 3], &[(0, 1, 1)]);
         let d: Vec<LabeledGraph> = vec![
             labeled(&[1, 1, 3], &[(0, 1, 1), (1, 2, 1)]),
             labeled(&[1, 3, 2], &[(0, 1, 1), (0, 2, 1)]),
             labeled(&[1, 1], &[(0, 1, 1)]),
         ];
-        let mk = |mode| {
-            Engine::new(EngineConfig {
-                refinement_iterations: 8,
-                filter_mode: mode,
-                ..Default::default()
-            })
-            .run(std::slice::from_ref(&q), &d, &queue())
-        };
-        let ex = mk(FilterMode::Exhaustive);
-        let inc = mk(FilterMode::Incremental);
-        assert_eq!(ex.iterations.len(), 8, "exhaustive runs the full schedule");
-        assert!(
-            inc.iterations.len() < 8,
-            "incremental must stop at fixpoint"
+        let cfg = EngineConfig::with_iterations(8);
+        let plan = QueryPlan::build(std::slice::from_ref(&q), &cfg);
+        let data = CsrGo::from_graphs(&d);
+        let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+        let bitmap =
+            CandidateBitmap::new(plan.batch().num_nodes(), data.num_nodes(), cfg.bitmap_word);
+        let trace = Engine::new(cfg.clone()).filter_with_facts(
+            &plan,
+            &data,
+            &facts,
+            &bitmap,
+            &queue(),
+            &Governor::unlimited(),
         );
-        assert_eq!(inc.total_matches, ex.total_matches);
-        assert_eq!(inc.matched_pair_list, ex.matched_pair_list);
-        assert_eq!(inc.gmcr_pairs, ex.gmcr_pairs);
-        // On the iterations every mode ran, the bitmaps evolve identically.
-        for (a, b) in ex.iterations.iter().zip(&inc.iterations) {
-            assert_eq!(a.candidates.total, b.candidates.total);
-            assert_eq!(a.cleared_bits, b.cleared_bits);
+        assert!(trace.len() < 8, "the filter must stop at the fixpoint");
+        // The per-bit oracle runs all 8 iterations, every row, no skipping.
+        let reference = CandidateBitmap::new(bitmap.rows(), bitmap.cols(), cfg.bitmap_word);
+        crate::naive::reference_filter(plan.batch(), &data, &cfg.schema, 8, &reference);
+        for r in 0..bitmap.rows() {
+            for c in 0..bitmap.cols() {
+                assert_eq!(bitmap.get(r, c), reference.get(r, c), "bit ({r}, {c})");
+            }
         }
-        // Delta iterations re-test at most as many rows as exhaustive ones.
-        for (a, b) in ex.iterations.iter().zip(&inc.iterations).skip(1) {
-            assert!(b.dirty_nodes <= a.dirty_nodes);
+        let last = trace.last().unwrap();
+        assert_eq!(last.candidates.total, reference.total_count());
+        // Each refinement iteration re-tests only the rows that moved.
+        for it in &trace[1..] {
+            assert!(it.dirty_nodes <= plan.batch().num_nodes() as u64);
         }
     }
 

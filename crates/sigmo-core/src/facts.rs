@@ -24,7 +24,7 @@
 //! allocation). The per-batch [`crate::SignatureSet`] stays as the test
 //! oracle.
 
-use crate::engine::{EngineConfig, FilterMode};
+use crate::engine::EngineConfig;
 use crate::filter::{pair_schema, pair_signature};
 use crate::plan::QueryPlan;
 use crate::schema::LabelSchema;
@@ -72,14 +72,11 @@ impl BatchFacts {
     }
 
     /// The deepest data radius a run of `plan` under `config` can read:
-    /// every configured radius for the fixed schedule, and no further
-    /// than the query side's last moving radius for the incremental one.
+    /// no further than the configured radii, nor than the query side's
+    /// last moving radius, where refinement stops.
     pub fn run_depth(config: &EngineConfig, plan: &QueryPlan) -> usize {
         let radii = config.refinement_iterations.saturating_sub(1);
-        match config.filter_mode {
-            FilterMode::Incremental => radii.min(plan.last_dirty_radius()),
-            FilterMode::Exhaustive => radii,
-        }
+        radii.min(plan.last_dirty_radius())
     }
 
     /// The facts a run of `plan` under `config` reads over `data`:

@@ -8,12 +8,10 @@
 //!   one bitmap word at a time and ORs each label's column mask into
 //!   every row of the label's bucket: one atomic word update per (row,
 //!   word, label), where a device's lanes would coalesce one bit each;
-//! * [`refine_candidates`] — one work-item per data node; query nodes are
-//!   grouped into signature-equivalence classes ([`SignatureClasses`],
-//!   one per radius) and one domination test is run per class
-//!   with at least one surviving bit, its verdict applied to every member
-//!   row. Refinement at iteration `i` only consults candidates surviving
-//!   iteration `i−1`, so the candidate sets shrink monotonically.
+//! * [`refine_candidates_delta`] — one refinement radius: only the query
+//!   rows whose signature moved at this radius ([`DeltaClasses`]) are
+//!   re-tested, so the candidate sets shrink monotonically and a radius
+//!   where no query signature moved needs no launch (DESIGN.md §4b).
 //!
 //! The row-transposed kernels — [`label_pair_filter`],
 //! [`node_predicate_filter`] and [`refine_candidates_delta`] — share one
@@ -34,14 +32,15 @@
 //! The charges model a device kernel, so they count one set, test or
 //! clear per candidate bit however the host batches the bits into words.
 //!
-//! The pre-optimization per-bit forms live in [`crate::naive`]; the
-//! differential test `word_parallel_differential` pins both kernels to
-//! produce bit-identical bitmaps.
+//! The per-bit forms live in [`crate::naive`], whose
+//! [`reference_filter`](crate::naive::reference_filter) is the oracle of
+//! the whole filter phase; the differential test
+//! `word_parallel_differential` pins the kernels to bit-identical bitmaps.
 
 use crate::candidates::CandidateBitmap;
 use crate::governor::Governor;
 use crate::schema::LabelSchema;
-use crate::signature::{Signature, SignatureSet};
+use crate::signature::Signature;
 use crate::stats::RowCounts;
 use sigmo_device::Queue;
 use sigmo_graph::{
@@ -122,8 +121,8 @@ fn class_major_filter<R: ClassRow>(
         DELTA_ROWS_PER_GROUP,
         || governor.stopped(),
         |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group
-            // (same convention as `refine_candidates_classes`).
+            // Group-local charge accumulation, flushed once per work-group:
+            // the counters take a handful of adds per group, not per row.
             let mut cleared = 0u64;
             let mut tests = 0u64;
             let mut test_instr = 0u64;
@@ -245,36 +244,19 @@ pub fn initialize_candidates(
     bitmap: &CandidateBitmap,
     work_group_size: usize,
 ) {
-    initialize_candidates_governed(
-        queue,
-        queries,
-        data,
-        bitmap,
-        work_group_size,
-        &Governor::unlimited(),
-    )
-}
-
-/// [`initialize_candidates`] under a [`Governor`]: a stopped governor
-/// skips not-yet-started work-groups at dispatch and unprocessed data
-/// nodes inside running groups. A truncated init leaves some candidate
-/// bits unset — strictly fewer candidates, so downstream results remain
-/// sound (every reported embedding is real) but incomplete.
-pub fn initialize_candidates_governed(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) {
     let buckets = LabelBuckets::build(queries);
-    initialize_candidates_bucketed(queue, &buckets, data, bitmap, work_group_size, governor)
+    let governor = Governor::unlimited();
+    initialize_candidates_bucketed(queue, &buckets, data, bitmap, work_group_size, &governor)
 }
 
-/// [`initialize_candidates_governed`] with caller-provided
-/// [`LabelBuckets`] — the form [`crate::plan::QueryPlan`] uses so the
-/// buckets are built once per plan instead of once per chunk.
+/// [`initialize_candidates`] with caller-provided [`LabelBuckets`] — the
+/// form [`crate::plan::QueryPlan`] uses so the buckets are built once per
+/// plan instead of once per chunk — under a [`Governor`]: a stopped
+/// governor skips not-yet-started work-groups at dispatch and unprocessed
+/// data nodes inside running groups. A truncated init leaves some
+/// candidate bits unset — strictly fewer candidates, so downstream
+/// results remain sound (every reported embedding is real) but
+/// incomplete.
 pub fn initialize_candidates_bucketed(
     queue: &Queue,
     buckets: &LabelBuckets,
@@ -345,215 +327,6 @@ pub fn initialize_candidates_bucketed(
             counters.add_bytes_written(sets * word_bytes);
         },
     );
-}
-
-/// Query nodes grouped by identical signature. The domination verdict for
-/// a (query row, data node) pair depends only on the two signatures, so
-/// rows sharing a signature share their verdict against every data node:
-/// the refine kernel runs one test per *class* instead of one per row.
-/// Plans build one set per radius (signatures advance between radii) in
-/// one O(|V_Q|) pass, ordered by smallest member row so the grouping is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignatureClasses {
-    classes: Vec<(Signature, Vec<u32>)>,
-}
-
-impl SignatureClasses {
-    /// Groups all query rows by their signature (`query_sigs[q]` is row
-    /// `q`'s signature at one radius).
-    pub fn build(query_sigs: &[Signature]) -> Self {
-        let mut index: std::collections::HashMap<Signature, usize> =
-            std::collections::HashMap::new();
-        let mut classes: Vec<(Signature, Vec<u32>)> = Vec::new();
-        for (q, &sig) in query_sigs.iter().enumerate() {
-            match index.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].1.push(q as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push((sig, vec![q as u32]));
-                }
-            }
-        }
-        // First-seen order == ascending smallest member, since rows are
-        // visited in ascending order.
-        SignatureClasses { classes }
-    }
-
-    /// The classes as `(signature, ascending member rows)`.
-    pub fn classes(&self) -> &[(Signature, Vec<u32>)] {
-        &self.classes
-    }
-
-    /// Number of distinct signatures.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True when there are no query rows at all.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-}
-
-/// The RefineCandidates kernel: clears candidate bits whose data signature
-/// no longer dominates the query signature.
-///
-/// Per data node the kernel walks signature classes, probing member rows'
-/// bits until the first survivor; classes with no surviving bit are
-/// skipped without a test. A dominating verdict keeps every member bit
-/// (nothing to do — the remaining members are not even probed); a failing
-/// verdict clears every surviving member bit. Identical bits to the
-/// per-row form, at one domination test per live class.
-///
-/// Wildcard query nodes skip the domination test — their signature may
-/// demand labels the data node legitimately lacks only when the wildcard's
-/// neighbors are themselves concrete, which the test covers; the wildcard
-/// node's own label contributes nothing (see `SignatureSet`).
-///
-/// Returns the number of bits cleared this iteration.
-pub fn refine_candidates(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    query_sigs: &SignatureSet,
-    data_sigs: &SignatureSet,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-) -> u64 {
-    refine_candidates_governed(
-        queue,
-        queries,
-        data,
-        query_sigs,
-        data_sigs,
-        bitmap,
-        work_group_size,
-        &Governor::unlimited(),
-    )
-}
-
-/// [`refine_candidates`] under a [`Governor`]. Refinement only *clears*
-/// bits, so stopping it early leaves a superset of the fully refined
-/// candidates — the join stays correct, just less pruned.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_candidates_governed(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    query_sigs: &SignatureSet,
-    data_sigs: &SignatureSet,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) -> u64 {
-    assert_eq!(queries.num_nodes(), query_sigs.signatures().len());
-    let classes = SignatureClasses::build(query_sigs.signatures());
-    refine_candidates_classes(
-        queue,
-        data,
-        query_sigs.schema(),
-        &classes,
-        data_sigs.signatures(),
-        bitmap,
-        work_group_size,
-        governor,
-    )
-}
-
-/// [`refine_candidates_governed`] with caller-provided
-/// [`SignatureClasses`] and data signatures (`data_sigs[d]` is node `d`'s
-/// signature at this radius, from [`crate::BatchFacts`]): the form the
-/// engine uses, so the classes are built (and memoized across converged
-/// radii) once per plan instead of once per kernel launch.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_candidates_classes(
-    queue: &Queue,
-    data: &CsrGo,
-    schema: &LabelSchema,
-    classes: &SignatureClasses,
-    data_sigs: &[Signature],
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) -> u64 {
-    let word_bytes = bitmap.word_width().bytes();
-    let snap = queue.parallel_for_chunks_until(
-        "refine_candidates",
-        "filter",
-        data.num_nodes(),
-        work_group_size,
-        || governor.stopped(),
-        |items, counters| {
-            // Modeled charges accumulate in group-locals and flush once per
-            // work-group: the shared counter atomics cost a handful of RMWs
-            // per group, not several per data node.
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut probes = 0u64;
-            let mut trip_sq = 0u64;
-            let mut items_run = 0u64;
-            let mut visit = |d: usize| {
-                let dsig = data_sigs[d];
-                let mut node_tests = 0u64;
-                // The paper prefetches the relevant bitmap words into local
-                // memory per work-group; on the host executor the row words
-                // are already cache-resident, so we charge the modeled
-                // traffic and read the shared bitmap directly.
-                for (qsig, members) in classes.classes() {
-                    // Probe members until the first surviving bit decides
-                    // whether this class needs a test at all.
-                    let mut first_live = None;
-                    for (i, &q) in members.iter().enumerate() {
-                        probes += 1;
-                        if bitmap.get(q as usize, d) {
-                            first_live = Some(i);
-                            break;
-                        }
-                    }
-                    let Some(first_live) = first_live else {
-                        continue;
-                    };
-                    node_tests += 1;
-                    if dsig.dominates(schema, qsig) {
-                        // Every member bit survives; the rest need no probe.
-                        continue;
-                    }
-                    bitmap.clear(members[first_live] as usize, d);
-                    cleared += 1;
-                    for &q in &members[first_live + 1..] {
-                        probes += 1;
-                        if bitmap.get(q as usize, d) {
-                            bitmap.clear(q as usize, d);
-                            cleared += 1;
-                        }
-                    }
-                }
-                tests += node_tests;
-                trip_sq += node_tests * node_tests;
-                items_run += 1;
-            };
-            for d in items {
-                if governor.stopped() {
-                    break; // consult once per data node, never per bit
-                }
-                visit(d);
-            }
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + probes);
-            // Each probed row costs exactly one bitmap word (the word of
-            // this data node's column in that row): charge the words
-            // actually touched, word-granular. Signature pairs are
-            // per-test.
-            counters.add_word_reads(probes, word_bytes);
-            counters.add_bytes_read(tests * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, items_run);
-        },
-    );
-    snap.atomic_ops
 }
 
 /// The dirty query rows of one refinement radius, flattened for the
@@ -654,11 +427,10 @@ impl DeltaClasses {
     }
 }
 
-/// Dirty rows dispatched per work-group of the transposed delta kernel.
-/// A row work-item scans its whole candidate row — three orders of
-/// magnitude heavier than the node work-items of the full kernel — so the
-/// groups stay small to keep every core busy even at a few hundred dirty
-/// rows.
+/// Rows dispatched per work-group of the class-major launch. A row
+/// work-item scans its whole candidate row — three orders of magnitude
+/// heavier than one data node's work — so the groups stay small to keep
+/// every core busy even at a few hundred dirty rows.
 const DELTA_ROWS_PER_GROUP: usize = 4;
 
 /// The RefineCandidates kernel restricted to one radius' dirty work,
@@ -674,11 +446,11 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 /// words. Skipped work is never charged or ticked, so the word-read
 /// accounting in `KernelSummary` reflects the real savings.
 ///
-/// Bit-identical to running the full class set through
-/// [`refine_candidates_classes`] at the same radius: the verdict for a
-/// live bit `(q, d)` depends only on the two signatures, and the
-/// field-restricted test is exact per live bit (see [`DeltaRow`]; the
-/// differential and property tests pin it). Rows are disjoint across
+/// Bit-identical to testing every live bit of every query row at this
+/// radius (`naive::refine_candidates`): the verdict for a live bit
+/// `(q, d)` depends only on the two signatures, and the field-restricted
+/// test is exact per live bit (see [`DeltaRow`]; the differential and
+/// property tests pin it). Rows are disjoint across
 /// work-items, so clears never race. Each walked row's live count goes to
 /// `counts`.
 ///
@@ -934,50 +706,13 @@ pub fn node_predicate_filter(
     )
 }
 
-/// Reference sequential filter for correctness tests: computes, per query
-/// node, the exact candidate set after `iterations` refinement iterations
-/// (iteration 1 = label match plus node predicates) without any of the
-/// batched machinery.
-pub fn reference_filter(
-    queries: &CsrGo,
-    data: &CsrGo,
-    schema: &crate::LabelSchema,
-    iterations: usize,
-) -> Vec<Vec<NodeId>> {
-    use crate::signature::SignatureSet;
-    assert!(iterations >= 1);
-    let nq = queries.num_nodes();
-    let nd = data.num_nodes();
-    let attrs = data.node_attrs();
-    let mut cands: Vec<Vec<NodeId>> = (0..nq)
-        .map(|q| {
-            let ql = queries.label(q as NodeId);
-            let pred = queries.predicate(q as NodeId);
-            (0..nd as NodeId)
-                .filter(|&d| {
-                    (ql == WILDCARD_LABEL || data.label(d) == ql)
-                        && pred.is_none_or(|p| p.matches(&attrs, d))
-                })
-                .collect()
-        })
-        .collect();
-    let mut qs = SignatureSet::new(queries, schema.clone());
-    let mut ds = SignatureSet::new(data, schema.clone());
-    for _ in 1..iterations {
-        qs.advance(queries);
-        ds.advance(data);
-        for (q, set) in cands.iter_mut().enumerate() {
-            let qsig = qs.signature(q as NodeId);
-            set.retain(|&d| ds.signature(d).dominates(schema, &qsig));
-        }
-    }
-    cands
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::WordWidth;
+    use crate::engine::{Engine, EngineConfig};
+    use crate::facts::BatchFacts;
+    use crate::plan::QueryPlan;
     use crate::schema::LabelSchema;
     use sigmo_device::DeviceProfile;
     use sigmo_graph::LabeledGraph;
@@ -1015,39 +750,59 @@ mod tests {
         assert_eq!(bm.row_count(1), 1);
     }
 
+    /// Refines `bm` with the delta kernel at radii `1..=radii`, as the
+    /// engine does after init (without the label-pair and predicate
+    /// stages); returns the bits cleared at each radius.
+    fn refine_radii(queries: &CsrGo, data: &CsrGo, bm: &CandidateBitmap, radii: usize) -> Vec<u64> {
+        let cfg = EngineConfig::with_iterations(radii + 1);
+        let plan = QueryPlan::from_batch(queries.clone(), &cfg);
+        let facts = BatchFacts::compute(data, &cfg.schema, radii, false);
+        let counts = RowCounts::of(bm);
+        (1..=radii)
+            .map(|r| {
+                refine_candidates_delta(
+                    &queue(),
+                    data,
+                    &cfg.schema,
+                    plan.delta_at(r),
+                    facts.signatures_at(r),
+                    bm,
+                    &counts,
+                    &Governor::unlimited(),
+                )
+            })
+            .collect()
+    }
+
+    /// The engine's filter phase at `iterations` over a fresh bitmap.
+    fn engine_filter(queries: &CsrGo, data: &CsrGo, iterations: usize) -> CandidateBitmap {
+        let cfg = EngineConfig::with_iterations(iterations);
+        let plan = QueryPlan::from_batch(queries.clone(), &cfg);
+        let facts = BatchFacts::for_run(&cfg, &plan, data, &[]);
+        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), cfg.bitmap_word);
+        let governor = Governor::unlimited();
+        Engine::new(cfg).filter_with_facts(&plan, data, &facts, &bm, &queue(), &governor);
+        bm
+    }
+
     #[test]
     fn refine_prunes_carbon_without_oxygen_neighbor() {
         let (queries, data) = tiny();
-        let q = queue();
-        let schema = LabelSchema::organic();
         let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&q, &queries, &data, &bm, 64);
-        let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema.clone());
-        qs.advance(&queries);
-        ds.advance(&data);
-        let cleared = refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
+        initialize_candidates(&queue(), &queries, &data, &bm, 64);
+        let cleared = refine_radii(&queries, &data, &bm, 1);
         // Data node 3 (the C of C-H) has no O neighbor: pruned.
         assert!(bm.get(0, 0));
         assert!(!bm.get(0, 3));
-        assert_eq!(cleared, 1);
+        assert_eq!(cleared, [1]);
     }
 
     #[test]
     fn refinement_is_monotone() {
         let (queries, data) = tiny();
-        let q = queue();
-        let schema = LabelSchema::organic();
-        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&q, &queries, &data, &bm, 64);
-        let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema.clone());
-        let mut prev = bm.total_count();
-        for _ in 0..4 {
-            qs.advance(&queries);
-            ds.advance(&data);
-            refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
-            let cur = bm.total_count();
+        let mut prev = usize::MAX;
+        for iterations in 1..=5 {
+            let cur = engine_filter(&queries, &data, iterations).total_count();
             assert!(cur <= prev, "candidates grew: {prev} -> {cur}");
             prev = cur;
         }
@@ -1058,23 +813,18 @@ mod tests {
         let (queries, data) = tiny();
         let schema = LabelSchema::organic();
         for iters in 1..=3usize {
-            let q = queue();
-            let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-            initialize_candidates(&q, &queries, &data, &bm, 64);
-            let mut qs = SignatureSet::new(&queries, schema.clone());
-            let mut ds = SignatureSet::new(&data, schema.clone());
-            for _ in 1..iters {
-                qs.advance(&queries);
-                ds.advance(&data);
-                refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
-            }
-            let reference = reference_filter(&queries, &data, &schema, iters);
-            for (qn, expected) in reference.iter().enumerate() {
-                let got: Vec<NodeId> = bm
-                    .iter_set_in_range(qn, 0, data.num_nodes())
-                    .map(|c| c as NodeId)
-                    .collect();
-                assert_eq!(&got, expected, "query node {qn} at {iters} iterations");
+            let bm = engine_filter(&queries, &data, iters);
+            let reference =
+                CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), bm.word_width());
+            crate::naive::reference_filter(&queries, &data, &schema, iters, &reference);
+            for qn in 0..queries.num_nodes() {
+                for d in 0..data.num_nodes() {
+                    assert_eq!(
+                        bm.get(qn, d),
+                        reference.get(qn, d),
+                        "bit ({qn}, {d}) at {iters} iterations"
+                    );
+                }
             }
         }
     }
@@ -1087,17 +837,7 @@ mod tests {
         let d = LabeledGraph::from_edges(&[1, 3, 0, 0], &[(0, 1), (0, 2), (0, 3)]).unwrap();
         let queries = CsrGo::from_graphs(&[q]);
         let data = CsrGo::from_graphs(&[d]);
-        let schema = LabelSchema::organic();
-        let qq = queue();
-        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&qq, &queries, &data, &bm, 64);
-        let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema.clone());
-        for _ in 0..5 {
-            qs.advance(&queries);
-            ds.advance(&data);
-            refine_candidates(&qq, &queries, &data, &qs, &ds, &bm, 64);
-        }
+        let bm = engine_filter(&queries, &data, 6);
         // The true embedding maps q0 -> d0, q1 -> d1; both bits must survive.
         assert!(bm.get(0, 0), "true candidate for C pruned");
         assert!(bm.get(1, 1), "true candidate for O pruned");
@@ -1127,48 +867,6 @@ mod tests {
         for q in 0..queries.num_nodes() {
             for d in 0..data.num_nodes() {
                 assert_eq!(fast.get(q, d), slow.get(q, d), "bit ({q}, {d})");
-            }
-        }
-    }
-
-    #[test]
-    fn signature_classes_group_identical_signatures() {
-        // Two disconnected C-O pairs: rows 0/2 and 1/3 are signature-equal
-        // once signatures have advanced.
-        let q = LabeledGraph::from_edges(&[1, 3, 1, 3], &[(0, 1), (2, 3)]).unwrap();
-        let queries = CsrGo::from_graphs(&[q]);
-        let schema = LabelSchema::organic();
-        let mut qs = SignatureSet::new(&queries, schema);
-        qs.advance(&queries);
-        let classes = SignatureClasses::build(qs.signatures());
-        assert_eq!(classes.len(), 2);
-        assert!(!classes.is_empty());
-        let members: Vec<&Vec<u32>> = classes.classes().iter().map(|(_, m)| m).collect();
-        assert_eq!(members, vec![&vec![0, 2], &vec![1, 3]]);
-    }
-
-    #[test]
-    fn class_refine_matches_naive() {
-        let (queries, data) = tiny();
-        let q = queue();
-        let schema = LabelSchema::organic();
-        let fast = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&q, &queries, &data, &fast, 64);
-        crate::naive::initialize_candidates(&queries, &data, &slow);
-        let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema);
-        for _ in 0..3 {
-            qs.advance(&queries);
-            ds.advance(&data);
-            let fast_cleared = refine_candidates(&q, &queries, &data, &qs, &ds, &fast, 64);
-            let slow_cleared =
-                crate::naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
-            assert_eq!(fast_cleared, slow_cleared);
-            for qn in 0..queries.num_nodes() {
-                for d in 0..data.num_nodes() {
-                    assert_eq!(fast.get(qn, d), slow.get(qn, d), "bit ({qn}, {d})");
-                }
             }
         }
     }

@@ -8,7 +8,7 @@
 //!    label, the nodes within a growing radius; stored as frequency-skewed
 //!    masked bitsets in a single `u64` ([`Signature`], [`LabelSchema`]);
 //!    a data node survives iff its signature *dominates* the query node's
-//!    ([`filter::refine_candidates`]);
+//!    ([`filter::refine_candidates_delta`]);
 //! 3. **Mapping** — the Graph Mapping Compressed Representation
 //!    ([`Gmcr`]) lists, per data graph, the query graphs whose every node
 //!    still has candidates there;
@@ -49,10 +49,10 @@ pub mod stream;
 
 pub use candidates::{CandidateBitmap, WordWidth};
 pub use engine::{
-    Engine, EngineConfig, FilterMode, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
+    Engine, EngineConfig, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };
 pub use facts::{BatchFacts, MolFacts};
-pub use filter::{DeltaClasses, LabelBuckets, SignatureClasses};
+pub use filter::{DeltaClasses, LabelBuckets};
 pub use governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 pub use join::cost::{JoinVariant, OrderChoice};
 pub use join::{JoinOutcome, MatchRecord};

@@ -67,15 +67,16 @@ pub fn refine_candidates(
     cleared
 }
 
-/// Per-bit reference of the *whole* filter phase: init plus exactly
-/// `iterations − 1` exhaustive refine rounds, never exiting early and
-/// never skipping clean rows or dead graphs. This is the oracle the
-/// convergence-driven paths (fixpoint early-exit, delta-driven refine,
-/// plan reuse) are pinned against: because refinement is monotone — query
-/// signatures stop moving and extra rounds against unchanged signatures
-/// cannot clear a bit — the incremental engine must produce a
-/// *bit-identical* bitmap to this exhaustive form. Returns the total bits
-/// cleared across rounds.
+/// Per-bit reference of the *whole* filter phase: init, the label-pair
+/// pre-check and the node predicates, then exactly `iterations − 1`
+/// refine rounds over every row, never exiting early and never skipping
+/// clean rows or dead graphs. This is the oracle the engine's filter
+/// (fixpoint early-exit, delta-driven refine, plan reuse) is pinned
+/// against: every stage is a per-bit test, and refinement is monotone —
+/// query signatures stop moving and extra rounds against unchanged
+/// signatures cannot clear a bit — so the engine must produce a
+/// *bit-identical* bitmap to this form. Returns the total bits cleared
+/// after init.
 pub fn reference_filter(
     queries: &CsrGo,
     data: &CsrGo,
@@ -85,9 +86,10 @@ pub fn reference_filter(
 ) -> u64 {
     assert!(iterations >= 1, "need ≥ 1 iteration");
     initialize_candidates(queries, data, bitmap);
+    let mut cleared = label_pair_filter(queries, data, &crate::filter::pair_schema(), bitmap);
+    cleared += node_predicate_filter(queries, data, bitmap);
     let mut query_sigs = SignatureSet::new(queries, schema.clone());
     let mut data_sigs = SignatureSet::new(data, schema.clone());
-    let mut cleared = 0u64;
     for _ in 2..=iterations {
         query_sigs.advance(queries);
         data_sigs.advance(data);
@@ -198,7 +200,10 @@ mod tests {
         use crate::candidates::WordWidth;
         use sigmo_graph::LabeledGraph;
         let queries = CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 3], &[(0, 1)]).unwrap()]);
-        let data = CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 1, 3], &[(0, 1)]).unwrap()]);
+        // Two C's bonded to one O: every label match also holds the
+        // query's (bond, neighbour) pairs, so only refinement could clear.
+        let data =
+            CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 1, 3], &[(0, 2), (1, 2)]).unwrap()]);
         let schema = LabelSchema::organic();
         let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         let cleared = reference_filter(&queries, &data, &schema, 1, &bitmap);

@@ -2,17 +2,13 @@
 //! precompute from the query batch alone, built once and shared.
 //!
 //! The streaming runner used to rebuild the query CSR-GO, the
-//! [`LabelBuckets`], the per-radius query signatures, and the
-//! [`SignatureClasses`] for *every* chunk — and the cluster simulator
-//! replays the same query batch on every rank. All of that state is a
-//! pure function of the query batch and the engine configuration, so
-//! [`QueryPlan`] computes it exactly once:
+//! [`LabelBuckets`] and the per-radius query signatures for *every* chunk
+//! — and the cluster simulator replays the same query batch on every
+//! rank. All of that state is a pure function of the query batch and the
+//! engine configuration, so [`QueryPlan`] computes it exactly once:
 //!
 //! * query signatures at every radius the configured iteration count can
 //!   reach — built by the same [`BatchFacts`] routine as the data side;
-//! * [`SignatureClasses`] per radius, memoized — a radius where no query
-//!   signature moved shares the previous radius' classes by `Arc` instead
-//!   of rebuilding them;
 //! * [`DeltaClasses`] per radius — the dirty rows the incremental refine
 //!   kernel re-tests (empty once the query side converges, which is what
 //!   lets the engine stop refining early);
@@ -26,13 +22,12 @@
 use crate::candidates::CandidateBitmap;
 use crate::engine::EngineConfig;
 use crate::facts::BatchFacts;
-use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, PredRow, SignatureClasses};
+use crate::filter::{self, DeltaClasses, LabelBuckets, PairRow, PredRow};
 use crate::join;
 use crate::schema::LabelSchema;
 use crate::signature::Signature;
 use sigmo_graph::{CsrGo, LabeledGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Process-wide count of [`QueryPlan`] constructions. Test instrumentation
 /// only: the stream/cluster reuse pins assert a multi-chunk run builds
@@ -45,16 +40,6 @@ pub fn plan_build_count() -> u64 {
     PLAN_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Query-side filter state at one refinement radius.
-struct RadiusState {
-    /// Signature-equivalence classes at this radius; shares the previous
-    /// radius' `Arc` when no signature moved.
-    classes: Arc<SignatureClasses>,
-    /// Dirty rows (signature moved reaching this radius), grouped for the
-    /// delta kernel.
-    delta: DeltaClasses,
-}
-
 /// Precomputed, immutable query-side state for [`crate::Engine`] runs.
 pub struct QueryPlan {
     csr: CsrGo,
@@ -64,17 +49,14 @@ pub struct QueryPlan {
     /// Query signatures at radii `1..=max_radius` and label-pair
     /// signatures.
     facts: BatchFacts,
-    /// `radii[r - 1]` is the state at radius `r` (used by iteration
-    /// `r + 1`); radius 0 is the all-empty signature set and needs no
-    /// entry.
-    radii: Vec<RadiusState>,
+    /// `deltas[r - 1]` holds the dirty rows (signature moved reaching
+    /// radius `r`) that iteration `r + 1` re-tests; radius 0 is the
+    /// all-empty signature set and needs no entry.
+    deltas: Vec<DeltaClasses>,
     /// Largest radius with a non-empty delta (0 when no signature ever
     /// moves). Iterations beyond `last_dirty_radius + 1` cannot clear a
     /// bit, so the incremental engine stops there.
     last_dirty_radius: usize,
-    /// How many times `SignatureClasses` were actually rebuilt (≤ number
-    /// of radii; the memoization pin tests read this).
-    classes_builds: usize,
     /// Max-degree join plans per query graph, with each query's
     /// automorphism group and twin marks (the data-aware min-candidates
     /// ordering still has to be built per run).
@@ -105,9 +87,8 @@ impl QueryPlan {
         let buckets = LabelBuckets::build(&csr);
         let max_radius = config.refinement_iterations - 1;
         let facts = BatchFacts::compute(&csr, &config.schema, max_radius, false);
-        let mut radii: Vec<RadiusState> = Vec::with_capacity(max_radius);
+        let mut deltas: Vec<DeltaClasses> = Vec::with_capacity(max_radius);
         let mut last_dirty_radius = 0usize;
-        let mut classes_builds = 0usize;
         let radius0 = vec![Signature::EMPTY; csr.num_nodes()];
         let mut prev_sigs: &[Signature] = &radius0;
         for r in 1..=max_radius {
@@ -116,17 +97,8 @@ impl QueryPlan {
             if !delta.is_empty() {
                 last_dirty_radius = r;
             }
-            // A radius where nothing moved keeps the previous classes —
-            // same signatures, same first-seen grouping.
-            let classes = match radii.last() {
-                Some(prev) if delta.is_empty() => Arc::clone(&prev.classes),
-                _ => {
-                    classes_builds += 1;
-                    Arc::new(SignatureClasses::build(sigs))
-                }
-            };
             prev_sigs = sigs;
-            radii.push(RadiusState { classes, delta });
+            deltas.push(delta);
         }
         let join_plans = join::QueryPlan::build_batch(&csr, config.induced);
         let pair_schema = filter::pair_schema();
@@ -138,9 +110,8 @@ impl QueryPlan {
             induced: config.induced,
             buckets,
             facts,
-            radii,
+            deltas,
             last_dirty_radius,
-            classes_builds,
             join_plans,
             pair_schema,
             pair_rows,
@@ -211,7 +182,7 @@ impl QueryPlan {
     /// Largest radius the plan holds state for
     /// (`refinement_iterations − 1` at build time).
     pub fn max_radius(&self) -> usize {
-        self.radii.len()
+        self.deltas.len()
     }
 
     /// Largest radius at which any query signature still moved. Refinement
@@ -220,34 +191,19 @@ impl QueryPlan {
         self.last_dirty_radius
     }
 
-    /// How many distinct `SignatureClasses` were built (the rest were
-    /// memoized from the previous radius).
-    pub fn classes_builds(&self) -> usize {
-        self.classes_builds
-    }
-
-    fn state(&self, radius: usize) -> &RadiusState {
-        assert!(
-            (1..=self.radii.len()).contains(&radius),
-            "plan holds radii 1..={}, asked for {radius}",
-            self.radii.len()
-        );
-        &self.radii[radius - 1]
-    }
-
     /// Every query signature at `radius` (1-based).
     pub fn signatures_at(&self, radius: usize) -> &[Signature] {
         self.facts.signatures_at(radius)
     }
 
-    /// The signature classes at `radius` (1-based).
-    pub fn classes_at(&self, radius: usize) -> &SignatureClasses {
-        &self.state(radius).classes
-    }
-
     /// The dirty-row delta at `radius` (1-based).
     pub fn delta_at(&self, radius: usize) -> &DeltaClasses {
-        &self.state(radius).delta
+        assert!(
+            (1..=self.deltas.len()).contains(&radius),
+            "plan holds radii 1..={}, asked for {radius}",
+            self.deltas.len()
+        );
+        &self.deltas[radius - 1]
     }
 
     /// The precomputed max-degree join plans, one per query graph.
@@ -297,13 +253,10 @@ mod tests {
         // C-O has diameter 1: signatures move only at radius 1.
         assert_eq!(plan.last_dirty_radius(), 1);
         assert!(!plan.delta_at(1).is_empty());
-        assert!(plan.delta_at(2).is_empty());
-        // Classes rebuilt once (radius 1); radii 2..=5 share that Arc.
-        assert_eq!(plan.classes_builds(), 1);
-        assert_eq!(
-            plan.classes_at(2).classes().len(),
-            plan.classes_at(5).classes().len()
-        );
+        // Radius 1's delta classes hold every row with a neighbour (the
+        // lone C never moves); the converged radii hold none.
+        assert_eq!(plan.delta_at(1).dirty_rows(), 2);
+        assert!((2..=5).all(|r| plan.delta_at(r).is_empty()));
     }
 
     #[test]
@@ -337,6 +290,6 @@ mod tests {
     #[should_panic(expected = "radii 1..=5")]
     fn out_of_range_radius_panics() {
         let plan = QueryPlan::build(&queries(), &EngineConfig::default());
-        plan.classes_at(6);
+        plan.delta_at(6);
     }
 }

@@ -62,7 +62,7 @@ impl Signature {
     #[inline]
     pub fn dominates(&self, schema: &LabelSchema, query: &Signature) -> bool {
         // Per-group compare: the reference form, used by the oracles and
-        // the per-node refine kernel. The row kernels use the branch-free
+        // the index screen. The row kernels use the branch-free
         // `dominates_tops`.
         for g in schema.groups() {
             if (query.0 & g.mask()) > (self.0 & g.mask()) {

@@ -142,12 +142,11 @@ pub struct IterationStats {
     /// Candidate summary after this iteration's refinement.
     pub candidates: CandidateStats,
     /// Bits cleared by this iteration's refine kernel. Iteration 1 (init)
-    /// reports the label-pair pre-check's clears.
+    /// reports the label-pair pre-check's and predicate filter's clears.
     pub cleared_bits: u64,
     /// Query rows whose signature moved at this radius — the rows the
-    /// delta kernel re-tested. Exhaustive (non-incremental) iterations
-    /// count every query row; iteration 1 (init) reports the rows the
-    /// label-pair pre-check scanned.
+    /// delta kernel re-tested. Iteration 1 (init) reports the rows the
+    /// label-pair pre-check and the predicate filter scanned.
     pub dirty_nodes: u64,
 }
 

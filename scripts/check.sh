@@ -24,10 +24,7 @@
 #                                 a public-API change the benchmark uses
 #                                 fails the quick gate too
 #   6. cargo bench --no-run       compile check of every bench target
-#   7. ablate_filter_convergence  filter-mode ablation; asserts the
-#                                 incremental refine path stays ≥2× faster
-#                                 than exhaustive with identical totals
-#   8. scripts/bench_diff.sh      the one bench gate: re-runs every bench
+#   7. scripts/bench_diff.sh      the one bench gate: re-runs every bench
 #                                 of the sigmo_bench::gate table (pipeline,
 #                                 serve soak, adaptive ablation, shard
 #                                 soak, corpus screen) with each bench's
@@ -41,7 +38,7 @@
 #                                 field with the committed BENCH_*.json:
 #                                 exact fields as text, walls within
 #                                 ×1.25 + 10 ms
-#   9. fuzz-smoke                 deep fuzz sweep in release: at 10 000
+#   8. fuzz-smoke                 deep fuzz sweep in release: at 10 000
 #                                 cases per property the
 #                                 tests/parser_fuzz.rs battery (raw bytes,
 #                                 grammar token soup, and round-trip
@@ -49,17 +46,21 @@
 #                                 parsers), the filter kernels'
 #                                 branch-free SWAR domination test against
 #                                 the per-group reference on random
-#                                 signature layouts, and the class-major
+#                                 signature layouts, the class-major
 #                                 filter launch against the per-bit
-#                                 retain_row, row by row
-#                                 (both tests/properties.rs); at 2 000
-#                                 cases the join's symmetry breaking
+#                                 retain_row, row by row, and the engine's
+#                                 whole filter phase (delta refinement,
+#                                 fixpoint stop) against the per-bit
+#                                 naive::reference_filter on random
+#                                 graphs, schemas and wildcard queries
+#                                 (all three tests/properties.rs); at
+#                                 2 000 cases the join's symmetry breaking
 #                                 (tests/symmetry_breaking.rs: Find All
 #                                 counts and records equal brute force,
 #                                 each a multiple of |Aut(q)|, in every
 #                                 matching order, DFS and BFS, induced
 #                                 and wildcard queries included)
-#  10. canon-oracle               release-mode canonical-labeling sweep
+#   9. canon-oracle               release-mode canonical-labeling sweep
 #                                 (tests/canonical_oracle.rs with its
 #                                 #[ignore]d tests): the pruned search's
 #                                 codes equal the unpruned oracle's on the
@@ -69,8 +70,8 @@
 #                                 C.C.C.C.C.C.C.C and five dot-joined C1CC1
 #                                 (hydrogens explicit) each canonicalize in
 #                                 under 10 ms
-#  11. perfbench-screen           traced end-to-end benchmark smoke runs
-#  12. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
+#  10. perfbench-screen           traced end-to-end benchmark smoke runs
+#  11. perfbench-serve-cold       (--trace 1) of the screen and serve-cold
 #                                 workloads at the shortest --seconds that
 #                                 still yields the 1000 operations the
 #                                 harness requires (screen 4, serve-cold
@@ -81,7 +82,7 @@
 #                                 perfbench/ changes
 #
 # `--fast` skips the bench, fuzz, canon-oracle and perfbench run stages
-# (6-12) for quick
+# (6-11) for quick
 # pre-push runs. The lint and perfbench-build stages are NOT skipped: the
 # determinism audit is cheap (sub-second scan, <5 s budget enforced in
 # its own tests) and is exactly the check that must not be skippable in a
@@ -122,13 +123,15 @@ stage() {
 }
 
 # The deep fuzz sweep, in release: the parser fuzz battery, the SWAR
-# domination and class-walk properties at 10 000 cases each, and the
-# symmetry-breaking properties at 2 000 (each case runs the join once
-# per matching order; the stage stays under a minute).
+# domination, class-walk and filter-oracle properties at 10 000 cases
+# each, and the symmetry-breaking properties at 2 000 (each case runs the
+# join once per matching order; the stage stays under a minute).
 fuzz_smoke() {
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test parser_fuzz
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties swar_domination
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties class_walk
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
+        incremental_filter_is_bit_identical_to_reference
     SIGMO_FUZZ_CASES=2000 cargo test -q --release --test symmetry_breaking
 }
 
@@ -158,7 +161,6 @@ if [ "$LINT_ONLY" -eq 0 ]; then
 fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-build cargo bench --no-run
-    stage ablate-filter cargo bench -p sigmo-bench --bench ablate_filter_convergence
     stage bench-diff scripts/bench_diff.sh
     stage fuzz-smoke fuzz_smoke
     stage canon-oracle cargo test -q --release --test canonical_oracle -- --include-ignored

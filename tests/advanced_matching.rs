@@ -2,8 +2,8 @@
 //! wildcard atoms/bonds, and the BFS-join alternative.
 
 use sigmo::core::{
-    filter::initialize_candidates, join::QueryPlan, join_bfs, CandidateBitmap, Engine,
-    EngineConfig, Gmcr, WordWidth,
+    filter::initialize_candidates, join::QueryPlan, join_bfs, BatchFacts, CandidateBitmap, Engine,
+    EngineConfig, Gmcr, Governor, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_EDGE, WILDCARD_LABEL};
@@ -210,18 +210,13 @@ fn deeper_filter_reduces_bfs_join_memory() {
         .collect();
 
     let peak_at = |iterations: usize| {
-        use sigmo::core::{filter::refine_candidates, LabelSchema, SignatureSet};
         let q = queue();
+        let cfg = EngineConfig::with_iterations(iterations);
+        let plan = sigmo::core::QueryPlan::from_batch(queries.clone(), &cfg);
+        let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
         let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&q, &queries, &data, &bm, 1024);
-        let schema = LabelSchema::organic();
-        let mut qs = SignatureSet::new(&queries, schema.clone());
-        let mut ds = SignatureSet::new(&data, schema.clone());
-        for _ in 1..iterations {
-            qs.advance(&queries);
-            ds.advance(&data);
-            refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 1024);
-        }
+        let governor = Governor::unlimited();
+        Engine::new(cfg).filter_with_facts(&plan, &data, &facts, &bm, &q, &governor);
         let gmcr = Gmcr::build(&q, &queries, &data, &bm, 1024);
         join_bfs(&q, &queries, &data, &bm, &gmcr, &plans, 128)
     };

@@ -5,9 +5,8 @@ use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::schema::BitGroup;
 use sigmo::core::{
-    filter, naive, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Governor,
-    JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, SignatureSet,
-    WordWidth,
+    filter, naive, BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, Governor,
+    JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{reference_min_ring_sizes, CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -73,11 +72,12 @@ proptest! {
         let queries = CsrGo::from_graphs(std::slice::from_ref(&q));
         let data = CsrGo::from_graphs(std::slice::from_ref(&d));
         let schema = LabelSchema::organic();
-        let cands = filter::reference_filter(&queries, &data, &schema, iters);
+        let cands = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        naive::reference_filter(&queries, &data, &schema, iters, &cands);
         for emb in &embeddings {
             for (qn, &dn) in emb.iter().enumerate() {
                 prop_assert!(
-                    cands[qn].contains(&dn),
+                    cands.get(qn, dn as usize),
                     "iteration {} pruned true candidate q{} -> d{}", iters, qn, dn
                 );
             }
@@ -128,118 +128,22 @@ proptest! {
         }
     }
 
-    /// The convergence-driven filter (reusable plan + query-convergence
-    /// early exit + delta-driven refine with per-graph dead skipping) is
-    /// *bit-identical* to the exhaustive per-bit oracle, for random graphs,
-    /// random schemas, wildcard mixes, and every iteration count 1..=8.
-    /// This is the monotonicity argument made executable: skipping clean
-    /// rows, converged radii, and dead graphs must never change a bit.
+    /// Refinement depth never changes results: for every iteration count
+    /// 1..=8 the engine reports the 1-iteration run's totals and matched
+    /// pairs, and runs at most the configured iterations.
     #[test]
-    fn incremental_filter_is_bit_identical_to_reference(
-        q in arb_graph(5),
-        d1 in arb_graph(8),
-        d2 in arb_graph(8),
-        iters in 1usize..=8,
-        wild in any::<u8>(),
-        schema_pick in 0u8..3,
-    ) {
-        // Sprinkle wildcards onto some query nodes (bit i of `wild` decides
-        // node i), rebuilding the graph since labels are fixed at add time.
-        let mut qw = LabeledGraph::new();
-        for v in 0..q.num_nodes() as u32 {
-            let label = if wild >> (v % 8) & 1 == 1 {
-                WILDCARD_LABEL
-            } else {
-                q.label(v)
-            };
-            qw.add_node(label);
-        }
-        for (a, b, l) in q.edges() {
-            qw.add_edge(a, b, l).unwrap();
-        }
-        let schema = match schema_pick {
-            0 => LabelSchema::organic(),
-            1 => LabelSchema::uniform(6),
-            _ => LabelSchema::uniform(12),
+    fn refinement_depth_never_changes_results(q in arb_graph(4), d in arb_graph(8)) {
+        let run = |iters: usize| {
+            Engine::new(EngineConfig::with_iterations(iters))
+                .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
         };
-        let queries = CsrGo::from_graphs(std::slice::from_ref(&qw));
-        let data = CsrGo::from_graphs(&[d1, d2]);
-        let (nq, nd) = (queries.num_nodes(), data.num_nodes());
-
-        // Oracle: per-bit init + exhaustive refinement, no skipping.
-        let reference = CandidateBitmap::new(nq, nd, WordWidth::U64);
-        naive::reference_filter(&queries, &data, &schema, iters, &reference);
-
-        // Convergence-driven path, exactly as the incremental engine runs
-        // it: bucketed init, stop past the last dirty radius, delta kernel
-        // over dirty rows only, graph-alive snapshot refreshed between
-        // launches.
-        let cfg = EngineConfig {
-            refinement_iterations: iters,
-            schema: schema.clone(),
-            filter_mode: FilterMode::Incremental,
-            ..Default::default()
-        };
-        let plan = QueryPlan::from_batch(queries.clone(), &cfg);
-        let bitmap = CandidateBitmap::new(nq, nd, WordWidth::U64);
-        let queue = queue();
-        let gov = Governor::unlimited();
-        filter::initialize_candidates_bucketed(&queue, plan.buckets(), &data, &bitmap, 256, &gov);
-        let counts = RowCounts::of(&bitmap);
-        let mut data_sigs = SignatureSet::new(&data, schema.clone());
-        for it in 2..=iters {
-            let radius = it - 1;
-            if radius > plan.last_dirty_radius() {
-                break;
-            }
-            data_sigs.advance(&data);
-            let delta = plan.delta_at(radius);
-            if delta.is_empty() {
-                continue;
-            }
-            filter::refine_candidates_delta(
-                &queue,
-                &data,
-                &schema,
-                delta,
-                data_sigs.signatures(),
-                &bitmap,
-                &counts,
-                &gov,
-            );
+        let base = run(1);
+        for iters in 2..=8 {
+            let r = run(iters);
+            prop_assert_eq!(r.total_matches, base.total_matches, "{} iterations", iters);
+            prop_assert_eq!(&r.matched_pair_list, &base.matched_pair_list, "{} iterations", iters);
+            prop_assert!(r.iterations.len() <= iters, "{} iterations", iters);
         }
-        for row in 0..nq {
-            for col in 0..nd {
-                prop_assert_eq!(
-                    bitmap.get(row, col),
-                    reference.get(row, col),
-                    "bit (q{}, d{}) diverged at {} iterations", row, col, iters
-                );
-            }
-        }
-    }
-
-    /// Both engine filter modes agree on totals and matched pairs for
-    /// random workloads — the engine-level face of the bit-identity above.
-    #[test]
-    fn filter_modes_agree_on_random_workloads(
-        q in arb_graph(4),
-        d in arb_graph(8),
-        iters in 1usize..=8,
-    ) {
-        let run = |mode: FilterMode| {
-            Engine::new(EngineConfig {
-                refinement_iterations: iters,
-                filter_mode: mode,
-                ..Default::default()
-            })
-            .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
-        };
-        let ex = run(FilterMode::Exhaustive);
-        let inc = run(FilterMode::Incremental);
-        prop_assert_eq!(ex.total_matches, inc.total_matches);
-        prop_assert_eq!(&ex.matched_pair_list, &inc.matched_pair_list);
-        prop_assert!(inc.iterations.len() <= ex.iterations.len());
     }
 
     /// CSR-GO graph_of agrees with a linear scan for arbitrary batches.
@@ -665,14 +569,91 @@ proptest! {
     }
 }
 
-/// Case count of the SWAR domination property: `SIGMO_FUZZ_CASES` when
-/// set (`scripts/check.sh` runs 10 000 in release), else a tier-1-fast
-/// default.
-fn swar_cases() -> u32 {
+/// Case count of the deep-sweep properties: `SIGMO_FUZZ_CASES` when set
+/// (`scripts/check.sh` runs thousands in release), else the tier-1-fast
+/// `default`.
+fn fuzz_cases(default: u32) -> u32 {
     std::env::var("SIGMO_FUZZ_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
+        .unwrap_or(default)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(48)))]
+
+    /// The engine's filter (reusable plan + query-convergence early exit +
+    /// delta-driven refine with per-graph dead skipping), run through
+    /// `Engine::filter_with_facts`, is *bit-identical* to the per-bit
+    /// oracle `naive::reference_filter`, for random graphs, random
+    /// schemas, wildcard mixes, and every iteration count 1..=8. This is
+    /// the monotonicity argument made executable: skipping clean rows,
+    /// converged radii, and dead graphs must never change a bit.
+    #[test]
+    fn incremental_filter_is_bit_identical_to_reference(
+        q in arb_graph(5),
+        d1 in arb_graph(8),
+        d2 in arb_graph(8),
+        iters in 1usize..=8,
+        wild in any::<u8>(),
+        schema_pick in 0u8..3,
+    ) {
+        // Sprinkle wildcards onto some query nodes (bit i of `wild` decides
+        // node i), rebuilding the graph since labels are fixed at add time.
+        let mut qw = LabeledGraph::new();
+        for v in 0..q.num_nodes() as u32 {
+            let label = if wild >> (v % 8) & 1 == 1 {
+                WILDCARD_LABEL
+            } else {
+                q.label(v)
+            };
+            qw.add_node(label);
+        }
+        for (a, b, l) in q.edges() {
+            qw.add_edge(a, b, l).unwrap();
+        }
+        let schema = match schema_pick {
+            0 => LabelSchema::organic(),
+            1 => LabelSchema::uniform(6),
+            _ => LabelSchema::uniform(12),
+        };
+        let queries = CsrGo::from_graphs(std::slice::from_ref(&qw));
+        let data = CsrGo::from_graphs(&[d1, d2]);
+        let (nq, nd) = (queries.num_nodes(), data.num_nodes());
+
+        // Oracle: per-bit init, pair and predicate checks, then exhaustive
+        // refinement, no skipping.
+        let reference = CandidateBitmap::new(nq, nd, WordWidth::U64);
+        naive::reference_filter(&queries, &data, &schema, iters, &reference);
+
+        // The engine's filter phase, as every run executes it.
+        let cfg = EngineConfig {
+            refinement_iterations: iters,
+            schema: schema.clone(),
+            ..Default::default()
+        };
+        let plan = QueryPlan::from_batch(queries, &cfg);
+        let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+        let bitmap = CandidateBitmap::new(nq, nd, cfg.bitmap_word);
+        let trace = Engine::new(cfg).filter_with_facts(
+            &plan,
+            &data,
+            &facts,
+            &bitmap,
+            &queue(),
+            &Governor::unlimited(),
+        );
+        prop_assert!(trace.len() <= iters);
+        for row in 0..nq {
+            for col in 0..nd {
+                prop_assert_eq!(
+                    bitmap.get(row, col),
+                    reference.get(row, col),
+                    "bit (q{}, d{}) diverged at {} iterations", row, col, iters
+                );
+            }
+        }
+    }
 }
 
 /// A random non-overlapping layout: `from_weights` at a random minimum
@@ -741,7 +722,7 @@ fn random_signature(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(swar_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
 
     /// The filter kernels' branch-free SWAR domination test equals the
     /// per-group reference `dominates_groups` on the organic, label-pair
@@ -806,7 +787,7 @@ fn random_pair_sig(rng: &mut rand::rngs::StdRng, data: bool) -> Signature {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(swar_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
 
     /// The class-major launch (here `label_pair_filter`'s) equals the
     /// per-bit `retain_row`, row by row: the same surviving bits, hence

@@ -6,8 +6,7 @@
 //! consciously.
 
 use sigmo::core::{
-    BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, FilterMode, Gmcr, Governor,
-    QueryPlan,
+    BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, Gmcr, Governor, QueryPlan,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph};
@@ -206,7 +205,7 @@ fn predicate_batch() -> (Vec<LabeledGraph>, Vec<LabeledGraph>) {
 }
 
 /// The engine summarizes each iteration from the per-row counts its
-/// kernels report; after every iteration, under every filter mode, they
+/// kernels report; after every iteration, at every configured depth, they
 /// must equal a popcount of the bitmap — on the pinned dataset and on
 /// the SMARTS batch (label-pair and predicate rows included).
 #[test]
@@ -226,35 +225,26 @@ fn kernel_row_counts_equal_bitmap_stats_after_every_iteration() {
     ];
     for (name, queries, data) in &workloads {
         let data = CsrGo::from_graphs(data);
-        for mode in [FilterMode::Incremental, FilterMode::Exhaustive] {
-            for iterations in 1..=6 {
-                let cfg = EngineConfig {
-                    refinement_iterations: iterations,
-                    filter_mode: mode,
-                    ..Default::default()
-                };
-                let plan = QueryPlan::build(queries, &cfg);
-                let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
-                let bitmap = CandidateBitmap::new(
-                    plan.batch().num_nodes(),
-                    data.num_nodes(),
-                    cfg.bitmap_word,
-                );
-                let trace = Engine::new(cfg).filter_with_facts(
-                    &plan,
-                    &data,
-                    &facts,
-                    &bitmap,
-                    &queue(),
-                    &Governor::unlimited(),
-                );
-                let last = trace.last().expect("iteration 1 always runs");
-                assert_eq!(
-                    last.candidates,
-                    CandidateStats::from_bitmap(&bitmap),
-                    "{name}, {mode:?}, {iterations} iterations"
-                );
-            }
+        for iterations in 1..=6 {
+            let cfg = EngineConfig::with_iterations(iterations);
+            let plan = QueryPlan::build(queries, &cfg);
+            let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+            let bitmap =
+                CandidateBitmap::new(plan.batch().num_nodes(), data.num_nodes(), cfg.bitmap_word);
+            let trace = Engine::new(cfg).filter_with_facts(
+                &plan,
+                &data,
+                &facts,
+                &bitmap,
+                &queue(),
+                &Governor::unlimited(),
+            );
+            let last = trace.last().expect("iteration 1 always runs");
+            assert_eq!(
+                last.candidates,
+                CandidateStats::from_bitmap(&bitmap),
+                "{name}, {iterations} iterations"
+            );
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Differential regression for the word-parallel filter/join hot paths.
 //!
-//! The optimized kernels — label-bucketed init, signature-class deduped
+//! The optimized kernels — label-bucketed init, the class-major delta
 //! refinement, word-level candidate enumeration — must be *bit-identical*
 //! to the per-bit reference implementations in `sigmo::core::naive` at
 //! every pipeline stage, and must produce identical match sets through
@@ -8,12 +8,12 @@
 
 use rand::{Rng, SeedableRng};
 use sigmo::core::filter::{
-    initialize_candidates, initialize_candidates_governed, refine_candidates,
+    initialize_candidates, initialize_candidates_bucketed, refine_candidates_delta,
 };
 use sigmo::core::join::{join, JoinParams, QueryPlan};
 use sigmo::core::{
-    naive, CancelToken, CandidateBitmap, Gmcr, Governor, LabelSchema, MatchMode, RunBudget,
-    SignatureSet, TruncationReason, WordWidth,
+    naive, BatchFacts, CancelToken, CandidateBitmap, EngineConfig, Gmcr, Governor, LabelBuckets,
+    LabelSchema, MatchMode, RowCounts, RunBudget, SignatureSet, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{random_sparse_graph, CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -42,6 +42,38 @@ fn assert_bitmaps_identical(fast: &CandidateBitmap, slow: &CandidateBitmap, stag
     }
 }
 
+/// The engine's refinement steps for `queries` × `data` up to `radii`:
+/// the plan's dirty rows and the data signatures at each radius.
+struct Refiner {
+    cfg: EngineConfig,
+    plan: sigmo::core::QueryPlan,
+    facts: BatchFacts,
+}
+
+impl Refiner {
+    fn new(queries: &CsrGo, data: &CsrGo, radii: usize) -> Self {
+        let cfg = EngineConfig::with_iterations(radii + 1);
+        let plan = sigmo::core::QueryPlan::from_batch(queries.clone(), &cfg);
+        let facts = BatchFacts::compute(data, &cfg.schema, radii, false);
+        Refiner { cfg, plan, facts }
+    }
+
+    /// Refines `bitmap` at `radius` with the delta kernel, as the engine
+    /// does; returns the bits cleared.
+    fn refine(&self, queue: &Queue, data: &CsrGo, bitmap: &CandidateBitmap, radius: usize) -> u64 {
+        refine_candidates_delta(
+            queue,
+            data,
+            &self.cfg.schema,
+            self.plan.delta_at(radius),
+            self.facts.signatures_at(radius),
+            bitmap,
+            &RowCounts::of(bitmap),
+            &Governor::unlimited(),
+        )
+    }
+}
+
 /// Runs the optimized kernels and the naive reference side by side and
 /// checks the bitmaps stay bit-identical through init and every
 /// refinement iteration.
@@ -59,13 +91,14 @@ fn filter_pipeline_is_bit_identical_to_naive() {
         naive::initialize_candidates(&queries, &data, &slow);
         assert_bitmaps_identical(&fast, &slow, &format!("init (seed {seed})"));
 
+        let refiner = Refiner::new(&queries, &data, 4);
         let mut qs = SignatureSet::new(&queries, schema.clone());
         let mut ds = SignatureSet::new(&data, schema.clone());
         let mut prev_total = fast.total_count();
         for iter in 0..4 {
             qs.advance(&queries);
             ds.advance(&data);
-            let fast_cleared = refine_candidates(&queue, &queries, &data, &qs, &ds, &fast, 64);
+            let fast_cleared = refiner.refine(&queue, &data, &fast, iter + 1);
             let slow_cleared =
                 naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
             assert_eq!(
@@ -92,14 +125,9 @@ fn filter_pipeline_is_bit_identical_to_naive() {
 fn enumeration_is_identical_to_naive() {
     let (queries, data) = world(7);
     let queue = Queue::new(DeviceProfile::host());
-    let schema = LabelSchema::organic();
     let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
     initialize_candidates(&queue, &queries, &data, &bm, 64);
-    let mut qs = SignatureSet::new(&queries, schema.clone());
-    let mut ds = SignatureSet::new(&data, schema);
-    qs.advance(&queries);
-    ds.advance(&data);
-    refine_candidates(&queue, &queries, &data, &qs, &ds, &bm, 64);
+    Refiner::new(&queries, &data, 1).refine(&queue, &data, &bm, 1);
 
     let nd = data.num_nodes();
     for r in 0..bm.rows() {
@@ -179,12 +207,13 @@ fn match_sets_are_identical_to_naive() {
         let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         initialize_candidates(&queue, &queries, &data, &fast, 64);
         naive::initialize_candidates(&queries, &data, &slow);
+        let refiner = Refiner::new(&queries, &data, 3);
         let mut qs = SignatureSet::new(&queries, schema.clone());
         let mut ds = SignatureSet::new(&data, schema.clone());
-        for _ in 0..3 {
+        for radius in 1..=3 {
             qs.advance(&queries);
             ds.advance(&data);
-            refine_candidates(&queue, &queries, &data, &qs, &ds, &fast, 64);
+            refiner.refine(&queue, &data, &fast, radius);
             naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
         }
 
@@ -277,7 +306,8 @@ fn stopped_init_sets_a_subset_of_the_full_init() {
     token.cancel();
     let stopped = Governor::with_cancel(&RunBudget::none(), token);
     let part = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-    initialize_candidates_governed(&queue, &queries, &data, &part, 64, &stopped);
+    let buckets = LabelBuckets::build(&queries);
+    initialize_candidates_bucketed(&queue, &buckets, &data, &part, 64, &stopped);
     assert_subset(&part, "pre-stopped");
     assert_eq!(part.total_count(), 0, "a pre-stopped init sets nothing");
 
@@ -291,7 +321,7 @@ fn stopped_init_sets_a_subset_of_the_full_init() {
                 gov.trip(TruncationReason::Cancelled);
             });
             start.wait();
-            initialize_candidates_governed(&queue, &queries, &data, &part, wg, &gov);
+            initialize_candidates_bucketed(&queue, &buckets, &data, &part, wg, &gov);
         });
         assert!(gov.stopped());
         assert_subset(&part, &format!("tripped mid-run (wg {wg})"));
