@@ -25,10 +25,12 @@
 //! simulated device seconds (`sim_s`: the analytical device model over
 //! the join kernels' charged traffic — this repo's substrate for all
 //! paper-shape claims, noise-free by construction), and the gate holds
-//! them exact. The real host wall of each whole run is recorded
-//! alongside as best-of-[`REPS`] and gated as a wall. Match totals and
-//! per-pair attributions must be bit-identical across all five
-//! configurations; the run asserts that on every rep.
+//! them exact. The real host wall is recorded alongside as best-of-[`REPS`]
+//! and gated as a wall: one run takes well under a millisecond, so each
+//! wall times [`Scenario::wall_runs`] back-to-back runs, enough for at
+//! least 50 ms on the recording host. Match totals and per-pair
+//! attributions must be bit-identical across all five configurations and
+//! across every run; the bench asserts both.
 
 use crate::gate::Field;
 use crate::BenchScale;
@@ -39,7 +41,7 @@ use std::time::Instant;
 
 /// Fresh runs per configuration; real walls take the minimum, modeled
 /// walls and results must agree exactly across reps.
-pub const REPS: usize = 3;
+pub const REPS: usize = 5;
 
 /// Required whole-workload win over the worst fixed combination.
 pub const MIN_SPEEDUP_VS_WORST: f64 = 1.3;
@@ -66,6 +68,8 @@ pub struct Scenario {
     pub data: Vec<LabeledGraph>,
     /// Find All or Find First.
     pub mode: MatchMode,
+    /// Back-to-back runs one wall measurement times.
+    pub wall_runs: usize,
 }
 
 /// One scenario's measurements across the five configurations.
@@ -78,9 +82,11 @@ pub struct ScenarioResult {
     pub fixed_model_s: [f64; 4],
     /// Modeled join-kernel wall of the adaptive run.
     pub adaptive_model_s: f64,
-    /// Best-of-[`REPS`] real join-phase wall per fixed combo.
+    /// Best-of-[`REPS`] real wall of [`Scenario::wall_runs`] whole runs
+    /// per fixed combo.
     pub fixed_wall_s: [f64; 4],
-    /// Best-of-[`REPS`] real join-phase wall of the adaptive run.
+    /// Best-of-[`REPS`] real wall of [`Scenario::wall_runs`] whole
+    /// adaptive runs.
     pub adaptive_wall_s: f64,
     /// The adaptive run's per-pair decision tallies.
     pub decisions: StrategyCounts,
@@ -194,6 +200,7 @@ fn needle(scale: BenchScale) -> Scenario {
         queries: vec![query],
         data: vec![template; graphs_at(scale, 30)],
         mode: MatchMode::FindAll,
+        wall_runs: 160,
     }
 }
 
@@ -213,6 +220,7 @@ fn bushy(scale: BenchScale) -> Scenario {
         queries: vec![query],
         data: vec![template; graphs_at(scale, 6)],
         mode: MatchMode::FindAll,
+        wall_runs: 192,
     }
 }
 
@@ -235,6 +243,7 @@ fn probe(scale: BenchScale) -> Scenario {
         queries: vec![query],
         data: vec![template; graphs_at(scale, 20)],
         mode: MatchMode::FindFirst,
+        wall_runs: 256,
     }
 }
 
@@ -265,15 +274,28 @@ struct ConfigRun {
 }
 
 /// Runs one configuration [`REPS`] times: asserts results and modeled
-/// wall are identical across reps, keeps the minimum real wall.
+/// wall are identical across reps, keeps the minimum real wall. Each
+/// rep's wall times [`Scenario::wall_runs`] runs; the first run's queue
+/// supplies the modeled wall, the others run on a queue cleared after
+/// each run and must report the same total.
 fn run_config(s: &Scenario, strategy: JoinStrategy, order: JoinOrder) -> ConfigRun {
     let model = CostModel::new(DeviceProfile::nvidia_v100s());
     let mut best: Option<ConfigRun> = None;
     for _ in 0..REPS {
         let queue = Queue::new(DeviceProfile::nvidia_v100s());
+        let spare = Queue::new(DeviceProfile::nvidia_v100s());
         let engine = Engine::new(config(s, strategy, order));
         let start = Instant::now();
         let report = engine.run(&s.queries, &s.data, &queue);
+        for _ in 1..s.wall_runs {
+            let again = engine.run(&s.queries, &s.data, &spare);
+            spare.clear_records();
+            assert_eq!(
+                again.total_matches, report.total_matches,
+                "{}/{strategy:?}/{order:?}: nondeterministic totals",
+                s.name
+            );
+        }
         let wall_s = start.elapsed().as_secs_f64();
         let model_s = summarize(&queue.records(), &model)
             .iter()

@@ -6,11 +6,18 @@
 //! each query node's post-refinement candidate count with the measured
 //! frequency of its query pattern in the corpus (matched molecules /
 //! corpus size).
+//!
+//! The candidates are the ones the engine's own filter leaves after 8
+//! refinement iterations — label init, the label-pair pre-check, node
+//! predicates and signature refinement to convergence — since those are
+//! the candidates the join has to search, and so the outliers that cost
+//! time. Signature refinement alone, without the label-pair and
+//! predicate stages, reads ρ = 0.387 on the quick dataset (EXPERIMENTS.md,
+//! "outlier provenance").
 
 use sigmo_bench::BenchScale;
 use sigmo_core::{
-    filter, BatchFacts, CandidateBitmap, Engine, EngineConfig, Governor, MatchMode, QueryPlan,
-    RowCounts, WordWidth,
+    BatchFacts, CandidateBitmap, Engine, EngineConfig, Governor, MatchMode, QueryPlan, WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 
@@ -30,30 +37,15 @@ fn main() {
         hit_count[qg] += 1;
     }
 
-    // Candidate counts after deep refinement, per query graph (mean row
-    // count over the graph's nodes): the paper's filter — label init, then
-    // signature refinement at radii 1..=7 — without the label-pair and
-    // predicate stages the engine adds.
+    // Candidate counts after the engine's whole filter at 8 refinement
+    // iterations, per query graph (mean row count over the graph's nodes).
     let cfg = EngineConfig::with_iterations(8);
     let plan = QueryPlan::build(d.queries(), &cfg);
     let qb = plan.batch();
     let db = d.data_batch();
-    let facts = BatchFacts::compute(&db, &cfg.schema, plan.max_radius(), false);
+    let facts = BatchFacts::for_run(&cfg, &plan, &db, &[]);
     let bitmap = CandidateBitmap::new(qb.num_nodes(), db.num_nodes(), WordWidth::U64);
-    filter::initialize_candidates(&queue, qb, &db, &bitmap, 1024);
-    let counts = RowCounts::of(&bitmap);
-    for radius in 1..=plan.max_radius() {
-        filter::refine_candidates_delta(
-            &queue,
-            &db,
-            &cfg.schema,
-            plan.delta_at(radius),
-            facts.signatures_at(radius),
-            &bitmap,
-            &counts,
-            &Governor::unlimited(),
-        );
-    }
+    Engine::new(cfg).filter_with_facts(&plan, &db, &facts, &bitmap, &queue, &Governor::unlimited());
     let mut rows: Vec<(usize, f64, f64)> = (0..qb.num_graphs())
         .map(|qg| {
             let range = qb.node_range(qg);

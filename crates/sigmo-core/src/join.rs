@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use symmetry::Symmetry;
+use symmetry::{SearchBuffers, Symmetry};
 
 const INVALID: NodeId = NodeId::MAX;
 
@@ -118,8 +118,13 @@ impl QueryPlan {
     /// order at the max-degree node (most structurally constrained first —
     /// the default heuristic).
     pub fn build(queries: &CsrGo, qg: usize, induced: bool) -> Self {
+        Self::build_in(queries, qg, induced, &mut SearchBuffers::default())
+    }
+
+    /// [`QueryPlan::build`] with the symmetry search working in `bufs`.
+    fn build_in(queries: &CsrGo, qg: usize, induced: bool, bufs: &mut SearchBuffers) -> Self {
         match max_degree_start(queries, qg) {
-            Some(start) => Self::build_from(queries, qg, induced, start),
+            Some(start) => Self::build_from_in(queries, qg, induced, start, bufs),
             None => Self::empty(),
         }
     }
@@ -131,13 +136,14 @@ impl QueryPlan {
     pub fn build_batch(queries: &CsrGo, induced: bool) -> Vec<Self> {
         let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut plans: Vec<Self> = Vec::with_capacity(queries.num_graphs());
+        let mut bufs = SearchBuffers::default();
         for qg in 0..queries.num_graphs() {
             let alike = seen.entry(slice_hash(queries, qg)).or_default();
             let twin = alike.iter().copied().find(|&r| same_slice(queries, r, qg));
             let plan = match twin {
                 None => {
                     alike.push(qg);
-                    Self::build(queries, qg, induced)
+                    Self::build_in(queries, qg, induced, &mut bufs)
                 }
                 Some(twin) => {
                     plans[twin].has_twins = true;
@@ -172,8 +178,25 @@ impl QueryPlan {
     /// starts at the node with the fewest surviving candidates. The
     /// query's automorphisms are searched along this order.
     pub fn build_from(queries: &CsrGo, qg: usize, induced: bool, start: NodeId) -> Self {
+        Self::build_from_in(queries, qg, induced, start, &mut SearchBuffers::default())
+    }
+
+    fn build_from_in(
+        queries: &CsrGo,
+        qg: usize,
+        induced: bool,
+        start: NodeId,
+        bufs: &mut SearchBuffers,
+    ) -> Self {
         let mut plan = Self::layout(queries, qg, induced, start);
-        let symmetry = Symmetry::of_query(queries, qg, &plan.order);
+        let symmetry = Symmetry::chain_in(
+            queries,
+            qg,
+            &plan.order,
+            symmetry::SEARCH_BUDGET,
+            symmetry::MAX_ORDER,
+            bufs,
+        );
         plan.set_symmetry(Arc::new(symmetry));
         plan
     }

@@ -73,40 +73,79 @@ impl Symmetry {
     /// Searches the automorphisms of query graph `qg` and walks their
     /// stabilizer chain along `base` (query-local ids, every node once).
     pub fn of_query(queries: &CsrGo, qg: usize, base: &[u32]) -> Self {
-        Self::chain(queries, qg, base, SEARCH_BUDGET, MAX_ORDER)
+        Self::chain_in(
+            queries,
+            qg,
+            base,
+            SEARCH_BUDGET,
+            MAX_ORDER,
+            &mut SearchBuffers::default(),
+        )
+    }
+
+    /// [`Symmetry::chain_in`] with fresh buffers.
+    #[cfg(test)]
+    pub(crate) fn chain(
+        queries: &CsrGo,
+        qg: usize,
+        base: &[u32],
+        budget: u64,
+        max_order: u64,
+    ) -> Self {
+        Self::chain_in(
+            queries,
+            qg,
+            base,
+            budget,
+            max_order,
+            &mut SearchBuffers::default(),
+        )
     }
 
     /// [`Symmetry::of_query`] with an explicit search budget and order
     /// limit: the chain ends at the first level that spends the budget
-    /// or would push the order past `max_order`.
-    pub(crate) fn chain(
+    /// or would push the order past `max_order`. The search works in
+    /// `bufs`, which a plan build reuses across its queries.
+    pub(crate) fn chain_in(
         queries: &CsrGo,
         qg: usize,
         base: &[u32],
         mut budget: u64,
         max_order: u64,
+        bufs: &mut SearchBuffers,
     ) -> Self {
         let n = base.len();
         if !(2..=MAX_NODES).contains(&n) {
             return Self::trivial();
         }
-        let search = Search::new(queries, qg);
-        let mut fixed: Vec<u32> = Vec::with_capacity(n);
+        let SearchBuffers {
+            colours,
+            adj,
+            fixed,
+            rivals,
+            cells,
+            from,
+            to,
+            scratch,
+        } = bufs;
+        let search = Search::new(queries, qg, std::mem::take(colours), std::mem::take(adj));
+        fixed.clear();
         let mut levels = Vec::new();
         let mut order = 1u64;
-        let mut cells = search.refined(&[], None);
+        search.refined(&[], None, cells, scratch);
         for &b in base {
-            if distinct(&cells) == n {
+            if scratch.distinct(cells) == n {
                 break; // the stabilizer of `fixed` is trivial
             }
-            let rivals: Vec<u32> = (0..n as u32)
-                .filter(|&u| u != b && cells[u as usize] == cells[b as usize])
-                .collect();
+            rivals.clear();
+            rivals.extend(
+                (0..n as u32).filter(|&u| u != b && cells[u as usize] == cells[b as usize]),
+            );
             // The colouring with `b` individualized too: the next level's
             // cells, and the source side of this level's searches.
-            let from = search.refined(&fixed, Some(b));
+            search.refined(fixed, Some(b), from, scratch);
             if !rivals.is_empty() {
-                match search.orbit_of(&fixed, b, &from, &rivals, &mut budget) {
+                match search.orbit_of(fixed, b, from, rivals, to, scratch, &mut budget) {
                     Some(level) if level.orbit.len() > 1 => {
                         match order.checked_mul(level.orbit.len() as u64) {
                             Some(o) if o <= max_order => order = o,
@@ -119,8 +158,9 @@ impl Symmetry {
                 }
             }
             fixed.push(b);
-            cells = from;
+            std::mem::swap(cells, from);
         }
+        (*colours, *adj) = (search.colours, search.adj);
         Self { levels, order }
     }
 
@@ -186,6 +226,54 @@ impl Symmetry {
     }
 }
 
+/// The automorphism search's working memory, reused across the queries of
+/// one plan build ([`super::QueryPlan::build_batch`]): each query's search
+/// then allocates only what its [`Symmetry`] keeps.
+#[derive(Debug, Default)]
+pub(crate) struct SearchBuffers {
+    /// [`Search::colours`] and [`Search::adj`], lent to each search.
+    colours: Vec<u64>,
+    adj: Vec<u16>,
+    /// The base points fixed so far.
+    fixed: Vec<u32>,
+    /// The other members of the current base point's cell.
+    rivals: Vec<u32>,
+    /// The colouring with `fixed` individualized.
+    cells: Vec<u64>,
+    /// The colouring with `fixed` and the base point individualized.
+    from: Vec<u64>,
+    /// The colouring with `fixed` and a rival individualized.
+    to: Vec<u64>,
+    scratch: Scratch,
+}
+
+/// Buffers the refinement and the automorphism test overwrite on every
+/// call.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The refinement's next round.
+    next: Vec<u64>,
+    /// Sorted copies of the two colourings being compared.
+    sorted: Vec<u64>,
+    sorted_to: Vec<u64>,
+    /// Nodes keyed by (cell size, id), in search order.
+    keyed: Vec<(usize, u32)>,
+    xs: Vec<u32>,
+    sigma: Vec<u32>,
+    used: Vec<bool>,
+}
+
+impl Scratch {
+    /// Number of distinct values of `c`.
+    fn distinct(&mut self, c: &[u64]) -> usize {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(c);
+        self.sorted.sort_unstable();
+        self.sorted.dedup();
+        self.sorted.len()
+    }
+}
+
 /// The automorphism search over one query graph's local ids.
 struct Search<'a> {
     queries: &'a CsrGo,
@@ -199,27 +287,28 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(queries: &'a CsrGo, qg: usize) -> Self {
+    /// The search over query graph `qg`, filling the `colours` and `adj`
+    /// buffers (whatever they held before).
+    fn new(queries: &'a CsrGo, qg: usize, mut colours: Vec<u64>, mut adj: Vec<u16>) -> Self {
         let range = queries.node_range(qg);
         let base = range.start;
         let n = (range.end - range.start) as usize;
         // Predicates have no order; number the distinct keys by first
         // appearance instead, which is still a function of the key.
         let mut keys: Vec<(u8, i8, Option<&NodePredicate>)> = Vec::with_capacity(n);
-        let colours = range
-            .clone()
-            .map(|v| {
-                let key = (queries.label(v), queries.charge(v), queries.predicate(v));
-                match keys.iter().position(|k| *k == key) {
-                    Some(c) => c as u64,
-                    None => {
-                        keys.push(key);
-                        keys.len() as u64 - 1
-                    }
+        colours.clear();
+        colours.extend(range.clone().map(|v| {
+            let key = (queries.label(v), queries.charge(v), queries.predicate(v));
+            match keys.iter().position(|k| *k == key) {
+                Some(c) => c as u64,
+                None => {
+                    keys.push(key);
+                    keys.len() as u64 - 1
                 }
-            })
-            .collect();
-        let mut adj = vec![0u16; n * n];
+            }
+        }));
+        adj.clear();
+        adj.resize(n * n, 0);
         for v in range {
             let x = (v - base) as usize;
             for (&u, &l) in queries
@@ -246,16 +335,19 @@ impl<'a> Search<'a> {
     /// order-free sum — so the result is invariant: an automorphism fixing
     /// `fixed` pointwise and mapping one `extra` onto the other maps the
     /// first colouring onto the second. (A hash collision only coarsens
-    /// the cells, which the exact search below tolerates.)
-    fn refined(&self, fixed: &[u32], extra: Option<u32>) -> Vec<u64> {
-        let mut c = self.colours.clone();
+    /// the cells, which the exact search below tolerates.) The colouring
+    /// is written to `c`.
+    fn refined(&self, fixed: &[u32], extra: Option<u32>, c: &mut Vec<u64>, s: &mut Scratch) {
+        c.clear();
+        c.extend_from_slice(&self.colours);
         for (j, &f) in fixed.iter().chain(extra.iter()).enumerate() {
             c[f as usize] = (1 << 32) + j as u64;
         }
-        let mut cells = distinct(&c);
-        let mut next = vec![0u64; self.n];
+        let mut cells = s.distinct(c);
+        s.next.clear();
+        s.next.resize(self.n, 0);
         loop {
-            for (x, out) in next.iter_mut().enumerate() {
+            for (x, out) in s.next.iter_mut().enumerate() {
                 let v = self.base + x as NodeId;
                 let around = self
                     .queries
@@ -267,10 +359,10 @@ impl<'a> Search<'a> {
                     });
                 *out = mix(c[x].wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ around);
             }
-            std::mem::swap(&mut c, &mut next);
-            let now = distinct(&c);
+            std::mem::swap(c, &mut s.next);
+            let now = s.distinct(c);
             if now <= cells {
-                return c;
+                return;
             }
             cells = now;
         }
@@ -279,14 +371,17 @@ impl<'a> Search<'a> {
     /// The orbit of `b` under the stabilizer of `fixed`, searching each
     /// of `rivals` (the other members of `b`'s colour cell) not already
     /// reached by the automorphisms found so far. `from` is the colouring
-    /// with `fixed` and `b` individualized. `None` when the budget runs
-    /// out.
+    /// with `fixed` and `b` individualized; each rival's colouring is
+    /// refined into `to`. `None` when the budget runs out.
+    #[allow(clippy::too_many_arguments)]
     fn orbit_of(
         &self,
         fixed: &[u32],
         b: u32,
         from: &[u64],
         rivals: &[u32],
+        to: &mut Vec<u64>,
+        s: &mut Scratch,
         budget: &mut u64,
     ) -> Option<Level> {
         let identity: Vec<u32> = (0..self.n as u32).collect();
@@ -297,8 +392,8 @@ impl<'a> Search<'a> {
             if orbit.contains(&u) {
                 continue;
             }
-            let to = self.refined(fixed, Some(u));
-            if let Some(sigma) = self.automorphism(from, &to, budget)? {
+            self.refined(fixed, Some(u), to, s);
+            if let Some(sigma) = self.automorphism(from, to, s, budget)? {
                 gens.push(sigma);
                 // Close the orbit under every generator found so far.
                 let mut i = 0;
@@ -338,23 +433,37 @@ impl<'a> Search<'a> {
     /// An automorphism taking colouring `from` onto colouring `to`:
     /// `Some(Some(σ))` found, `Some(None)` none exists, `None` budget
     /// spent.
-    fn automorphism(&self, from: &[u64], to: &[u64], budget: &mut u64) -> Option<Option<Vec<u32>>> {
-        let mut a = from.to_vec();
-        let mut b = to.to_vec();
-        a.sort_unstable();
-        b.sort_unstable();
-        if a != b {
+    fn automorphism(
+        &self,
+        from: &[u64],
+        to: &[u64],
+        s: &mut Scratch,
+        budget: &mut u64,
+    ) -> Option<Option<Vec<u32>>> {
+        s.sorted.clear();
+        s.sorted.extend_from_slice(from);
+        s.sorted.sort_unstable();
+        s.sorted_to.clear();
+        s.sorted_to.extend_from_slice(to);
+        s.sorted_to.sort_unstable();
+        if s.sorted != s.sorted_to {
             return Some(None); // the refinements already disagree
         }
         // Smallest cells first: singletons are forced, and every later
         // choice is checked against them.
         let cell_size = |x: u32| from.iter().filter(|&&c| c == from[x as usize]).count();
-        let mut xs: Vec<u32> = (0..self.n as u32).collect();
-        xs.sort_by_cached_key(|&x| (cell_size(x), x));
-        let mut sigma = vec![u32::MAX; self.n];
-        let mut used = vec![false; self.n];
-        let found = self.assign_rest(0, &xs, from, to, &mut sigma, &mut used, budget)?;
-        Some(found.then_some(sigma))
+        s.keyed.clear();
+        s.keyed
+            .extend((0..self.n as u32).map(|x| (cell_size(x), x)));
+        s.keyed.sort_unstable();
+        s.xs.clear();
+        s.xs.extend(s.keyed.iter().map(|&(_, x)| x));
+        s.sigma.clear();
+        s.sigma.resize(self.n, u32::MAX);
+        s.used.clear();
+        s.used.resize(self.n, false);
+        let found = self.assign_rest(0, &s.xs, from, to, &mut s.sigma, &mut s.used, budget)?;
+        Some(found.then(|| s.sigma.clone()))
     }
 
     /// Assigns `xs[i..]` consistently with the assignments of `xs[..i]`.
@@ -408,14 +517,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Number of distinct values.
-fn distinct(c: &[u64]) -> usize {
-    let mut s = c.to_vec();
-    s.sort_unstable();
-    s.dedup();
-    s.len()
 }
 
 #[cfg(test)]

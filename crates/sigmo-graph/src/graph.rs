@@ -48,15 +48,83 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Neighbour entries a node holds inline before its list spills to the
+/// heap. Molecular graphs sit almost entirely at or under it: hydrogens,
+/// halogens and carbons have degree ≤ 4, and only hypervalent S and P go
+/// above.
+const INLINE_NEIGHBORS: usize = 4;
+
+/// One node's neighbour list, in insertion order: up to
+/// [`INLINE_NEIGHBORS`] entries inside the node's slot, spilled to a heap
+/// vector (keeping the order) from the next one on. Which form a list is
+/// in follows from its length alone, and equality compares the entries,
+/// never the form.
+#[derive(Clone, Serialize, Deserialize)]
+enum NeighborList {
+    Inline {
+        len: u8,
+        slots: [(NodeId, EdgeLabel); INLINE_NEIGHBORS],
+    },
+    Spilled(Vec<(NodeId, EdgeLabel)>),
+}
+
+impl NeighborList {
+    const EMPTY: Self = NeighborList::Inline {
+        len: 0,
+        slots: [(0, 0); INLINE_NEIGHBORS],
+    };
+
+    #[inline]
+    fn as_slice(&self) -> &[(NodeId, EdgeLabel)] {
+        match self {
+            NeighborList::Inline { len, slots } => &slots[..*len as usize],
+            NeighborList::Spilled(v) => v,
+        }
+    }
+
+    fn push_entry(&mut self, entry: (NodeId, EdgeLabel)) {
+        match self {
+            NeighborList::Inline { len, slots } if (*len as usize) < INLINE_NEIGHBORS => {
+                slots[*len as usize] = entry;
+                *len += 1;
+            }
+            NeighborList::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_NEIGHBORS);
+                spilled.extend_from_slice(slots);
+                spilled.push(entry);
+                *self = NeighborList::Spilled(spilled);
+            }
+            NeighborList::Spilled(v) => v.push(entry),
+        }
+    }
+}
+
+impl PartialEq for NeighborList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for NeighborList {}
+
+impl fmt::Debug for NeighborList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// A simple, finite, undirected, node- and edge-labeled graph.
 ///
-/// The representation is an adjacency list plus a parallel list of edge
-/// labels; it is the mutable "builder" form that gets frozen into [`crate::Csr`]
-/// or batched into [`crate::CsrGo`] for the GPU-style kernels.
+/// The representation is one neighbour list per node, each entry a
+/// neighbour with its edge label; it is the mutable "builder" form that
+/// gets frozen into [`crate::Csr`] or batched into [`crate::CsrGo`] for the
+/// GPU-style kernels. A node's first four entries live inline in its slot,
+/// so building, cloning and dropping a molecular graph costs a handful of
+/// allocations rather than one per atom.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LabeledGraph {
     labels: Vec<Label>,
-    adj: Vec<Vec<(NodeId, EdgeLabel)>>,
+    adj: Vec<NeighborList>,
     num_edges: usize,
     /// Nonzero formal charges, sparse and sorted by node id. Uncharged
     /// graphs carry an empty vector, so equality and hashing of graphs
@@ -80,7 +148,7 @@ impl LabeledGraph {
     pub fn with_uniform_labels(n: usize, label: Label) -> Self {
         Self {
             labels: vec![label; n],
-            adj: vec![Vec::new(); n],
+            adj: vec![NeighborList::EMPTY; n],
             num_edges: 0,
             charges: Vec::new(),
             preds: Vec::new(),
@@ -100,11 +168,17 @@ impl LabeledGraph {
         Ok(g)
     }
 
+    /// Reserves room for `additional` more nodes.
+    pub fn reserve_nodes(&mut self, additional: usize) {
+        self.labels.reserve(additional);
+        self.adj.reserve(additional);
+    }
+
     /// Adds a node with the given label, returning its id.
     pub fn add_node(&mut self, label: Label) -> NodeId {
         let id = self.labels.len() as NodeId;
         self.labels.push(label);
-        self.adj.push(Vec::new());
+        self.adj.push(NeighborList::EMPTY);
         id
     }
 
@@ -184,7 +258,7 @@ impl LabeledGraph {
         let mut targets = Vec::with_capacity(2 * self.num_edges);
         offsets.push(0u32);
         for nbrs in &self.adj {
-            targets.extend(nbrs.iter().map(|&(u, _)| u));
+            targets.extend(nbrs.as_slice().iter().map(|&(u, _)| u));
             offsets.push(targets.len() as u32);
         }
         NodeAttrs::build(&self.labels, &charges, &offsets, &targets)
@@ -203,13 +277,38 @@ impl LabeledGraph {
         if a == b {
             return Err(GraphError::SelfLoop { node: a });
         }
-        if self.adj[a as usize].iter().any(|&(v, _)| v == b) {
+        if self.neighbors(a).iter().any(|&(v, _)| v == b) {
             return Err(GraphError::DuplicateEdge { a, b });
         }
-        self.adj[a as usize].push((b, label));
-        self.adj[b as usize].push((a, label));
+        self.adj[a as usize].push_entry((b, label));
+        self.adj[b as usize].push_entry((a, label));
         self.num_edges += 1;
         Ok(())
+    }
+
+    /// Adds a node with label `label` joined to `parent` by an edge
+    /// labeled `edge`, returning the new node's id: [`Self::add_node`]
+    /// then [`Self::add_edge`], without the duplicate-edge scan a fresh
+    /// node cannot need. Fails, adding nothing, when `parent` is out of
+    /// range.
+    pub fn add_leaf(
+        &mut self,
+        parent: NodeId,
+        label: Label,
+        edge: EdgeLabel,
+    ) -> Result<NodeId, GraphError> {
+        let n = self.labels.len();
+        if (parent as usize) >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: parent,
+                len: n,
+            });
+        }
+        let id = self.add_node(label);
+        self.adj[parent as usize].push_entry((id, edge));
+        self.adj[id as usize].push_entry((parent, edge));
+        self.num_edges += 1;
+        Ok(id)
     }
 
     /// Number of nodes (`n` in the paper's notation).
@@ -239,22 +338,27 @@ impl LabeledGraph {
 
     /// Degree of node `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v as usize].len()
+        self.neighbors(v).len()
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.adj
+            .iter()
+            .map(|nbrs| nbrs.as_slice().len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Neighbors of `v` with edge labels.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.adj[v as usize]
+        self.adj[v as usize].as_slice()
     }
 
     /// Returns the label of edge `(a, b)` if present.
     pub fn edge_label(&self, a: NodeId, b: NodeId) -> Option<EdgeLabel> {
-        self.adj[a as usize]
+        self.neighbors(a)
             .iter()
             .find(|&&(v, _)| v == b)
             .map(|&(_, l)| l)
@@ -269,7 +373,8 @@ impl LabeledGraph {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeLabel)> + '_ {
         self.adj.iter().enumerate().flat_map(|(a, nbrs)| {
             let a = a as NodeId;
-            nbrs.iter()
+            nbrs.as_slice()
+                .iter()
                 .filter(move |&&(b, _)| a < b)
                 .map(move |&(b, l)| (a, b, l))
         })

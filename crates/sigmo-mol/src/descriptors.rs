@@ -167,59 +167,74 @@ pub fn bond_in_ring(mol: &Molecule, a: NodeId, b: NodeId) -> bool {
 /// Enumerates a cycle basis: one shortest cycle through each non-tree edge
 /// of a BFS spanning forest. Returns rings as node-id lists. The size of
 /// the result equals the cycle rank.
+///
+/// The forest grows from each unvisited node in id order, scanning
+/// neighbours in adjacency order. Each non-tree edge `(a, b)` with `a < b`,
+/// in [`LabeledGraph::edges`](sigmo_graph::LabeledGraph::edges) order,
+/// gives the ring `a → … → lca → … → b` along the tree paths. An edge is a
+/// tree edge exactly when one endpoint is the other's BFS parent (the
+/// graph is simple), so no edge set is kept. Hydrogens are leaves and lie
+/// on no ring, so the rings of a molecule are the same before and after
+/// its hydrogens are added.
 pub fn cycle_basis(mol: &Molecule) -> Vec<Vec<NodeId>> {
     let g = mol.graph();
     let n = mol.num_atoms();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    const NONE: NodeId = NodeId::MAX;
+    let mut parent: Vec<NodeId> = vec![NONE; n];
     let mut depth: Vec<u32> = vec![0; n];
     let mut visited = vec![false; n];
-    let mut tree_edge = std::collections::HashSet::new();
-    let mut rings = Vec::new();
+    // Every node enters the BFS queue exactly once, so one buffer of `n`
+    // slots holds all the forest's queues back to back.
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
     for root in 0..n as NodeId {
         if visited[root as usize] {
             continue;
         }
         visited[root as usize] = true;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
+        let mut head = queue.len();
+        queue.push(root);
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
             for &(u, _) in g.neighbors(v) {
                 if !visited[u as usize] {
                     visited[u as usize] = true;
-                    parent[u as usize] = Some(v);
+                    parent[u as usize] = v;
                     depth[u as usize] = depth[v as usize] + 1;
-                    tree_edge.insert((v.min(u), v.max(u)));
-                    queue.push_back(u);
+                    queue.push(u);
                 }
             }
         }
     }
+    let mut rings = Vec::new();
+    // The `b` side of the ring, walked upwards, reused across rings.
+    let mut up_b: Vec<NodeId> = Vec::new();
     for (a, b, _) in g.edges() {
-        if tree_edge.contains(&(a.min(b), a.max(b))) {
+        if parent[a as usize] == b || parent[b as usize] == a {
             continue;
         }
         // Walk both endpoints up to their lowest common ancestor.
         let (mut x, mut y) = (a, b);
-        let mut path_x = vec![x];
-        let mut path_y = vec![y];
+        let mut ring = vec![x];
+        up_b.clear();
+        up_b.push(y);
         while depth[x as usize] > depth[y as usize] {
-            x = parent[x as usize].unwrap();
-            path_x.push(x);
+            x = parent[x as usize];
+            ring.push(x);
         }
         while depth[y as usize] > depth[x as usize] {
-            y = parent[y as usize].unwrap();
-            path_y.push(y);
+            y = parent[y as usize];
+            up_b.push(y);
         }
         while x != y {
-            x = parent[x as usize].unwrap();
-            y = parent[y as usize].unwrap();
-            path_x.push(x);
-            path_y.push(y);
+            x = parent[x as usize];
+            y = parent[y as usize];
+            ring.push(x);
+            up_b.push(y);
         }
-        path_y.pop(); // drop duplicate LCA
-        path_y.reverse();
-        path_x.extend(path_y);
-        rings.push(path_x);
+        up_b.pop(); // the LCA is already on `ring`
+        ring.extend(up_b.iter().rev());
+        rings.push(ring);
     }
     rings
 }

@@ -93,7 +93,27 @@ impl Element {
 
     /// Parses a chemical symbol (case-sensitive, as in SMILES).
     pub fn from_symbol(s: &str) -> Option<Element> {
-        Element::ALL.iter().copied().find(|e| e.symbol() == s)
+        Element::from_symbol_bytes(s.as_bytes())
+    }
+
+    /// [`Element::from_symbol`] over the symbol's bytes, so a tokenizer
+    /// can look an element up from its input without building a string.
+    pub fn from_symbol_bytes(s: &[u8]) -> Option<Element> {
+        Some(match s {
+            b"H" => Element::H,
+            b"C" => Element::C,
+            b"N" => Element::N,
+            b"O" => Element::O,
+            b"S" => Element::S,
+            b"F" => Element::F,
+            b"Cl" => Element::Cl,
+            b"Br" => Element::Br,
+            b"P" => Element::P,
+            b"I" => Element::I,
+            b"B" => Element::B,
+            b"Si" => Element::Si,
+            _ => return None,
+        })
     }
 
     /// Maximum number of bonds (sum of bond orders) the element forms in
@@ -171,7 +191,12 @@ mod tests {
         for e in Element::ALL {
             assert_eq!(Element::from_symbol(e.symbol()), Some(e));
         }
+        for e in Element::ALL {
+            assert_eq!(Element::from_symbol_bytes(e.symbol().as_bytes()), Some(e));
+        }
         assert_eq!(Element::from_symbol("Xx"), None);
+        assert_eq!(Element::from_symbol(""), None);
+        assert_eq!(Element::from_symbol("Cll"), None);
         assert_eq!(
             Element::from_symbol("c"),
             None,

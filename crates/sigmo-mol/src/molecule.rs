@@ -146,6 +146,26 @@ impl Molecule {
         Self::default()
     }
 
+    /// Creates an empty molecule with room for `atoms` atoms and `bonds`
+    /// bonds.
+    pub fn with_capacity(atoms: usize, bonds: usize) -> Self {
+        let mut m = Self::default();
+        m.reserve(atoms, bonds);
+        m
+    }
+
+    /// Reserves room for `atoms` more atoms and `bonds` more bonds.
+    pub fn reserve(&mut self, atoms: usize, bonds: usize) {
+        self.atoms.reserve(atoms);
+        self.bonds.reserve(bonds);
+        self.used_valence.reserve(atoms);
+        self.charges.reserve(atoms);
+        self.isotopes.reserve(atoms);
+        self.chirality.reserve(atoms);
+        self.aromatic.reserve(atoms);
+        self.graph.reserve_nodes(atoms);
+    }
+
     /// Adds an atom, returning its index.
     pub fn add_atom(&mut self, element: Element) -> NodeId {
         self.atoms.push(element);
@@ -240,6 +260,49 @@ impl Molecule {
         self.used_valence[a as usize] += order.valence();
         self.used_valence[b as usize] += order.valence();
         self.bonds.push(Bond { a, b, order });
+        Ok(())
+    }
+
+    /// Bonds `count` new hydrogens to atom `atom`, each a fresh atom
+    /// appended after the existing ones with a single bond. Fails, adding
+    /// nothing, when the hydrogens do not fit the atom's free valence (the
+    /// error is the one the first hydrogen past it would raise through
+    /// [`Molecule::add_bond`]). A fresh hydrogen has no edge yet, so its
+    /// bond skips the duplicate-edge scan.
+    pub fn add_hydrogens(&mut self, atom: NodeId, count: u8) -> Result<(), MoleculeError> {
+        let Some(&element) = self.atoms.get(atom as usize) else {
+            return Err(GraphError::NodeOutOfRange {
+                node: atom,
+                len: self.atoms.len(),
+            }
+            .into());
+        };
+        let fits = self.free_valence(atom);
+        if count > fits {
+            return Err(MoleculeError::ValenceExceeded {
+                atom,
+                element,
+                used: self.used_valence[atom as usize] + fits + 1,
+            });
+        }
+        let single = BondOrder::Single;
+        for _ in 0..count {
+            let h = self
+                .graph
+                .add_leaf(atom, Element::H.label(), single.edge_label())?;
+            self.atoms.push(Element::H);
+            self.used_valence.push(single.valence());
+            self.charges.push(0);
+            self.isotopes.push(0);
+            self.chirality.push(Chirality::None);
+            self.aromatic.push(false);
+            self.bonds.push(Bond {
+                a: atom,
+                b: h,
+                order: single,
+            });
+        }
+        self.used_valence[atom as usize] += count * single.valence();
         Ok(())
     }
 
@@ -435,6 +498,49 @@ mod tests {
         assert!(sigmo_graph::is_connected(m.graph()));
         // Degrees bounded by valence, average around paper's claim.
         assert!(m.graph().max_degree() <= 4);
+    }
+
+    #[test]
+    fn add_hydrogens_equals_bonding_each_hydrogen() {
+        let mut by_bond = Molecule::new();
+        let mut by_leaf = Molecule::new();
+        for m in [&mut by_bond, &mut by_leaf] {
+            let c = m.add_atom(Element::C);
+            let o = m.add_atom(Element::O);
+            m.add_bond(c, o, BondOrder::Single).unwrap();
+        }
+        for (atom, count) in [(0, 3), (1, 1)] {
+            for _ in 0..count {
+                let h = by_bond.add_atom(Element::H);
+                by_bond.add_bond(atom, h, BondOrder::Single).unwrap();
+            }
+            by_leaf.add_hydrogens(atom, count).unwrap();
+        }
+        assert_eq!(by_leaf, by_bond);
+        assert_eq!(by_leaf.formula(), "CH4O");
+    }
+
+    #[test]
+    fn add_hydrogens_past_free_valence_fails_like_add_bond() {
+        let mut m = Molecule::new();
+        let c = m.add_atom(Element::C);
+        let mut reference = m.clone();
+        let err = (0..5)
+            .map(|_| {
+                let h = reference.add_atom(Element::H);
+                reference.add_bond(c, h, BondOrder::Single)
+            })
+            .find_map(Result::err)
+            .unwrap();
+        assert_eq!(m.add_hydrogens(c, 5), Err(err));
+        assert_eq!(m.num_atoms(), 1, "a failed call adds nothing");
+        assert_eq!(
+            m.add_hydrogens(7, 1),
+            Err(MoleculeError::Graph(GraphError::NodeOutOfRange {
+                node: 7,
+                len: 1
+            }))
+        );
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn parse_inner(s: &str, implicit_h: bool) -> Result<Molecule, SmilesError> {
     // Offset of the unconsumed bond symbol, for dangling-bond spans.
     let mut pending_at = 0usize;
     // Open ring bonds: number -> (atom, bond symbol if given at open).
-    let mut rings: Vec<Option<(u32, Option<RawBond>)>> = vec![None; 100];
+    let mut rings: [Option<(u32, Option<RawBond>)>; 100] = [None; 100];
 
     let mut i = 0usize;
     while i < bytes.len() {
@@ -275,7 +275,7 @@ fn parse_inner(s: &str, implicit_h: bool) -> Result<Molecule, SmilesError> {
 
     let orders = kekulize(&atoms, &edges)?;
 
-    let mut mol = Molecule::new();
+    let mut mol = Molecule::with_capacity(atoms.len(), edges.len());
     for a in &atoms {
         let id = mol.add_atom(a.element);
         // Charge before bonding: it shifts the valence budget.
@@ -291,23 +291,26 @@ fn parse_inner(s: &str, implicit_h: bool) -> Result<Molecule, SmilesError> {
     for (k, &(a, b, _)) in edges.iter().enumerate() {
         mol.add_bond(a as NodeId, b as NodeId, orders[k])?;
     }
+    // Hydrogens are leaves and lie on no ring, so perceiving before they
+    // are added finds the same rings over a smaller graph.
+    perceive_aromaticity(&mut mol);
     // Hydrogens: bracket counts are explicit; otherwise saturate free
     // valence when requested. Aromatic atoms have one valence unit absorbed
     // by the ring π system beyond the kekulized orders only for N/O/S with
     // no double bond — the kekulization already accounts for this because
     // orders sum correctly, so plain free-valence saturation is right.
-    for (idx, atom) in atoms.iter().enumerate() {
-        let h_count = match atom.bracket_h {
-            Some(h) => h,
-            None if implicit_h => mol.free_valence(idx as NodeId),
-            None => 0,
-        };
-        for _ in 0..h_count {
-            let h = mol.add_atom(Element::H);
-            mol.add_bond(idx as NodeId, h, BondOrder::Single)?;
-        }
+    let h_count = |idx: usize, mol: &Molecule| match atoms[idx].bracket_h {
+        Some(h) => h,
+        None if implicit_h => mol.free_valence(idx as NodeId),
+        None => 0,
+    };
+    let total_h: usize = (0..atoms.len())
+        .map(|idx| h_count(idx, &mol) as usize)
+        .sum();
+    mol.reserve(total_h, total_h);
+    for idx in 0..atoms.len() {
+        mol.add_hydrogens(idx as NodeId, h_count(idx, &mol))?;
     }
-    perceive_aromaticity(&mut mol);
     Ok(mol)
 }
 
@@ -370,34 +373,33 @@ fn link(
 }
 
 fn parse_organic_atom(s: &str, i: usize) -> Result<(Element, bool, usize), SmilesError> {
-    let rest = &s[i..];
+    let rest = &s.as_bytes()[i..];
     // Two-letter symbols first.
-    for two in ["Cl", "Br", "Si"] {
-        if rest.starts_with(two) {
-            return Ok((Element::from_symbol(two).unwrap(), false, 2));
-        }
+    if let Some(two @ (b"Cl" | b"Br" | b"Si")) = rest.get(..2) {
+        let e = Element::from_symbol_bytes(two).expect("organic two-letter symbol");
+        return Ok((e, false, 2));
     }
-    let c = rest.chars().next().unwrap();
+    let c = rest[0];
     if c.is_ascii_uppercase() {
-        let sym = c.to_string();
-        let e =
-            Element::from_symbol(&sym).ok_or(SmilesError::UnknownElement { at: i, symbol: sym })?;
+        let e = Element::from_symbol_bytes(&[c]).ok_or_else(|| SmilesError::UnknownElement {
+            at: i,
+            symbol: (c as char).to_string(),
+        })?;
         Ok((e, false, 1))
     } else if c.is_ascii_lowercase() {
-        let upper = c.to_ascii_uppercase().to_string();
-        let e = Element::from_symbol(&upper).ok_or_else(|| SmilesError::UnknownElement {
-            at: i,
-            symbol: c.to_string(),
-        })?;
-        if !e.can_be_aromatic() {
-            return Err(SmilesError::UnknownElement {
+        match Element::from_symbol_bytes(&[c.to_ascii_uppercase()]) {
+            Some(e) if e.can_be_aromatic() => Ok((e, true, 1)),
+            _ => Err(SmilesError::UnknownElement {
                 at: i,
-                symbol: c.to_string(),
-            });
+                symbol: (c as char).to_string(),
+            }),
         }
-        Ok((e, true, 1))
     } else {
-        Err(SmilesError::Unexpected { at: i, found: c })
+        let found = s[i..]
+            .chars()
+            .next()
+            .expect("a character at every atom start");
+        Err(SmilesError::Unexpected { at: i, found })
     }
 }
 
@@ -443,19 +445,26 @@ fn parse_bracket_atom(inner: &str, at: usize) -> Result<RawAtom, SmilesError> {
     }
     let sym_at = j;
     let aromatic = first.is_ascii_lowercase();
-    let mut sym = first.to_ascii_uppercase().to_string();
+    let upper = first.to_ascii_uppercase() as u8;
     j += 1;
-    if !aromatic && j < b.len() && (b[j] as char).is_ascii_lowercase() {
-        let two = format!("{sym}{}", b[j] as char);
-        if Element::from_symbol(&two).is_some() {
-            sym = two;
-            j += 1;
+    let two = match b.get(j) {
+        Some(&second) if !aromatic && second.is_ascii_lowercase() => {
+            Element::from_symbol_bytes(&[upper, second])
         }
-    }
-    let element = Element::from_symbol(&sym).ok_or_else(|| SmilesError::UnknownElement {
-        at: at + sym_at,
-        symbol: sym.clone(),
-    })?;
+        _ => None,
+    };
+    let element = match two {
+        Some(e) => {
+            j += 1;
+            e
+        }
+        None => {
+            Element::from_symbol_bytes(&[upper]).ok_or_else(|| SmilesError::UnknownElement {
+                at: at + sym_at,
+                symbol: (upper as char).to_string(),
+            })?
+        }
+    };
     if aromatic && !element.can_be_aromatic() {
         return Err(SmilesError::UnknownElement {
             at: at + sym_at,

@@ -38,12 +38,20 @@
 #                                 field with the committed BENCH_*.json:
 #                                 exact fields as text, walls within
 #                                 ×1.25 + 10 ms
+#   7b. ext-outlier               the Figure 5 outlier analysis
+#                                 (ext_outlier_analysis): the rank
+#                                 correlation between query frequency and
+#                                 the candidates the engine's filter
+#                                 leaves must exceed 0.4
 #   8. fuzz-smoke                 deep fuzz sweep in release: at 10 000
 #                                 cases per property the
 #                                 tests/parser_fuzz.rs battery (raw bytes,
-#                                 grammar token soup, and round-trip
-#                                 layers for both the SMILES and SMARTS
-#                                 parsers), the filter kernels'
+#                                 grammar token soup, round-trip layers
+#                                 for both the SMILES and SMARTS parsers,
+#                                 and ring perception against the
+#                                 hash-set cycle-basis reference), the
+#                                 LabeledGraph neighbour lists against a
+#                                 plain Vec<Vec<_>> model, the filter kernels'
 #                                 branch-free SWAR domination test against
 #                                 the per-group reference on random
 #                                 signature layouts, the class-major
@@ -81,8 +89,8 @@
 #                                 written to target/, so nothing under
 #                                 perfbench/ changes
 #
-# `--fast` skips the bench, fuzz, canon-oracle and perfbench run stages
-# (6-11) for quick
+# `--fast` skips the bench, outlier, fuzz, canon-oracle and perfbench run
+# stages (6-11) for quick
 # pre-push runs. The lint and perfbench-build stages are NOT skipped: the
 # determinism audit is cheap (sub-second scan, <5 s budget enforced in
 # its own tests) and is exactly the check that must not be skippable in a
@@ -122,12 +130,15 @@ stage() {
     echo "==> $name ok ($((SECONDS - start))s)"
 }
 
-# The deep fuzz sweep, in release: the parser fuzz battery, the SWAR
-# domination, class-walk and filter-oracle properties at 10 000 cases
-# each, and the symmetry-breaking properties at 2 000 (each case runs the
-# join once per matching order; the stage stays under a minute).
+# The deep fuzz sweep, in release: the parser fuzz battery, the
+# neighbour-list model, SWAR domination, class-walk and filter-oracle
+# properties at 10 000 cases each, and the symmetry-breaking properties at
+# 2 000 (each case runs the join once per matching order; the stage stays
+# under a minute).
 fuzz_smoke() {
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test parser_fuzz
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
+        neighbor_lists_match_the_vec_model
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties swar_domination
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties class_walk
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
@@ -162,6 +173,7 @@ fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
     stage bench-build cargo bench --no-run
     stage bench-diff scripts/bench_diff.sh
+    stage ext-outlier cargo run -q --release -p sigmo-bench --bin ext_outlier_analysis
     stage fuzz-smoke fuzz_smoke
     stage canon-oracle cargo test -q --release --test canonical_oracle -- --include-ignored
     stage perfbench-screen perfbench_smoke screen 4

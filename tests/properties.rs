@@ -9,7 +9,7 @@ use sigmo::core::{
     JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
-use sigmo::graph::{reference_min_ring_sizes, CsrGo, LabeledGraph, WILDCARD_LABEL};
+use sigmo::graph::{reference_min_ring_sizes, CsrGo, GraphError, LabeledGraph, WILDCARD_LABEL};
 use sigmo::mol::{parse_smiles, write_smiles, MoleculeGenerator, QueryExtractor};
 
 fn queue() -> Queue {
@@ -916,4 +916,244 @@ fn ring_system_smiles_ring_sizes_match_per_edge_bfs_reference() {
         reference_min_ring_sizes(csr.row_offsets(), csr.column_indices())
     );
     assert!(got.contains(&12) && got.contains(&4) && got.contains(&0));
+}
+
+/// The plain `Vec<Vec<_>>` adjacency model of a [`LabeledGraph`]: labels,
+/// neighbour lists in insertion order, and dense charges.
+#[derive(Clone, Default)]
+struct AdjModel {
+    labels: Vec<u8>,
+    adj: Vec<Vec<(u32, u8)>>,
+    charges: Vec<i8>,
+}
+
+impl AdjModel {
+    fn add_node(&mut self, label: u8) -> u32 {
+        self.labels.push(label);
+        self.adj.push(Vec::new());
+        self.charges.push(0);
+        self.labels.len() as u32 - 1
+    }
+
+    /// The graph's error order: `a` out of range, `b` out of range,
+    /// self-loop, duplicate.
+    fn add_edge(&mut self, a: u32, b: u32, l: u8) -> Result<(), GraphError> {
+        let len = self.labels.len();
+        for node in [a, b] {
+            if node as usize >= len {
+                return Err(GraphError::NodeOutOfRange { node, len });
+            }
+        }
+        if a == b {
+            return Err(GraphError::SelfLoop { node: a });
+        }
+        if self.adj[a as usize].iter().any(|&(v, _)| v == b) {
+            return Err(GraphError::DuplicateEdge { a, b });
+        }
+        self.adj[a as usize].push((b, l));
+        self.adj[b as usize].push((a, l));
+        Ok(())
+    }
+
+    fn add_leaf(&mut self, parent: u32, label: u8, l: u8) -> Result<u32, GraphError> {
+        let len = self.labels.len();
+        if parent as usize >= len {
+            return Err(GraphError::NodeOutOfRange { node: parent, len });
+        }
+        let v = self.add_node(label);
+        self.add_edge(parent, v, l).map(|()| v)
+    }
+
+    fn edges(&self) -> Vec<(u32, u32, u8)> {
+        let mut out = Vec::new();
+        for (a, nbrs) in self.adj.iter().enumerate() {
+            for &(b, l) in nbrs {
+                if (a as u32) < b {
+                    out.push((a as u32, b, l));
+                }
+            }
+        }
+        out
+    }
+
+    /// `LabeledGraph::induced_subgraph`'s construction, on the model.
+    fn induced(&self, nodes: &[u32]) -> AdjModel {
+        let mut map = vec![u32::MAX; self.labels.len()];
+        let mut sub = AdjModel::default();
+        for (i, &v) in nodes.iter().enumerate() {
+            map[v as usize] = i as u32;
+            sub.add_node(self.labels[v as usize]);
+            sub.charges[i] = self.charges[v as usize];
+        }
+        for &v in nodes {
+            let nv = map[v as usize];
+            for &(u, l) in &self.adj[v as usize] {
+                let nu = map[u as usize];
+                if nu != u32::MAX && nv < nu {
+                    sub.add_edge(nv, nu, l).unwrap();
+                }
+            }
+        }
+        sub
+    }
+}
+
+/// Checks every read of `g` against the model.
+fn assert_graph_equals_model(g: &LabeledGraph, m: &AdjModel) -> Result<(), TestCaseError> {
+    let n = m.labels.len();
+    prop_assert_eq!(g.num_nodes(), n);
+    prop_assert_eq!(g.labels(), &m.labels[..]);
+    prop_assert_eq!(g.num_edges(), m.edges().len());
+    prop_assert_eq!(g.edges().collect::<Vec<_>>(), m.edges());
+    prop_assert_eq!(
+        g.max_degree(),
+        m.adj.iter().map(Vec::len).max().unwrap_or(0)
+    );
+    for v in 0..n as u32 {
+        prop_assert_eq!(g.neighbors(v), &m.adj[v as usize][..]);
+        prop_assert_eq!(g.degree(v), m.adj[v as usize].len());
+        prop_assert_eq!(g.charge(v), m.charges[v as usize]);
+        for u in 0..n as u32 {
+            let want = m.adj[v as usize]
+                .iter()
+                .find(|&&(w, _)| w == u)
+                .map(|&(_, l)| l);
+            prop_assert_eq!(g.edge_label(v, u), want);
+            prop_assert_eq!(g.has_edge(v, u), want.is_some());
+        }
+    }
+    Ok(())
+}
+
+/// Replays a random `add_node` / `add_edge` / `add_leaf` / `set_charge`
+/// sequence on a graph and on the model, checking each call's result
+/// against the model's. A hub-biased endpoint choice drives degrees up to
+/// 12 so lists spill, and duplicate, self-loop and out-of-range edges come
+/// up often.
+fn random_graph_and_model(
+    rng: &mut rand::rngs::StdRng,
+) -> Result<(LabeledGraph, AdjModel), TestCaseError> {
+    use rand::Rng;
+    let mut g = LabeledGraph::new();
+    let mut m = AdjModel::default();
+    for _ in 0..rng.gen_range(0..120usize) {
+        let n = m.labels.len() as u32;
+        // Endpoints: a hub among the first three nodes half the time, and
+        // now and then one past the end.
+        let pick = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..10u32) {
+            0 => n + rng.gen_range(0..3u32),
+            1..=5 => rng.gen_range(0..n.clamp(1, 3)),
+            _ => rng.gen_range(0..n.max(1)),
+        };
+        let full = |m: &AdjModel, v: u32| m.adj.get(v as usize).is_some_and(|l| l.len() >= 12);
+        match rng.gen_range(0..10u32) {
+            0 | 1 => {
+                let label = rng.gen_range(0..6u8);
+                prop_assert_eq!(g.add_node(label), m.add_node(label));
+            }
+            2 if n > 0 => {
+                let v = rng.gen_range(0..n);
+                let c = rng.gen_range(0..5u8) as i8 - 2;
+                g.set_charge(v, c);
+                m.charges[v as usize] = c;
+            }
+            3 => {
+                let parent = pick(rng);
+                if !full(&m, parent) {
+                    let (label, l) = (rng.gen_range(0..6u8), rng.gen_range(0..4u8));
+                    prop_assert_eq!(g.add_leaf(parent, label, l), m.add_leaf(parent, label, l));
+                }
+            }
+            _ => {
+                let a = pick(rng);
+                // A self-loop or a repeat of an existing edge now and then.
+                let b = match rng.gen_range(0..8u32) {
+                    0 => a,
+                    1 => m
+                        .adj
+                        .get(a as usize)
+                        .and_then(|l| l.first())
+                        .map_or(a, |&(u, _)| u),
+                    _ => pick(rng),
+                };
+                if !full(&m, a) && !full(&m, b) {
+                    let l = rng.gen_range(0..4u8);
+                    prop_assert_eq!(g.add_edge(a, b, l), m.add_edge(a, b, l));
+                }
+            }
+        }
+    }
+    Ok((g, m))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
+
+    /// `LabeledGraph`'s neighbour lists (inline up to four entries, spilled
+    /// to the heap above) behave exactly like a plain `Vec<Vec<_>>`
+    /// adjacency: after a random build (each call's result, errors
+    /// included, equal to the model's), every read (neighbour order,
+    /// degree, max degree, edge labels, the edge iterator), induced
+    /// subgraphs, clones and `==` agree with the model. A graph rebuilt
+    /// from the edge list equals the original exactly when its neighbour
+    /// orders come out the same, and one extra leaf or charge makes a
+    /// clone differ.
+    #[test]
+    fn neighbor_lists_match_the_vec_model(seed in any::<u64>()) {
+        use rand::{seq::SliceRandom, Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (g, m) = random_graph_and_model(&mut rng)?;
+        assert_graph_equals_model(&g, &m)?;
+
+        let copy = g.clone();
+        prop_assert!(copy == g);
+        assert_graph_equals_model(&copy, &m)?;
+
+        let mut rebuilt = LabeledGraph::new();
+        for &label in &m.labels {
+            rebuilt.add_node(label);
+        }
+        for (v, &c) in m.charges.iter().enumerate() {
+            rebuilt.set_charge(v as u32, c);
+        }
+        for (a, b, l) in g.edges() {
+            rebuilt.add_edge(a, b, l).unwrap();
+        }
+        let same_order = (0..m.labels.len()).all(|v| rebuilt.neighbors(v as u32) == &m.adj[v][..]);
+        prop_assert_eq!(rebuilt == g, same_order);
+
+        if !m.labels.is_empty() {
+            let mut nodes: Vec<u32> = (0..m.labels.len() as u32).collect();
+            nodes.shuffle(&mut rng);
+            nodes.truncate(rng.gen_range(1..=nodes.len()));
+            assert_graph_equals_model(&g.induced_subgraph(&nodes), &m.induced(&nodes))?;
+
+            let v = nodes[0];
+            let mut charged = g.clone();
+            charged.set_charge(v, g.charge(v).wrapping_add(1));
+            prop_assert!(charged != g);
+            let mut grown = g.clone();
+            grown.add_leaf(v, 0, 1).unwrap();
+            prop_assert!(grown != g);
+        }
+    }
+}
+
+/// The model property's builds reach spilled lists: over 256 seeds some
+/// graph has a node above the four inline entries, and some node reaches
+/// degree 12.
+#[test]
+fn neighbor_list_model_reaches_spilled_degrees() {
+    use rand::SeedableRng;
+    let degrees: Vec<usize> = (0..256u64)
+        .map(|seed| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            random_graph_and_model(&mut rng).unwrap().0.max_degree()
+        })
+        .collect();
+    assert!(
+        degrees.iter().filter(|&&d| d > 4).count() >= 64,
+        "{degrees:?}"
+    );
+    assert!(degrees.contains(&12), "{degrees:?}");
 }

@@ -12,7 +12,9 @@ use std::sync::Mutex;
 use sigmo::core::EngineConfig;
 use sigmo::graph::LabeledGraph;
 use sigmo::index::{serialize, FrozenIndex, IndexConfig, MoleculeIndex};
-use sigmo::mol::{canonical_code, ingest_smi, write_smiles, MoleculeGenerator, SmiIngest};
+use sigmo::mol::{
+    canonical_code, cycle_basis, ingest_smi, write_smiles, MoleculeGenerator, SmiIngest,
+};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -184,4 +186,128 @@ fn ingested_corpus_index_round_trips_byte_identically() {
             "molecule {id} changed through the disk round trip"
         );
     }
+}
+
+/// FNV-1a over a byte stream: the ingest pin's digest.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u32(&mut self, x: u32) {
+        self.bytes(&x.to_le_bytes());
+    }
+}
+
+/// Folds everything ingest produces into `h`: each molecule's name, node
+/// labels, ordered neighbour lists with bond labels, bond records,
+/// charges, isotopes, aromatic flags and cycle basis (rings in order,
+/// members in order), then every quarantined line with its error text.
+fn digest_ingest(h: &mut Fnv1a, ingest: &SmiIngest) {
+    h.u32(ingest.considered as u32);
+    h.u32(ingest.molecules.len() as u32);
+    for (name, mol) in &ingest.molecules {
+        h.bytes(name.as_bytes());
+        let g = mol.graph();
+        h.u32(g.num_nodes() as u32);
+        h.bytes(g.labels());
+        for v in 0..g.num_nodes() as u32 {
+            let nbrs = g.neighbors(v);
+            h.u32(nbrs.len() as u32);
+            for &(u, l) in nbrs {
+                h.u32(u);
+                h.bytes(&[l]);
+            }
+            h.bytes(&[
+                g.charge(v) as u8,
+                mol.charge(v) as u8,
+                mol.is_aromatic(v) as u8,
+            ]);
+            h.u32(mol.isotope(v) as u32);
+        }
+        for b in mol.bonds() {
+            h.u32(b.a);
+            h.u32(b.b);
+            h.bytes(&[b.order as u8]);
+        }
+        let rings = cycle_basis(mol);
+        h.u32(rings.len() as u32);
+        for ring in &rings {
+            h.u32(ring.len() as u32);
+            for &v in ring {
+                h.u32(v);
+            }
+        }
+    }
+    for q in &ingest.quarantined {
+        h.u32(q.line as u32);
+        h.bytes(q.text.as_bytes());
+        h.bytes(q.error.as_bytes());
+    }
+}
+
+/// The pinned ingest corpora: a 2000-line stretch of the mixed corpus
+/// above, and four generator streams written out as `.smi` with malformed
+/// records every 23rd line and the ring-system literals appended.
+fn pinned_corpora() -> Vec<String> {
+    const RING_SYSTEMS: [&str; 8] = [
+        "c1ccc2ccccc2c1",
+        "C1CC2CCC1C2",
+        "C1CCC2(CC1)CCCC2",
+        "C12C3C4C1C5C2C3C45",
+        "C1CC2CC3CC1CC(C2)C3",
+        "C1CCCCCCCCCCC1",
+        "CC(C)c1ccc(cc1)C1CCC(CC1)c1ccncc1",
+        "C1CCC2C(C1)CCC1C2CCC2CCCC12",
+    ];
+    let mut corpora = vec![build_corpus(2000).0];
+    for seed in [1u64, 7, 0x5c ^ 7, 2026] {
+        let mut text = String::new();
+        let mols = MoleculeGenerator::with_seed(seed).generate_batch(150);
+        for (i, m) in mols.iter().enumerate() {
+            if i % 23 == 22 {
+                text.push_str(BAD_RECORDS[i % BAD_RECORDS.len()]);
+                text.push_str(" malformed\n");
+            }
+            text.push_str(&write_smiles(m));
+            text.push_str(&format!(" s{seed}m{i}\n"));
+        }
+        for (i, s) in RING_SYSTEMS.iter().enumerate() {
+            text.push_str(&format!("{s} ring{i}\n"));
+        }
+        corpora.push(text);
+    }
+    corpora
+}
+
+/// Ingest output is pinned bit for bit: one FNV-1a digest over every
+/// molecule's labels, ordered neighbour lists, bond labels, charges,
+/// aromatic flags and cycle basis, and every quarantine record, for the
+/// pinned corpora with and without hydrogens. The corpora come from the
+/// seeded generator, so the pin also holds its stream fixed; a change to
+/// the parser, hydrogen materialization, ring perception or the graph's
+/// neighbour order shows here even when the graphs stay isomorphic.
+#[test]
+fn ingest_output_is_pinned() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let mut h = Fnv1a::new();
+    for text in pinned_corpora() {
+        for heavy_only in [false, true] {
+            digest_ingest(&mut h, &ingest_smi(&text, heavy_only));
+        }
+    }
+    assert_eq!(
+        h.0, 0x9c31_9142_c2e4_998f,
+        "ingest digest moved: {:#018x}",
+        h.0
+    );
 }
