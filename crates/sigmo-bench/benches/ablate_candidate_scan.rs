@@ -2,7 +2,7 @@
 //!
 //! Measures the three hot paths the word-parallel rework touched —
 //! candidate initialization (label-bucketed vs full row scan), signature
-//! refinement (the class-major delta kernel at radius 1, where every row
+//! refinement (the filter pass's class-major refine stage at radius 1, where every row
 //! with a non-empty signature is dirty, vs per-row), and set-bit
 //! enumeration (`trailing_zeros` word walk vs per-column `get`) — against
 //! the `sigmo_core::naive` per-bit oracle on the same filter-dominated
@@ -17,9 +17,9 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use sigmo_core::{
-    filter::{initialize_candidates, refine_candidates_delta},
-    naive, CandidateBitmap, DeltaClasses, Governor, LabelSchema, RowCounts, Signature,
-    SignatureSet, WordWidth,
+    filter::{filter_pass, initialize_candidates, Stage},
+    naive, CandidateBitmap, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet,
+    WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -51,8 +51,6 @@ struct RefineWorld {
     delta: DeltaClasses,
     seeded: CandidateBitmap,
     scratch: CandidateBitmap,
-    /// The kernel's per-row count sink (its values are not read here).
-    counts: RowCounts,
 }
 
 impl RefineWorld {
@@ -69,7 +67,6 @@ impl RefineWorld {
         let seeded = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         naive::initialize_candidates(&queries, &data, &seeded);
         let scratch = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        let counts = RowCounts::of(&seeded);
         Self {
             queries,
             data,
@@ -80,7 +77,6 @@ impl RefineWorld {
             delta,
             seeded,
             scratch,
-            counts,
         }
     }
 
@@ -97,16 +93,12 @@ impl RefineWorld {
 
     fn refine_word_parallel(&self) -> u64 {
         self.scratch.copy_from(&self.seeded);
-        refine_candidates_delta(
-            &self.queue,
-            &self.data,
-            &self.schema,
-            &self.delta,
-            self.ds.signatures(),
-            &self.scratch,
-            &self.counts,
-            &Governor::unlimited(),
-        )
+        let stage = Stage::Refine {
+            delta: &self.delta,
+            data: self.ds.signatures(),
+            all_tops: self.schema.top_bits(u64::MAX),
+        };
+        filter_pass(&self.queue, &[stage], &self.scratch, &Governor::unlimited()).cleared(0)
     }
 }
 

@@ -3,9 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmo_core::{
-    filter::{initialize_candidates, refine_candidates_delta},
-    CandidateBitmap, DeltaClasses, Governor, LabelSchema, RowCounts, Signature, SignatureSet,
-    WordWidth,
+    filter::{filter_pass, initialize_candidates, Stage},
+    CandidateBitmap, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet, WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -73,17 +72,12 @@ fn bench_refine(c: &mut Criterion) {
                 let bm =
                     CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
                 initialize_candidates(&queue, &queries, &data, &bm, 1024);
-                let counts = RowCounts::of(&bm);
-                refine_candidates_delta(
-                    &queue,
-                    &data,
-                    &schema,
-                    &delta,
-                    ds.signatures(),
-                    &bm,
-                    &counts,
-                    &Governor::unlimited(),
-                )
+                let stage = Stage::Refine {
+                    delta: &delta,
+                    data: ds.signatures(),
+                    all_tops: schema.top_bits(u64::MAX),
+                };
+                filter_pass(&queue, &[stage], &bm, &Governor::unlimited()).cleared(0)
             })
         });
     }

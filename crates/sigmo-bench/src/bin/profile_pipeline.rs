@@ -13,6 +13,16 @@ fn main() {
     println!("# Pipeline kernel profile ({scale:?} scale, V100S model)\n");
     print!("{}", render_table(&run.kernels));
     println!("\nmatches: {}", report.total_matches);
+    let (t, ms) = (&report.timings, |d: std::time::Duration| {
+        d.as_secs_f64() * 1e3
+    });
+    println!(
+        "data side: CSR-GO {:.3} ms, signatures {:.3} ms, pair signatures {:.3} ms, attributes {:.3} ms",
+        ms(t.data.csr_build),
+        ms(t.data.signatures),
+        ms(t.data.pairs),
+        ms(t.data.attrs),
+    );
     println!(
         "memory: bitmap {:.1} MB ({}%), graphs {:.1} MB, signatures {:.1} MB",
         report.bitmap_bytes as f64 / 1e6,

@@ -55,6 +55,10 @@ pub fn fields(scale: BenchScale, r: &PipelineRun) -> Vec<Field> {
     ];
     for (phase, d) in [
         ("setup", t.setup),
+        ("setup_csr", t.data.csr_build),
+        ("setup_signatures", t.data.signatures),
+        ("setup_pairs", t.data.pairs),
+        ("setup_attrs", t.data.attrs),
         ("filter", t.filter),
         ("mapping", t.mapping),
         ("join", t.join),

@@ -11,7 +11,7 @@
 //! class once per word over the union of its rows' live bits
 //! ([`CandidateBitmap::fail_bits`]), and each row of the class, owned by
 //! one work-item, then takes one load and one store per word
-//! ([`CandidateBitmap::clear_row_failing`]; DESIGN.md §19). The per-bit
+//! ([`CandidateBitmap::clear_words_failing`]; DESIGN.md §19, §23). The per-bit
 //! [`CandidateBitmap::set`] and [`CandidateBitmap::clear`] remain for the
 //! oracles, and the per-bit
 //! [`CandidateBitmap::retain_row`] is the class walk's test oracle.
@@ -22,6 +22,36 @@
 //! device counters, mirroring the tunable the paper exposes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Work whose inner loops count bits: [`with_popcnt`] runs it.
+pub(crate) trait CountsBits {
+    type Out;
+    /// The work itself; implementations mark it `#[inline(always)]` so
+    /// that it compiles into [`with_popcnt`]'s `popcnt` context.
+    fn run(self) -> Self::Out;
+}
+
+/// Runs `work` with the `popcnt` instruction enabled when the CPU has it
+/// (checked at run time), so the `count_ones` calls it inlines compile to
+/// one instruction instead of baseline x86-64's bit-twiddling sequence.
+/// The result is the same either way; the filter pass and the signature
+/// build count bits in their inner loops.
+#[inline]
+pub(crate) fn with_popcnt<W: CountsBits>(work: W) -> W::Out {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "popcnt")]
+        fn enabled<W: CountsBits>(work: W) -> W::Out {
+            work.run()
+        }
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `enabled` is compiled for the `popcnt` feature only,
+            // and the CPU was just found to support it.
+            return unsafe { enabled(work) };
+        }
+    }
+    work.run()
+}
 
 /// Modeled bitmap word width (Table 1: 32-bit on V100S / Max 1100, 64-bit
 /// on MI100).
@@ -149,9 +179,9 @@ impl CandidateBitmap {
     /// costs one `fetch_and(!kill)` instead of one RMW per bit. Returns
     /// `(tested, cleared)`: the set bits `keep` judged and how many of
     /// them it cleared. The caller must own the row for the walk (no
-    /// concurrent writer). The filter kernels judge a class once and clear
-    /// its rows with [`clear_row_failing`](Self::clear_row_failing); this
-    /// per-bit walk is their test oracle.
+    /// concurrent writer). The filter pass judges a class once and clears
+    /// its rows with [`clear_words_failing`](Self::clear_words_failing); this
+    /// per-bit walk is its test oracle.
     // sigmo-lint: allow(uncharged-access, unbounded-kernel-loop) — primitive
     // row walk: callers charge the words, tests and clears it reports; the
     // inner loop clears one bit of a loaded word per pass (≤ 64).
@@ -198,43 +228,75 @@ impl CandidateBitmap {
         fail
     }
 
-    /// Clears from `row` the bits `fail` marks (bit `i` of `fail[w]` is
-    /// column `64 × w + i`): one load and one store per word, without a
-    /// branch. Returns `(tested, cleared)`: the row's live bits and how
-    /// many of them were cleared. The caller must own the row for the walk
-    /// (no concurrent reader or writer), which is why a plain store can
-    /// replace the `fetch_and`.
+    /// The live words of `row` among the `n` words from `w0` (bit `k` set
+    /// iff word `w0 + k` holds a candidate; `n ≤ 64`) and their candidate
+    /// count: the per-row live-word summary the fused filter pass keeps.
+    // sigmo-lint: allow(uncharged-access) — primitive row walk: callers
+    // charge the words it reports.
+    // sigmo-lint: allow(relaxed-read-in-report) — the filter's work-item
+    // owns these words; report paths read after the launch joined.
+    #[inline(always)]
+    pub fn live_words(&self, row: usize, w0: usize, n: usize) -> (u64, u64) {
+        debug_assert!(row < self.rows && n <= 64 && w0 + n <= self.words_per_row);
+        let base = row * self.words_per_row + w0;
+        let (mut live, mut count) = (0u64, 0u64);
+        for (k, word) in self.words[base..base + n].iter().enumerate() {
+            let bits = word.load(Ordering::Relaxed);
+            live |= u64::from(bits != 0) << k;
+            count += u64::from(bits.count_ones());
+        }
+        (live, count)
+    }
+
+    /// ORs the `acc.len()` words of `row` from `w0` into `acc`.
+    // sigmo-lint: allow(relaxed-read-in-report) — the filter's class
+    // work-item owns the rows it ORs.
+    #[inline]
+    pub fn or_words_into(&self, row: usize, w0: usize, acc: &mut [u64]) {
+        let base = row * self.words_per_row + w0;
+        let words = &self.words[base..base + acc.len()];
+        for (acc, word) in acc.iter_mut().zip(words) {
+            *acc |= word.load(Ordering::Relaxed);
+        }
+    }
+
+    /// Clears from the `fail.len()` words of `row` from `w0` the bits
+    /// `fail` marks (bit `i` of `fail[k]` is column `64 (w0 + k) + i`):
+    /// one load and one store per word, without a branch. Returns
+    /// `(tested, cleared, live)`: the row's live bits there, how many were
+    /// cleared, and the words still live after (bit `k` for word
+    /// `w0 + k`). The caller must own the words (no concurrent reader or
+    /// writer), which is why a plain store can replace the `fetch_and`.
     // sigmo-lint: allow(uncharged-access) — primitive row walk: callers
     // charge the words, tests and clears it reports.
     // sigmo-lint: allow(relaxed-read-in-report) — the walking work-item
-    // owns the row, so no writer races its loads and the counts it
+    // owns the words, so no writer races its loads and the counts it
     // reports are exact.
-    #[inline]
-    pub fn clear_row_failing(&self, row: usize, fail: &[AtomicU64]) -> (u64, u64) {
-        debug_assert!(row < self.rows && fail.len() == self.words_per_row);
-        let base = row * self.words_per_row;
-        let (mut tested, mut cleared) = (0u64, 0u64);
-        for (word, fail) in self.words[base..base + self.words_per_row].iter().zip(fail) {
-            let live = word.load(Ordering::Relaxed);
-            let kill = live & fail.load(Ordering::Relaxed);
-            word.store(live ^ kill, Ordering::Relaxed);
-            tested += u64::from(live.count_ones());
+    #[inline(always)]
+    pub fn clear_words_failing(&self, row: usize, w0: usize, fail: &[u64]) -> (u64, u64, u64) {
+        let base = row * self.words_per_row + w0;
+        let (mut tested, mut cleared, mut live) = (0u64, 0u64, 0u64);
+        for (k, (word, &fail)) in self.words[base..base + fail.len()]
+            .iter()
+            .zip(fail)
+            .enumerate()
+        {
+            let x = word.load(Ordering::Relaxed);
+            let kill = x & fail;
+            word.store(x ^ kill, Ordering::Relaxed);
+            tested += u64::from(x.count_ones());
             cleared += u64::from(kill.count_ones());
+            live |= u64::from(x != kill) << k;
         }
-        (tested, cleared)
+        (tested, cleared, live)
     }
 
-    /// ORs every word of `row` into `acc` (word `w` into `acc[w]`).
-    // sigmo-lint: allow(relaxed-read-in-report) — the filter's class
-    // work-item owns the rows it ORs and the `acc` scratch it ORs into.
+    /// Loads word `w` of `row`.
+    // sigmo-lint: allow(relaxed-read-in-report) — the mapping kernel
+    // reads after the filter launch joined.
     #[inline]
-    pub fn or_row_into(&self, row: usize, acc: &[AtomicU64]) {
-        debug_assert!(row < self.rows && acc.len() == self.words_per_row);
-        let base = row * self.words_per_row;
-        for (word, acc) in self.words[base..base + self.words_per_row].iter().zip(acc) {
-            let union = acc.load(Ordering::Relaxed) | word.load(Ordering::Relaxed);
-            acc.store(union, Ordering::Relaxed);
-        }
+    pub fn word(&self, row: usize, w: usize) -> u64 {
+        self.words[row * self.words_per_row + w].load(Ordering::Relaxed)
     }
 
     /// Overwrites this bitmap with the contents of `other`, word by word.

@@ -10,11 +10,8 @@
 //! (or stored per molecule by the caller), never inside it.
 
 use crate::candidates::{CandidateBitmap, WordWidth};
-use crate::facts::BatchFacts;
-use crate::filter::{
-    initialize_candidates_bucketed, label_pair_filter, node_predicate_filter,
-    refine_candidates_delta,
-};
+use crate::facts::{BatchFacts, DataTimings};
+use crate::filter::{filter_pass, initialize_candidates_bucketed, Stage};
 use crate::governor::{Completion, Governor};
 use crate::join::cost::{JoinVariant, OrderChoice};
 use crate::join::{
@@ -24,7 +21,7 @@ use crate::join::{
 use crate::mapping::Gmcr;
 use crate::plan::QueryPlan;
 use crate::schema::LabelSchema;
-use crate::stats::{IterationStats, RowCounts, StrategyCounts};
+use crate::stats::{CandidateStats, IterationStats, StrategyCounts};
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, LabeledGraph};
 use std::time::{Duration, Instant};
@@ -149,6 +146,9 @@ pub struct PhaseTimings {
     /// CSR-GO conversion + bitmap allocation (❶–❷; excluded from the
     /// paper's timings, reported separately here).
     pub setup: Duration,
+    /// The data side of setup by part, when the run built the facts (and
+    /// its CSR-GO build, when it batched the data graphs itself).
+    pub data: DataTimings,
     /// Filter phase (❸–❹): signature generation + candidate refinement.
     pub filter: Duration,
     /// Mapping phase (❺).
@@ -332,11 +332,10 @@ impl Engine {
         queue: &Queue,
         governor: &Governor,
     ) -> RunReport {
-        let t0 = Instant::now();
-        let facts = BatchFacts::for_run(&self.config, plan, data, &[]);
-        let build = t0.elapsed();
+        let (facts, parts) = BatchFacts::for_run_timed(&self.config, plan, data, &[]);
         let mut report = self.run_with_facts(plan, data, &facts, queue, governor);
-        report.timings.setup += build;
+        report.timings.setup += parts.total();
+        report.timings.data = parts;
         report
     }
 
@@ -445,6 +444,7 @@ impl Engine {
             iterations,
             timings: PhaseTimings {
                 setup,
+                data: DataTimings::default(),
                 filter,
                 mapping,
                 join: join_t,
@@ -463,12 +463,15 @@ impl Engine {
     /// `bitmap` (`plan`'s query rows × `data`'s nodes) and refines it as
     /// [`Engine::run_with_facts`] does, returning the per-iteration trace.
     /// Each iteration's [`crate::CandidateStats`] summarizes the per-row
-    /// counts the row kernels report ([`RowCounts`]); the bitmap is
-    /// popcounted once, after init.
+    /// counts the filter pass reports; the bitmap is never popcounted
+    /// again.
     ///
-    /// Refinement re-tests, at each radius, only the query rows whose
-    /// signature moved ([`crate::DeltaClasses`]), and stops once the query
-    /// side converges: bit-identical to re-testing every row for exactly
+    /// After init, one fused launch ([`filter_pass`]) runs the label-pair
+    /// pre-check, the predicate filter (both folded into iteration 1's
+    /// stats: they run at radius 0) and refinement, which re-tests at
+    /// each radius only the query rows whose signature moved
+    /// ([`crate::DeltaClasses`]) and stops once the query side converges:
+    /// bit-identical to re-testing every row for exactly
     /// `refinement_iterations − 1` radii, by the monotonicity argument in
     /// DESIGN.md §4b. `naive::reference_filter` is the oracle.
     pub fn filter_with_facts(
@@ -483,92 +486,65 @@ impl Engine {
         let cfg = &self.config;
         plan.assert_fits(cfg);
         facts.assert_serves(cfg, plan, data);
-        initialize_candidates_bucketed(
-            queue,
-            plan.buckets(),
-            data,
-            bitmap,
-            cfg.filter_work_group_size,
-            governor,
+        let wg = cfg.filter_work_group_size;
+        initialize_candidates_bucketed(queue, plan.buckets(), data, bitmap, wg, governor);
+        // Refinement runs to the configured radii or the query-side
+        // fixpoint, whichever comes first: past `last_dirty_radius` no
+        // query signature moves again, so no stage could clear a bit.
+        let radii = (cfg.refinement_iterations - 1).min(plan.last_dirty_radius());
+        let (all_tops, pair_tops) = (
+            cfg.schema.top_bits(u64::MAX),
+            plan.pair_schema().top_bits(u64::MAX),
         );
-        // The one popcount pass of the run: from here on every row walk
-        // keeps its row's count.
-        let counts = RowCounts::of(bitmap);
-        // Label-pair pre-check: one extra pass over the constrained query
-        // rows, clearing candidates that cannot supply the row's concrete
-        // (edge label, neighbor label) pairs. Edge labels are invisible to
-        // the node-label signature refinement below, so this is the only
-        // filter that prunes bond-order mismatches before the join — and a
-        // cleared bit here makes `next_candidate` reject the extension
-        // word-parallel instead of per-probe. Folded into iteration 1's
-        // stats (it runs at radius 0, before any refinement).
-        let pair_cleared = label_pair_filter(
-            queue,
-            facts.pairs(),
-            plan.pair_schema(),
-            plan.pair_rows(),
-            bitmap,
-            &counts,
-            governor,
-        );
-        // Node-predicate filter: clears candidates failing a query node's
-        // compiled SMARTS predicate (atom list, degree, ring, H-count,
-        // charge). Local properties, so — like the pair pre-check — it runs
-        // once at radius 0 and folds into iteration 1's stats. Predicate-free
-        // batches have an empty work list and skip the launch entirely,
-        // leaving their stats bit-identical to the pre-predicate engine.
-        let pred_cleared = facts.attrs().map_or(0, |attrs| {
-            node_predicate_filter(queue, attrs, plan.pred_rows(), bitmap, &counts, governor)
-        });
-        let mut iterations = Vec::with_capacity(cfg.refinement_iterations);
-        iterations.push(IterationStats {
-            iteration: 1,
-            candidates: counts.stats(),
-            cleared_bits: pair_cleared + pred_cleared,
-            dirty_nodes: (plan.pair_rows().len() + plan.pred_rows().len()) as u64,
-        });
-        for it in 2..=cfg.refinement_iterations {
-            // Refinement only prunes, so stopping between iterations keeps
-            // a sound (superset) candidate set for the join.
-            if governor.heartbeat() {
+        let mut stages = vec![
+            Stage::Pairs {
+                rows: plan.pair_rows(),
+                data: facts.pairs(),
+                all_tops: pair_tops,
+            },
+            Stage::Preds {
+                rows: if facts.attrs().is_some() {
+                    plan.pred_rows()
+                } else {
+                    &[]
+                },
+                packed: facts.attrs().map_or(&[], |a| &a.packed),
+            },
+        ];
+        stages.extend((1..=radii).map(|r| Stage::Refine {
+            delta: plan.delta_at(r),
+            data: facts.signatures_at(r),
+            all_tops,
+        }));
+        let pass = filter_pass(queue, &stages, bitmap, governor);
+        // The trace: iteration 1 after the label-pair and predicate stages,
+        // iteration `r + 1` after radius `r`, each summarizing the rows'
+        // counts kept stage by stage, up to the first stage some
+        // work-group did not complete (iteration 1 is always reported).
+        let mut counts: Vec<usize> = pass.initial.iter().map(|&c| c as usize).collect();
+        let mut trace: Vec<IterationStats> = Vec::with_capacity(stages.len());
+        let (mut cleared, mut dirty) = (0, 0);
+        for (s, rows) in pass.cleared.iter().enumerate() {
+            if s >= pass.completed && s > 1 {
                 break;
             }
-            let radius = it - 1;
-            if radius > plan.last_dirty_radius() {
-                // Query-side fixpoint: no query signature will ever move
-                // again, so no remaining iteration can clear a bit
-                // (DESIGN.md §4b). Skipped work is never charged or ticked.
-                break;
+            if s < pass.completed {
+                for &(row, gone) in rows {
+                    counts[row] -= gone as usize;
+                    cleared += gone;
+                }
+                dirty += rows.len() as u64;
             }
-            let delta = plan.delta_at(radius);
-            let cleared = if delta.is_empty() {
-                // Rings still moving, but only through wildcard or
-                // saturated labels: no signature moved, nothing to test.
-                // Skip the launch entirely.
-                0
-            } else {
-                // The transposed kernel scans only the dirty rows' bitmap
-                // words; dead data graphs are all-zero columns and cost
-                // 1/64th of a word load each.
-                refine_candidates_delta(
-                    queue,
-                    data,
-                    &cfg.schema,
-                    delta,
-                    facts.signatures_at(radius),
-                    bitmap,
-                    &counts,
-                    governor,
-                )
-            };
-            iterations.push(IterationStats {
-                iteration: it,
-                candidates: counts.stats(),
-                cleared_bits: cleared,
-                dirty_nodes: delta.dirty_rows() as u64,
-            });
+            if s >= 1 {
+                trace.push(IterationStats {
+                    iteration: s,
+                    candidates: CandidateStats::from_counts(&counts),
+                    cleared_bits: std::mem::take(&mut cleared),
+                    dirty_nodes: std::mem::take(&mut dirty),
+                });
+            }
         }
-        iterations
+        trace
     }
 
     /// Convenience: batches the graph lists and runs.
@@ -578,12 +554,13 @@ impl Engine {
         data_graphs: &[LabeledGraph],
         queue: &Queue,
     ) -> RunReport {
-        let queries = CsrGo::from_graphs(query_graphs);
-        let data = CsrGo::from_graphs(data_graphs);
-        self.run_batched(&queries, &data, queue)
+        self.run_with_governor(query_graphs, data_graphs, queue, &Governor::unlimited())
     }
 
-    /// Convenience: batches the graph lists and runs under a [`Governor`].
+    /// Convenience: batches the graph lists and runs under a [`Governor`],
+    /// timing the data side's CSR-GO build as a part of setup.
+    // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
+    // display-only (see `run_batched_with_governor`).
     pub fn run_with_governor(
         &self,
         query_graphs: &[LabeledGraph],
@@ -592,8 +569,12 @@ impl Engine {
         governor: &Governor,
     ) -> RunReport {
         let queries = CsrGo::from_graphs(query_graphs);
+        let t = Instant::now();
         let data = CsrGo::from_graphs(data_graphs);
-        self.run_batched_with_governor(&queries, &data, queue, governor)
+        let csr_build = t.elapsed();
+        let mut report = self.run_batched_with_governor(&queries, &data, queue, governor);
+        report.timings.data.csr_build = csr_build;
+        report
     }
 }
 

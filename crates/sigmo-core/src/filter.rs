@@ -8,44 +8,31 @@
 //!   one bitmap word at a time and ORs each label's column mask into
 //!   every row of the label's bucket: one atomic word update per (row,
 //!   word, label), where a device's lanes would coalesce one bit each;
-//! * [`refine_candidates_delta`] — one refinement radius: only the query
-//!   rows whose signature moved at this radius ([`DeltaClasses`]) are
-//!   re-tested, so the candidate sets shrink monotonically and a radius
-//!   where no query signature moved needs no launch (DESIGN.md §4b).
+//! * [`filter_pass`] — the label-pair pre-check, the node-predicate
+//!   filter and refinement at each radius where some query signature
+//!   moved ([`DeltaClasses`]; DESIGN.md §4b), in one launch per chunk.
 //!
-//! The row-transposed kernels — [`label_pair_filter`],
-//! [`node_predicate_filter`] and [`refine_candidates_delta`] — share one
-//! class-major launch (`class_major_filter`). A row's verdict at a data
-//! node depends only on the node and the row's class — its signature, or
-//! its compiled predicate — so the plan lists each stage's rows class by
-//! class, and the work-item of a class's first row judges the class once
-//! over the union of its rows' live bits. Every row of the class then
-//! clears its failing bits with one load and one store per word
-//! (DESIGN.md §19). The domination tests are branch-free SWAR compares
-//! over every selected group at once ([`Signature::dominates_tops`]).
-//!
-//! All kernels charge their modeled work to the device counters at word
-//! granularity: every distinct bitmap word actually loaded goes through
-//! `add_word_reads` (at the configured [`crate::WordWidth`]), one
-//! signature load per domination test, and a handful of modeled
-//! instructions per comparison — the accounting behind Figures 8 and 9.
-//! The charges model a device kernel, so they count one set, test or
-//! clear per candidate bit however the host batches the bits into words.
-//!
-//! The per-bit forms live in [`crate::naive`], whose
-//! [`reference_filter`](crate::naive::reference_filter) is the oracle of
-//! the whole filter phase; the differential test
-//! `word_parallel_differential` pins the kernels to bit-identical bitmaps.
+//! The clearing stages are row-transposed and class-major (DESIGN.md §19,
+//! §23). A row's verdict at a data node depends only on the node and the
+//! row's class — its signature, or its compiled predicate — so the plan
+//! lists each stage's rows class by class, each class is judged once per
+//! word over the union of its rows' live bits ([`Signature::dominates_tops`]
+//! or [`PackedPredicate`]), and each row takes one load and one store per
+//! word. Kernels charge the modeled work of a device kernel — word reads at
+//! the configured [`crate::WordWidth`], one set, test or clear per
+//! candidate bit — behind Figures 8 and 9. The per-bit forms live in
+//! [`crate::naive`]; [`reference_filter`](crate::naive::reference_filter)
+//! is the oracle of the whole filter phase.
 
-use crate::candidates::CandidateBitmap;
+use crate::candidates::{with_popcnt, CandidateBitmap, CountsBits};
 use crate::governor::Governor;
 use crate::schema::LabelSchema;
 use crate::signature::Signature;
-use crate::stats::RowCounts;
-use sigmo_device::Queue;
+use sigmo_device::{KernelCounters, Queue, StageClock};
 use sigmo_graph::{
-    CsrGo, EdgeLabel, Label, NodeAttrs, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL,
+    CsrGo, EdgeLabel, Label, NodeId, NodePredicate, PackedPredicate, WILDCARD_EDGE, WILDCARD_LABEL,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled instruction cost of one label comparison in the init kernel.
@@ -54,11 +41,9 @@ const INIT_INSTR_PER_QNODE: u64 = 4;
 const REFINE_INSTR_PER_TEST: u64 = 24;
 
 /// Plan-time verdict classes of a row list, given each row's verdict key
-/// (the inputs its per-bit verdict reads besides the data node): every
-/// distinct key gets a dense class id in first-seen order, keys only one
-/// row holds included. Deterministic. The stage builders then sort their
-/// rows by class id (stably, so a class's rows stay ascending): the
-/// class-major order [`class_major_filter`] walks.
+/// (what its per-bit verdict reads besides the data node): dense ids in
+/// first-seen order. The stage builders sort their rows by class id
+/// (stably): the class-major order [`filter_pass`] walks.
 fn class_ids<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32> {
     let mut ids: std::collections::HashMap<K, u32> = std::collections::HashMap::new();
     keys.map(|k| {
@@ -68,116 +53,269 @@ fn class_ids<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32>
     .collect()
 }
 
-/// A row of a class-major filter stage: its query row and verdict class.
+/// A row of a class-major filter stage: its query row and verdict class,
+/// and the modeled instructions of one test.
 trait ClassRow: Sync {
     fn row_class(&self) -> (usize, u32);
+    fn instr_per_test(&self) -> u64 {
+        REFINE_INSTR_PER_TEST
+    }
 }
 
-/// The class-major launch shared by the row-transposed filter kernels
-/// (DESIGN.md §19): one work-item per row of `rows` (class-major, as the
-/// stage builders list them), [`DELTA_ROWS_PER_GROUP`] to a group. The
-/// work-item of a class's first row does the class's work: it ORs the
-/// class's rows into the class's slot, judges every bit of that union
-/// once — `keep(row, column)`, branch-free — and leaves the failing bits
-/// in the slot; every row of the class then clears `live & fail` with one
-/// load and one store per word. The work-items of the class's other rows
-/// find their rows done.
-///
-/// Exact: `keep` is a pure function of the class key and the column, so
-/// the union's verdict at a column is each row's own. No two work-items
-/// touch one class's rows or slot, so nothing races. The charges are the
-/// per-bit walk's: per row, `tested = popcount(live)`,
-/// `cleared = popcount(live & fail)`, `instr_per_test(row)` modeled
-/// instructions per test, one load of each row word, one data-side fact
-/// (8 bytes) per test and the row's own key (16 bytes). They are sums over
-/// rows, so it does not matter which work-group charges a row. Each walked
-/// row's live count goes to `counts`.
-///
-/// Returns the number of bits cleared.
-#[allow(clippy::too_many_arguments)]
-fn class_major_filter<R: ClassRow>(
+/// One stage of [`filter_pass`]: class-major rows and the data facts its
+/// verdict reads — pair signatures and [`pair_schema`]'s `all_tops`,
+/// [`sigmo_graph::NodeAttrs::packed`] words, or one radius' signatures and
+/// the schema's `all_tops`. A stage with no rows records no kernel.
+#[allow(missing_docs)]
+pub enum Stage<'a> {
+    Pairs {
+        rows: &'a [PairRow],
+        data: &'a [Signature],
+        all_tops: u64,
+    },
+    Preds {
+        rows: &'a [PredRow],
+        packed: &'a [u64],
+    },
+    Refine {
+        delta: &'a DeltaClasses,
+        data: &'a [Signature],
+        all_tops: u64,
+    },
+}
+
+impl Stage<'_> {
+    /// The kernel the stage is charged under, and its rows.
+    fn rows(&self) -> (&'static str, Vec<&dyn ClassRow>) {
+        fn dyn_rows<R: ClassRow>(rows: &[R]) -> Vec<&dyn ClassRow> {
+            rows.iter().map(|r| r as &dyn ClassRow).collect()
+        }
+        match self {
+            Stage::Pairs { rows, .. } => ("label_pair_filter", dyn_rows(rows)),
+            Stage::Preds { rows, .. } => ("node_predicate_filter", dyn_rows(rows)),
+            Stage::Refine { delta, .. } => ("refine_candidates", dyn_rows(delta.rows())),
+        }
+    }
+}
+
+/// Bitmap words a fused-pass work-group owns of every row (one `u64` each).
+const WORDS_PER_GROUP: usize = 64;
+/// Rows per work-group of each stage's modeled kernel.
+const ROWS_PER_GROUP: usize = 4;
+
+/// What the fused pass leaves besides the bitmap.
+pub struct Pass {
+    /// Candidates per row before the first stage.
+    pub initial: Vec<u64>,
+    /// Per stage, each row's query row and bits cleared.
+    pub cleared: Vec<Vec<(usize, u64)>>,
+    /// Stages every work-group completed (fewer than all when the
+    /// governor stopped the pass).
+    pub completed: usize,
+}
+
+impl Pass {
+    /// Bits cleared by stage `s`.
+    pub fn cleared(&self, s: usize) -> u64 {
+        self.cleared[s].iter().map(|&(_, c)| c).sum()
+    }
+}
+
+/// The fused filter pass (DESIGN.md §23): one launch applies `stages` in
+/// order, block-major. A work-group owns 64 words of every row; per stage
+/// it ORs each class's rows, judges every bit of the union once, and each
+/// live row (per-row live-word summary) clears its failing bits with one
+/// load and one store per word. Exact: a verdict depends only on the
+/// class key and the column, and no two groups touch one word. Each stage
+/// is charged under its kernel name with the per-bit walk's charges
+/// summed over groups, and its measured share of the launch's wall.
+pub fn filter_pass(
     queue: &Queue,
-    name: &str,
-    rows: &[R],
+    stages: &[Stage],
     bitmap: &CandidateBitmap,
-    counts: &RowCounts,
     governor: &Governor,
-    instr_per_test: impl Fn(&R) -> u64 + Sync,
-    keep: impl Fn(&R, usize) -> bool + Sync,
-) -> u64 {
-    let word_bytes = bitmap.word_width().bytes();
-    let row_words = bitmap.words_per_row();
-    // One zeroed slot per class, allocated outside the kernel closure: a
-    // launch has at most one class per row, so the slots never exceed
-    // the rows' share of the bitmap.
-    let classes = rows.last().map_or(0, |r| r.row_class().1 as usize + 1);
-    let slots: Vec<AtomicU64> = (0..classes * row_words)
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    let snap = queue.parallel_for_chunks_until(
-        name,
+) -> Pass {
+    let (rows, words) = (bitmap.rows(), bitmap.words_per_row());
+    let groups = words.div_ceil(WORDS_PER_GROUP);
+    let stage_rows: Vec<_> = stages.iter().map(Stage::rows).collect();
+    let mut starts = vec![0usize];
+    for (_, r) in &stage_rows {
+        starts.push(starts[starts.len() - 1] + r.len());
+    }
+    let slots = starts[stages.len()];
+    // Scratch each work-group writes only its own entries of (plain
+    // relaxed stores), allocated before the launch.
+    let zeroed = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+    let scratch = PassScratch {
+        stages,
+        bitmap,
+        governor,
+        starts: &starts,
+        live: zeroed(groups * rows),
+        initial: zeroed(groups * rows),
+        tested: zeroed(groups * slots),
+        cleared: zeroed(groups * slots),
+        done: zeroed(groups),
+    };
+    let launch = queue.parallel_for_fused(
         "filter",
-        rows.len(),
-        DELTA_ROWS_PER_GROUP,
+        stages.len() + 1,
+        words,
+        WORDS_PER_GROUP,
         || governor.stopped(),
-        |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group:
-            // the counters take a handful of adds per group, not per row.
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut test_instr = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            for i in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                let class = rows[i].row_class().1;
-                if i > 0 && rows[i - 1].row_class().1 == class {
-                    continue; // done with its class's first row
-                }
-                let len = rows[i..].iter().position(|m| m.row_class().1 != class);
-                let members = &rows[i..i + len.unwrap_or(rows.len() - i)];
-                let key = &rows[i];
-                let slot = &slots[class as usize * row_words..][..row_words];
-                for m in members {
-                    bitmap.or_row_into(m.row_class().0, slot);
-                }
-                for (w, out) in slot.iter().enumerate() {
-                    // sigmo-lint: allow(relaxed-read-in-report) — the slot
-                    // and the class's rows are this work-item's alone.
-                    let union = out.load(Ordering::Relaxed);
-                    let fail = CandidateBitmap::fail_bits(union, w, |d| keep(key, d));
-                    out.store(fail, Ordering::Relaxed);
-                }
-                for m in members {
-                    let row = m.row_class().0;
-                    let (row_tests, row_cleared) = bitmap.clear_row_failing(row, slot);
-                    counts.set(row, row_tests - row_cleared);
-                    cleared += row_cleared;
-                    tests += row_tests;
-                    test_instr += instr_per_test(m) * row_tests;
-                    trip_sq += row_tests * row_tests;
-                    rows_run += 1;
-                }
-            }
-            if rows_run == 0 {
-                return; // the group's rows were done with their classes' first rows
-            }
-            // Cost model of a transposed kernel: every bitmap word of a
-            // scanned row is loaded exactly once (word-granular traffic);
-            // each live bit costs one data-side load (8 bytes) and one
-            // test; each scanned row loads its own key once (16 bytes).
-            let words = rows_run * row_words as u64;
-            counters.add_instructions(test_instr + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
+        |items, clock| with_popcnt(GroupRun(&scratch, items, clock)),
     );
-    snap.atomic_ops
+    // sigmo-lint: allow(relaxed-read-in-report) — read after the launch joined.
+    let load = |v: &[AtomicU64], at: usize| v[at].load(Ordering::Relaxed);
+    let sum = |v: &[AtomicU64], stride, i| (0..groups).map(|g| load(v, g * stride + i)).sum();
+    let done: Vec<u64> = (0..groups).map(|g| load(&scratch.done, g)).collect();
+    let word_bytes = bitmap.word_width().bytes();
+    let mut cleared = Vec::with_capacity(stages.len());
+    for (s, (name, stage)) in stage_rows.iter().enumerate() {
+        let (mut tests, mut trip_sq, mut test_instr, mut gone) = (0u64, 0u64, 0u64, 0u64);
+        let mut per_row = Vec::with_capacity(stage.len());
+        for (i, row) in stage.iter().enumerate() {
+            let row_tests = sum(&scratch.tested, slots, starts[s] + i);
+            let row_gone = sum(&scratch.cleared, slots, starts[s] + i);
+            tests += row_tests;
+            trip_sq += row_tests * row_tests;
+            gone += row_gone;
+            test_instr += row.instr_per_test() * row_tests;
+            per_row.push((row.row_class().0, row_gone));
+        }
+        cleared.push(per_row);
+        if stage.is_empty() || (groups > 0 && done.iter().all(|&d| d as usize <= s)) {
+            continue; // never ran: no kernel
+        }
+        let (counters, row_words) = (KernelCounters::new(), (stage.len() * words) as u64);
+        counters.add_instructions(test_instr + row_words);
+        counters.add_word_reads(row_words, word_bytes);
+        counters.add_bytes_read(tests * 8 + stage.len() as u64 * 16);
+        counters.add_atomics(gone);
+        counters.add_bytes_written(gone * word_bytes);
+        counters.record_trip_moments(tests, trip_sq, stage.len() as u64);
+        queue.record_stage(&launch, s, name, stage.len(), ROWS_PER_GROUP, &counters);
+    }
+    Pass {
+        initial: (0..rows).map(|r| sum(&scratch.initial, rows, r)).collect(),
+        cleared,
+        completed: done.iter().min().map_or(stages.len(), |&d| d as usize),
+    }
+}
+
+/// The pass's inputs and per-group scratch: live-word summaries and
+/// initial counts per row, tallies per stage row, stages completed.
+struct PassScratch<'a> {
+    stages: &'a [Stage<'a>],
+    bitmap: &'a CandidateBitmap,
+    governor: &'a Governor,
+    starts: &'a [usize],
+    live: Vec<AtomicU64>,
+    initial: Vec<AtomicU64>,
+    tested: Vec<AtomicU64>,
+    cleared: Vec<AtomicU64>,
+    done: Vec<AtomicU64>,
+}
+
+/// One work-group of the fused pass: its words of every row, every stage.
+struct GroupRun<'a, 'b>(&'b PassScratch<'a>, Range<usize>, &'b StageClock<'b>);
+
+impl CountsBits for GroupRun<'_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let GroupRun(sc, words, clock) = self;
+        let rows = sc.bitmap.rows();
+        let g = words.start / WORDS_PER_GROUP;
+        clock.enter(sc.stages.len()); // the summary scan, charged to no stage
+        for r in 0..rows {
+            let (mask, count) = sc.bitmap.live_words(r, words.start, words.len());
+            sc.live[g * rows + r].store(mask, Ordering::Relaxed);
+            sc.initial[g * rows + r].store(count, Ordering::Relaxed);
+        }
+        let mut scratch = [0u64; 2 * WORDS_PER_GROUP];
+        for (s, stage) in sc.stages.iter().enumerate() {
+            if sc.governor.heartbeat() {
+                break; // stopping between stages keeps a sound superset
+            }
+            clock.enter(s);
+            let at = (g, words.clone(), s, &mut scratch);
+            match stage {
+                Stage::Pairs {
+                    rows,
+                    data,
+                    all_tops,
+                } => sc.walk(at, rows, |r, d| {
+                    data[d].dominates_tops(&r.sig, *all_tops, r.tops)
+                }),
+                Stage::Preds { rows, packed } => {
+                    sc.walk(at, rows, |r, d| r.packed.matches(packed[d]))
+                }
+                Stage::Refine {
+                    delta,
+                    data,
+                    all_tops,
+                } => sc.walk(at, delta.rows(), |r, d| {
+                    data[d].dominates_tops(&r.sig, *all_tops, r.tops)
+                }),
+            }
+            sc.done[g].store(s as u64 + 1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl PassScratch<'_> {
+    /// Runs stage `s`'s `rows` (class-major) over group `g`'s `words`:
+    /// each class is judged once per word by `keep` over the union of its
+    /// rows' bits, then each of its live rows clears. `scratch` holds the
+    /// union, then the failing bits, and each row's verdicts.
+    #[inline(always)]
+    fn walk<R: ClassRow>(
+        &self,
+        (g, words, s, scratch): (usize, Range<usize>, usize, &mut [u64; 2 * WORDS_PER_GROUP]),
+        rows: &[R],
+        keep: impl Fn(&R, usize) -> bool,
+    ) {
+        let (n, w0) = (words.len(), words.start);
+        let (union, fail) = scratch.split_at_mut(WORDS_PER_GROUP);
+        let (union, fail) = (&mut union[..n], &mut fail[..n]);
+        let live = &self.live[g * self.bitmap.rows()..][..self.bitmap.rows()];
+        let slots = g * self.starts[self.stages.len()] + self.starts[s];
+        let mut i = 0;
+        while i < rows.len() {
+            let class = rows[i].row_class().1;
+            let len = rows[i..]
+                .iter()
+                .take_while(|m| m.row_class().1 == class)
+                .count();
+            let members = &rows[i..i + len];
+            union.fill(0);
+            let mut any = 0u64;
+            for m in members {
+                let row_live = live[m.row_class().0].load(Ordering::Relaxed);
+                if row_live != 0 {
+                    any |= row_live;
+                    self.bitmap.or_words_into(m.row_class().0, w0, union);
+                }
+            }
+            if any != 0 {
+                for (k, (fail, &union)) in fail.iter_mut().zip(union.iter()).enumerate() {
+                    *fail = CandidateBitmap::fail_bits(union, w0 + k, |d| keep(&members[0], d));
+                }
+                for (j, m) in members.iter().enumerate() {
+                    let row = m.row_class().0;
+                    if live[row].load(Ordering::Relaxed) != 0 {
+                        let (t, c, after) = self.bitmap.clear_words_failing(row, w0, fail);
+                        live[row].store(after, Ordering::Relaxed);
+                        self.tested[slots + i + j].store(t, Ordering::Relaxed);
+                        self.cleared[slots + i + j].store(c, Ordering::Relaxed);
+                    }
+                }
+            }
+            i += len;
+        }
+    }
 }
 
 /// Per-label query-row lists, built once per batch (or once per *plan* —
@@ -215,11 +353,6 @@ impl LabelBuckets {
             }
         }
         LabelBuckets { by_label, wildcard }
-    }
-
-    /// Number of distinct concrete labels in the batch.
-    pub fn touched_labels(&self) -> usize {
-        self.by_label.len()
     }
 
     /// The concrete query rows labeled `label`, ascending.
@@ -329,8 +462,8 @@ pub fn initialize_candidates_bucketed(
     );
 }
 
-/// The dirty query rows of one refinement radius, flattened for the
-/// transposed (row-major) delta kernel: rows whose signature *changed*
+/// The dirty query rows of one refinement radius, for the fused pass's
+/// refine stage: rows whose signature *changed*
 /// when the query signatures advanced to this radius, each carrying
 /// its new signature and its signature class's moved-field mask.
 ///
@@ -421,70 +554,20 @@ impl DeltaClasses {
         self.rows.len()
     }
 
-    /// The dirty rows, class-major — the delta kernel's work-items.
+    /// The dirty rows, class-major.
     pub fn rows(&self) -> &[DeltaRow] {
         &self.rows
     }
 }
 
-/// Rows dispatched per work-group of the class-major launch. A row
-/// work-item scans its whole candidate row — three orders of magnitude
-/// heavier than one data node's work — so the groups stay small to keep
-/// every core busy even at a few hundred dirty rows.
-const DELTA_ROWS_PER_GROUP: usize = 4;
-
-/// The RefineCandidates kernel restricted to one radius' dirty work,
-/// *transposed*: one work-item per dirty query row (not per data node),
-/// in the class-major launch (`class_major_filter`): each
-/// [`DeltaRow::class`] is judged once per word with the field-restricted
-/// domination verdict, branch-free ([`Signature::dominates_tops`] over
-/// [`DeltaRow::tops`]), and each dirty row clears its failing bits. Work
-/// is O(bitmap words + live bits) in the dirty rows — columns whose bits
-/// are long gone cost 1/64th of a word load, and data graphs with no live
-/// bit anywhere (the per-graph deadness the convergence machinery tracks)
-/// are skipped wholesale for free, because their columns are all-zero
-/// words. Skipped work is never charged or ticked, so the word-read
-/// accounting in `KernelSummary` reflects the real savings.
-///
-/// Bit-identical to testing every live bit of every query row at this
-/// radius (`naive::refine_candidates`): the verdict for a live bit
-/// `(q, d)` depends only on the two signatures, and the field-restricted
-/// test is exact per live bit (see [`DeltaRow`]; the differential and
-/// property tests pin it). Rows are disjoint across
-/// work-items, so clears never race. Each walked row's live count goes to
-/// `counts`.
-///
-/// Returns the number of bits cleared.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_candidates_delta(
-    queue: &Queue,
-    data: &CsrGo,
-    schema: &LabelSchema,
-    delta: &DeltaClasses,
-    data_sigs: &[Signature],
-    bitmap: &CandidateBitmap,
-    counts: &RowCounts,
-    governor: &Governor,
-) -> u64 {
-    debug_assert_eq!(data.num_nodes(), bitmap.cols());
-    let all_tops = schema.top_bits(u64::MAX);
-    class_major_filter(
-        queue,
-        "refine_candidates",
-        delta.rows(),
-        bitmap,
-        counts,
-        governor,
-        // Field-restricted test: ~2 instructions per moved field instead
-        // of one compare per schema group (see [`DeltaRow::changed`]).
-        |r| 2 * u64::from(r.changed.count_ones()) + 2,
-        |r, d| data_sigs[d].dominates_tops(&r.sig, all_tops, r.tops),
-    )
-}
-
 impl ClassRow for DeltaRow {
     fn row_class(&self) -> (usize, u32) {
         (self.row as usize, self.class)
+    }
+
+    /// ~2 instructions per moved field ([`DeltaRow::changed`]).
+    fn instr_per_test(&self) -> u64 {
+        2 * u64::from(self.changed.count_ones()) + 2
     }
 }
 
@@ -532,49 +615,6 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
     sig
 }
 
-/// The label-pair pre-check kernel: clears candidate bits whose data node
-/// cannot supply the query node's concrete (edge label, neighbor label)
-/// pairs. Runs once, right after init — edge labels are invisible to the
-/// signature refinement loop (node-label signatures only), so this is the
-/// one filter that prunes bond-order mismatches *before* the join's
-/// per-extension edge checks, and the bits it clears make `next_candidate`
-/// reject those extensions word-parallel via the bitmap probe.
-///
-/// Transposed like [`refine_candidates_delta`]: one work-item per
-/// constrained query row (`pair_rows`, precomputed by the plan — rows
-/// whose pair signature is non-empty), in the class-major launch: each
-/// [`PairRow::class`] is judged once per word with the branch-free bucket
-/// domination test over the row's live buckets ([`PairRow::tops`]). The
-/// data nodes' pair signatures (`data_pairs[d]`) come precomputed from
-/// [`crate::BatchFacts`]. Each walked row's live count goes to `counts`.
-///
-/// Returns the number of bits cleared.
-pub fn label_pair_filter(
-    queue: &Queue,
-    data_pairs: &[Signature],
-    schema: &LabelSchema,
-    pair_rows: &[PairRow],
-    bitmap: &CandidateBitmap,
-    counts: &RowCounts,
-    governor: &Governor,
-) -> u64 {
-    if pair_rows.is_empty() {
-        return 0;
-    }
-    debug_assert_eq!(data_pairs.len(), bitmap.cols());
-    let all_tops = schema.top_bits(u64::MAX);
-    class_major_filter(
-        queue,
-        "label_pair_filter",
-        pair_rows,
-        bitmap,
-        counts,
-        governor,
-        |_| REFINE_INSTR_PER_TEST,
-        |r, d| data_pairs[d].dominates_tops(&r.sig, all_tops, r.tops),
-    )
-}
-
 /// One constrained query row of the label-pair pre-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairRow {
@@ -601,7 +641,7 @@ impl ClassRow for PairRow {
     }
 }
 
-/// The constrained-row list [`label_pair_filter`] consumes: every query
+/// The constrained-row list of [`Stage::Pairs`]: every query
 /// row with a non-empty pair signature (`query_pairs[q]` is row `q`'s),
 /// classed by pair signature, class-major. Plans build this once per
 /// batch.
@@ -632,8 +672,10 @@ pub fn pair_rows(query_pairs: &[Signature], schema: &LabelSchema) -> Vec<PairRow
 pub struct PredRow {
     /// The query row (flat query node id).
     pub row: u32,
-    /// Its compiled, non-trivial predicate.
+    /// Its non-trivial predicate.
     pub pred: NodePredicate,
+    /// The predicate compiled against [`sigmo_graph::NodeAttrs::packed`].
+    pub packed: PackedPredicate,
     /// The row's verdict class: the predicated rows with an equal
     /// predicate, a singleton when only this row holds it.
     pub class: u32,
@@ -645,7 +687,7 @@ impl ClassRow for PredRow {
     }
 }
 
-/// The predicated-row list [`node_predicate_filter`] consumes: every
+/// The predicated-row list of [`Stage::Preds`]: every
 /// query row with a non-trivial compiled predicate, classed by predicate,
 /// class-major. Plans build this once per batch.
 pub fn pred_rows(queries: &CsrGo) -> Vec<PredRow> {
@@ -656,54 +698,12 @@ pub fn pred_rows(queries: &CsrGo) -> Vec<PredRow> {
         .map(|((row, pred), class)| PredRow {
             row: *row,
             pred: pred.clone(),
+            packed: PackedPredicate::compile(pred),
             class,
         })
         .collect();
     rows.sort_by_key(|r| r.class);
     rows
-}
-
-/// The node-predicate filter kernel: clears candidate bits whose data
-/// node fails a query node's compiled [`NodePredicate`] (SMARTS atom
-/// lists, degree, ring membership/size, H-count, formal charge). Runs
-/// once, right after the label-pair pre-check — predicates are *local*
-/// node properties, so like edge labels they are invisible to the
-/// node-label signature refinement loop, and the bits cleared here
-/// propagate to the join for free through the bitmap probe.
-///
-/// Transposed like [`label_pair_filter`]: one work-item per predicated
-/// query row, in the class-major launch: each [`PredRow::class`] is judged
-/// once per word by evaluating the predicate against the data nodes'
-/// precomputed attributes ([`NodeAttrs`]: degree, H-neighbor count,
-/// charge, smallest-ring size — from [`crate::BatchFacts`]). Each walked
-/// row's live count goes to `counts`.
-///
-/// Returns the number of bits cleared.
-pub fn node_predicate_filter(
-    queue: &Queue,
-    attrs: &NodeAttrs,
-    pred_rows: &[PredRow],
-    bitmap: &CandidateBitmap,
-    counts: &RowCounts,
-    governor: &Governor,
-) -> u64 {
-    if pred_rows.is_empty() {
-        return 0;
-    }
-    debug_assert_eq!(attrs.labels.len(), bitmap.cols());
-    // Each live bit loads the data node's packed attributes (8 bytes:
-    // degree, h-count, charge, min-ring) and runs one predicate
-    // evaluation; each row its own predicate record (16 bytes).
-    class_major_filter(
-        queue,
-        "node_predicate_filter",
-        pred_rows,
-        bitmap,
-        counts,
-        governor,
-        |_| REFINE_INSTR_PER_TEST,
-        |r, d| r.pred.matches(attrs, d as NodeId),
-    )
 }
 
 #[cfg(test)]
@@ -750,28 +750,22 @@ mod tests {
         assert_eq!(bm.row_count(1), 1);
     }
 
-    /// Refines `bm` with the delta kernel at radii `1..=radii`, as the
-    /// engine does after init (without the label-pair and predicate
-    /// stages); returns the bits cleared at each radius.
+    /// Refines `bm` at radii `1..=radii` in one pass, as the engine does
+    /// after init (without the label-pair and predicate stages); returns
+    /// the bits cleared at each radius.
     fn refine_radii(queries: &CsrGo, data: &CsrGo, bm: &CandidateBitmap, radii: usize) -> Vec<u64> {
         let cfg = EngineConfig::with_iterations(radii + 1);
         let plan = QueryPlan::from_batch(queries.clone(), &cfg);
         let facts = BatchFacts::compute(data, &cfg.schema, radii, false);
-        let counts = RowCounts::of(bm);
-        (1..=radii)
-            .map(|r| {
-                refine_candidates_delta(
-                    &queue(),
-                    data,
-                    &cfg.schema,
-                    plan.delta_at(r),
-                    facts.signatures_at(r),
-                    bm,
-                    &counts,
-                    &Governor::unlimited(),
-                )
+        let stages: Vec<Stage> = (1..=radii)
+            .map(|r| Stage::Refine {
+                delta: plan.delta_at(r),
+                data: facts.signatures_at(r),
+                all_tops: cfg.schema.top_bits(u64::MAX),
             })
-            .collect()
+            .collect();
+        let pass = filter_pass(&queue(), &stages, bm, &Governor::unlimited());
+        (0..radii).map(|s| pass.cleared(s)).collect()
     }
 
     /// The engine's filter phase at `iterations` over a fresh bitmap.
@@ -908,15 +902,13 @@ mod tests {
             initialize_candidates(&queue(), &queries, &data, &fast, 64);
             crate::naive::initialize_candidates(&queries, &data, &slow);
             let rows = pair_rows(&pairs_of(&queries), &schema);
-            let cleared = label_pair_filter(
-                &queue(),
-                &pairs_of(&data),
-                &schema,
-                &rows,
-                &fast,
-                &RowCounts::of(&fast),
-                &Governor::unlimited(),
-            );
+            let data_pairs = pairs_of(&data);
+            let stage = Stage::Pairs {
+                rows: &rows,
+                data: &data_pairs,
+                all_tops: schema.top_bits(u64::MAX),
+            };
+            let cleared = filter_pass(&queue(), &[stage], &fast, &Governor::unlimited()).cleared(0);
             let expected = crate::naive::label_pair_filter(&queries, &data, &schema, &slow);
             assert_eq!(cleared, expected, "seed {seed}");
             assert!(cleared > 0, "seed {seed} must exercise the pre-check");

@@ -8,7 +8,8 @@
 //!    label, the nodes within a growing radius; stored as frequency-skewed
 //!    masked bitsets in a single `u64` ([`Signature`], [`LabelSchema`]);
 //!    a data node survives iff its signature *dominates* the query node's
-//!    ([`filter::refine_candidates_delta`]);
+//!    ([`filter::filter_pass`], which also runs the label-pair and
+//!    predicate checks in the same launch);
 //! 3. **Mapping** — the Graph Mapping Compressed Representation
 //!    ([`Gmcr`]) lists, per data graph, the query graphs whose every node
 //!    still has candidates there;
@@ -51,7 +52,7 @@ pub use candidates::{CandidateBitmap, WordWidth};
 pub use engine::{
     Engine, EngineConfig, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };
-pub use facts::{BatchFacts, MolFacts};
+pub use facts::{BatchFacts, DataTimings, MolFacts};
 pub use filter::{DeltaClasses, LabelBuckets};
 pub use governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 pub use join::cost::{JoinVariant, OrderChoice};
@@ -62,5 +63,5 @@ pub use memory::{estimate as estimate_memory, estimate_scaled, max_scale_factor,
 pub use plan::QueryPlan;
 pub use schema::LabelSchema;
 pub use signature::{Signature, SignatureSet};
-pub use stats::{CandidateStats, IterationStats, RowCounts, StrategyCounts};
+pub use stats::{CandidateStats, IterationStats, StrategyCounts};
 pub use stream::{Quarantined, StreamReport, StreamRunner};

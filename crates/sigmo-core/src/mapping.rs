@@ -6,11 +6,12 @@
 //! this as CSR-like offsets plus indices, with a per-pair boolean the join
 //! phase sets when a match is found.
 //!
-//! Built with two kernels, as in the paper: a sizing kernel whose per-data-
-//! graph counts are prefix-summed on the host, and a population kernel.
-//! The sizing kernel scans the bitmap once and keeps each pair's verdict
-//! in a (data graph × query graph) bitset, which the population kernel
-//! reads instead of scanning again.
+//! Built in one kernel, one work-item per data graph, from the bitmap the
+//! fused filter pass leaves: a query graph is potential iff each of its
+//! rows keeps a candidate in the graph's columns, a masked load per word,
+//! and the probe stops at the first row that keeps none — starting from
+//! the row that failed last in the work-group. The host prefix-sums the
+//! counts and lists the pairs (DESIGN.md §23).
 
 use crate::candidates::CandidateBitmap;
 use sigmo_device::Queue;
@@ -41,97 +42,78 @@ impl Gmcr {
         let n_data = data.num_graphs();
         let n_query = queries.num_graphs();
         let word_bytes = bitmap.word_width().bytes();
-
-        // Kernel 1: per data graph, the potential query graphs (bit `qg`
-        // of the data graph's `pair_words` words of `potential`), their
-        // count, and the bitmap words the scan loaded.
+        // Per data graph, the potential query graphs (bit `qg` of its
+        // `pair_words` words). A query graph's rows are probed from the one
+        // that failed last in the work-group (`first_probe`): a row with no
+        // candidate in one data graph seldom has one in the next.
         let pair_words = n_query.div_ceil(64);
-        let potential: Vec<AtomicU64> = (0..n_data * pair_words)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let scanned: Vec<AtomicU64> = (0..n_data).map(|_| AtomicU64::new(0)).collect();
-        let counts: Vec<AtomicU32> = (0..n_data).map(|_| AtomicU32::new(0)).collect();
+        let groups = n_data.div_ceil(work_group_size.max(1));
+        let potential: Vec<AtomicU64> = (0..n_data * pair_words).map(|_| 0.into()).collect();
+        let first_probe: Vec<AtomicU32> = (0..groups * n_query).map(|_| 0.into()).collect();
         queue.parallel_for(
-            "gmcr_size",
+            "gmcr_populate",
             "mapping",
             n_data,
             work_group_size,
             |dg, counters| {
-                let mut c = 0u32;
-                let mut probed_rows = 0u64;
-                let mut words_loaded = 0u64;
+                let span = Span::columns(data, dg);
+                let memo = &first_probe[dg / work_group_size.max(1) * n_query..][..n_query];
+                let (mut c, mut probed_rows) = (0u32, 0u64);
                 let verdicts = &potential[dg * pair_words..][..pair_words];
-                for qg in 0..n_query {
-                    let (is_potential, rows, words) =
-                        pair_is_potential_counted(queries, data, bitmap, qg, dg);
-                    if is_potential {
+                for (qg, memo) in memo.iter().enumerate() {
+                    let range = queries.node_range(qg);
+                    let (lo, len) = (range.start as usize, range.len());
+                    // sigmo-lint: allow(relaxed-read-in-report) — the group's own memo
+                    let start = memo.load(Ordering::Relaxed) as usize;
+                    let mut keeps = true;
+                    for i in 0..len {
+                        let at = (start + i) % len;
+                        probed_rows += 1;
+                        if !span.row_keeps(bitmap, lo + at) {
+                            memo.store(at as u32, Ordering::Relaxed);
+                            keeps = false;
+                            break;
+                        }
+                    }
+                    if keeps {
                         c += 1;
                         // sigmo-lint: allow(relaxed-read-in-report) — the graph's own words
                         let word = verdicts[qg / 64].load(Ordering::Relaxed);
                         verdicts[qg / 64].store(word | 1 << (qg % 64), Ordering::Relaxed);
                     }
-                    probed_rows += rows;
-                    words_loaded += words;
                 }
-                counts[dg].store(c, Ordering::Relaxed);
-                scanned[dg].store(words_loaded, Ordering::Relaxed);
-                counters.add_instructions(probed_rows * 6);
-                counters.add_word_reads(words_loaded, word_bytes);
-                counters.add_bytes_written(4);
+                counters.add_instructions(probed_rows * 6 + n_query as u64 * 8);
+                counters.add_bytes_read(n_query as u64 * 4);
+                counters.add_word_reads(probed_rows * span.words as u64, word_bytes);
+                counters.add_bytes_written(u64::from(c) * 4 + 4);
                 // Work per data graph varies with how many query graphs
                 // remain potential — the source of the mapping phase's
                 // partial occupancy (§5.1.3: 47-55%).
-                counters.record_trips(c as u64 + 1);
+                counters.record_trips(u64::from(c) + 1);
             },
         );
 
-        // Host-side inclusive prefix sum (paper: "the data graph offsets
-        // array is also updated on the host by performing an inclusive
-        // sum").
-        let mut data_graph_offsets = Vec::with_capacity(n_data + 1);
-        data_graph_offsets.push(0u32);
-        let mut acc = 0u32;
-        for c in &counts {
-            acc += c.load(Ordering::Relaxed);
-            data_graph_offsets.push(acc);
+        // The pairs in data-graph order, and the host-side inclusive
+        // prefix sum (paper: "the data graph offsets array is also updated
+        // on the host by performing an inclusive sum").
+        let mut data_graph_offsets = vec![0u32];
+        let mut query_graph_indices = Vec::new();
+        for dg in 0..n_data {
+            for (k, word) in potential[dg * pair_words..][..pair_words]
+                .iter()
+                .enumerate()
+            {
+                let mut bits = word.load(Ordering::Relaxed);
+                while bits != 0 {
+                    query_graph_indices.push((k * 64 + bits.trailing_zeros() as usize) as u32);
+                    bits &= bits - 1;
+                }
+            }
+            data_graph_offsets.push(query_graph_indices.len() as u32);
         }
-
-        // Kernel 2: populate the indices from the sizing kernel's
-        // verdicts. It charges the scan a device kernel repeats (the
-        // words the sizing scan loaded), though the host reads the bitset.
-        let total = acc as usize;
-        let indices: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        {
-            let offsets = &data_graph_offsets;
-            queue.parallel_for(
-                "gmcr_populate",
-                "mapping",
-                n_data,
-                work_group_size,
-                |dg, counters| {
-                    let mut pos = offsets[dg] as usize;
-                    let verdicts = &potential[dg * pair_words..][..pair_words];
-                    for (k, word) in verdicts.iter().enumerate() {
-                        let mut bits = word.load(Ordering::Relaxed);
-                        // sigmo-lint: allow(unbounded-kernel-loop) — one set
-                        // bit of a loaded word per pass (≤ 64).
-                        while bits != 0 {
-                            let qg = k * 64 + bits.trailing_zeros() as usize;
-                            indices[pos].store(qg as u32, Ordering::Relaxed);
-                            pos += 1;
-                            bits &= bits - 1;
-                        }
-                    }
-                    debug_assert_eq!(pos, offsets[dg + 1] as usize);
-                    counters.add_instructions(n_query as u64 * 8);
-                    counters.add_word_reads(scanned[dg].load(Ordering::Relaxed), word_bytes);
-                    counters.add_bytes_written((offsets[dg + 1] - offsets[dg]) as u64 * 4);
-                    counters.record_trips((offsets[dg + 1] - offsets[dg]) as u64 + 1);
-                },
-            );
-        }
-        let query_graph_indices: Vec<u32> = indices.into_iter().map(|a| a.into_inner()).collect();
-        let matched = (0..total).map(|_| AtomicBool::new(false)).collect();
+        let matched = (0..query_graph_indices.len())
+            .map(|_| AtomicBool::new(false))
+            .collect();
         Self {
             data_graph_offsets,
             query_graph_indices,
@@ -199,37 +181,52 @@ impl Gmcr {
     }
 }
 
-/// A (query graph, data graph) pair is *potential* iff every query node of
-/// `qg` has ≥ 1 surviving candidate within `dg`'s node range.
-///
-/// Both zero-row detection and its accounting are word-granular: each row
-/// is scanned with the early-exiting word probe, the pair check stops at
-/// the first empty row, and the return reports `(potential, rows probed,
-/// bitmap words loaded)` so the kernels charge exactly the traffic the
-/// scan generated.
-// sigmo-lint: allow(uncharged-access) — deliberately returns (rows, words)
-// instead of charging: the sizing kernel charges the exact counts this
-// scan reports, and the population kernel charges its words again.
-fn pair_is_potential_counted(
-    queries: &CsrGo,
-    data: &CsrGo,
-    bitmap: &CandidateBitmap,
-    qg: usize,
-    dg: usize,
-) -> (bool, u64, u64) {
-    let drange = data.node_range(dg);
-    let (dlo, dhi) = (drange.start as usize, drange.end as usize);
-    let mut rows = 0u64;
-    let mut words = 0u64;
-    for qn in queries.node_range(qg) {
-        let (any, w) = bitmap.row_any_in_range_counted(qn as usize, dlo, dhi);
-        rows += 1;
-        words += w;
-        if !any {
-            return (false, rows, words);
+/// A data graph's columns as bitmap words: `words` words from `first`,
+/// the first and last masked to the graph's own columns.
+#[derive(Default)]
+struct Span {
+    first: usize,
+    words: usize,
+    first_mask: u64,
+    last_mask: u64,
+}
+
+impl Span {
+    fn columns(data: &CsrGo, dg: usize) -> Self {
+        let cols = data.node_range(dg);
+        let (lo, hi) = (cols.start as usize, cols.end as usize);
+        if lo == hi {
+            return Span::default();
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let top = u64::MAX >> ((64 - hi % 64) % 64);
+        let bottom = u64::MAX << (lo % 64);
+        Span {
+            first,
+            words: last - first + 1,
+            first_mask: if first == last { bottom & top } else { bottom },
+            last_mask: top,
         }
     }
-    (true, rows, words)
+
+    /// Whether `row` keeps a candidate in the graph's columns: one masked
+    /// load per word, without a branch.
+    // sigmo-lint: allow(uncharged-access) — the GMCR kernel charges the
+    // span's words per probed row.
+    #[inline]
+    fn row_keeps(&self, bitmap: &CandidateBitmap, row: usize) -> bool {
+        let mut acc = 0u64;
+        for k in 0..self.words {
+            let mut mask = u64::MAX;
+            if k == 0 {
+                mask = self.first_mask;
+            } else if k + 1 == self.words {
+                mask = self.last_mask;
+            }
+            acc |= bitmap.word(row, self.first + k) & mask;
+        }
+        acc != 0
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::candidates::CandidateBitmap;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Five-number summary of the per-query-node candidate-set sizes plus the
 /// total — the contents of one box (and one line point) of Figure 5.
@@ -29,8 +28,8 @@ pub struct CandidateStats {
 
 impl CandidateStats {
     /// Computes the summary from a candidate bitmap, one popcount pass
-    /// over every row. The engine summarizes its [`RowCounts`] instead;
-    /// this stays as their oracle.
+    /// over every row. The engine summarizes the per-row counts its filter
+    /// pass reports instead; this stays as their oracle.
     pub fn from_bitmap(bitmap: &CandidateBitmap) -> Self {
         let counts: Vec<usize> = (0..bitmap.rows()).map(|r| bitmap.row_count(r)).collect();
         Self::from_counts(&counts)
@@ -87,43 +86,6 @@ impl CandidateStats {
             total,
             empty_rows: counts.iter().filter(|&&c| c == 0).count(),
         }
-    }
-}
-
-/// Live candidates per bitmap row, kept current by the filter kernels:
-/// one popcount pass after init, then every row walk stores its row's
-/// `tested − cleared`. The engine's per-iteration [`CandidateStats`] come
-/// from these counts instead of a popcount pass over the whole bitmap per
-/// iteration ([`CandidateStats::from_bitmap`] is their oracle).
-pub struct RowCounts(Vec<AtomicU64>);
-
-impl RowCounts {
-    /// The live count of every row of `bitmap`.
-    pub fn of(bitmap: &CandidateBitmap) -> Self {
-        RowCounts(
-            (0..bitmap.rows())
-                .map(|r| AtomicU64::new(bitmap.row_count(r) as u64))
-                .collect(),
-        )
-    }
-
-    /// Records `row`'s live count after a walk. The walking work-item owns
-    /// the row, so no other writer races this store.
-    #[inline]
-    pub(crate) fn set(&self, row: usize, live: u64) {
-        self.0[row].store(live, Ordering::Relaxed);
-    }
-
-    /// The summary of the current counts.
-    // sigmo-lint: allow(relaxed-read-in-report) — the engine summarizes
-    // only after the writing launch joined; the counts are then quiescent.
-    pub fn stats(&self) -> CandidateStats {
-        let counts: Vec<usize> = self
-            .0
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed) as usize)
-            .collect();
-        CandidateStats::from_counts(&counts)
     }
 }
 
@@ -228,25 +190,6 @@ mod tests {
         assert_eq!(s.max, 2);
         assert_eq!(s.min, 0);
         assert_eq!(s.empty_rows, 1);
-    }
-
-    #[test]
-    fn row_counts_track_walked_rows() {
-        let b = CandidateBitmap::new(3, 130, WordWidth::U64);
-        for c in [0, 64, 65, 129] {
-            b.set(1, c);
-        }
-        b.set(2, 7);
-        let counts = RowCounts::of(&b);
-        let (tested, cleared) = b.retain_row(1, |c| c % 2 == 1);
-        counts.set(1, tested - cleared);
-        let got = counts.stats();
-        let want = CandidateStats::from_bitmap(&b);
-        assert_eq!(
-            (got.total, got.max, got.empty_rows),
-            (want.total, want.max, 1)
-        );
-        assert_eq!(got.total, 3);
     }
 
     /// The histogram gives the summary of the sorted counts, whether the

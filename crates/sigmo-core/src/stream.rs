@@ -10,7 +10,7 @@
 //! aggregate with globally consistent data-graph indices.
 
 use crate::engine::{Engine, EngineConfig};
-use crate::facts::{BatchFacts, MolFacts};
+use crate::facts::{BatchFacts, DataTimings, MolFacts};
 use crate::governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 use crate::memory::{estimate_counts, MemoryEstimate};
 use crate::plan::QueryPlan;
@@ -18,7 +18,7 @@ use crate::stats::StrategyCounts;
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, LabeledGraph};
 use std::borrow::Borrow;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One molecule isolated by the poisoned-chunk protocol: it tripped the
 /// per-chunk budget even when run alone, so its (sound, partial) results
@@ -58,6 +58,9 @@ pub struct StreamReport {
     /// Summed pipeline time across chunks (filter + mapping + join),
     /// including time spent on discarded truncated attempts.
     pub total_time: Duration,
+    /// Summed data-side setup across chunks, by part: each chunk's CSR-GO
+    /// build and the facts the engine reads (not in `total_time`).
+    pub data_time: DataTimings,
     /// `Complete` when every molecule was fully explored; `Truncated`
     /// when anything was quarantined or the stream was cancelled.
     pub completion: Completion,
@@ -114,6 +117,7 @@ impl StreamReport {
         self.molecules += part.molecules;
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(part.peak_chunk_bytes);
         self.total_time += part.total_time;
+        self.data_time.add(&part.data_time);
         self.completion = self.completion.merge_symmetric(part.completion);
         self.quarantined
             .extend(part.quarantined.iter().map(|q| Quarantined {
@@ -385,6 +389,8 @@ impl StreamRunner {
     /// complete runs, quarantined single-molecule partials, and — on
     /// cancellation — the in-flight partials (the caller asked to stop;
     /// nothing will be retried).
+    // sigmo-lint: allow(wall-clock-in-result) — the data-side timings are
+    // display-only, excluded from determinism keys.
     fn run_span<G: Borrow<LabeledGraph>, F: Borrow<MolFacts>>(
         &self,
         plan: &QueryPlan,
@@ -395,12 +401,15 @@ impl StreamRunner {
     ) {
         let governor = Governor::with_cancel(&self.budget, self.cancel.clone());
         let graphs: Vec<&LabeledGraph> = span.iter().map(|(g, _)| g.borrow()).collect();
+        let t = Instant::now();
         let data = CsrGo::from_graph_refs(&graphs);
+        let csr_build = t.elapsed();
         let stored: Vec<Option<&MolFacts>> = span
             .iter()
             .map(|(_, f)| f.as_ref().map(Borrow::borrow))
             .collect();
-        let facts = BatchFacts::for_run(self.engine.config(), plan, &data, &stored);
+        let (facts, parts) = BatchFacts::for_run_timed(self.engine.config(), plan, &data, &stored);
+        report.data_time.add(&DataTimings { csr_build, ..parts });
         let run = self
             .engine
             .run_with_facts(plan, &data, &facts, queue, &governor);

@@ -30,5 +30,5 @@ pub mod summary;
 pub use cost::{CostModel, KernelCost, OccupancySample, RooflinePoint};
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use profile::{DeviceKind, DeviceProfile};
-pub use queue::{KernelRecord, LocalMem, Queue, WorkGroupCtx};
+pub use queue::{FusedLaunch, KernelRecord, LocalMem, Queue, StageClock, WorkGroupCtx};
 pub use summary::{render_table, summarize, KernelSummary};

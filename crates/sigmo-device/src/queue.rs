@@ -9,6 +9,7 @@ use crate::counters::{CounterSnapshot, KernelCounters};
 use crate::profile::DeviceProfile;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -84,6 +85,98 @@ impl Drop for WorkerCounters<'_> {
     fn drop(&mut self) {
         self.total.lock().absorb(&self.own);
     }
+}
+
+/// Runs `global_size` work-items in groups of `wg` over the rayon pool:
+/// each worker makes its group body once with `worker()` and runs its
+/// groups through it, and a tripped `stop` probe skips every group not
+/// yet started. Returns the launch's wall time and the skipped groups.
+// sigmo-lint: allow(wall-clock-in-result) — wall_time is display-only,
+// excluded from determinism keys; the cost model prices counters.
+// sigmo-lint: allow(relaxed-read-in-report) — `skipped` is read after
+// the parallel bridge joined; no writer remains.
+fn dispatch<S, W, G>(global_size: usize, wg: usize, stop: &S, worker: W) -> (Duration, usize)
+where
+    S: Fn() -> bool + Sync,
+    W: Fn() -> G + Sync,
+    G: Fn(std::ops::Range<usize>),
+{
+    let skipped = AtomicUsize::new(0);
+    let start = Instant::now();
+    (0..global_size.div_ceil(wg))
+        .into_par_iter()
+        .for_each_init(&worker, |group, g| {
+            if stop() {
+                skipped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            group(g * wg..((g + 1) * wg).min(global_size));
+        });
+    (start.elapsed(), skipped.load(Ordering::Relaxed))
+}
+
+/// One worker's stage clock in a fused launch
+/// ([`Queue::parallel_for_fused`]): [`StageClock::enter`] charges the
+/// time since the last call to the stage held until now. Summed into the
+/// launch's per-stage totals when the worker is done (on drop).
+pub struct StageClock<'a> {
+    since: Cell<Option<Instant>>,
+    held: Cell<usize>,
+    own: Vec<Cell<u64>>,
+    total: &'a Mutex<Vec<u64>>,
+}
+
+impl<'a> StageClock<'a> {
+    fn new(stages: usize, total: &'a Mutex<Vec<u64>>) -> Self {
+        Self {
+            since: Cell::new(None),
+            held: Cell::new(0),
+            own: (0..stages).map(|_| Cell::new(0)).collect(),
+            total,
+        }
+    }
+
+    /// From now on the worker's time goes to `stage`.
+    // sigmo-lint: allow(wall-clock-in-result) — stage walls are
+    // display-only, excluded from determinism keys.
+    #[inline]
+    pub fn enter(&self, stage: usize) {
+        let now = Instant::now();
+        if let Some(t) = self.since.get() {
+            let spent = &self.own[self.held.get()];
+            spent.set(spent.get() + (now - t).as_nanos() as u64);
+        }
+        self.since.set(Some(now));
+        self.held.set(stage);
+    }
+
+    /// Charges the time since the last [`StageClock::enter`] and holds
+    /// no stage until the next.
+    fn stop(&self) {
+        if self.since.get().is_some() {
+            self.enter(self.held.get());
+            self.since.set(None);
+        }
+    }
+}
+
+impl Drop for StageClock<'_> {
+    fn drop(&mut self) {
+        let mut total = self.total.lock();
+        for (t, own) in total.iter_mut().zip(&self.own) {
+            *t += own.get();
+        }
+    }
+}
+
+/// A finished fused launch ([`Queue::parallel_for_fused`]), waiting for
+/// its stages to be recorded.
+#[derive(Debug, Clone)]
+pub struct FusedLaunch {
+    phase: String,
+    stage_walls: Vec<Duration>,
+    cancelled: bool,
+    skipped_groups: usize,
 }
 
 /// Record of one executed kernel.
@@ -213,24 +306,12 @@ impl Queue {
     {
         let wg = work_group_size.max(1);
         let counters = Mutex::new(KernelCounters::new());
-        let skipped = AtomicUsize::new(0);
-        let start = Instant::now();
-        let num_groups = global_size.div_ceil(wg);
-        (0..num_groups).into_par_iter().for_each_init(
-            || WorkerCounters::new(&counters),
-            |worker, g| {
-                if stop() {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let lo = g * wg;
-                let hi = ((g + 1) * wg).min(global_size);
-                body(lo..hi, &worker.own);
-            },
-        );
-        let wall = start.elapsed();
+        let body = &body;
+        let (wall, skipped) = dispatch(global_size, wg, &stop, || {
+            let worker = WorkerCounters::new(&counters);
+            move |items: std::ops::Range<usize>| body(items, &worker.own)
+        });
         let snap = counters.lock().snapshot();
-        let skipped = skipped.load(Ordering::Relaxed);
         self.records.lock().push(KernelRecord {
             name: name.to_string(),
             phase: phase.to_string(),
@@ -326,6 +407,83 @@ impl Queue {
             skipped_groups: skipped,
         });
         snap
+    }
+
+    /// A fused launch in `phase`: one dispatch of `global_size` work-items in groups
+    /// of `work_group_size`, whose work the caller charges afterwards to
+    /// `stages` separate kernel records ([`Queue::record_stage`]) — one
+    /// per stage of work the body interleaves. The body moves its
+    /// worker's [`StageClock`] from stage to stage, and the launch's wall
+    /// time is split over the stages in proportion to the time each held
+    /// the clock. The stop probe works as in [`Queue::parallel_for_until`].
+    /// Records nothing by itself.
+    // sigmo-lint: allow(wall-clock-in-result) — stage walls are
+    // display-only, excluded from determinism keys (see
+    // `parallel_for_chunks_until`).
+    pub fn parallel_for_fused<S, F>(
+        &self,
+        phase: &str,
+        stages: usize,
+        global_size: usize,
+        work_group_size: usize,
+        stop: S,
+        body: F,
+    ) -> FusedLaunch
+    where
+        S: Fn() -> bool + Sync,
+        F: Fn(std::ops::Range<usize>, &StageClock) + Sync,
+    {
+        let spent = Mutex::new(vec![0u64; stages]);
+        let body = &body;
+        let (wall, skipped) = dispatch(global_size, work_group_size.max(1), &stop, || {
+            let clock = StageClock::new(stages, &spent);
+            move |items: std::ops::Range<usize>| {
+                body(items, &clock);
+                clock.stop();
+            }
+        });
+        let spent = spent.into_inner();
+        let held: u64 = spent.iter().sum();
+        let stage_walls = spent
+            .iter()
+            .map(|&ns| {
+                if held == 0 {
+                    Duration::ZERO
+                } else {
+                    wall.mul_f64(ns as f64 / held as f64)
+                }
+            })
+            .collect();
+        FusedLaunch {
+            phase: phase.to_string(),
+            stage_walls,
+            cancelled: skipped > 0 || stop(),
+            skipped_groups: skipped,
+        }
+    }
+
+    /// Records stage `stage` of a [`FusedLaunch`] as one kernel of the
+    /// launch's phase: its name and modeled ND-range, the charges the
+    /// caller tallied for it, and its share of the launch's wall time.
+    pub fn record_stage(
+        &self,
+        launch: &FusedLaunch,
+        stage: usize,
+        name: &str,
+        global_size: usize,
+        work_group_size: usize,
+        counters: &KernelCounters,
+    ) {
+        self.records.lock().push(KernelRecord {
+            name: name.to_string(),
+            phase: launch.phase.clone(),
+            global_size,
+            work_group_size,
+            wall_time: launch.stage_walls[stage],
+            counters: counters.snapshot(),
+            cancelled: launch.cancelled,
+            skipped_groups: launch.skipped_groups,
+        });
     }
 
     /// Records a host↔device transfer (Figure 2's data-movement arrows):

@@ -8,7 +8,7 @@
 
 use crate::csr::Csr;
 use crate::graph::{EdgeLabel, Label, LabeledGraph, NodeId};
-use crate::predicate::{NodeAttrs, NodePredicate};
+use crate::predicate::{Adjacency, NodeAttrs, NodePredicate, RingScratch};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -182,59 +182,38 @@ impl CsrGo {
         !self.preds.is_empty()
     }
 
-    /// Per-node attributes over the whole batch (graphs are disconnected,
-    /// so per-graph ring perception composes trivially, and the result
-    /// equals the concatenation of each graph's own table). The engine
-    /// reads these from `sigmo_core::BatchFacts`, which calls this only
-    /// for batches holding a molecule without stored facts.
+    /// Per-node attributes over the whole batch, ring sizes included
+    /// (graphs are disconnected, so the result equals the concatenation
+    /// of each graph's own table). The engine reads these from
+    /// `sigmo_core::BatchFacts`, which fills them graph by graph with
+    /// [`CsrGo::fill_node_attrs`].
     pub fn node_attrs(&self) -> NodeAttrs {
-        let n = self.num_nodes();
-        let charges: Vec<i8> = {
-            let mut dense = vec![0i8; n];
-            for &(v, c) in &self.charges {
-                dense[v as usize] = c;
-            }
-            dense
-        };
-        NodeAttrs::build(
-            self.labels(),
-            &charges,
-            self.csr.row_offsets(),
-            self.csr.column_indices(),
-        )
+        let mut out = NodeAttrs::zeroed(self.num_nodes());
+        let mut rings = RingScratch::default();
+        for g in 0..self.num_graphs() {
+            self.fill_node_attrs(g, &mut out, Some(&mut rings));
+        }
+        out
     }
 
-    /// Graph `g`'s node attributes, local ids: the `node_range(g)` slice
-    /// of [`CsrGo::node_attrs`], computed from that graph alone (no edge
-    /// crosses a graph boundary, so rings, degrees and H-counts are the
-    /// graph's own).
-    pub fn graph_node_attrs(&self, g: usize) -> NodeAttrs {
+    /// Writes graph `g`'s rows of a batch-sized [`NodeAttrs`] in place,
+    /// from the batch's own adjacency (no edge crosses a graph boundary,
+    /// so rings, degrees and H-counts are the graph's own). Ring sizes
+    /// are computed only when `rings` holds scratch (see
+    /// [`NodeAttrs::write_rows`]).
+    pub fn fill_node_attrs(&self, g: usize, out: &mut NodeAttrs, rings: Option<&mut RingScratch>) {
         let range = self.node_range(g);
-        let base = range.start;
-        let offsets = self.csr.row_offsets();
-        let (lo, hi) = (offsets[range.start as usize], offsets[range.end as usize]);
-        let local_offsets: Vec<u32> = offsets[range.start as usize..=range.end as usize]
-            .iter()
-            .map(|&o| o - lo)
-            .collect();
-        let local_targets: Vec<NodeId> = self.csr.column_indices()[lo as usize..hi as usize]
-            .iter()
-            .map(|&t| t - base)
-            .collect();
-        let mut charges = vec![0i8; range.len()];
-        let first = self.charges.partition_point(|&(v, _)| v < base);
-        for &(v, c) in self.charges[first..]
-            .iter()
-            .take_while(|&&(v, _)| v < range.end)
-        {
-            charges[(v - base) as usize] = c;
-        }
-        NodeAttrs::build(
-            &self.labels()[range.start as usize..range.end as usize],
-            &charges,
-            &local_offsets,
-            &local_targets,
-        )
+        let adj = Adjacency {
+            offsets: self.csr.row_offsets(),
+            targets: self.csr.column_indices(),
+        };
+        out.write_rows(
+            &adj,
+            self.labels(),
+            &self.charges,
+            range.start as usize..range.end as usize,
+            rings,
+        );
     }
 
     /// The graph-offsets array (length `num_graphs + 1`).
@@ -399,12 +378,13 @@ mod tests {
         assert_eq!(attrs.charge, vec![0, 0, 0, 0, -1]);
         // Each graph's own table is its slice of the batch table.
         for (g, lo, hi) in [(0, 0, 3), (1, 3, 5)] {
-            let own = b.graph_node_attrs(g);
+            let own = b.extract_graph(g).node_attrs();
             assert_eq!(own.labels, attrs.labels[lo..hi]);
             assert_eq!(own.degree, attrs.degree[lo..hi]);
             assert_eq!(own.h_count, attrs.h_count[lo..hi]);
             assert_eq!(own.charge, attrs.charge[lo..hi]);
             assert_eq!(own.min_ring, attrs.min_ring[lo..hi]);
+            assert_eq!(own.packed, attrs.packed[lo..hi]);
         }
     }
 

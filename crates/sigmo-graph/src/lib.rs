@@ -34,4 +34,7 @@ pub use graph::{
     EdgeLabel, GraphError, Label, LabeledGraph, NodeId, WILDCARD_EDGE, WILDCARD_LABEL,
 };
 pub use metrics::{connected_components, diameter, eccentricity, is_connected};
-pub use predicate::{reference_min_ring_sizes, NodeAttrs, NodePredicate, H_LABEL};
+pub use predicate::{
+    reference_min_ring_sizes, Adjacency, NodeAttrs, NodePredicate, PackedPredicate, RingScratch,
+    H_LABEL,
+};

@@ -16,6 +16,7 @@
 
 use crate::graph::{Label, NodeId};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The node label that counts as "hydrogen" for total-H predicates. The
 /// molecular front-end assigns element codes with hydrogen first; data
@@ -53,6 +54,12 @@ impl NodePredicate {
             && self.ring_size.is_none()
             && self.h_count.is_none()
             && self.charge.is_none()
+    }
+
+    /// Whether the predicate tests ring membership or ring size — the
+    /// only fields that need ring perception on the data side.
+    pub fn reads_rings(&self) -> bool {
+        self.ring.is_some() || self.ring_size.is_some()
     }
 
     /// Evaluates the conjunction against data node `v`'s attributes. This
@@ -113,6 +120,10 @@ pub struct NodeAttrs {
     pub charge: Vec<i8>,
     /// Smallest ring through each node; 0 = not on any cycle.
     pub min_ring: Vec<u32>,
+    /// Every field above packed into one word per node
+    /// ([`PackedPredicate`] reads it): label, degree, H count, charge, min
+    /// ring and a ring-membership bit.
+    pub packed: Vec<u64>,
 }
 
 impl NodeAttrs {
@@ -121,34 +132,170 @@ impl NodeAttrs {
     /// adjacency must be symmetric and simple (no self-loops, no repeated
     /// neighbor).
     pub fn build(labels: &[Label], charges: &[i8], offsets: &[u32], targets: &[NodeId]) -> Self {
-        let adj = Adjacency { offsets, targets };
         let n = labels.len();
         debug_assert_eq!(charges.len(), n);
-        debug_assert_eq!(adj.len(), n);
-        let degree: Vec<u32> = (0..n).map(|v| adj.nbrs(v).len() as u32).collect();
-        let h_count: Vec<u32> = (0..n)
-            .map(|v| {
-                adj.nbrs(v)
-                    .iter()
-                    .filter(|&&u| labels[u as usize] == H_LABEL)
-                    .count() as u32
-            })
+        let sparse: Vec<(NodeId, i8)> = (0..n as NodeId)
+            .zip(charges)
+            .filter(|&(_, &c)| c != 0)
+            .map(|(v, &c)| (v, c))
             .collect();
-        let min_ring = min_ring_sizes(&adj);
+        let mut out = Self::zeroed(n);
+        let adj = Adjacency { offsets, targets };
+        out.write_rows(
+            &adj,
+            labels,
+            &sparse,
+            0..n,
+            Some(&mut RingScratch::default()),
+        );
+        out
+    }
+
+    /// An all-zero table for `n` nodes, for [`NodeAttrs::write_rows`] to write
+    /// in place.
+    pub fn zeroed(n: usize) -> Self {
         Self {
-            labels: labels.to_vec(),
-            degree,
-            h_count,
-            charge: charges.to_vec(),
-            min_ring,
+            labels: vec![0; n],
+            degree: vec![0; n],
+            h_count: vec![0; n],
+            charge: vec![0; n],
+            min_ring: vec![0; n],
+            packed: vec![0; n],
+        }
+    }
+
+    /// Writes the attributes of the nodes in `range` in place. `range`
+    /// must be closed under adjacency (whole graphs of a batch: no edge
+    /// leaves it); `labels` and `charges` (sparse, sorted by node) are the
+    /// batch's. Ring sizes are computed when `rings` holds scratch and
+    /// left 0 otherwise — for runs no predicate of which reads a ring.
+    pub fn write_rows(
+        &mut self,
+        adj: &Adjacency,
+        labels: &[Label],
+        charges: &[(NodeId, i8)],
+        range: Range<usize>,
+        rings: Option<&mut RingScratch>,
+    ) {
+        for v in range.clone() {
+            let nbrs = adj.nbrs(v);
+            self.labels[v] = labels[v];
+            self.degree[v] = nbrs.len() as u32;
+            self.h_count[v] = nbrs
+                .iter()
+                .filter(|&&u| labels[u as usize] == H_LABEL)
+                .count() as u32;
+            self.charge[v] = 0;
+            self.min_ring[v] = 0;
+        }
+        let first = charges.partition_point(|&(v, _)| (v as usize) < range.start);
+        for &(v, c) in charges[first..]
+            .iter()
+            .take_while(|&&(v, _)| (v as usize) < range.end)
+        {
+            self.charge[v as usize] = c;
+        }
+        if let Some(scratch) = rings {
+            scratch.min_ring_sizes(adj, range.clone(), &mut self.min_ring);
+        }
+        for v in range {
+            self.packed[v] = pack(
+                self.labels[v],
+                self.degree[v],
+                self.h_count[v],
+                self.charge[v],
+                self.min_ring[v],
+            );
         }
     }
 }
 
-/// A borrowed CSR adjacency (see [`NodeAttrs::build`]).
-struct Adjacency<'a> {
-    offsets: &'a [u32],
-    targets: &'a [NodeId],
+/// Width of the packed degree, H-count and min-ring fields. A count that
+/// does not fit saturates to the field's all-ones value, which no `u8`
+/// predicate bound equals, so saturation never changes a verdict.
+const FIELD_BITS: u32 = 12;
+const FIELD_MAX: u32 = (1 << FIELD_BITS) - 1;
+const DEGREE_SHIFT: u32 = 8;
+const H_SHIFT: u32 = DEGREE_SHIFT + FIELD_BITS;
+const CHARGE_SHIFT: u32 = H_SHIFT + FIELD_BITS;
+const RING_SHIFT: u32 = CHARGE_SHIFT + 8;
+const IN_RING_BIT: u64 = 1 << (RING_SHIFT + FIELD_BITS);
+
+/// One node's [`NodeAttrs::packed`] word.
+fn pack(label: Label, degree: u32, h_count: u32, charge: i8, min_ring: u32) -> u64 {
+    let field = |x: u32| u64::from(x.min(FIELD_MAX));
+    u64::from(label)
+        | field(degree) << DEGREE_SHIFT
+        | field(h_count) << H_SHIFT
+        | u64::from(charge as u8) << CHARGE_SHIFT
+        | field(min_ring) << RING_SHIFT
+        | if min_ring > 0 { IN_RING_BIT } else { 0 }
+}
+
+/// A [`NodePredicate`] compiled against [`NodeAttrs::packed`]: the label
+/// list as a bit set, every other field as one mask-and-compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedPredicate {
+    /// Allowed labels (bit `l` = label `l`); `None` allows every label.
+    labels: Option<u64>,
+    /// The packed fields the predicate constrains.
+    mask: u64,
+    /// Their required values.
+    want: u64,
+}
+
+impl PackedPredicate {
+    /// Compiles `pred`.
+    pub fn compile(pred: &NodePredicate) -> Self {
+        let mut mask = 0u64;
+        let mut want = 0u64;
+        let mut field = |shift: u32, width: u32, value: u64| {
+            let m = ((1u64 << width) - 1) << shift;
+            mask |= m;
+            want |= (value << shift) & m;
+        };
+        if let Some(d) = pred.degree {
+            field(DEGREE_SHIFT, FIELD_BITS, u64::from(d));
+        }
+        if let Some(h) = pred.h_count {
+            field(H_SHIFT, FIELD_BITS, u64::from(h));
+        }
+        if let Some(c) = pred.charge {
+            field(CHARGE_SHIFT, 8, u64::from(c as u8));
+        }
+        if let Some(size) = pred.ring_size {
+            field(RING_SHIFT, FIELD_BITS, u64::from(size));
+        }
+        if let Some(in_ring) = pred.ring {
+            mask |= IN_RING_BIT;
+            want |= if in_ring { IN_RING_BIT } else { 0 };
+        }
+        Self {
+            labels: pred.label_any,
+            mask,
+            want,
+        }
+    }
+
+    /// [`NodePredicate::matches`] on a node's packed word.
+    #[inline]
+    pub fn matches(&self, packed: u64) -> bool {
+        let label = packed & 0xff;
+        let label_ok = self
+            .labels
+            .is_none_or(|m| label < 64 && m >> label & 1 == 1);
+        label_ok && packed & self.mask == self.want
+    }
+}
+
+/// A borrowed CSR adjacency: the neighbors of `v` are
+/// `targets[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Adjacency<'a> {
+    /// Row offsets, one per node plus one.
+    pub offsets: &'a [u32],
+    /// Neighbor ids.
+    pub targets: &'a [NodeId],
 }
 
 impl Adjacency<'_> {
@@ -162,129 +309,234 @@ impl Adjacency<'_> {
     }
 }
 
-/// The bridges of a graph, from one iterative low-link DFS. Edge
-/// `(x, y)` is a bridge iff it is a DFS tree edge whose child side has no
-/// back edge reaching above it. A bridge lies on no cycle.
-struct Bridges {
-    /// DFS parent of each node (`NodeId::MAX` for roots).
+/// Ring-size scratch, reused across the graphs of a batch (every buffer
+/// is indexed by node id and reset only where a graph touched it).
+#[derive(Debug, Default)]
+pub struct RingScratch {
+    /// Remaining degree while pendant trees are peeled.
+    deg: Vec<u32>,
+    /// `core[v]`: `v` survived the peel (lies in the graph's 2-core).
+    core: Vec<bool>,
+    /// `seen[v]`: `v`'s 2-edge-connected component was collected, into
+    /// `members`.
+    seen: Vec<bool>,
+    members: Vec<usize>,
+    /// Nodes waiting to be peeled, then the DFS frames of (node, index of
+    /// its next neighbor to scan).
+    stack: Vec<(usize, usize)>,
+    /// DFS discovery time (0 = unvisited), low-link and parent.
+    disc: Vec<u32>,
+    low: Vec<u32>,
     parent: Vec<NodeId>,
     /// `true` when the tree edge from `v` up to `parent[v]` is a bridge.
     bridge_up: Vec<bool>,
+    /// BFS distances (`u32::MAX` = unreached), the neighbour of the BFS
+    /// root each reached node hangs from, the nodes a BFS reached, and
+    /// its queue.
+    dist: Vec<u32>,
+    branch: Vec<usize>,
+    touched: Vec<usize>,
+    queue: std::collections::VecDeque<usize>,
 }
 
-impl Bridges {
-    fn of(adj: &Adjacency) -> Self {
+impl RingScratch {
+    /// Smallest cycle through each node of `range` (closed under
+    /// adjacency) into `out[v]`, on the 2-core only:
+    ///
+    /// * pendant trees are peeled first (nodes of degree ≤ 1, repeatedly):
+    ///   no cycle passes through a peeled node, and in molecules every
+    ///   hydrogen goes here;
+    /// * a bridge of the core lies on no cycle, so the BFS never walks one;
+    /// * a 2-edge-connected component (the core without its bridges) with
+    ///   as many edges as nodes is one simple cycle, the smallest ring of
+    ///   each of its nodes — no BFS;
+    /// * in any other component one BFS per node finds its smallest cycle,
+    ///   stopping once its
+    ///   frontier can no longer close a shorter one, and resets only the
+    ///   nodes it touched.
+    ///
+    /// Exactly [`reference_min_ring_sizes`], the per-edge-BFS definition.
+    fn min_ring_sizes(&mut self, adj: &Adjacency, range: Range<usize>, out: &mut [u32]) {
         let n = adj.len();
-        let mut disc = vec![0u32; n]; // 0 = unvisited; times start at 1
-        let mut low = vec![0u32; n];
-        let mut parent = vec![NodeId::MAX; n];
-        let mut bridge_up = vec![false; n];
-        // Frames of (node, index of its next neighbor to scan).
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        let mut time = 0u32;
-        for root in 0..n {
-            if disc[root] != 0 {
+        if self.core.len() < n {
+            self.deg.resize(n, 0);
+            self.core.resize(n, false);
+            self.seen.resize(n, false);
+            self.disc.resize(n, 0);
+            self.low.resize(n, 0);
+            self.parent.resize(n, NodeId::MAX);
+            self.bridge_up.resize(n, false);
+            self.dist.resize(n, u32::MAX);
+            self.branch.resize(n, 0);
+        }
+        self.stack.clear();
+        for v in range.clone() {
+            self.deg[v] = adj.nbrs(v).len() as u32;
+            self.core[v] = true;
+            if self.deg[v] <= 1 {
+                self.stack.push((v, 0));
+            }
+        }
+        while let Some((v, _)) = self.stack.pop() {
+            if !self.core[v] {
                 continue;
             }
-            time += 1;
-            disc[root] = time;
-            low[root] = time;
-            stack.push((root, 0));
-            while let Some(frame) = stack.last_mut() {
-                let (v, next) = *frame;
-                if let Some(&w) = adj.nbrs(v).get(next) {
-                    frame.1 += 1;
-                    let w = w as usize;
-                    if disc[w] == 0 {
-                        time += 1;
-                        disc[w] = time;
-                        low[w] = time;
-                        parent[w] = v as NodeId;
-                        stack.push((w, 0));
-                    } else if w as NodeId != parent[v] {
-                        // Simple graph: the one edge back to the parent
-                        // is the tree edge itself, not a back edge.
-                        low[v] = low[v].min(disc[w]);
-                    }
-                } else {
-                    stack.pop();
-                    if let Some(&(p, _)) = stack.last() {
-                        low[p] = low[p].min(low[v]);
-                        bridge_up[v] = low[v] > disc[p];
+            self.core[v] = false;
+            for &u in adj.nbrs(v) {
+                let u = u as usize;
+                if self.core[u] {
+                    self.deg[u] -= 1;
+                    if self.deg[u] == 1 {
+                        self.stack.push((u, 0));
                     }
                 }
             }
         }
-        Self { parent, bridge_up }
+        self.bridges(adj, range.clone());
+        for v in range.clone() {
+            if !self.core[v] || self.seen[v] {
+                continue;
+            }
+            // The 2-edge-connected component of `v`: a simple cycle when
+            // it has as many edges as nodes, every node's smallest ring
+            // then being the cycle itself.
+            self.members.clear();
+            self.members.push(v);
+            self.seen[v] = true;
+            let mut ends = 0usize;
+            let mut i = 0;
+            while let Some(&x) = self.members.get(i) {
+                i += 1;
+                for &y in adj.nbrs(x) {
+                    let y = y as usize;
+                    if !self.core[y] || self.is_bridge(x, y) {
+                        continue;
+                    }
+                    ends += 1;
+                    if !self.seen[y] {
+                        self.seen[y] = true;
+                        self.members.push(y);
+                    }
+                }
+            }
+            let members = std::mem::take(&mut self.members);
+            if ends / 2 == members.len() {
+                for &x in &members {
+                    out[x] = members.len() as u32;
+                }
+            } else {
+                for &x in &members {
+                    out[x] = self.ring_through(adj, x);
+                }
+            }
+            self.members = members;
+        }
+        for v in range {
+            self.core[v] = false;
+            self.seen[v] = false;
+            self.disc[v] = 0;
+        }
     }
 
+    /// Marks the bridges of the core of `range` (`parent`, `bridge_up`),
+    /// from one iterative low-link DFS: edge `(x, y)` is a bridge iff it
+    /// is a DFS tree edge whose child side has no back edge reaching above
+    /// it.
+    fn bridges(&mut self, adj: &Adjacency, range: Range<usize>) {
+        let mut time = 0u32;
+        for root in range {
+            if !self.core[root] || self.disc[root] != 0 {
+                continue;
+            }
+            time += 1;
+            self.disc[root] = time;
+            self.low[root] = time;
+            self.parent[root] = NodeId::MAX;
+            self.bridge_up[root] = false;
+            self.stack.push((root, 0));
+            while let Some(frame) = self.stack.last_mut() {
+                let (v, next) = *frame;
+                if let Some(&w) = adj.nbrs(v).get(next) {
+                    frame.1 += 1;
+                    let w = w as usize;
+                    if !self.core[w] {
+                        continue;
+                    }
+                    if self.disc[w] == 0 {
+                        time += 1;
+                        self.disc[w] = time;
+                        self.low[w] = time;
+                        self.parent[w] = v as NodeId;
+                        self.bridge_up[w] = false;
+                        self.stack.push((w, 0));
+                    } else if w as NodeId != self.parent[v] {
+                        // Simple graph: the one edge back to the parent
+                        // is the tree edge itself, not a back edge.
+                        self.low[v] = self.low[v].min(self.disc[w]);
+                    }
+                } else {
+                    self.stack.pop();
+                    if let Some(&(p, _)) = self.stack.last() {
+                        self.low[p] = self.low[p].min(self.low[v]);
+                        self.bridge_up[v] = self.low[v] > self.disc[p];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether core edge `(x, y)` is a bridge.
     #[inline]
     fn is_bridge(&self, x: usize, y: usize) -> bool {
         (self.parent[y] == x as NodeId && self.bridge_up[y])
             || (self.parent[x] == y as NodeId && self.bridge_up[x])
     }
-}
 
-/// Shortest cycle through each node: min over incident edges `(v, u)` of
-/// `1 +` the shortest `v → u` path avoiding that edge (BFS) — the
-/// definition [`reference_min_ring_sizes`] evaluates literally, made
-/// linear in practice by three exact prunings:
-///
-/// * a bridge lies on no cycle, so BFS starts only across non-bridge
-///   edges (a node with none is on no ring) and never walks a bridge —
-///   the path closing a cycle uses no bridge either;
-/// * a BFS stops once its frontier can no longer close a ring shorter
-///   than the best one already found through `v`;
-/// * each BFS resets only the nodes it touched, so its cost is the
-///   size of the local ball it explored, not of the whole batch.
-fn min_ring_sizes(adj: &Adjacency) -> Vec<u32> {
-    let n = adj.len();
-    let bridges = Bridges::of(adj);
-    let mut out = vec![0u32; n];
-    let mut dist = vec![u32::MAX; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for v in 0..n {
+    /// Smallest cycle through core node `v`, 0 when none, from one BFS
+    /// of the core from `v` that never walks a bridge. Each node reached
+    /// carries the branch it hangs from (the neighbour of `v` it was
+    /// reached through). A non-tree edge `(x, y)` between two branches
+    /// closes the simple cycle `v → x, y → v` of length
+    /// `dist[x] + dist[y] + 1`, and the smallest cycle through `v` is the
+    /// shortest such edge: along that cycle the branch changes at some
+    /// edge, whose two ends are no further from `v` than the cycle walks.
+    /// Edges from level `d` close cycles of at least `2d + 1` (every edge
+    /// down to level `d − 1` was seen from there), so the BFS stops there.
+    fn ring_through(&mut self, adj: &Adjacency, v: usize) -> u32 {
         let mut best = u32::MAX;
-        for &u in adj.nbrs(v) {
-            let u = u as usize;
-            if bridges.is_bridge(v, u) {
-                continue;
+        self.dist[v] = 0;
+        self.touched.push(v);
+        self.queue.push_back(v);
+        while let Some(x) = self.queue.pop_front() {
+            let d = self.dist[x];
+            if (2 * d).saturating_add(1) >= best {
+                break;
             }
-            dist[v] = 0;
-            touched.push(v);
-            queue.push_back(v);
-            'bfs: while let Some(x) = queue.pop_front() {
-                // Every ring closed from here has length ≥ dist[x] + 2.
-                if dist[x].saturating_add(2) >= best {
-                    break;
+            for &y in adj.nbrs(x) {
+                let y = y as usize;
+                if !self.core[y] || self.is_bridge(x, y) {
+                    continue; // off the core, or on no cycle
                 }
-                for &y in adj.nbrs(x) {
-                    let y = y as usize;
-                    if (x == v && y == u) || bridges.is_bridge(x, y) {
-                        continue; // the removed edge, or no cycle there
-                    }
-                    if dist[y] == u32::MAX {
-                        dist[y] = dist[x] + 1;
-                        touched.push(y);
-                        if y == u {
-                            best = dist[y] + 1;
-                            break 'bfs;
-                        }
-                        queue.push_back(y);
-                    }
+                if self.dist[y] == u32::MAX {
+                    self.dist[y] = d + 1;
+                    self.branch[y] = if x == v { y } else { self.branch[x] };
+                    self.touched.push(y);
+                    self.queue.push_back(y);
+                } else if x != v && y != v && self.branch[x] != self.branch[y] {
+                    best = best.min(d + self.dist[y] + 1);
                 }
-            }
-            queue.clear();
-            for t in touched.drain(..) {
-                dist[t] = u32::MAX;
             }
         }
-        if best != u32::MAX {
-            out[v] = best;
+        self.queue.clear();
+        for t in self.touched.drain(..) {
+            self.dist[t] = u32::MAX;
+        }
+        if best == u32::MAX {
+            0
+        } else {
+            best
         }
     }
-    out
 }
 
 /// The per-edge-BFS definition of [`NodeAttrs::min_ring`], evaluated
@@ -535,6 +787,43 @@ mod tests {
         }
         assert_eq!(cube.node_attrs().min_ring, vec![4; 8]);
         assert_rings_match_reference(&[g, cube], "fused / spiro / cage");
+    }
+
+    #[test]
+    fn core_peeled_rings_match_reference_with_pendants_and_small_parts() {
+        // A 5-ring with a pendant chain of four and a branching tree on
+        // it; a 2-node component; isolated nodes; a triangle whose pendant
+        // chain ends in another triangle (the chain between them is core,
+        // and bridged); and a single-edge graph.
+        let mut g = LabeledGraph::new();
+        let a = add_cycle(&mut g, 5);
+        let mut at = a;
+        for _ in 0..4 {
+            let x = g.add_node(2);
+            g.add_edge(at, x, 0).unwrap();
+            at = x;
+        }
+        for _ in 0..3 {
+            let h = g.add_node(H_LABEL);
+            g.add_edge(at, h, 0).unwrap();
+        }
+        let (p, q) = (g.add_node(1), g.add_node(1));
+        g.add_edge(p, q, 0).unwrap();
+        g.add_node(1);
+        g.add_node(H_LABEL);
+        let t1 = add_cycle(&mut g, 3);
+        let mid = g.add_node(2);
+        g.add_edge(t1, mid, 0).unwrap();
+        let t2 = add_cycle(&mut g, 3);
+        g.add_edge(mid, t2, 0).unwrap();
+        let attrs = g.node_attrs();
+        assert_eq!(
+            attrs.min_ring[mid as usize], 0,
+            "a bridge path lies on no ring"
+        );
+        assert_eq!(attrs.min_ring[a as usize], 5);
+        let edge = LabeledGraph::from_edges(&[1, 1], &[(0, 1)]).unwrap();
+        assert_rings_match_reference(&[g, edge, LabeledGraph::new()], "pendants and small parts");
     }
 
     #[test]

@@ -54,14 +54,19 @@
 #                                 plain Vec<Vec<_>> model, the filter kernels'
 #                                 branch-free SWAR domination test against
 #                                 the per-group reference on random
-#                                 signature layouts, the class-major
-#                                 filter launch against the per-bit
-#                                 retain_row, row by row, and the engine's
-#                                 whole filter phase (delta refinement,
-#                                 fixpoint stop) against the per-bit
-#                                 naive::reference_filter on random
-#                                 graphs, schemas and wildcard queries
-#                                 (all three tests/properties.rs); at
+#                                 signature layouts, the fused filter
+#                                 pass's class-major walk against the
+#                                 per-bit retain_row, row by row, the
+#                                 engine's whole filter phase (delta
+#                                 refinement, fixpoint stop) against the
+#                                 per-bit naive::reference_filter on
+#                                 random graphs, schemas and wildcard
+#                                 queries, its per-iteration statistics
+#                                 against that oracle radius by radius,
+#                                 and predicates compiled to packed
+#                                 attribute words against
+#                                 NodePredicate::matches (all
+#                                 tests/properties.rs); at
 #                                 2 000 cases the join's symmetry breaking
 #                                 (tests/symmetry_breaking.rs: Find All
 #                                 counts and records equal brute force,
@@ -143,6 +148,10 @@ fuzz_smoke() {
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties class_walk
     SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
         incremental_filter_is_bit_identical_to_reference
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
+        packed_predicates_equal_matches
+    SIGMO_FUZZ_CASES=10000 cargo test -q --release --test properties \
+        iteration_stats_equal_the_reference_radius_by_radius
     SIGMO_FUZZ_CASES=2000 cargo test -q --release --test symmetry_breaking
 }
 

@@ -6,7 +6,7 @@ use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::schema::BitGroup;
 use sigmo::core::{
     filter, naive, BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, Governor,
-    JoinStrategy, LabelSchema, MatchMode, QueryPlan, RowCounts, RunBudget, Signature, WordWidth,
+    JoinStrategy, LabelSchema, MatchMode, QueryPlan, RunBudget, Signature, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{reference_min_ring_sizes, CsrGo, GraphError, LabeledGraph, WILDCARD_LABEL};
@@ -789,8 +789,8 @@ fn random_pair_sig(rng: &mut rand::rngs::StdRng, data: bool) -> Signature {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
 
-    /// The class-major launch (here `label_pair_filter`'s) equals the
-    /// per-bit `retain_row`, row by row: the same surviving bits, hence
+    /// The fused pass's class-major walk (here its label-pair stage)
+    /// equals the per-bit `retain_row`, row by row: the same surviving bits, hence
     /// the same `(tested, cleared)` per row, and the launch's charges are
     /// the per-bit walk's sums. Rows share classes with overlapping but
     /// different live sets (a class's base set, perturbed per row), some
@@ -828,18 +828,11 @@ proptest! {
             }
         }
         let stage = filter::pair_rows(&query_pairs, &schema);
-        let counts = RowCounts::of(&fast);
         let queue = queue();
-        let cleared = filter::label_pair_filter(
-            &queue,
-            &data_pairs,
-            &schema,
-            &stage,
-            &fast,
-            &counts,
-            &Governor::unlimited(),
-        );
         let all_tops = schema.top_bits(u64::MAX);
+        let stages = [filter::Stage::Pairs { rows: &stage, data: &data_pairs, all_tops }];
+        let pass = filter::filter_pass(&queue, &stages, &fast, &Governor::unlimited());
+        let cleared = pass.cleared(0);
         let (mut tested, mut want_cleared) = (0u64, 0u64);
         for r in &stage {
             let keep = |c: usize| data_pairs[c].dominates_tops(&r.sig, all_tops, r.tops);
@@ -853,7 +846,15 @@ proptest! {
             }
         }
         prop_assert_eq!(cleared, want_cleared);
-        prop_assert_eq!(format!("{:?}", counts.stats()), format!("{:?}", CandidateStats::from_bitmap(&fast)));
+        // The pass's per-row counts: before the stage, less its clears.
+        let mut counts: Vec<usize> = pass.initial.iter().map(|&c| c as usize).collect();
+        for &(row, gone) in &pass.cleared[0] {
+            counts[row] -= gone as usize;
+        }
+        prop_assert_eq!(
+            format!("{:?}", CandidateStats::from_counts(&counts)),
+            format!("{:?}", CandidateStats::from_bitmap(&fast))
+        );
         let records = queue.records();
         if stage.is_empty() {
             prop_assert!(records.is_empty());
@@ -1156,4 +1157,109 @@ fn neighbor_list_model_reaches_spilled_degrees() {
         "{degrees:?}"
     );
     assert!(degrees.contains(&12), "{degrees:?}");
+}
+
+/// A random predicate over the fields `NodeAttrs::packed` holds: atom
+/// lists (labels past 63 included, which no mask admits), or no list,
+/// charges of both signs, ring membership either way, ring size 0, and
+/// degree and H-count bounds.
+fn random_predicate(rng: &mut rand::rngs::StdRng) -> sigmo::graph::NodePredicate {
+    use rand::Rng;
+    let mut field = |odds: u32| rng.gen_range(0..odds) == 0;
+    let (list, degree, h, charge, ring, size) =
+        (field(2), field(2), field(3), field(3), field(3), field(3));
+    sigmo::graph::NodePredicate {
+        label_any: list.then(|| rng.gen::<u64>() & rng.gen::<u64>()),
+        degree: degree.then(|| rng.gen_range(0..6u8)),
+        h_count: h.then(|| rng.gen_range(0..4u8)),
+        charge: charge.then(|| rng.gen_range(0..5u8) as i8 - 2),
+        ring: ring.then(|| rng.gen::<bool>()),
+        ring_size: size.then(|| rng.gen_range(0..8u8)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
+
+    /// A predicate compiled against the packed attribute word
+    /// (`PackedPredicate`) decides every node exactly as
+    /// `NodePredicate::matches` does on the attribute table: random
+    /// graphs with rings, hydrogens, charges and labels up to 70.
+    #[test]
+    fn packed_predicates_equal_matches(seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=24usize);
+        let mut g = LabeledGraph::new();
+        for _ in 0..n {
+            let label = if rng.gen_range(0..4u32) == 0 { 0 } else { rng.gen_range(0..71u8) };
+            g.add_node(label);
+        }
+        for v in 1..n as u32 {
+            let _ = g.add_edge(rng.gen_range(0..v), v, 1);
+        }
+        for _ in 0..rng.gen_range(0..=n) {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            let _ = g.add_edge(a, b, 1);
+        }
+        for v in 0..n as u32 {
+            if rng.gen_range(0..4u32) == 0 {
+                g.set_charge(v, rng.gen_range(0..5u8) as i8 - 2);
+            }
+        }
+        let attrs = g.node_attrs();
+        for _ in 0..16 {
+            let pred = random_predicate(&mut rng);
+            let packed = sigmo::graph::PackedPredicate::compile(&pred);
+            for v in 0..n {
+                prop_assert_eq!(
+                    packed.matches(attrs.packed[v]),
+                    pred.matches(&attrs, v as u32),
+                    "node {} of {:?} under {:?}", v, attrs, pred
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(48)))]
+
+    /// The fused pass's per-iteration trace, radius by radius: after each
+    /// iteration `i` the engine reports exactly the candidate summary the
+    /// per-bit `naive::reference_filter` leaves at `i` iterations, and the
+    /// bits it cleared there; past the fixpoint the reference moves no
+    /// further.
+    #[test]
+    fn iteration_stats_equal_the_reference_radius_by_radius(
+        q in arb_graph(6),
+        d1 in arb_graph(9),
+        d2 in arb_graph(9),
+        schema_pick in 0u8..2,
+    ) {
+        let schema = if schema_pick == 0 { LabelSchema::organic() } else { LabelSchema::uniform(6) };
+        let cfg = EngineConfig { schema: schema.clone(), ..EngineConfig::with_iterations(7) };
+        let plan = QueryPlan::build(std::slice::from_ref(&q), &cfg);
+        let data = CsrGo::from_graphs(&[d1, d2]);
+        let facts = BatchFacts::for_run(&cfg, &plan, &data, &[]);
+        let bitmap = CandidateBitmap::new(plan.batch().num_nodes(), data.num_nodes(), cfg.bitmap_word);
+        let trace = Engine::new(cfg.clone())
+            .filter_with_facts(&plan, &data, &facts, &bitmap, &queue(), &Governor::unlimited());
+        let reference = |iters: usize| {
+            let bm = CandidateBitmap::new(bitmap.rows(), bitmap.cols(), cfg.bitmap_word);
+            naive::reference_filter(plan.batch(), &data, &schema, iters, &bm);
+            bm
+        };
+        let init = CandidateBitmap::new(bitmap.rows(), bitmap.cols(), cfg.bitmap_word);
+        naive::initialize_candidates(plan.batch(), &data, &init);
+        let mut before = init.total_count() as u64;
+        for it in &trace {
+            let want = reference(it.iteration);
+            prop_assert_eq!(&it.candidates, &CandidateStats::from_bitmap(&want), "iteration {}", it.iteration);
+            prop_assert_eq!(it.cleared_bits, before - want.total_count() as u64, "iteration {}", it.iteration);
+            before = want.total_count() as u64;
+        }
+        let last = trace.last().expect("iteration 1 always runs");
+        prop_assert_eq!(&last.candidates, &CandidateStats::from_bitmap(&reference(7)));
+    }
 }

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use sigmo::baselines::{BruteForceMatcher, Matcher};
 use sigmo::core::{
     filter, naive, BatchFacts, CandidateBitmap, CandidateStats, Engine, EngineConfig, Governor,
-    LabelSchema, RowCounts, WordWidth,
+    LabelSchema, WordWidth,
 };
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph};
@@ -138,16 +138,12 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
             let query_facts = BatchFacts::compute(&queries, &organic, 0, false);
             let data_facts = BatchFacts::compute(&data, &organic, 0, true);
             let pair_rows = filter::pair_rows(query_facts.pairs(), &schema);
-            let counts = RowCounts::of(&fast);
-            let fast_pair = filter::label_pair_filter(
-                &queue,
-                data_facts.pairs(),
-                &schema,
-                &pair_rows,
-                &fast,
-                &counts,
-                &governor,
-            );
+            let pairs = filter::Stage::Pairs {
+                rows: &pair_rows,
+                data: data_facts.pairs(),
+                all_tops: schema.top_bits(u64::MAX),
+            };
+            let fast_pair = filter::filter_pass(&queue, &[pairs], &fast, &governor).cleared(0);
             let slow_pair = naive::label_pair_filter(&queries, &data, &schema, &slow);
             assert_eq!(fast_pair, slow_pair, "pair-filter cleared (seed {seed})");
             assert_bitmaps_identical(&fast, &slow, &format!("pair filter (seed {seed})"));
@@ -158,8 +154,20 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
                 "the SMARTS panel must compile to real predicate rows"
             );
             let attrs = data_facts.attrs().expect("built with attributes");
-            let fast_pred =
-                filter::node_predicate_filter(&queue, attrs, &pred_rows, &fast, &counts, &governor);
+            // The engine's stage order, the pair rows already applied.
+            let stages = [
+                filter::Stage::Pairs {
+                    rows: &[],
+                    data: data_facts.pairs(),
+                    all_tops: schema.top_bits(u64::MAX),
+                },
+                filter::Stage::Preds {
+                    rows: &pred_rows,
+                    packed: &attrs.packed,
+                },
+            ];
+            let pass = filter::filter_pass(&queue, &stages, &fast, &governor);
+            let fast_pred = pass.cleared(1);
             let slow_pred = naive::node_predicate_filter(&queries, &data, &slow);
             assert_eq!(fast_pred, slow_pred, "predicate cleared (seed {seed})");
             assert!(
@@ -167,7 +175,13 @@ fn predicate_filter_stage_is_bit_identical_to_naive() {
                 "predicate filter must actually clear bits (seed {seed})"
             );
             assert_bitmaps_identical(&fast, &slow, &format!("predicate filter (seed {seed})"));
-            let (kept, want) = (counts.stats(), CandidateStats::from_bitmap(&fast));
+            // The pass's per-row counts after both stages.
+            let mut counts: Vec<usize> = pass.initial.iter().map(|&c| c as usize).collect();
+            for &(row, gone) in pass.cleared.iter().flatten() {
+                counts[row] -= gone as usize;
+            }
+            let kept = CandidateStats::from_counts(&counts);
+            let want = CandidateStats::from_bitmap(&fast);
             assert_eq!(
                 (kept.total, kept.min, kept.median, kept.max, kept.empty_rows),
                 (want.total, want.min, want.median, want.max, want.empty_rows),

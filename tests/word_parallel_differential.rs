@@ -1,19 +1,19 @@
 //! Differential regression for the word-parallel filter/join hot paths.
 //!
-//! The optimized kernels — label-bucketed init, the class-major delta
-//! refinement, word-level candidate enumeration — must be *bit-identical*
+//! The optimized kernels — label-bucketed init, the fused pass's
+//! class-major delta refinement, word-level candidate enumeration — must be *bit-identical*
 //! to the per-bit reference implementations in `sigmo::core::naive` at
 //! every pipeline stage, and must produce identical match sets through
 //! the join, on seeded random batches.
 
 use rand::{Rng, SeedableRng};
 use sigmo::core::filter::{
-    initialize_candidates, initialize_candidates_bucketed, refine_candidates_delta,
+    filter_pass, initialize_candidates, initialize_candidates_bucketed, Stage,
 };
 use sigmo::core::join::{join, JoinParams, QueryPlan};
 use sigmo::core::{
     naive, BatchFacts, CancelToken, CandidateBitmap, EngineConfig, Gmcr, Governor, LabelBuckets,
-    LabelSchema, MatchMode, RowCounts, RunBudget, SignatureSet, TruncationReason, WordWidth,
+    LabelSchema, MatchMode, RunBudget, SignatureSet, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{random_sparse_graph, CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -58,19 +58,15 @@ impl Refiner {
         Refiner { cfg, plan, facts }
     }
 
-    /// Refines `bitmap` at `radius` with the delta kernel, as the engine
-    /// does; returns the bits cleared.
-    fn refine(&self, queue: &Queue, data: &CsrGo, bitmap: &CandidateBitmap, radius: usize) -> u64 {
-        refine_candidates_delta(
-            queue,
-            data,
-            &self.cfg.schema,
-            self.plan.delta_at(radius),
-            self.facts.signatures_at(radius),
-            bitmap,
-            &RowCounts::of(bitmap),
-            &Governor::unlimited(),
-        )
+    /// Refines `bitmap` at `radius` with the filter pass's refine stage,
+    /// as the engine does; returns the bits cleared.
+    fn refine(&self, queue: &Queue, bitmap: &CandidateBitmap, radius: usize) -> u64 {
+        let stage = Stage::Refine {
+            delta: self.plan.delta_at(radius),
+            data: self.facts.signatures_at(radius),
+            all_tops: self.cfg.schema.top_bits(u64::MAX),
+        };
+        filter_pass(queue, &[stage], bitmap, &Governor::unlimited()).cleared(0)
     }
 }
 
@@ -98,7 +94,7 @@ fn filter_pipeline_is_bit_identical_to_naive() {
         for iter in 0..4 {
             qs.advance(&queries);
             ds.advance(&data);
-            let fast_cleared = refiner.refine(&queue, &data, &fast, iter + 1);
+            let fast_cleared = refiner.refine(&queue, &fast, iter + 1);
             let slow_cleared =
                 naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
             assert_eq!(
@@ -127,7 +123,7 @@ fn enumeration_is_identical_to_naive() {
     let queue = Queue::new(DeviceProfile::host());
     let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
     initialize_candidates(&queue, &queries, &data, &bm, 64);
-    Refiner::new(&queries, &data, 1).refine(&queue, &data, &bm, 1);
+    Refiner::new(&queries, &data, 1).refine(&queue, &bm, 1);
 
     let nd = data.num_nodes();
     for r in 0..bm.rows() {
@@ -213,7 +209,7 @@ fn match_sets_are_identical_to_naive() {
         for radius in 1..=3 {
             qs.advance(&queries);
             ds.advance(&data);
-            refiner.refine(&queue, &data, &fast, radius);
+            refiner.refine(&queue, &fast, radius);
             naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
         }
 
