@@ -2,7 +2,8 @@
 
 use sigmo_graph::LabeledGraph;
 use sigmo_mol::{
-    parse_sdf, parse_smarts, parse_smiles, parse_smiles_heavy, write_sdf, write_smiles, Molecule,
+    line_records, parse_sdf, parse_smarts, parse_smiles, parse_smiles_heavy, write_sdf,
+    write_smiles, LineRecord, Molecule,
 };
 use std::fmt;
 use std::path::Path;
@@ -54,6 +55,22 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// A record's name, or `path#line` when it has none.
+fn record_name(path: &str, record: &LineRecord) -> String {
+    record
+        .name
+        .map_or_else(|| format!("{path}#{}", record.line), str::to_string)
+}
+
+/// A parse failure of one record.
+fn parse_error(path: &str, record: usize, e: impl fmt::Display) -> IoError {
+    IoError::Parse {
+        file: path.to_string(),
+        record,
+        message: e.to_string(),
+    }
+}
+
 /// A named molecule loaded from disk.
 #[derive(Debug, Clone)]
 pub struct NamedMolecule {
@@ -83,31 +100,21 @@ pub fn parse_molecules(
         .and_then(|e| e.to_str())
         .unwrap_or("");
     let out = match ext {
-        "smi" | "smiles" => {
-            let mut out = Vec::new();
-            for (i, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let (smiles, name) = match line.split_once(char::is_whitespace) {
-                    Some((s, n)) => (s, n.trim().to_string()),
-                    None => (line, format!("{path}#{}", i + 1)),
-                };
+        "smi" | "smiles" => line_records(text)
+            .map(|r| {
                 let parsed = if heavy_only {
-                    parse_smiles_heavy(smiles)
+                    parse_smiles_heavy(r.notation)
                 } else {
-                    parse_smiles(smiles)
+                    parse_smiles(r.notation)
                 };
-                let molecule = parsed.map_err(|e| IoError::Parse {
-                    file: path.to_string(),
-                    record: i + 1,
-                    message: e.to_string(),
-                })?;
-                out.push(NamedMolecule { name, molecule });
-            }
-            out
-        }
+                parsed
+                    .map(|molecule| NamedMolecule {
+                        name: record_name(path, &r),
+                        molecule,
+                    })
+                    .map_err(|e| parse_error(path, r.line, e))
+            })
+            .collect::<Result<Vec<_>, _>>()?,
         "sdf" | "mol" => parse_sdf(text)
             .into_iter()
             .enumerate()
@@ -116,11 +123,7 @@ pub fn parse_molecules(
                     name: format!("{path}#{}", i + 1),
                     molecule,
                 })
-                .map_err(|e| IoError::Parse {
-                    file: path.to_string(),
-                    record: i + 1,
-                    message: e.to_string(),
-                })
+                .map_err(|e| parse_error(path, i + 1, e))
             })
             .collect::<Result<Vec<_>, _>>()?,
         other => return Err(IoError::UnknownFormat(format!("{path} (.{other})"))),
@@ -150,23 +153,16 @@ pub fn load_query_graphs(path: &str) -> Result<Vec<NamedQueryGraph>, IoError> {
         .unwrap_or("");
     if matches!(ext, "smarts" | "sma") {
         let text = std::fs::read_to_string(path)?;
-        let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (pattern, name) = match line.split_once(char::is_whitespace) {
-                Some((p, n)) => (p, n.trim().to_string()),
-                None => (line, format!("{path}#{}", i + 1)),
-            };
-            let graph = parse_smarts(pattern).map_err(|e| IoError::Parse {
-                file: path.to_string(),
-                record: i + 1,
-                message: e.to_string(),
-            })?;
-            out.push(NamedQueryGraph { name, graph });
-        }
+        let out = line_records(&text)
+            .map(|r| {
+                parse_smarts(r.notation)
+                    .map(|graph| NamedQueryGraph {
+                        name: record_name(path, &r),
+                        graph,
+                    })
+                    .map_err(|e| parse_error(path, r.line, e))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         if out.is_empty() {
             return Err(IoError::Empty(path.to_string()));
         }

@@ -13,8 +13,10 @@
 //! `RAYON_NUM_THREADS` settings.
 
 use crate::molecule::Molecule;
-use crate::smiles::{parse_smiles, parse_smiles_heavy};
+use crate::reader::{line_records, LineRecord};
+use crate::smiles::{parse_smiles, parse_smiles_heavy, SmilesError};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// One rejected input line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,72 +41,44 @@ pub struct SmiIngest {
     pub considered: usize,
 }
 
-enum LineOutcome {
-    Skip,
-    // Boxed so the variant (and the whole per-line slot) stays small next
-    // to Skip — only valid lines pay for a molecule.
-    Ok(String, Box<Molecule>),
-    Bad(QuarantinedLine),
-}
-
-fn parse_line(lineno: usize, raw: &str, heavy_only: bool) -> LineOutcome {
-    let line = raw.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return LineOutcome::Skip;
-    }
-    let (smiles, name) = match line.split_once(char::is_whitespace) {
-        Some((s, rest)) => (s, rest.trim().to_string()),
-        None => (line, String::new()),
-    };
-    let name = if name.is_empty() {
-        format!("line{lineno}")
-    } else {
-        name
-    };
-    let parsed = if heavy_only {
-        parse_smiles_heavy(smiles)
-    } else {
-        parse_smiles(smiles)
-    };
-    match parsed {
-        Ok(mol) => LineOutcome::Ok(name, Box::new(mol)),
-        Err(e) => LineOutcome::Bad(QuarantinedLine {
-            line: lineno,
-            text: line.to_string(),
-            error: e.to_string(),
-        }),
-    }
-}
-
 /// Parses a `.smi` corpus: one `SMILES [name]` record per line. Blank lines
 /// and `#` comments are skipped; malformed records are quarantined, never
 /// fatal. Parsing runs in parallel but both output vectors are in strict
 /// file order.
 pub fn ingest_smi(text: &str, heavy_only: bool) -> SmiIngest {
-    let lines: Vec<&str> = text.lines().collect();
-    // Parallel fill of per-line slots: the range adapter is the genuinely
+    let records: Vec<LineRecord> = line_records(text).collect();
+    // Parallel fill of per-record slots: the range adapter is the genuinely
     // parallel construct, and indexed slots keep the result in file order
-    // no matter how lines are distributed over threads.
-    let slots: Vec<std::sync::OnceLock<LineOutcome>> = (0..lines.len())
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-    (0..lines.len()).into_par_iter().for_each(|i| {
-        let _ = slots[i].set(parse_line(i + 1, lines[i], heavy_only));
+    // no matter how records are distributed over threads.
+    let slots: Vec<OnceLock<Result<Molecule, SmilesError>>> =
+        (0..records.len()).map(|_| OnceLock::new()).collect();
+    (0..records.len()).into_par_iter().for_each(|i| {
+        let smiles = records[i].notation;
+        let parsed = if heavy_only {
+            parse_smiles_heavy(smiles)
+        } else {
+            parse_smiles(smiles)
+        };
+        let _ = slots[i].set(parsed);
     });
 
-    let mut out = SmiIngest::default();
-    for slot in slots {
-        let outcome = slot.into_inner().expect("every line slot is filled");
-        match outcome {
-            LineOutcome::Skip => {}
-            LineOutcome::Ok(name, mol) => {
-                out.considered += 1;
-                out.molecules.push((name, *mol));
+    let mut out = SmiIngest {
+        considered: records.len(),
+        ..SmiIngest::default()
+    };
+    for (record, slot) in records.iter().zip(slots) {
+        match slot.into_inner().expect("every record slot is filled") {
+            Ok(mol) => {
+                let name = record
+                    .name
+                    .map_or_else(|| format!("line{}", record.line), str::to_string);
+                out.molecules.push((name, mol));
             }
-            LineOutcome::Bad(q) => {
-                out.considered += 1;
-                out.quarantined.push(q);
-            }
+            Err(e) => out.quarantined.push(QuarantinedLine {
+                line: record.line,
+                text: record.text.to_string(),
+                error: e.to_string(),
+            }),
         }
     }
     out

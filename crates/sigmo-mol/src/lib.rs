@@ -29,6 +29,7 @@ pub mod generator;
 pub mod ingest;
 pub mod molecule;
 pub mod queries;
+mod reader;
 pub mod smarts;
 pub mod smiles;
 
@@ -44,5 +45,6 @@ pub use generator::{GeneratorConfig, MoleculeGenerator};
 pub use ingest::{ingest_smi, QuarantinedLine, SmiIngest};
 pub use molecule::{Bond, BondOrder, Chirality, Molecule, MoleculeError};
 pub use queries::{functional_groups, QueryExtractor};
+pub use reader::{line_records, LineRecord};
 pub use smarts::{parse_smarts, SmartsError};
 pub use smiles::{parse_smiles, parse_smiles_heavy, write_smiles, SmilesError};

@@ -21,13 +21,18 @@
 //! OR (`,`) is supported between plain element symbols only (atom lists);
 //! recursive SMARTS (`$(...)`) stays rejected with an error so the caller
 //! knows the pattern was not silently weakened. Errors carry the byte
-//! offset of the offending character, including inside brackets.
+//! offset of the offending character, including inside brackets. The
+//! skeleton walk and the atom-token scanner are shared with SMILES (the
+//! crate's `reader` module); this module supplies the bond symbols, the
+//! organic subset (`Cl` and `Br` are its two-letter symbols), the bracket
+//! grammar and the graph the pattern becomes.
 //!
 //! SMARTS patterns describe *constraints*, not molecules: the result is a
 //! [`LabeledGraph`] query (hydrogens never added, valence not enforced —
 //! `*(*)(*)(*)(*)*` is a legal pattern even though no atom has valence 5).
 
 use crate::elements::{Element, NUM_ELEMENT_LABELS};
+use crate::reader::{self, Cursor, Dialect, SyntaxError, TWO_LETTER};
 use sigmo_graph::{GraphError, LabeledGraph, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL};
 use std::fmt;
 
@@ -83,38 +88,46 @@ impl From<GraphError> for SmartsError {
     }
 }
 
+impl From<SyntaxError> for SmartsError {
+    fn from(e: SyntaxError) -> Self {
+        match e {
+            SyntaxError::Unexpected { at, found } => SmartsError::Unexpected { at, found },
+            SyntaxError::UnknownElement { at, symbol } => {
+                SmartsError::UnknownElement { at, symbol }
+            }
+            SyntaxError::RingBond { number, reason } => SmartsError::RingBond { number, reason },
+            SyntaxError::Parenthesis { at } => SmartsError::Parenthesis { at },
+            SyntaxError::DanglingBond { at } => SmartsError::DanglingBond { at },
+            SyntaxError::Empty => SmartsError::Empty,
+        }
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Bond {
     Single,
     Double,
     Triple,
     Any,
-    /// No explicit symbol: single, or "any" between two aromatic atoms
-    /// (aromatic ring bonds alternate; a pattern author writing `cc` means
-    /// "aromatically bonded", which kekulized data encodes as 1 or 2).
-    Implicit,
 }
 
-impl Bond {
-    fn edge_label(self, aromatic_pair: bool) -> u8 {
-        match self {
-            Bond::Single => 1,
-            Bond::Double => 2,
-            Bond::Triple => 3,
-            Bond::Any => WILDCARD_EDGE,
-            Bond::Implicit => {
-                if aromatic_pair {
-                    WILDCARD_EDGE
-                } else {
-                    1
-                }
-            }
-        }
+/// The edge label of a bond; no written symbol means single, or "any"
+/// between two aromatic atoms (aromatic ring bonds alternate; a pattern
+/// author writing `cc` means "aromatically bonded", which kekulized data
+/// encodes as 1 or 2).
+fn edge_label(bond: Option<Bond>, aromatic_pair: bool) -> u8 {
+    match bond {
+        Some(Bond::Single) => 1,
+        Some(Bond::Double) => 2,
+        Some(Bond::Triple) => 3,
+        Some(Bond::Any) => WILDCARD_EDGE,
+        None if aromatic_pair => WILDCARD_EDGE,
+        None => 1,
     }
 }
 
-/// A compiled bracket atom: the node label plus any predicate constraints.
-struct BracketSpec {
+/// A compiled atom: the node label plus any predicate constraints.
+struct AtomSpec {
     label: u8,
     aromatic: bool,
     pred: NodePredicate,
@@ -144,478 +157,217 @@ enum Primitive {
     Charge(i8),
 }
 
-/// Scans one element symbol starting at `inner[j]`; returns (element,
-/// aromatic, bytes consumed). `j` and `at` are used for error spans.
-fn scan_element(inner: &str, j: usize, at: usize) -> Result<(Element, bool, usize), SmartsError> {
-    let b = inner.as_bytes();
-    let c = b[j] as char;
-    if c.is_ascii_uppercase() {
-        // Two-letter symbols first (Cl, Br, Si).
-        if j + 1 < b.len() && (b[j + 1] as char).is_ascii_lowercase() {
-            let two = format!("{c}{}", b[j + 1] as char);
-            if let Some(e) = Element::from_symbol(&two) {
-                return Ok((e, false, 2));
-            }
-        }
-        let e =
-            Element::from_symbol(&c.to_string()).ok_or_else(|| SmartsError::UnknownElement {
-                at: at + j,
-                symbol: c.to_string(),
-            })?;
-        Ok((e, false, 1))
-    } else {
-        let e = Element::from_symbol(&c.to_ascii_uppercase().to_string()).ok_or_else(|| {
-            SmartsError::UnknownElement {
-                at: at + j,
-                symbol: c.to_string(),
-            }
-        })?;
-        if !e.can_be_aromatic() {
-            return Err(SmartsError::UnknownElement {
-                at: at + j,
-                symbol: c.to_string(),
-            });
-        }
-        Ok((e, true, 1))
-    }
+/// The SMARTS side of the reader: the pattern graph, plus each node's
+/// aromatic flag for the bonds written without a symbol.
+#[derive(Default)]
+struct Smarts {
+    g: LabeledGraph,
+    aromatic: Vec<bool>,
 }
 
-/// Parses the inside of a bracket atom into the compiled spec. `at` is the
-/// absolute byte offset of `inner`'s first character so every error points
-/// at the exact offending character.
-///
-/// Precedence (high to low): `!`, `&`/juxtaposition, `,`, `;`. OR is only
-/// supported between plain element symbols, so the compilation below
-/// treats each `;`-term as either an element alternation or a conjunction
-/// of primitives and ANDs the terms together.
-fn parse_bracket(inner: &str, at: usize) -> Result<BracketSpec, SmartsError> {
-    let b = inner.as_bytes();
-    if let Some(p) = inner.find('$') {
-        return Err(SmartsError::Unsupported {
-            at: at + p,
-            what: "recursive SMARTS ($(...))",
-        });
-    }
-    if b.is_empty() {
-        return Err(SmartsError::Unexpected { at, found: ']' });
+impl Dialect for Smarts {
+    type Atom = AtomSpec;
+    type Bond = Bond;
+    type Error = SmartsError;
+    const PERCENT_RINGS: bool = false;
+
+    fn bond(symbol: u8) -> Option<Bond> {
+        Some(match symbol {
+            b'-' => Bond::Single,
+            b'=' => Bond::Double,
+            b'#' => Bond::Triple,
+            b'~' => Bond::Any,
+            _ => return None,
+        })
     }
 
-    // Tokenize into primitives plus separators, tracking offsets.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    enum Tok {
-        Prim(Primitive),
-        Or,
-        SemiAnd,
+    fn organic(cur: &mut Cursor) -> Result<AtomSpec, SmartsError> {
+        let (label, aromatic) = if cur.eat(b'*') {
+            (WILDCARD_LABEL, false)
+        } else {
+            let (e, aromatic) = cur.element(&[Element::Cl, Element::Br])?;
+            (e.label(), aromatic)
+        };
+        Ok(AtomSpec {
+            label,
+            aromatic,
+            pred: NodePredicate::default(),
+        })
     }
-    let mut toks: Vec<(Tok, usize)> = Vec::new();
-    let mut j = 0usize;
-    let mut expect_element = true; // start of an alternative: H = element
-    while j < b.len() {
-        let c = b[j] as char;
-        match c {
-            ',' => {
-                toks.push((Tok::Or, j));
-                expect_element = true;
-                j += 1;
-            }
-            ';' => {
-                toks.push((Tok::SemiAnd, j));
-                expect_element = true;
-                j += 1;
-            }
-            '&' => {
-                // Explicit AND: same as juxtaposition.
-                expect_element = false;
-                j += 1;
-            }
-            '!' => {
-                let k = j + 1;
-                // After '!' only an element symbol is allowed ('H' here is
-                // element hydrogen, not an H-count primitive).
-                let next = if k < b.len() { b[k] as char } else { ']' };
-                if !next.is_ascii_alphabetic() || matches!(next, 'D' | 'R' | 'r') {
-                    return Err(SmartsError::Unsupported {
-                        at: at + j,
-                        what: "negation of non-element primitives",
-                    });
+
+    /// Parses the inside of a bracket atom into the compiled spec.
+    ///
+    /// Precedence (high to low): `!`, `&`/juxtaposition, `,`, `;`. OR is only
+    /// supported between plain element symbols, so the compilation below
+    /// treats each `;`-term as either an element alternation or a conjunction
+    /// of primitives and ANDs the terms together.
+    fn bracket(cur: &mut Cursor) -> Result<AtomSpec, SmartsError> {
+        if let Some(p) = cur.rest().find('$') {
+            return Err(SmartsError::Unsupported {
+                at: cur.pos + p,
+                what: "recursive SMARTS ($(...))",
+            });
+        }
+        if cur.peek().is_none() {
+            return Err(cur.unexpected().into());
+        }
+
+        // `;`-terms, each a list of `,`-alternatives, each a list of
+        // primitives with their offsets.
+        let mut terms: Vec<Vec<Vec<(Primitive, usize)>>> = vec![vec![Vec::new()]];
+        const OPEN: &str = "a term and an alternative are always open";
+        let mut expect_element = true; // start of an alternative: H = element
+        while let Some(c) = cur.peek() {
+            let at = cur.pos;
+            if matches!(c, b',' | b';' | b'&') {
+                cur.pos += 1;
+                match c {
+                    b',' => terms.last_mut().expect(OPEN).push(Vec::new()),
+                    b';' => terms.push(vec![Vec::new()]),
+                    _ => {} // explicit AND: same as juxtaposition
                 }
-                let (e, _aromatic, len) = scan_element(inner, k, at)?;
-                toks.push((Tok::Prim(Primitive::NotElem { label: e.label() }), j));
-                expect_element = false;
-                j = k + len;
+                expect_element = c != b'&';
+                continue;
             }
-            '*' => {
-                toks.push((Tok::Prim(Primitive::AnyElem), j));
-                expect_element = false;
-                j += 1;
-            }
-            'D' => {
-                let mut n = 1u8;
-                let mut len = 1;
-                if j + 1 < b.len() && b[j + 1].is_ascii_digit() {
-                    n = b[j + 1] - b'0';
-                    len = 2;
-                }
-                toks.push((Tok::Prim(Primitive::Degree(n)), j));
-                expect_element = false;
-                j += len;
-            }
-            'H' if !expect_element => {
-                let mut n = 1u8;
-                let mut len = 1;
-                if j + 1 < b.len() && b[j + 1].is_ascii_digit() {
-                    n = b[j + 1] - b'0';
-                    len = 2;
-                }
-                toks.push((Tok::Prim(Primitive::HCount(n)), j));
-                j += len;
-            }
-            'R' => {
-                let mut in_ring = true;
-                let mut len = 1;
-                if j + 1 < b.len() && b[j + 1].is_ascii_digit() {
-                    in_ring = b[j + 1] != b'0';
-                    len = 2;
-                }
-                toks.push((Tok::Prim(Primitive::RingMem(in_ring)), j));
-                expect_element = false;
-                j += len;
-            }
-            'r' => {
-                if j + 1 < b.len() && b[j + 1].is_ascii_digit() {
-                    let mut n = (b[j + 1] - b'0') as u16;
-                    let mut len = 2;
-                    if j + 2 < b.len() && b[j + 2].is_ascii_digit() {
-                        n = n * 10 + (b[j + 2] - b'0') as u16;
-                        len = 3;
+            let prim = match c {
+                b'!' => {
+                    // After '!' only an element symbol is allowed ('H' here is
+                    // element hydrogen, not an H-count primitive).
+                    cur.pos += 1;
+                    if !cur.peek().is_some_and(|n| {
+                        n.is_ascii_alphabetic() && !matches!(n, b'D' | b'R' | b'r')
+                    }) {
+                        return Err(SmartsError::Unsupported {
+                            at,
+                            what: "negation of non-element primitives",
+                        });
                     }
-                    toks.push((Tok::Prim(Primitive::RingSize(n.min(255) as u8)), j));
-                    j += len;
-                } else {
-                    toks.push((Tok::Prim(Primitive::RingMem(true)), j));
-                    j += 1;
+                    let (e, _aromatic) = cur.element(TWO_LETTER)?;
+                    Primitive::NotElem { label: e.label() }
                 }
-                expect_element = false;
-            }
-            '+' | '-' => {
-                let mark = b[j];
-                let sign: i8 = if mark == b'+' { 1 } else { -1 };
-                let mut k = j + 1;
-                let mut magnitude = 1i8;
-                if k < b.len() && b[k].is_ascii_digit() {
-                    magnitude = (b[k] - b'0') as i8;
-                    k += 1;
-                } else {
-                    while k < b.len() && b[k] == mark {
-                        magnitude += 1;
-                        k += 1;
-                    }
+                b'*' => {
+                    cur.pos += 1;
+                    Primitive::AnyElem
                 }
-                toks.push((Tok::Prim(Primitive::Charge(sign * magnitude)), j));
-                expect_element = false;
-                j = k;
-            }
-            _ if c.is_ascii_alphabetic() => {
-                let (e, aromatic, len) = scan_element(inner, j, at)?;
-                toks.push((
-                    Tok::Prim(Primitive::Elem {
+                b'D' => {
+                    cur.pos += 1;
+                    Primitive::Degree(cur.digits(1).unwrap_or(1) as u8)
+                }
+                b'H' if !expect_element => {
+                    cur.pos += 1;
+                    Primitive::HCount(cur.digits(1).unwrap_or(1) as u8)
+                }
+                b'R' => {
+                    cur.pos += 1;
+                    Primitive::RingMem(cur.digits(1).is_none_or(|n| n != 0))
+                }
+                b'r' => {
+                    cur.pos += 1;
+                    cur.digits(2)
+                        .map_or(Primitive::RingMem(true), |n| Primitive::RingSize(n as u8))
+                }
+                b'+' | b'-' => Primitive::Charge(cur.formal_charge().expect("a sign is next")),
+                _ => {
+                    let (e, aromatic) = cur.element(TWO_LETTER)?;
+                    Primitive::Elem {
                         label: e.label(),
                         aromatic,
-                    }),
-                    j,
-                ));
-                expect_element = false;
-                j += len;
-            }
-            _ => {
-                return Err(SmartsError::Unexpected {
-                    at: at + j,
-                    found: c,
-                });
-            }
+                    }
+                }
+            };
+            let alternative = terms.last_mut().and_then(|t| t.last_mut());
+            alternative.expect(OPEN).push((prim, at));
+            expect_element = false;
         }
-    }
 
-    // Group into `;`-terms, each a list of `,`-alternatives, each a list
-    // of primitives.
-    let mut terms: Vec<Vec<Vec<(Primitive, usize)>>> = vec![vec![Vec::new()]];
-    for (tok, off) in toks {
-        match tok {
-            Tok::SemiAnd => terms.push(vec![Vec::new()]),
-            Tok::Or => terms.last_mut().unwrap().push(Vec::new()),
-            Tok::Prim(p) => terms.last_mut().unwrap().last_mut().unwrap().push((p, off)),
-        }
-    }
-
-    // Compile: intersect an allowed-element mask across terms, gather
-    // predicate fields.
-    let mut allowed = FULL_MASK;
-    let mut pred = NodePredicate::default();
-    let mut positive_mentions = 0usize;
-    let mut lowercase_mentions = 0usize;
-    for alternatives in &terms {
-        if alternatives.len() > 1 {
+        // Compile: intersect an allowed-element mask across terms, gather
+        // predicate fields.
+        let mut allowed = FULL_MASK;
+        let mut pred = NodePredicate::default();
+        for alternatives in &terms {
+            if let [conjunction] = alternatives.as_slice() {
+                for &(p, _) in conjunction {
+                    match p {
+                        Primitive::Elem { label, .. } => allowed &= 1u64 << label,
+                        Primitive::AnyElem => {}
+                        Primitive::NotElem { label } => allowed &= !(1u64 << label),
+                        Primitive::Degree(n) => pred.degree = Some(n),
+                        Primitive::HCount(n) => pred.h_count = Some(n),
+                        Primitive::RingMem(m) => pred.ring = Some(m),
+                        Primitive::RingSize(n) => pred.ring_size = Some(n),
+                        Primitive::Charge(c) => pred.charge = Some(c),
+                    }
+                }
+                continue;
+            }
             // Atom list: every alternative must be one plain element.
             let mut union = 0u64;
             for alt in alternatives {
                 match alt.as_slice() {
-                    [(Primitive::Elem { label, aromatic }, _)] => {
-                        union |= 1u64 << label;
-                        positive_mentions += 1;
-                        if *aromatic {
-                            lowercase_mentions += 1;
-                        }
-                    }
+                    [(Primitive::Elem { label, .. }, _)] => union |= 1u64 << label,
                     [(Primitive::AnyElem, _)] => union = FULL_MASK,
-                    [] => {
-                        return Err(SmartsError::Unexpected {
-                            at: at + inner.len(),
-                            found: ']',
-                        });
-                    }
-                    [(_, off)] | [(_, off), ..] => {
+                    [] => return Err(cur.unexpected().into()),
+                    [(_, at), ..] => {
                         return Err(SmartsError::Unsupported {
-                            at: at + off,
+                            at: *at,
                             what: "OR between non-element primitives",
                         });
                     }
                 }
             }
             allowed &= union;
+        }
+
+        // The label and label_any mask: a singleton set compiles to a concrete
+        // label (fast path — label buckets prune for free); the full set is a
+        // plain wildcard; anything else is a wildcard plus a mask predicate.
+        // The atom is aromatic when every element it names is lowercase.
+        let mut mentions = terms
+            .iter()
+            .flatten()
+            .flatten()
+            .filter_map(|(p, _)| match p {
+                Primitive::Elem { aromatic, .. } => Some(*aromatic),
+                _ => None,
+            });
+        let aromatic =
+            allowed != FULL_MASK && mentions.next().is_some_and(|a| a && mentions.all(|a| a));
+        let label = if allowed.count_ones() == 1 {
+            allowed.trailing_zeros() as u8
         } else {
-            for &(p, _off) in &alternatives[0] {
-                match p {
-                    Primitive::Elem { label, aromatic } => {
-                        allowed &= 1u64 << label;
-                        positive_mentions += 1;
-                        if aromatic {
-                            lowercase_mentions += 1;
-                        }
-                    }
-                    Primitive::AnyElem => {}
-                    Primitive::NotElem { label } => allowed &= !(1u64 << label),
-                    Primitive::Degree(n) => pred.degree = Some(n),
-                    Primitive::HCount(n) => pred.h_count = Some(n),
-                    Primitive::RingMem(m) => pred.ring = Some(m),
-                    Primitive::RingSize(n) => pred.ring_size = Some(n),
-                    Primitive::Charge(c) => pred.charge = Some(c),
-                }
+            if allowed != FULL_MASK {
+                pred.label_any = Some(allowed);
             }
+            WILDCARD_LABEL
+        };
+        Ok(AtomSpec {
+            label,
+            aromatic,
+            pred,
+        })
+    }
+
+    fn add_atom(&mut self, atom: AtomSpec) {
+        let id = self.g.add_node(atom.label);
+        self.aromatic.push(atom.aromatic);
+        if !atom.pred.is_trivial() {
+            self.g.set_predicate(id, atom.pred);
         }
     }
 
-    // The label and label_any mask: a singleton set compiles to a concrete
-    // label (fast path — label buckets prune for free); the full set is a
-    // plain wildcard; anything else is a wildcard plus a mask predicate.
-    let (label, aromatic) = if allowed.count_ones() == 1 {
-        let l = allowed.trailing_zeros() as u8;
-        (
-            l,
-            positive_mentions > 0 && positive_mentions == lowercase_mentions,
-        )
-    } else if allowed == FULL_MASK {
-        (WILDCARD_LABEL, false)
-    } else {
-        pred.label_any = Some(allowed);
-        (
-            WILDCARD_LABEL,
-            positive_mentions > 0 && positive_mentions == lowercase_mentions,
-        )
-    };
-    Ok(BracketSpec {
-        label,
-        aromatic,
-        pred,
-    })
+    fn add_edge(&mut self, a: u32, b: u32, bond: Option<Bond>) -> Result<(), SmartsError> {
+        let pair = self.aromatic[a as usize] && self.aromatic[b as usize];
+        self.g.add_edge(a, b, edge_label(bond, pair))?;
+        Ok(())
+    }
 }
 
 /// Parses a SMARTS-subset pattern into a query graph. Bracket predicates
 /// compile into [`NodePredicate`]s attached to the graph's nodes.
 pub fn parse_smarts(s: &str) -> Result<LabeledGraph, SmartsError> {
-    let bytes = s.as_bytes();
-    if bytes.is_empty() {
-        return Err(SmartsError::Empty);
-    }
-    let mut g = LabeledGraph::new();
-    let mut aromatic: Vec<bool> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut prev: Option<u32> = None;
-    let mut pending: Option<Bond> = None;
-    // Offset of the unconsumed bond symbol, for dangling-bond spans.
-    let mut pending_at = 0usize;
-    let mut rings: Vec<Option<(u32, Option<Bond>)>> = vec![None; 100];
-
-    let push_atom = |g: &mut LabeledGraph,
-                     aromatic_list: &mut Vec<bool>,
-                     prev: &mut Option<u32>,
-                     pending: &mut Option<Bond>,
-                     label: u8,
-                     is_aromatic: bool,
-                     pred: NodePredicate|
-     -> Result<(), SmartsError> {
-        let id = g.add_node(label);
-        aromatic_list.push(is_aromatic);
-        if !pred.is_trivial() {
-            g.set_predicate(id, pred);
-        }
-        if let Some(p) = *prev {
-            let bond = pending.take().unwrap_or(Bond::Implicit);
-            let pair = aromatic_list[p as usize] && is_aromatic;
-            g.add_edge(p, id, bond.edge_label(pair))?;
-        }
-        *prev = Some(id);
-        Ok(())
-    };
-
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '*' => {
-                push_atom(
-                    &mut g,
-                    &mut aromatic,
-                    &mut prev,
-                    &mut pending,
-                    WILDCARD_LABEL,
-                    false,
-                    NodePredicate::default(),
-                )?;
-                i += 1;
-            }
-            '~' => {
-                if prev.is_none() {
-                    return Err(SmartsError::DanglingBond { at: i });
-                }
-                pending = Some(Bond::Any);
-                pending_at = i;
-                i += 1;
-            }
-            '-' | '=' | '#' => {
-                if prev.is_none() {
-                    return Err(SmartsError::DanglingBond { at: i });
-                }
-                pending = Some(match c {
-                    '-' => Bond::Single,
-                    '=' => Bond::Double,
-                    _ => Bond::Triple,
-                });
-                pending_at = i;
-                i += 1;
-            }
-            '(' => {
-                match prev {
-                    Some(p) => stack.push(p),
-                    None => return Err(SmartsError::Parenthesis { at: i }),
-                }
-                i += 1;
-            }
-            ')' => {
-                // A bond symbol must bind an atom inside its own branch.
-                if pending.is_some() {
-                    return Err(SmartsError::DanglingBond { at: pending_at });
-                }
-                prev = Some(stack.pop().ok_or(SmartsError::Parenthesis { at: i })?);
-                i += 1;
-            }
-            '.' => {
-                if pending.is_some() {
-                    return Err(SmartsError::DanglingBond { at: i });
-                }
-                prev = None;
-                i += 1;
-            }
-            '1'..='9' => {
-                let num = (c as u8 - b'0') as u16;
-                let cur = prev.ok_or(SmartsError::RingBond {
-                    number: num,
-                    reason: "ring digit before any atom",
-                })?;
-                match rings[num as usize].take() {
-                    None => rings[num as usize] = Some((cur, pending.take())),
-                    Some((other, open_bond)) => {
-                        if other == cur {
-                            return Err(SmartsError::RingBond {
-                                number: num,
-                                reason: "ring closes on the same atom",
-                            });
-                        }
-                        let bond = pending.take().or(open_bond).unwrap_or(Bond::Implicit);
-                        let pair = aromatic[other as usize] && aromatic[cur as usize];
-                        g.add_edge(other, cur, bond.edge_label(pair))?;
-                    }
-                }
-                i += 1;
-            }
-            '[' => {
-                let close = s[i..]
-                    .find(']')
-                    .map(|j| i + j)
-                    .ok_or(SmartsError::Unexpected { at: i, found: '[' })?;
-                let inner = &s[i + 1..close];
-                let spec = parse_bracket(inner, i + 1)?;
-                push_atom(
-                    &mut g,
-                    &mut aromatic,
-                    &mut prev,
-                    &mut pending,
-                    spec.label,
-                    spec.aromatic,
-                    spec.pred,
-                )?;
-                i = close + 1;
-            }
-            _ if c.is_ascii_alphabetic() => {
-                // Organic-subset atom, maybe two letters.
-                let (sym, len, is_aromatic) = if s[i..].starts_with("Cl") {
-                    ("Cl".to_string(), 2, false)
-                } else if s[i..].starts_with("Br") {
-                    ("Br".to_string(), 2, false)
-                } else if c.is_ascii_uppercase() {
-                    (c.to_string(), 1, false)
-                } else {
-                    (c.to_ascii_uppercase().to_string(), 1, true)
-                };
-                let element =
-                    Element::from_symbol(&sym).ok_or_else(|| SmartsError::UnknownElement {
-                        at: i,
-                        symbol: sym.clone(),
-                    })?;
-                if is_aromatic && !element.can_be_aromatic() {
-                    return Err(SmartsError::UnknownElement { at: i, symbol: sym });
-                }
-                push_atom(
-                    &mut g,
-                    &mut aromatic,
-                    &mut prev,
-                    &mut pending,
-                    element.label(),
-                    is_aromatic,
-                    NodePredicate::default(),
-                )?;
-                i += len;
-            }
-            _ => return Err(SmartsError::Unexpected { at: i, found: c }),
-        }
-    }
-    if pending.is_some() {
-        return Err(SmartsError::DanglingBond { at: pending_at });
-    }
-    if !stack.is_empty() {
-        return Err(SmartsError::Parenthesis { at: bytes.len() });
-    }
-    for (num, slot) in rings.iter().enumerate() {
-        if slot.is_some() {
-            return Err(SmartsError::RingBond {
-                number: num as u16,
-                reason: "ring bond never closed",
-            });
-        }
-    }
-    if g.is_empty() {
-        return Err(SmartsError::Empty);
-    }
-    Ok(g)
+    let mut pattern = Smarts::default();
+    reader::read(s, &mut pattern)?;
+    Ok(pattern.g)
 }
 
 #[cfg(test)]
@@ -922,6 +674,48 @@ mod tests {
             parse_smarts("C(=)C"),
             Err(SmartsError::DanglingBond { at: 2 })
         ));
+    }
+
+    #[test]
+    fn ring_bond_symbols_at_either_end_must_agree() {
+        // Only conflicting symbols are rejected; one symbol at either end,
+        // or the same at both, labels the ring edge.
+        for s in ["C=1CC-1", "C~1CC-1"] {
+            assert_eq!(
+                parse_smarts(s),
+                Err(SmartsError::RingBond {
+                    number: 1,
+                    reason: "ring bond symbols conflict"
+                }),
+                "{s}"
+            );
+        }
+        for s in ["C=1CC=1", "C=1CC1", "C1CC=1"] {
+            assert_eq!(parse_smarts(s).unwrap().edge_label(0, 2), Some(2), "{s}");
+        }
+    }
+
+    #[test]
+    fn errors_name_the_text_as_written() {
+        assert_eq!(
+            parse_smarts("Cé"),
+            Err(SmartsError::Unexpected { at: 1, found: 'é' })
+        );
+        assert_eq!(
+            parse_smarts("[Cé]"),
+            Err(SmartsError::Unexpected { at: 2, found: 'é' })
+        );
+        // `Si` is no organic SMARTS atom: `S`, then an unknown `i`.
+        for (s, at, symbol) in [("x", 0, "x"), ("Cx", 1, "x"), ("Si", 1, "i")] {
+            assert_eq!(
+                parse_smarts(s),
+                Err(SmartsError::UnknownElement {
+                    at,
+                    symbol: symbol.into()
+                }),
+                "{s}"
+            );
+        }
     }
 
     #[test]

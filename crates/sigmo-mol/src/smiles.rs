@@ -1,10 +1,11 @@
 //! A SMILES parser and writer.
 //!
-//! Supported syntax: organic-subset atoms (`B C N O P S F Cl Br I`),
-//! bracket atoms in full `[isotope? symbol chirality? Hcount? charge?
-//! map?]` form (`[13CH4]`, `[NH4+]`, `[O-]`, `[C@@H]`, `[CH3:1]`), bond
-//! symbols (`-`, `=`, `#`, `:`), branches (`(...)`), ring-bond closures
-//! (digits `1`–`9` and `%nn`), dot-separated multi-fragment inputs
+//! Supported syntax: organic-subset atoms (`B C N O P S F Cl Br I`,
+//! and also unbracketed `H` and `Si`), bracket atoms in full `[isotope?
+//! symbol chirality? Hcount? charge? map?]` form (`[13CH4]`, `[NH4+]`,
+//! `[O-]`, `[C@@H]`, `[CH3:1]`), bond symbols (`-`, `=`, `#`, `:`),
+//! branches (`(...)`), ring-bond closures (digits `1`–`9` and `%nn`; a
+//! symbol at both ends must agree), dot-separated multi-fragment inputs
 //! (`[Na+].[Cl-]`), and aromatic lowercase atoms (`c n o s`), which are
 //! kekulized into alternating single/double bonds via backtracking.
 //!
@@ -17,7 +18,9 @@
 //!
 //! Still rejected: wildcards (`*` is a query construct — see `smarts`).
 //! Errors carry the byte offset of the offending character, including
-//! inside bracket atoms.
+//! inside bracket atoms. The skeleton walk and the atom-token scanner are
+//! shared with SMARTS (the crate's `reader` module); this module supplies
+//! the bond symbols, the bracket grammar and kekulization.
 //!
 //! Parsed molecules get explicit hydrogens appended (the paper's data
 //! graphs carry explicit hydrogens — see Figure 1), unless
@@ -25,6 +28,7 @@
 
 use crate::elements::Element;
 use crate::molecule::{BondOrder, Chirality, Molecule, MoleculeError};
+use crate::reader::{self, Cursor, Dialect, SyntaxError, TWO_LETTER};
 use sigmo_graph::NodeId;
 use std::fmt;
 
@@ -78,6 +82,21 @@ impl From<MoleculeError> for SmilesError {
     }
 }
 
+impl From<SyntaxError> for SmilesError {
+    fn from(e: SyntaxError) -> Self {
+        match e {
+            SyntaxError::Unexpected { at, found } => SmilesError::Unexpected { at, found },
+            SyntaxError::UnknownElement { at, symbol } => {
+                SmilesError::UnknownElement { at, symbol }
+            }
+            SyntaxError::RingBond { number, reason } => SmilesError::RingBond { number, reason },
+            SyntaxError::Parenthesis { at } => SmilesError::Parenthesis { at },
+            SyntaxError::DanglingBond { at } => SmilesError::DanglingBond { at },
+            SyntaxError::Empty => SmilesError::Empty,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RawBond {
     Single,
@@ -100,16 +119,92 @@ struct RawAtom {
     chirality: Chirality,
 }
 
-impl RawAtom {
-    fn plain(element: Element, aromatic: bool) -> Self {
-        RawAtom {
+/// The SMILES side of the reader: raw atoms and bonds, kekulized once the
+/// skeleton is read.
+#[derive(Default)]
+struct Smiles {
+    atoms: Vec<RawAtom>,
+    edges: Vec<(u32, u32, RawBond)>,
+}
+
+impl Dialect for Smiles {
+    type Atom = RawAtom;
+    type Bond = RawBond;
+    type Error = SmilesError;
+    const PERCENT_RINGS: bool = true;
+
+    fn bond(symbol: u8) -> Option<RawBond> {
+        Some(match symbol {
+            b'-' => RawBond::Single,
+            b'=' => RawBond::Double,
+            b'#' => RawBond::Triple,
+            b':' => RawBond::Aromatic,
+            _ => return None,
+        })
+    }
+
+    fn organic(cur: &mut Cursor) -> Result<RawAtom, SmilesError> {
+        let (element, aromatic) = cur.element(TWO_LETTER)?;
+        Ok(RawAtom {
             element,
             aromatic,
             bracket_h: None,
             charge: 0,
             isotope: 0,
             chirality: Chirality::None,
+        })
+    }
+
+    /// Grammar: `ISOTOPE? SYMBOL CHIRAL? ('H' COUNT?)? CHARGE? (':' MAP)?`
+    /// where ISOTOPE is 1–3 digits, CHIRAL is `@` or `@@`, CHARGE is
+    /// `+`/`-` optionally followed by a digit or repeated (`++`), and MAP
+    /// (an atom class) is accepted and discarded.
+    fn bracket(cur: &mut Cursor) -> Result<RawAtom, SmilesError> {
+        let isotope = cur.digits(3).unwrap_or(0) as u16;
+        if cur.peek().is_some_and(|b| b.is_ascii_digit()) {
+            return Err(cur.unexpected().into());
         }
+        let (element, aromatic) = cur.element(TWO_LETTER)?;
+        // Chirality: @ or @@ (recorded, not matched).
+        let chirality = match (cur.eat(b'@'), cur.eat(b'@')) {
+            (false, _) => Chirality::None,
+            (true, false) => Chirality::Anticlockwise,
+            (true, true) => Chirality::Clockwise,
+        };
+        // Hydrogen count (default 0 for bracket atoms, per the SMILES spec).
+        let bracket_h = if cur.eat(b'H') {
+            cur.digits(1).unwrap_or(1) as u8
+        } else {
+            0
+        };
+        let charge = cur.formal_charge().unwrap_or(0);
+        if cur.eat(b':') && cur.digits(usize::MAX).is_none() {
+            return Err(cur.unexpected().into());
+        }
+        Ok(RawAtom {
+            element,
+            aromatic,
+            bracket_h: Some(bracket_h),
+            charge,
+            isotope,
+            chirality,
+        })
+    }
+
+    fn add_atom(&mut self, atom: RawAtom) {
+        self.atoms.push(atom);
+    }
+
+    fn add_edge(&mut self, a: u32, b: u32, bond: Option<RawBond>) -> Result<(), SmilesError> {
+        let bond = bond.unwrap_or(
+            if self.atoms[a as usize].aromatic && self.atoms[b as usize].aromatic {
+                RawBond::Aromatic
+            } else {
+                RawBond::Single
+            },
+        );
+        self.edges.push((a, b, bond));
+        Ok(())
     }
 }
 
@@ -133,146 +228,9 @@ pub fn parse_smiles_heavy(s: &str) -> Result<Molecule, SmilesError> {
 }
 
 fn parse_inner(s: &str, implicit_h: bool) -> Result<Molecule, SmilesError> {
-    let bytes = s.as_bytes();
-    if bytes.is_empty() {
-        return Err(SmilesError::Empty);
-    }
-    let mut atoms: Vec<RawAtom> = Vec::new();
-    let mut edges: Vec<(u32, u32, RawBond)> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut prev: Option<u32> = None;
-    let mut pending: Option<RawBond> = None;
-    // Offset of the unconsumed bond symbol, for dangling-bond spans.
-    let mut pending_at = 0usize;
-    // Open ring bonds: number -> (atom, bond symbol if given at open).
-    let mut rings: [Option<(u32, Option<RawBond>)>; 100] = [None; 100];
-
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '-' | '=' | '#' | ':' => {
-                let b = match c {
-                    '-' => RawBond::Single,
-                    '=' => RawBond::Double,
-                    '#' => RawBond::Triple,
-                    _ => RawBond::Aromatic,
-                };
-                if prev.is_none() {
-                    return Err(SmilesError::DanglingBond { at: i });
-                }
-                pending = Some(b);
-                pending_at = i;
-                i += 1;
-            }
-            '(' => {
-                match prev {
-                    Some(p) => stack.push(p),
-                    None => return Err(SmilesError::Parenthesis { at: i }),
-                }
-                i += 1;
-            }
-            ')' => {
-                // A bond symbol must bind an atom inside its own branch.
-                if pending.is_some() {
-                    return Err(SmilesError::DanglingBond { at: pending_at });
-                }
-                prev = Some(stack.pop().ok_or(SmilesError::Parenthesis { at: i })?);
-                i += 1;
-            }
-            '.' => {
-                // Fragment separator: the next atom starts a new component.
-                if pending.is_some() {
-                    return Err(SmilesError::DanglingBond { at: i });
-                }
-                prev = None;
-                i += 1;
-            }
-            '1'..='9' | '%' => {
-                let (num, len) = if c == '%' {
-                    if i + 2 >= bytes.len()
-                        || !bytes[i + 1].is_ascii_digit()
-                        || !bytes[i + 2].is_ascii_digit()
-                    {
-                        return Err(SmilesError::Unexpected { at: i, found: '%' });
-                    }
-                    (
-                        ((bytes[i + 1] - b'0') as u16) * 10 + (bytes[i + 2] - b'0') as u16,
-                        3,
-                    )
-                } else {
-                    ((c as u8 - b'0') as u16, 1)
-                };
-                let cur = prev.ok_or(SmilesError::RingBond {
-                    number: num,
-                    reason: "ring digit before any atom",
-                })?;
-                match rings[num as usize].take() {
-                    None => rings[num as usize] = Some((cur, pending.take())),
-                    Some((other, open_bond)) => {
-                        if other == cur {
-                            return Err(SmilesError::RingBond {
-                                number: num,
-                                reason: "ring closes on the same atom",
-                            });
-                        }
-                        // Bond symbol may be given at either end; closing
-                        // side wins if both present and they agree.
-                        let bond = pending.take().or(open_bond).unwrap_or({
-                            if atoms[cur as usize].aromatic && atoms[other as usize].aromatic {
-                                RawBond::Aromatic
-                            } else {
-                                RawBond::Single
-                            }
-                        });
-                        edges.push((other, cur, bond));
-                    }
-                }
-                i += len;
-            }
-            '[' => {
-                let close = s[i..]
-                    .find(']')
-                    .map(|j| i + j)
-                    .ok_or(SmilesError::Unexpected { at: i, found: '[' })?;
-                let inner = &s[i + 1..close];
-                let atom = parse_bracket_atom(inner, i + 1)?;
-                let id = atoms.len() as u32;
-                atoms.push(atom);
-                link(&mut edges, &atoms, prev, id, pending.take());
-                prev = Some(id);
-                i = close + 1;
-            }
-            _ => {
-                // Organic-subset atom, possibly two letters (Cl, Br) or
-                // aromatic lowercase.
-                let (element, aromatic, len) = parse_organic_atom(s, i)?;
-                let id = atoms.len() as u32;
-                atoms.push(RawAtom::plain(element, aromatic));
-                link(&mut edges, &atoms, prev, id, pending.take());
-                prev = Some(id);
-                i += len;
-            }
-        }
-    }
-    if pending.is_some() {
-        return Err(SmilesError::DanglingBond { at: pending_at });
-    }
-    if !stack.is_empty() {
-        return Err(SmilesError::Parenthesis { at: bytes.len() });
-    }
-    for (num, slot) in rings.iter().enumerate() {
-        if slot.is_some() {
-            return Err(SmilesError::RingBond {
-                number: num as u16,
-                reason: "ring bond never closed",
-            });
-        }
-    }
-    if atoms.is_empty() {
-        return Err(SmilesError::Empty);
-    }
-
+    let mut raw = Smiles::default();
+    reader::read(s, &mut raw)?;
+    let Smiles { atoms, edges } = raw;
     let orders = kekulize(&atoms, &edges)?;
 
     let mut mol = Molecule::with_capacity(atoms.len(), edges.len());
@@ -351,197 +309,6 @@ fn perceive_aromaticity(mol: &mut Molecule) {
     for v in flagged {
         mol.set_aromatic(v, true);
     }
-}
-
-fn link(
-    edges: &mut Vec<(u32, u32, RawBond)>,
-    atoms: &[RawAtom],
-    prev: Option<u32>,
-    cur: u32,
-    pending: Option<RawBond>,
-) {
-    if let Some(p) = prev {
-        let bond = pending.unwrap_or({
-            if atoms[p as usize].aromatic && atoms[cur as usize].aromatic {
-                RawBond::Aromatic
-            } else {
-                RawBond::Single
-            }
-        });
-        edges.push((p, cur, bond));
-    }
-}
-
-fn parse_organic_atom(s: &str, i: usize) -> Result<(Element, bool, usize), SmilesError> {
-    let rest = &s.as_bytes()[i..];
-    // Two-letter symbols first.
-    if let Some(two @ (b"Cl" | b"Br" | b"Si")) = rest.get(..2) {
-        let e = Element::from_symbol_bytes(two).expect("organic two-letter symbol");
-        return Ok((e, false, 2));
-    }
-    let c = rest[0];
-    if c.is_ascii_uppercase() {
-        let e = Element::from_symbol_bytes(&[c]).ok_or_else(|| SmilesError::UnknownElement {
-            at: i,
-            symbol: (c as char).to_string(),
-        })?;
-        Ok((e, false, 1))
-    } else if c.is_ascii_lowercase() {
-        match Element::from_symbol_bytes(&[c.to_ascii_uppercase()]) {
-            Some(e) if e.can_be_aromatic() => Ok((e, true, 1)),
-            _ => Err(SmilesError::UnknownElement {
-                at: i,
-                symbol: (c as char).to_string(),
-            }),
-        }
-    } else {
-        let found = s[i..]
-            .chars()
-            .next()
-            .expect("a character at every atom start");
-        Err(SmilesError::Unexpected { at: i, found })
-    }
-}
-
-/// Parses the inside of a bracket atom. `at` is the absolute byte offset
-/// of `inner`'s first character, so every error points at the exact
-/// offending character rather than the opening `[`.
-///
-/// Grammar: `ISOTOPE? SYMBOL CHIRAL? ('H' COUNT?)? CHARGE? (':' MAP)?`
-/// where ISOTOPE is 1–3 digits, CHIRAL is `@` or `@@`, CHARGE is `+`/`-`
-/// optionally followed by a digit or repeated (`++`), and MAP (an atom
-/// class) is accepted and discarded.
-fn parse_bracket_atom(inner: &str, at: usize) -> Result<RawAtom, SmilesError> {
-    let b = inner.as_bytes();
-    let mut j = 0usize;
-
-    // Isotope mass number.
-    let mut isotope = 0u16;
-    let iso_start = j;
-    while j < b.len() && b[j].is_ascii_digit() {
-        if j - iso_start >= 3 {
-            return Err(SmilesError::Unexpected {
-                at: at + j,
-                found: b[j] as char,
-            });
-        }
-        isotope = isotope * 10 + (b[j] - b'0') as u16;
-        j += 1;
-    }
-
-    // Element symbol.
-    if j >= b.len() {
-        return Err(SmilesError::Unexpected {
-            at: at + j,
-            found: ']',
-        });
-    }
-    let first = b[j] as char;
-    if !first.is_ascii_alphabetic() {
-        return Err(SmilesError::Unexpected {
-            at: at + j,
-            found: first,
-        });
-    }
-    let sym_at = j;
-    let aromatic = first.is_ascii_lowercase();
-    let upper = first.to_ascii_uppercase() as u8;
-    j += 1;
-    let two = match b.get(j) {
-        Some(&second) if !aromatic && second.is_ascii_lowercase() => {
-            Element::from_symbol_bytes(&[upper, second])
-        }
-        _ => None,
-    };
-    let element = match two {
-        Some(e) => {
-            j += 1;
-            e
-        }
-        None => {
-            Element::from_symbol_bytes(&[upper]).ok_or_else(|| SmilesError::UnknownElement {
-                at: at + sym_at,
-                symbol: (upper as char).to_string(),
-            })?
-        }
-    };
-    if aromatic && !element.can_be_aromatic() {
-        return Err(SmilesError::UnknownElement {
-            at: at + sym_at,
-            symbol: first.to_string(),
-        });
-    }
-
-    // Chirality: @ or @@ (recorded, not matched).
-    let mut chirality = Chirality::None;
-    if j < b.len() && b[j] == b'@' {
-        if j + 1 < b.len() && b[j + 1] == b'@' {
-            chirality = Chirality::Clockwise;
-            j += 2;
-        } else {
-            chirality = Chirality::Anticlockwise;
-            j += 1;
-        }
-    }
-
-    // Hydrogen count (default 0 for bracket atoms, per the SMILES spec).
-    let mut bracket_h = 0u8;
-    if j < b.len() && b[j] == b'H' {
-        j += 1;
-        bracket_h = 1;
-        if j < b.len() && b[j].is_ascii_digit() {
-            bracket_h = b[j] - b'0';
-            j += 1;
-        }
-    }
-
-    // Formal charge: +, -, +n, -n, ++, --.
-    let mut charge = 0i8;
-    if j < b.len() && (b[j] == b'+' || b[j] == b'-') {
-        let mark = b[j];
-        let sign: i8 = if mark == b'+' { 1 } else { -1 };
-        j += 1;
-        let mut magnitude = 1i8;
-        if j < b.len() && b[j].is_ascii_digit() {
-            magnitude = (b[j] - b'0') as i8;
-            j += 1;
-        } else {
-            while j < b.len() && b[j] == mark {
-                magnitude += 1;
-                j += 1;
-            }
-        }
-        charge = sign * magnitude;
-    }
-
-    // Atom-map class: accepted and discarded.
-    if j < b.len() && b[j] == b':' {
-        j += 1;
-        if j >= b.len() || !b[j].is_ascii_digit() {
-            return Err(SmilesError::Unexpected {
-                at: at + j,
-                found: if j < b.len() { b[j] as char } else { ']' },
-            });
-        }
-        while j < b.len() && b[j].is_ascii_digit() {
-            j += 1;
-        }
-    }
-
-    if j < b.len() {
-        return Err(SmilesError::Unexpected {
-            at: at + j,
-            found: b[j] as char,
-        });
-    }
-    Ok(RawAtom {
-        element,
-        aromatic,
-        bracket_h: Some(bracket_h),
-        charge,
-        isotope,
-        chirality,
-    })
 }
 
 /// Resolves aromatic bonds to alternating single/double via backtracking.
@@ -1154,6 +921,38 @@ mod tests {
         // Cyclobutadiene (4 π) must NOT be flagged.
         let cbd = parse_smiles("C1=CC=C1").unwrap();
         assert!((0..4).all(|v| !cbd.is_aromatic(v)), "antiaromatic ring");
+    }
+
+    #[test]
+    fn ring_bond_symbols_at_either_end_must_agree() {
+        // Only conflicting symbols are rejected; one symbol at either end,
+        // or the same at both, sets the ring bond (the third bond here).
+        assert_eq!(
+            parse_smiles("C=1CC-1"),
+            Err(SmilesError::RingBond {
+                number: 1,
+                reason: "ring bond symbols conflict"
+            })
+        );
+        for s in ["C=1CC=1", "C=1CC1", "C1CC=1"] {
+            let m = parse_smiles_heavy(s).unwrap();
+            assert_eq!(m.bonds()[2].order, BondOrder::Double, "{s}");
+        }
+    }
+
+    #[test]
+    fn errors_name_the_text_as_written() {
+        assert_eq!(
+            parse_smiles("[Cé]"),
+            Err(SmilesError::Unexpected { at: 2, found: 'é' })
+        );
+        assert_eq!(
+            parse_smiles("[x]"),
+            Err(SmilesError::UnknownElement {
+                at: 1,
+                symbol: "x".into()
+            })
+        );
     }
 
     #[test]

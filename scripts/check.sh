@@ -48,8 +48,12 @@
 #                                 tests/parser_fuzz.rs battery (raw bytes,
 #                                 grammar token soup, round-trip layers
 #                                 for both the SMILES and SMARTS parsers,
-#                                 and ring perception against the
-#                                 hash-set cycle-basis reference), the
+#                                 errors_name_text_in_the_input: every
+#                                 error's offset, char and symbol come
+#                                 from the input, ring perception against
+#                                 the hash-set cycle-basis reference, and
+#                                 the parser_outputs_are_pinned digest of
+#                                 both parsers' full results), the
 #                                 LabeledGraph neighbour lists against a
 #                                 plain Vec<Vec<_>> model, the filter kernels'
 #                                 branch-free SWAR domination test against
